@@ -15,7 +15,9 @@ parse error, 2 at least one record failed.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import traceback
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
@@ -46,6 +48,7 @@ from .records import (
     STATUS_ANGLE_GE_120,
     STATUS_INCONSISTENT,
     STATUS_INFEASIBLE,
+    STATUS_INTERNAL_ERROR,
     STATUS_OK,
     MeasurementRecord,
     ParseError,
@@ -94,11 +97,20 @@ def solve_record(m: MeasurementRecord, tolerance: float
         solution = _failure(m, STATUS_INCONSISTENT, str(exc))
     except StarSolveError as exc:
         solution = _failure(m, STATUS_INFEASIBLE, str(exc))
+    except Exception as exc:  # one bad row must not end the batch
+        solution = _failure(m, STATUS_INTERNAL_ERROR, _describe_internal(exc))
     return m, solution
 
 
 def _failure(m: MeasurementRecord, status: str, message: str) -> SolutionRecord:
     return SolutionRecord(m.id, None, None, None, None, status, message)
+
+
+def _describe_internal(exc: Exception) -> str:
+    """Exception type, message and the innermost frame that raised it."""
+    frame = traceback.extract_tb(exc.__traceback__)[-1]
+    return (f"{type(exc).__name__}: {exc} (at {os.path.basename(frame.filename)}:"
+            f"{frame.lineno} in {frame.name})")
 
 
 def verify_record(m: MeasurementRecord, s: SolutionRecord | None,
@@ -108,12 +120,14 @@ def verify_record(m: MeasurementRecord, s: SolutionRecord | None,
     Solved rows must pass the mesh-rule closure, agree with a fresh
     circle-intersection re-solve, and (for 120-deg rows) match the
     distance-sum minimum. Failure rows pass iff a re-solve reproduces the
-    recorded failure status.
+    recorded failure status, unless that status is an internal error.
     """
     if s is None:
         return False, "row carries no solution fields"
     if not s.solved or s.u1p is None:
         _, fresh = solve_record(m, tolerance)
+        if fresh.status == STATUS_INTERNAL_ERROR:
+            return False, f"cross-check raised {fresh.diagnostics}"
         if fresh.status == s.status:
             return True, f"failure status {s.status!r} confirmed by re-solve"
         return False, (f"recorded status {s.status!r} but re-solve "
@@ -145,6 +159,8 @@ def verify_record(m: MeasurementRecord, s: SolutionRecord | None,
                                f"minimized distance sum {minimized.value:.9g}")
     except StarSolveError as exc:
         return False, f"cross-check raised: {exc}"
+    except Exception as exc:  # one bad row must not end the batch
+        return False, f"cross-check raised {_describe_internal(exc)}"
     return True, f"max residual {report.max_residual:.3e}"
 
 
@@ -308,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--parallel", action="store_true",
                          help="solve records concurrently (order preserved)")
     p_solve.add_argument("--tolerance", type=float, default=None, metavar="REL",
-                         help="relative residual tolerance for status=ok "
-                              "(default 1e-8, or STAR_SOLVE_TOLERANCE)")
+                         help="relative residual tolerance for status=ok, finite "
+                              "and > 0 (default 1e-8, or STAR_SOLVE_TOLERANCE)")
     p_solve.set_defaults(func=cmd_solve)
 
     p_verify = sub.add_parser(
@@ -345,8 +361,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except BrokenPipeError:
         # Downstream consumer (head, etc.) closed the pipe; die quietly.
-        import os
-
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_USAGE
 

@@ -10,6 +10,7 @@ rounding of the short formula pipelines.
 
 from __future__ import annotations
 
+import math
 import os
 
 # Absolute norm below which a vector counts as zero (direction undefined).
@@ -43,15 +44,23 @@ TOLERANCE_ENV_VAR = "STAR_SOLVE_TOLERANCE"
 
 
 def residual_tolerance(override: float | None = None) -> float:
-    """Resolve the residual tolerance: explicit value, else env var, else default."""
+    """Resolve the residual tolerance: explicit value, else env var, else default.
+
+    Raises ValueError unless the result is finite and positive: a tolerance
+    of zero, below zero or NaN would mark every solution infeasible.
+    """
     if override is not None:
-        return float(override)
-    raw = os.environ.get(TOLERANCE_ENV_VAR)
-    if raw is not None:
+        value, source = float(override), "tolerance"
+    else:
+        raw = os.environ.get(TOLERANCE_ENV_VAR)
+        if raw is None:
+            return RESIDUAL_TOL
         try:
-            return float(raw)
+            value, source = float(raw), TOLERANCE_ENV_VAR
         except ValueError as exc:
             raise ValueError(
                 f"{TOLERANCE_ENV_VAR} must be a number, got {raw!r}"
             ) from exc
-    return RESIDUAL_TOL
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{source} must be finite and positive, got {value!r}")
+    return value

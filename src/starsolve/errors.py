@@ -116,4 +116,4 @@ class ConcentricCircles(StarSolveError):
 
 
 class NoConvergence(StarSolveError):
-    """The derivative-free minimizer hit its iteration cap."""
+    """The distance-sum minimizer hit its iteration cap before certifying its gap."""

@@ -1,21 +1,22 @@
 """Independent verification machinery.
 
-Nothing here reuses solver formulas: the minimizer polls the distance-sum
-objective directly, the circle kernel is plain radical-line arithmetic,
-and waveform sampling works in the time domain. These routines back the
-test suite and the CLI ``verify`` command.
+Nothing here reuses solver formulas: the minimizer works on the
+distance-sum objective and its derivatives alone, the circle kernel is
+plain radical-line arithmetic, and waveform sampling works in the time
+domain. These routines back the test suite and the CLI ``verify`` command.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from random import Random
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import ConcentricCircles, NoConvergence
 from .fermat import StarSolution, closure_residuals, point_from_distances
-from .geometry import PhaseAngles, PlaneVector, TriangleEdges, perp
+from .geometry import ORIGIN, PhaseAngles, PlaneVector, TriangleEdges, perp
 
 if TYPE_CHECKING:  # pragma: no cover - type-only, avoids a runtime cycle
     from .circuit import Phasor
@@ -90,8 +91,15 @@ def random_synthesis_spec(rng: Random, seed: int = 0,
 
 
 # =========================================================================
-# Derivative-free minimization of the vertex-distance sum
+# Weiszfeld-Newton minimization of the vertex-distance sum
 # =========================================================================
+
+# Stop once the convexity bound on the relative gap to the minimum is this small.
+GAP_CERTIFICATE = 1e-12
+
+# A Newton step may raise the sum by this much relative rounding and still count.
+_ROUNDING_SLACK = 4.0 * sys.float_info.epsilon
+
 
 @dataclass(frozen=True)
 class MinimizationResult:
@@ -112,113 +120,90 @@ def _embed_for_oracle(t: TriangleEdges) -> tuple[PlaneVector, PlaneVector, Plane
     )
 
 
-def _nelder_mead(f, start: PlaneVector, step: float, diameter_tol: float,
-                 max_iter: int) -> tuple[PlaneVector, float, int, bool]:
-    """Plain 2-D simplex descent (reflect / expand / contract / shrink).
-
-    Tracks the best point ever polled, so the reported value is a true
-    upper bound on the minimum over everything evaluated.
-    """
-    simplex = [start, PlaneVector(start.x + step, start.y),
-               PlaneVector(start.x, start.y + step)]
-    values = [f(v) for v in simplex]
-    best_point = simplex[values.index(min(values))]
-    best_value = min(values)
-
-    iterations = 0
-    converged = False
-    while iterations < max_iter:
-        iterations += 1
-        order = sorted(range(3), key=lambda i: values[i])
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
-
-        diameter = max(simplex[i].distance_to(simplex[j])
-                       for i in range(3) for j in range(i + 1, 3))
-        if diameter < diameter_tol:
-            converged = True
-            break
-
-        centroid = 0.5 * (simplex[0] + simplex[1])
-
-        def polled(pt: PlaneVector) -> float:
-            nonlocal best_point, best_value
-            val = f(pt)
-            if val < best_value:
-                best_value, best_point = val, pt
-            return val
-
-        reflected = centroid + (centroid - simplex[2])
-        f_r = polled(reflected)
-        if f_r < values[0]:
-            expanded = centroid + 2.0 * (centroid - simplex[2])
-            f_e = polled(expanded)
-            if f_e < f_r:
-                simplex[2], values[2] = expanded, f_e
-            else:
-                simplex[2], values[2] = reflected, f_r
-        elif f_r < values[1]:
-            simplex[2], values[2] = reflected, f_r
-        else:
-            if f_r < values[2]:
-                contracted = centroid + 0.5 * (reflected - centroid)
-            else:
-                contracted = centroid + 0.5 * (simplex[2] - centroid)
-            f_c = polled(contracted)
-            if f_c < min(f_r, values[2]):
-                simplex[2], values[2] = contracted, f_c
-            else:
-                # Shrink toward the best vertex.
-                simplex = [simplex[0],
-                           simplex[0] + 0.5 * (simplex[1] - simplex[0]),
-                           simplex[0] + 0.5 * (simplex[2] - simplex[0])]
-                values = [values[0], polled(simplex[1]), polled(simplex[2])]
-
-    return best_point, best_value, iterations, converged
+def _distance_sum(x: float, y: float, vertices: list[tuple[float, float]]) -> float:
+    return sum(math.hypot(x - vx, y - vy) for vx, vy in vertices)
 
 
 def minimize_distance_sum(t: TriangleEdges, max_iter: int = 10_000) -> MinimizationResult:
-    """Minimize |XA| + |XB| + |XC| by multi-started simplex search.
+    """Minimize f(X) = |XA| + |XB| + |XC| (Fermat-Weber) to a certified gap.
 
-    Starts from the centroid and three seeds shifted toward the edge
-    midpoints; each run terminates when the simplex diameter drops below
-    1e-10 of the perimeter and is then re-polished once from a small
-    simplex around its best point. Raises :class:`NoConvergence` only if
-    every start hits the iteration cap.
+    A vertex is the minimum exactly when the unit vectors from it toward
+    the other two sum to a length <= 1 (Kuhn's subgradient condition: an
+    interior angle >= 120 deg); it is returned with 0 iterations.
+
+    Otherwise the iteration starts on the vertex opposite the longest edge,
+    the one nearest the minimum, moved to the origin where floats are
+    densest: near 120 deg the minimum sits within a hair of it. Each step
+    is the Newton step of the 2x2 gradient and Hessian of f if it does not
+    raise f beyond rounding, else Weiszfeld's step to the inverse-distance-
+    weighted mean of the vertices (Tohoku Math. J. 43, 1937). On a vertex
+    the Vardi-Zhang step (PNAS 97(4), 2000) moves (1 - 1/r) of the way to
+    the weighted mean of the other two, r > 1 being the length of the sum
+    of unit vectors toward them. ``iterations`` counts these steps.
+
+    It stops when |grad f(X)| * max_k |X - V_k| <= GAP_CERTIFICATE * f(X).
+    By convexity f(X) - f(X*) <= grad f(X) . (X - X*), and X* lies in the
+    triangle, so this bounds the relative gap of ``value`` to the minimum.
+    ``converged`` is true on every return; :class:`NoConvergence` is raised
+    if ``max_iter`` steps do not reach the certificate.
     """
     vc, vb, va = _embed_for_oracle(t)
+    corners = (va, vb, vc)
+    for k, corner in enumerate(corners):
+        others = corners[:k] + corners[k + 1:]
+        pull = sum(((1.0 / corner.distance_to(v)) * (v - corner) for v in others),
+                   ORIGIN)
+        if pull.norm() <= 1.0:
+            value = sum(corner.distance_to(v) for v in others)
+            return MinimizationResult(corner, value, 0, True)
 
-    def objective(pt: PlaneVector) -> float:
-        return pt.distance_to(va) + pt.distance_to(vb) + pt.distance_to(vc)
+    edges = t.as_tuple()
+    origin = corners[edges.index(max(edges))]
+    vertices = [(v.x - origin.x, v.y - origin.y) for v in corners]
+    x = y = 0.0
+    fx = _distance_sum(x, y, vertices)
+    for iterations in range(max_iter + 1):
+        # Over the vertices X is not on: the unit vectors toward them (their
+        # sum is minus the gradient), the Hessian, and Weiszfeld's weights.
+        px = py = hxx = hxy = hyy = wsum = wx = wy = farthest = 0.0
+        on_vertex = False
+        for vx, vy in vertices:
+            d = math.hypot(vx - x, vy - y)
+            if d == 0.0:
+                on_vertex = True
+                continue
+            ux, uy = (vx - x) / d, (vy - y) / d
+            px += ux
+            py += uy
+            hxx += (1.0 - ux * ux) / d
+            hxy -= ux * uy / d
+            hyy += (1.0 - uy * uy) / d
+            wsum += 1.0 / d
+            wx += vx / d
+            wy += vy / d
+            farthest = max(farthest, d)
+        pull = math.hypot(px, py)
+        if not on_vertex and pull * farthest <= GAP_CERTIFICATE * fx:
+            point = PlaneVector(x + origin.x, y + origin.y)
+            return MinimizationResult(point, fx, iterations, True)
+        if iterations == max_iter:
+            break
 
-    perimeter = t.perimeter()
-    diameter_tol = 1e-10 * perimeter
-    centroid = (1.0 / 3.0) * (va + vb + vc)
-    midpoints = (0.5 * (vb + vc), 0.5 * (va + vc), 0.5 * (va + vb))
-    starts = [centroid] + [0.5 * (centroid + mid) for mid in midpoints]
+        det = hxx * hyy - hxy * hxy
+        if not on_vertex and det > 0.0:
+            nx = x + (hyy * px - hxy * py) / det
+            ny = y + (hxx * py - hxy * px) / det
+            fn = _distance_sum(nx, ny, vertices)
+            if fn <= fx * (1.0 + _ROUNDING_SLACK):
+                x, y, fx = nx, ny, fn
+                continue
+        keep = 1.0 / max(pull, 1.0) if on_vertex else 0.0
+        x = (1.0 - keep) * wx / wsum + keep * x
+        y = (1.0 - keep) * wy / wsum + keep * y
+        fx = _distance_sum(x, y, vertices)
 
-    best: tuple[PlaneVector, float] | None = None
-    total_iterations = 0
-    any_converged = False
-    for start in starts:
-        point, value, iters, ok = _nelder_mead(
-            objective, start, 0.2 * perimeter / 3.0, diameter_tol, max_iter)
-        total_iterations += iters
-        if ok:
-            # Re-polish from a fresh small simplex to escape any flat collapse.
-            point, value, iters2, ok2 = _nelder_mead(
-                objective, point, 1e3 * diameter_tol, diameter_tol, max_iter)
-            total_iterations += iters2
-            ok = ok and ok2
-        any_converged = any_converged or ok
-        if ok and (best is None or value < best[1]):
-            best = (point, value)
-
-    if best is None:
-        raise NoConvergence(
-            f"no simplex start converged within {max_iter} iterations")
-    return MinimizationResult(point=best[0], value=best[1],
-                              iterations=total_iterations, converged=any_converged)
+    raise NoConvergence(
+        f"distance-sum gap not certified within {max_iter} iterations")
 
 
 # =========================================================================

@@ -27,6 +27,8 @@ STATUS_OK = "ok"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_INCONSISTENT = "inconsistent"
 STATUS_ANGLE_GE_120 = "angle_ge_120"
+# An unexpected exception inside the solver; the diagnostics name it.
+STATUS_INTERNAL_ERROR = "internal_error"
 
 
 class ParseError(Exception):

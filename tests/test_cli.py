@@ -8,10 +8,12 @@ import math
 
 import pytest
 
+from conftest import E1_EDGES
 from starsolve.cli import main, solve_record, verify_record
 from starsolve.records import (
     STATUS_ANGLE_GE_120,
     STATUS_INCONSISTENT,
+    STATUS_INTERNAL_ERROR,
     STATUS_OK,
     MeasurementRecord,
     ParseError,
@@ -211,6 +213,55 @@ def test_tolerance_env_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("STAR_SOLVE_TOLERANCE", "1e-6")
     code, out, _ = run_cli(["solve", str(path)], monkeypatch, capsys)
     assert code == 0
+    for bad in ("0", "-1", "nan", "inf"):
+        monkeypatch.setenv("STAR_SOLVE_TOLERANCE", bad)
+        code, out, err = run_cli(["solve", str(path)], monkeypatch, capsys)
+        assert code == 1 and out == ""
+        assert "finite and positive" in err
+
+
+@pytest.mark.parametrize("bad", ["0", "-1", "nan", "inf"])
+def test_tolerance_flag_rejects_non_positive(tmp_path, monkeypatch, capsys, bad):
+    path = tmp_path / "one.csv"
+    path.write_text("id,u1,u2,u3,psi1,psi2\nm,400,400,400,,\n")
+    code, out, err = run_cli(["solve", f"--tolerance={bad}", str(path)],
+                             monkeypatch, capsys)
+    assert code == 1 and out == ""
+    assert "finite and positive" in err
+
+
+# The 3-4-5 triangle at 120 deg, scaled until the kernel's squared edges
+# underflow (ZeroDivisionError) or overflow (OverflowError).
+@pytest.mark.parametrize("scale, raised", [(1e-200, "ZeroDivisionError"),
+                                           (1e160, "OverflowError")])
+def test_solve_batch_survives_internal_error(tmp_path, monkeypatch, capsys,
+                                             scale, raised):
+    u1, u2, u3 = (x * scale for x in E1_EDGES.as_tuple())
+    path = tmp_path / "mixed.csv"
+    path.write_text("id,u1,u2,u3,psi1,psi2\n"
+                    "good1,400,400,400,,\n"
+                    f"bad,{u1!r},{u2!r},{u3!r},,\n"
+                    "good2,400,400,400,,\n")
+    code, out, err = run_cli(["solve", str(path)], monkeypatch, capsys)
+    assert code == 2 and err == ""
+    rows = list(read_pairs(out.splitlines(keepends=True), "csv"))
+    assert [m.id for m, _ in rows] == ["good1", "bad", "good2"]
+    assert [s.status for _, s in rows] == [STATUS_OK, STATUS_INTERNAL_ERROR, STATUS_OK]
+    assert rows[1][1].diagnostics.startswith(raised)
+
+
+def test_verify_record_reports_internal_error():
+    u1, u2, u3 = (x * 1e-200 for x in E1_EDGES.as_tuple())
+    m = MeasurementRecord("tiny", u1, u2, u3)
+    s = SolutionRecord("tiny", 3e-200, 4e-200, 5e-200, 0.0, STATUS_OK)
+    passed, detail = verify_record(m, s, 1e-8)
+    assert not passed
+    assert detail.startswith("cross-check raised ZeroDivisionError")
+    # A recorded crash is reproduced by the re-solve, but never verified.
+    crashed = SolutionRecord("tiny", None, None, None, None, STATUS_INTERNAL_ERROR)
+    passed, detail = verify_record(m, crashed, 1e-8)
+    assert not passed
+    assert detail.startswith("cross-check raised ZeroDivisionError")
 
 
 def test_usage_error_exit_1(monkeypatch, capsys):

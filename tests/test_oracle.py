@@ -6,16 +6,19 @@ import math
 from random import Random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import (
     E4_ANGLES,
     E4_EDGES,
+    distances_at_120,
     planted_fermat_instance,
     planted_general_instance,
     rel_err,
 )
 from starsolve import (
     ConcentricCircles,
+    NoConvergence,
     PhaseAngles,
     Phasor,
     PlaneVector,
@@ -29,6 +32,7 @@ from starsolve import (
     phasor_difference,
     sample_waveform_amplitude,
     synthesize_triangle,
+    theta_squared,
 )
 from starsolve.oracle import random_synthesis_spec
 
@@ -111,6 +115,64 @@ def test_minimize_matches_closed_form_batch():
         result = minimize_distance_sum(t)
         assert abs(result.value - total) <= 1e-6 * total
         assert result.value <= total + 1e-12 * total  # polled minimum is an upper bound
+
+
+def fermat_sum(t: TriangleEdges) -> float:
+    """Classical closed form of the minimal distance sum, valid while every
+    angle is below 120 deg: S^2 = (a^2 + b^2 + c^2) / 2 + 2 sqrt(3) * area."""
+    return math.sqrt((t.a ** 2 + t.b ** 2 + t.c ** 2) / 2.0
+                     + math.sqrt(3.0) / 2.0 * theta_squared(t))
+
+
+def rotations(edges):
+    return [edges[k:] + edges[:k] for k in range(3)]
+
+
+@pytest.mark.parametrize("edges", [
+    rotated
+    for c in (1.7, 1.73, 1.732, 1.7320508)  # 118.4 .. 119.9999985 deg
+    for rotated in rotations((1.0, 1.0, c))
+])
+def test_minimize_near_120_ladder_within_iteration_cap(edges):
+    t = TriangleEdges(*edges)
+    result = minimize_distance_sum(t, max_iter=20)
+    assert result.converged
+    assert 0 < result.iterations <= 20
+    assert rel_err(result.value, fermat_sum(t)) < 1e-12
+
+
+@pytest.mark.parametrize("edges", rotations((1.0, 1e-6, 1.0)))
+def test_minimize_needle_within_iteration_cap(edges):
+    t = TriangleEdges(*edges)
+    result = minimize_distance_sum(t, max_iter=20)
+    assert result.converged
+    # 1e-9, not 1e-12: with the short edge as c, the oracle's embedding
+    # loses ~4e-11 to cancellation in the height of vertex A.
+    assert rel_err(result.value, fermat_sum(t)) < 1e-9
+
+
+@pytest.mark.parametrize("angle", [121.0, 150.0])
+def test_minimize_wide_vertex_returned_without_iterating(angle):
+    b, c = 2.0, 3.0
+    a = math.sqrt(b * b + c * c - 2 * b * c * math.cos(math.radians(angle)))
+    for edges in rotations((a, b, c)):
+        result = minimize_distance_sum(TriangleEdges(*edges), max_iter=0)
+        assert result.iterations == 0 and result.converged
+        assert rel_err(result.value, b + c) < 1e-12
+
+
+def test_minimize_iteration_cap_raises():
+    with pytest.raises(NoConvergence):
+        minimize_distance_sum(TriangleEdges(1.0, 1.0, 1.7320508), max_iter=1)
+
+
+@given(st.floats(0.01, 100.0), st.floats(0.01, 100.0), st.floats(0.01, 100.0))
+def test_minimize_symmetric_planted_property(a_p, b_p, c_p):
+    total = a_p + b_p + c_p
+    result = minimize_distance_sum(distances_at_120(a_p, b_p, c_p), max_iter=50)
+    assert result.converged
+    assert rel_err(result.value, total) < 1e-9
+    assert result.value >= total * (1.0 - 1e-12)
 
 
 # -- intersect_circles --------------------------------------------------------
