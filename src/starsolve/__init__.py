@@ -5,8 +5,9 @@ Library entry points:
 
 * :func:`solve_symmetric_star` / :func:`solve_general_star` for the
   electrical formulation (voltages in volts, phase differences in degrees);
-* :func:`fermat_solve` and :func:`general_distances_closed_form` /
-  :func:`general_solve_by_circles` for the geometric formulation;
+* :func:`fermat_solve` (closed form or cevian construction) and
+  :func:`general_distances_closed_form` / :func:`general_solve_by_circles`
+  for the geometric formulation;
 * :mod:`starsolve.oracle` for the independent verification machinery.
 
 Every operation is a pure function; the package is thread-safe throughout.
@@ -28,7 +29,6 @@ from .errors import (
     AngleAtLeast120,
     AngleOutOfRange,
     ConcentricCircles,
-    CrossCheckMismatch,
     DegenerateTriangle,
     InconsistentMeasurement,
     InfeasibleConfiguration,
@@ -37,14 +37,11 @@ from .errors import (
     NotATriangle,
     PhaseDiagnostic,
     SingularConfiguration,
-    SingularSystem,
     StarSolveError,
     ZeroVector,
 )
 from .fermat import (
     FermatIntermediate,
-    StarSolution,
-    embed_triangle,
     fermat_apexes,
     fermat_distances_closed_form,
     fermat_line_solution,
@@ -62,13 +59,13 @@ from .general import (
 from .geometry import (
     PhaseAngles,
     PlaneVector,
+    StarSolution,
     TriangleEdges,
-    TriangleInvariants,
     angle_between,
+    embed_triangle,
     law_of_cosines_angle,
     perp,
     theta_squared,
-    triangle_invariants,
 )
 from .oracle import (
     MinimizationResult,
@@ -87,7 +84,6 @@ __all__ = [
     "AngleOutOfRange",
     "CircleData",
     "ConcentricCircles",
-    "CrossCheckMismatch",
     "DegenerateTriangle",
     "FermatIntermediate",
     "GeneralIntermediate",
@@ -105,12 +101,10 @@ __all__ = [
     "PlaneVector",
     "ResidualReport",
     "SingularConfiguration",
-    "SingularSystem",
     "StarSolution",
     "StarSolveError",
     "SynthesisSpec",
     "TriangleEdges",
-    "TriangleInvariants",
     "ZeroVector",
     "angle_between",
     "circumcircle_data",
@@ -133,7 +127,6 @@ __all__ = [
     "star_point_coefficients",
     "synthesize_triangle",
     "theta_squared",
-    "triangle_invariants",
     "validate_angles",
     "verify_solution",
 ]

@@ -17,12 +17,16 @@ import math
 from dataclasses import dataclass, field
 
 from .config import RESIDUAL_TOL
-from .errors import AngleAtLeast120, InconsistentMeasurement, NotATriangle, PhaseDiagnostic
-from .fermat import StarSolution, embed_triangle, fermat_distances_closed_form
+from .fermat import ALL_120, fermat_distances_closed_form
 from .general import general_distances_closed_form, validate_angles
-from .geometry import ORIGIN, PhaseAngles, TriangleEdges
-
-ALL_120 = PhaseAngles(120.0, 120.0, 120.0)
+from .geometry import (
+    ORIGIN,
+    PhaseAngles,
+    StarSolution,
+    TriangleEdges,
+    closure_residuals,
+    embed_triangle,
+)
 
 
 @dataclass(frozen=True)
@@ -64,7 +68,7 @@ class PhaseToPhaseVoltages:
 
     They are the edges of the phasor triangle, so they must satisfy the
     triangle inequality; a violating triple fits no phasor diagram and is
-    rejected as an inconsistent measurement.
+    rejected with :class:`InconsistentMeasurement`.
     """
 
     u1: float
@@ -72,12 +76,7 @@ class PhaseToPhaseVoltages:
     u3: float
 
     def __post_init__(self):
-        try:
-            TriangleEdges(self.u1, self.u2, self.u3)
-        except NotATriangle as exc:
-            raise InconsistentMeasurement(
-                f"voltages ({self.u1}, {self.u2}, {self.u3}) fit no phasor "
-                f"diagram: {exc}") from exc
+        TriangleEdges(self.u1, self.u2, self.u3)
 
     def to_edges(self) -> TriangleEdges:
         return TriangleEdges(self.u1, self.u2, self.u3)
@@ -116,10 +115,7 @@ def solve_symmetric_star(u: PhaseToPhaseVoltages) -> LineVoltages:
     Theta^2) / sqrt(U1^2+U2^2+U3^2 + sqrt3*Theta^2), cyclically, where
     Theta^2 is the Heron radical of the voltage triangle.
     """
-    try:
-        solution = fermat_distances_closed_form(u.to_edges())
-    except AngleAtLeast120 as exc:
-        raise PhaseDiagnostic(exc.vertex, exc.angle_deg, exc.clamped) from exc
+    solution = fermat_distances_closed_form(u.to_edges())
     return LineVoltages(*solution.distances(), diagnostics=_diagnose(u, solution))
 
 
@@ -178,14 +174,7 @@ def verify_solution(u: PhaseToPhaseVoltages, lv: LineVoltages,
     u1^2 = u2p^2 + u3p^2 - 2 u2p u3p cos(psi1), cyclically. Passes iff
     every relative residual is below ``tolerance``.
     """
-    cos1 = math.cos(math.radians(angles.psi_a))
-    cos2 = math.cos(math.radians(angles.psi_b))
-    cos3 = math.cos(math.radians(angles.psi_c))
-    u1p, u2p, u3p = lv.as_tuple()
-    r1 = abs(u2p * u2p + u3p * u3p - 2.0 * u2p * u3p * cos1 - u.u1 * u.u1) / (u.u1 * u.u1)
-    r2 = abs(u3p * u3p + u1p * u1p - 2.0 * u3p * u1p * cos2 - u.u2 * u.u2) / (u.u2 * u.u2)
-    r3 = abs(u1p * u1p + u2p * u2p - 2.0 * u1p * u2p * cos3 - u.u3 * u.u3) / (u.u3 * u.u3)
-    residuals = (r1, r2, r3)
+    residuals = closure_residuals((u.u1, u.u2, u.u3), angles, lv.as_tuple())
     worst = max(residuals)
     return ResidualReport(residuals=residuals, max_residual=worst,
                           tolerance=tolerance, passed=worst <= tolerance)

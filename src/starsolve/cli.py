@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    star-solve solve  <path|->  [--format csv|jsonl] [--parallel] [--tolerance REL]
+    star-solve solve  <path|->  [--format csv|jsonl] [--tolerance REL]
     star-solve verify <path|->
     star-solve synth  --count N --seed S [--symmetric]
 
@@ -18,12 +18,9 @@ import argparse
 import os
 import sys
 import traceback
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 from itertools import chain
 from random import Random
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import TextIO
 
 from .circuit import (
     ALL_120,
@@ -34,14 +31,7 @@ from .circuit import (
     verify_solution,
 )
 from .config import residual_tolerance
-from .errors import (
-    AngleAtLeast120,
-    AngleOutOfRange,
-    InconsistentMeasurement,
-    NotATriangle,
-    PhaseDiagnostic,
-    StarSolveError,
-)
+from .errors import AngleAtLeast120, AngleOutOfRange, NotATriangle, StarSolveError
 from .general import general_solve_by_circles, validate_angles
 from .oracle import minimize_distance_sum, random_synthesis_spec, synthesize_triangle
 from .records import (
@@ -91,9 +81,9 @@ def solve_record(m: MeasurementRecord, tolerance: float
                          f"exceeds tolerance {tolerance:g}")
         solution = SolutionRecord(m.id, lv.u1p, lv.u2p, lv.u3p,
                                   report.max_residual, status, "; ".join(notes))
-    except (PhaseDiagnostic, AngleAtLeast120) as exc:
+    except AngleAtLeast120 as exc:
         solution = _failure(m, STATUS_ANGLE_GE_120, str(exc))
-    except (InconsistentMeasurement, NotATriangle, AngleOutOfRange) as exc:
+    except (NotATriangle, AngleOutOfRange) as exc:
         solution = _failure(m, STATUS_INCONSISTENT, str(exc))
     except StarSolveError as exc:
         solution = _failure(m, STATUS_INFEASIBLE, str(exc))
@@ -179,18 +169,6 @@ def _detect(path: str, first_line: str) -> str:
     return fmt or detect_format(first_line)
 
 
-def _ordered_parallel_map(fn: Callable, items: Iterable, window: int = 64) -> Iterator:
-    """Parallel map preserving input order with a bounded in-flight window."""
-    pending: deque = deque()
-    with ThreadPoolExecutor() as pool:
-        for item in items:
-            pending.append(pool.submit(fn, item))
-            if len(pending) >= window:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-
-
 # =========================================================================
 # Subcommands
 # =========================================================================
@@ -214,12 +192,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
         in_fmt = _detect(args.path, first)
         out_fmt = args.format or in_fmt
         writer = RowWriter(sys.stdout, out_fmt)
-        measurements = read_measurements(chain([first], lines), in_fmt)
-        solver = partial(solve_record, tolerance=tolerance)
-        results = (_ordered_parallel_map(solver, measurements)
-                   if args.parallel else map(solver, measurements))
         failed = 0
-        for measurement, solution in results:
+        for measurement in read_measurements(chain([first], lines), in_fmt):
+            _, solution = solve_record(measurement, tolerance)
             writer.write(combined_row(measurement, solution))
             if not solution.solved:
                 failed += 1
@@ -321,8 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="input file, or - for stdin (default)")
     p_solve.add_argument("--format", choices=("csv", "jsonl"), default=None,
                          help="output format (default: mirror the input)")
-    p_solve.add_argument("--parallel", action="store_true",
-                         help="solve records concurrently (order preserved)")
     p_solve.add_argument("--tolerance", type=float, default=None, metavar="REL",
                          help="relative residual tolerance for status=ok, finite "
                               "and > 0 (default 1e-8, or STAR_SOLVE_TOLERANCE)")

@@ -23,14 +23,8 @@ EPS_ANG_DEG = 1e-9
 # values in [-EPS_TRI_COEFF * (a+b+c)^2, 0] are treated as exactly collinear.
 EPS_TRI_COEFF = 1e-12
 
-# Point-coincidence tolerance, times the triangle perimeter.
-EPS_PT_COEFF = 1e-9
-
 # Coefficient-denominator gate, times the squared-edge scale a^2+b^2+c^2.
 EPS_DEN_COEFF = 1e-10
-
-# Relative disagreement beyond which two independent solution paths error.
-CROSS_CHECK_REL = 1e-8
 
 # Default relative closure-residual tolerance for solution acceptance.
 RESIDUAL_TOL = 1e-8

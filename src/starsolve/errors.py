@@ -1,8 +1,9 @@
 """Exception hierarchy for the star-circuit solvers.
 
-Geometry-level errors carry geometric names; the circuit adapter re-raises
-them under measurement-domain names so that batch tooling can map failures
-to record statuses without string matching.
+Batch tooling maps failures to record statuses by class, without string
+matching. Two classes also go by a measurement-domain name, as aliases:
+:data:`InconsistentMeasurement` is :class:`NotATriangle` and
+:data:`PhaseDiagnostic` is :class:`AngleAtLeast120`.
 """
 
 from __future__ import annotations
@@ -28,16 +29,14 @@ class DegenerateTriangle(StarSolveError):
 
 # -- fermat-solver -----------------------------------------------------------
 
-class SingularSystem(StarSolveError):
-    """The 2x2 line-intersection system is singular (degenerate input)."""
-
-
 class AngleAtLeast120(StarSolveError):
     """Some interior angle is >= 120 deg, so no interior three-ray point exists.
 
     ``vertex`` names the wide corner ("A", "B" or "C"); ``clamped`` holds the
     vertex-degenerate distances (zero at the wide corner, adjacent edge
-    lengths elsewhere) for diagnostic use only.
+    lengths elsewhere) for diagnostic use only. In the circuit picture this
+    is a phasor-diagram angle >= 120 deg, which for a symmetric-load solve
+    points at faulty data rather than an unusual but valid circuit.
     """
 
     def __init__(self, vertex: str, angle_deg: float,
@@ -46,13 +45,9 @@ class AngleAtLeast120(StarSolveError):
         self.angle_deg = angle_deg
         self.clamped = clamped
         super().__init__(
-            f"interior angle at {vertex} is {angle_deg:.6g} deg (>= 120 deg); "
-            f"vertex-degenerate distances {clamped}"
+            f"phasor-triangle angle at vertex {vertex} is {angle_deg:.6g} deg "
+            f"(>= 120 deg); advisory vertex-clamped line voltages {clamped}"
         )
-
-
-class CrossCheckMismatch(StarSolveError):
-    """Two independent solution paths disagree beyond tolerance."""
 
 
 # -- general-solver ----------------------------------------------------------
@@ -87,26 +82,11 @@ class AmbiguousIntersection(StarSolveError):
 
 # -- circuit-adapter ---------------------------------------------------------
 
-class InconsistentMeasurement(StarSolveError):
-    """Measured voltages fit no phasor diagram (triangle inequality fails)."""
+# Measured voltages that fit no phasor diagram (triangle inequality fails).
+InconsistentMeasurement = NotATriangle
 
-
-class PhaseDiagnostic(StarSolveError):
-    """Measurement-domain relabeling of :class:`AngleAtLeast120`.
-
-    Indicates a phasor-diagram angle >= 120 deg, which for a symmetric-load
-    solve points at faulty data rather than an unusual but valid circuit.
-    """
-
-    def __init__(self, vertex: str, angle_deg: float,
-                 clamped: tuple[float, float, float]):
-        self.vertex = vertex
-        self.angle_deg = angle_deg
-        self.clamped = clamped
-        super().__init__(
-            f"phasor-triangle angle at vertex {vertex} is {angle_deg:.6g} deg "
-            f"(>= 120 deg); advisory vertex-clamped line voltages {clamped}"
-        )
+# A phasor-diagram angle >= 120 deg.
+PhaseDiagnostic = AngleAtLeast120
 
 
 # -- oracle ------------------------------------------------------------------

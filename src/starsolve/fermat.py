@@ -4,7 +4,9 @@ Given the edge lengths of a triangle (all interior angles below 120 deg),
 recover the distances from that point to the vertices. Two independent
 routes are provided and can be cross-checked against each other:
 
-* the closed-form expressions in the edge lengths, and
+* the closed form, which is the general viewing-angle kernel of
+  :mod:`starsolve.general` with every angle at 120 deg, behind a gate that
+  names the wide vertex of a triangle with an angle >= 120 deg, and
 * the constructive route: erect outward equilateral triangles on two
   edges, intersect the two cevians to their apexes, and measure.
 
@@ -19,114 +21,35 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-from .config import (
-    ANGLE_LIMIT_DEG,
-    CROSS_CHECK_REL,
-    EPS_ANG_DEG,
-    EPS_PT_COEFF,
-)
-from .errors import (
-    AngleAtLeast120,
-    CrossCheckMismatch,
-    DegenerateTriangle,
-    SingularSystem,
-)
+from .config import ANGLE_LIMIT_DEG, EPS_ANG_DEG
+from .errors import AngleAtLeast120, DegenerateTriangle
+from .general import general_distances_closed_form
 from .geometry import (
     PhaseAngles,
     PlaneVector,
+    StarSolution,
     TriangleEdges,
+    closure_residuals,
+    embed_triangle,
     law_of_cosines_angle,
     perp,
-    theta_squared,
-    triangle_invariants,
 )
 
 SQRT3 = math.sqrt(3.0)
 
-SolveMethod = Literal["closed_form", "construction", "both"]
+ALL_120 = PhaseAngles(120.0, 120.0, 120.0)
 
-
-@dataclass(frozen=True)
-class StarSolution:
-    """Distances from the recovered interior point to the vertices A, B, C.
-
-    ``point`` is the position of the interior point in the canonical frame
-    (C at origin, B on +x, A above). ``residuals`` are the relative
-    law-of-cosines closure defects, one per edge.
-    """
-
-    a_prime: float
-    b_prime: float
-    c_prime: float
-    point: PlaneVector
-    residuals: tuple[float, float, float]
-
-    def distances(self) -> tuple[float, float, float]:
-        return (self.a_prime, self.b_prime, self.c_prime)
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.residuals)
+SolveMethod = Literal["closed_form", "construction"]
 
 
 @dataclass(frozen=True)
 class FermatIntermediate:
-    """Intermediate quantities of the constructive route.
+    """Intermediate quantities of the constructive route: the cevian line
+    parameters ``tau0`` and ``sigma0`` and their intersection point ``m``."""
 
-    ``phi`` is the angle at the origin between the two spanning vectors
-    (degrees); ``p`` and ``q`` the outward equilateral apexes; ``tau0`` and
-    ``sigma0`` the cevian line parameters solving the 2x2 system whose
-    determinant is ``det_omega``; ``m`` the intersection point.
-    """
-
-    phi: float
-    p: PlaneVector
-    q: PlaneVector
     tau0: float
     sigma0: float
-    det_omega: float
     m: PlaneVector
-
-
-def embed_triangle(t: TriangleEdges) -> tuple[PlaneVector, PlaneVector]:
-    """Place the triangle in the canonical frame; return the spanning vectors.
-
-    The first vector has length ``a`` and runs from C along +x to B; the
-    second has length ``b`` and runs from C to A in the upper half-plane.
-    Its height is taken from the stable area evaluation, so the embedding
-    agrees with :func:`theta_squared` to the last bit even for needles.
-    """
-    cos_phi = (t.a * t.a + t.b * t.b - t.c * t.c) / (2.0 * t.a * t.b)
-    cos_phi = max(-1.0, min(1.0, cos_phi))
-    height = theta_squared(t) / (2.0 * t.a)
-    a_vec = PlaneVector(t.a, 0.0)
-    b_vec = PlaneVector(t.b * cos_phi, height)
-    return a_vec, b_vec
-
-
-def point_from_distances(t: TriangleEdges, a_prime: float, b_prime: float,
-                         c_prime: float) -> PlaneVector:
-    """Position (canonical frame) of the upper-half-plane point at the given
-    distances from C and B; the distance to A is implied by consistency."""
-    px = (c_prime * c_prime - b_prime * b_prime + t.a * t.a) / (2.0 * t.a)
-    py_sq = c_prime * c_prime - px * px
-    return PlaneVector(px, math.sqrt(max(py_sq, 0.0)))
-
-
-def closure_residuals(t: TriangleEdges, angles: PhaseAngles,
-                      distances: tuple[float, float, float]) -> tuple[float, float, float]:
-    """Relative defects of the three law-of-cosines closure equations.
-
-    Edge a must satisfy a^2 = b'^2 + c'^2 - 2 b' c' cos(psi_a), cyclically.
-    """
-    a_p, b_p, c_p = distances
-    cos_a = math.cos(math.radians(angles.psi_a))
-    cos_b = math.cos(math.radians(angles.psi_b))
-    cos_c = math.cos(math.radians(angles.psi_c))
-    r_a = abs(b_p * b_p + c_p * c_p - 2.0 * b_p * c_p * cos_a - t.a * t.a) / (t.a * t.a)
-    r_b = abs(c_p * c_p + a_p * a_p - 2.0 * c_p * a_p * cos_b - t.b * t.b) / (t.b * t.b)
-    r_c = abs(a_p * a_p + b_p * b_p - 2.0 * a_p * b_p * cos_c - t.c * t.c) / (t.c * t.c)
-    return (r_a, r_b, r_c)
 
 
 def vertex_clamped_distances(t: TriangleEdges, vertex: str) -> tuple[float, float, float]:
@@ -172,28 +95,19 @@ def fermat_line_solution(a_vec: PlaneVector, b_vec: PlaneVector,
     """
     a = a_vec.norm()
     b = b_vec.norm()
-    cross = a_vec.cross(b_vec)
-    sin_phi = cross / (a * b)
+    sin_phi = a_vec.cross(b_vec) / (a * b)
     cos_phi = a_vec.dot(b_vec) / (a * b)
-    phi = math.degrees(math.atan2(cross, a_vec.dot(b_vec))) % 360.0
-
-    sin_p60 = sin_phi * 0.5 + cos_phi * (SQRT3 / 2.0)   # sin(phi + 60)
     cos_p60 = cos_phi * 0.5 - sin_phi * (SQRT3 / 2.0)   # cos(phi + 60)
     sin_m60 = sin_phi * 0.5 - cos_phi * (SQRT3 / 2.0)   # sin(phi - 60)
 
-    det_omega = sin_p60 * sin_p60 - (sin_phi + SQRT3 * b / (2.0 * a)) * \
-        (sin_phi + SQRT3 * a / (2.0 * b))
-
     denom = SQRT3 * (a * a + b * b) - 2.0 * SQRT3 * a * b * cos_p60
-    scale_sq = a * a + b * b
-    if denom <= 1e-14 * scale_sq:
-        raise SingularSystem("cevian system is singular (degenerate triangle)")
+    if denom <= 1e-14 * (a * a + b * b):
+        raise DegenerateTriangle("cevian system is singular (degenerate triangle)")
 
     tau0 = (SQRT3 * b * b + 2.0 * a * b * sin_m60) / denom
     sigma0 = (SQRT3 * a * a + 2.0 * a * b * sin_m60) / denom
     m = b_vec + tau0 * (p - b_vec)
-    return FermatIntermediate(phi=phi, p=p, q=q, tau0=tau0, sigma0=sigma0,
-                              det_omega=det_omega, m=m)
+    return FermatIntermediate(tau0=tau0, sigma0=sigma0, m=m)
 
 
 def fermat_distances_closed_form(t: TriangleEdges) -> StarSolution:
@@ -202,26 +116,12 @@ def fermat_distances_closed_form(t: TriangleEdges) -> StarSolution:
     Requires every interior angle strictly below 120 deg; otherwise the
     point degenerates onto the wide vertex and an :class:`AngleAtLeast120`
     carrying the vertex-clamped distances is raised instead of guessing.
+    Past that gate this is the general kernel at 120 deg, whose distances
+    reduce to (sqrt3*(b^2+c^2-a^2) + Theta^2) / sqrt(6*(a^2+b^2+c^2 +
+    sqrt3*Theta^2)), cyclically, with Theta^2 the Heron radical.
     """
     require_angles_below_120(t)
-    inv = triangle_invariants(t)
-    theta_sq = inv.theta_sq
-    denom = inv.sum_sq + SQRT3 * theta_sq
-    cos_c, cos_a, cos_b = inv.cos_terms  # (a2+b2-c2, b2+c2-a2, c2+a2-b2)
-
-    distances = []
-    for vertex, num_core in (("A", cos_a), ("B", cos_b), ("C", cos_c)):
-        numerator = SQRT3 * num_core + theta_sq
-        if numerator < 0.0:
-            # Unreachable once the angle gate passed; kept as a hard fact check.
-            raise AngleAtLeast120(vertex, law_of_cosines_angle(t, vertex.lower()),
-                                  vertex_clamped_distances(t, vertex))
-        distances.append(numerator / math.sqrt(6.0 * denom))
-
-    a_p, b_p, c_p = distances
-    point = point_from_distances(t, a_p, b_p, c_p)
-    residuals = closure_residuals(t, PhaseAngles(120.0, 120.0, 120.0), (a_p, b_p, c_p))
-    return StarSolution(a_p, b_p, c_p, point, residuals)
+    return general_distances_closed_form(t, ALL_120)
 
 
 def fermat_construction(t: TriangleEdges) -> tuple[StarSolution, FermatIntermediate]:
@@ -234,43 +134,14 @@ def fermat_construction(t: TriangleEdges) -> tuple[StarSolution, FermatIntermedi
     a_p = m.distance_to(b_vec)   # A sits at b_vec
     b_p = m.distance_to(a_vec)   # B sits at a_vec
     c_p = m.norm()               # C is the origin
-    residuals = closure_residuals(t, PhaseAngles(120.0, 120.0, 120.0), (a_p, b_p, c_p))
+    residuals = closure_residuals(t.as_tuple(), ALL_120, (a_p, b_p, c_p))
     return StarSolution(a_p, b_p, c_p, m, residuals), inter
 
 
-def _relative_gap(x: float, y: float, scale_floor: float) -> float:
-    return abs(x - y) / max(abs(x), abs(y), scale_floor)
-
-
-def fermat_solve(t: TriangleEdges, method: SolveMethod = "both",
-                 cross_check_rel: float = CROSS_CHECK_REL) -> StarSolution:
-    """Solve by the requested route.
-
-    With ``method="both"`` the closed form and the construction both run;
-    they must agree within ``cross_check_rel`` per distance, and the
-    returned solution carries the closed-form distances with the
-    constructed point position.
-    """
+def fermat_solve(t: TriangleEdges, method: SolveMethod = "closed_form") -> StarSolution:
+    """Solve by the requested route: the closed form or the construction."""
     if method == "closed_form":
         return fermat_distances_closed_form(t)
     if method == "construction":
         return fermat_construction(t)[0]
-    if method != "both":
-        raise ValueError(f"unknown method {method!r}")
-
-    closed = fermat_distances_closed_form(t)
-    constructed, _ = fermat_construction(t)
-    floor = EPS_PT_COEFF * t.perimeter()
-    for name, x, y in (
-        ("a'", closed.a_prime, constructed.a_prime),
-        ("b'", closed.b_prime, constructed.b_prime),
-        ("c'", closed.c_prime, constructed.c_prime),
-    ):
-        gap = _relative_gap(x, y, floor)
-        if gap > cross_check_rel:
-            raise CrossCheckMismatch(
-                f"closed form and construction disagree on {name}: "
-                f"{x!r} vs {y!r} (relative gap {gap:.3e})"
-            )
-    return StarSolution(closed.a_prime, closed.b_prime, closed.c_prime,
-                        constructed.point, closed.residuals)
+    raise ValueError(f"unknown method {method!r}")

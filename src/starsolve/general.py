@@ -11,8 +11,8 @@ from X to the vertices. Two independent routes:
   all points seeing one edge under its prescribed angle (inscribed-angle
   locus); both circles pass through vertex C, and X is the other point.
 
-Setting every angle to 120 deg reproduces the dedicated solver in
-:mod:`starsolve.fermat` exactly.
+With every angle at 120 deg the closed form is the 120-deg solver of
+:mod:`starsolve.fermat`, which calls it behind its wide-angle gate.
 """
 
 from __future__ import annotations
@@ -28,13 +28,16 @@ from .errors import (
     NoInteriorIntersection,
     SingularConfiguration,
 )
-from .fermat import StarSolution, closure_residuals, embed_triangle, point_from_distances
 from .geometry import (
     PhaseAngles,
     PlaneVector,
+    StarSolution,
     TriangleEdges,
+    closure_residuals,
     cot_deg,
+    embed_triangle,
     perp,
+    point_from_distances,
     theta_squared,
 )
 from .oracle import intersect_circles
@@ -205,11 +208,8 @@ def general_distances_closed_form(t: TriangleEdges, angles: PhaseAngles,
     Each distance comes from the same expression under the cyclic
     relabeling (a,b,c; psi_a,psi_b,psi_c) -> (b,c,a; psi_b,psi_c,psi_a).
     The solution is accepted only if the law-of-cosines closure holds to
-    ``residual_tol`` and the point lands inside the triangle. Interiority
-    is validated through the expansion coefficients in the canonical
-    labeling (skipped when those are singular; the distances themselves
-    stay regular there); the reported point is rebuilt from the distances
-    in the original frame.
+    ``residual_tol`` and the point, rebuilt from the distances in the
+    original frame, lands inside the triangle.
     """
     theta_sq = theta_squared(t)
     cot_a, cot_b, cot_c = angles.cotangents()
@@ -218,25 +218,11 @@ def general_distances_closed_form(t: TriangleEdges, angles: PhaseAngles,
     b_p = _joint_vertex_distance(t.c, t.a, t.b, cot_c, cot_a, cot_b, theta_sq)
     c_p = _joint_vertex_distance(t.a, t.b, t.c, cot_a, cot_b, cot_c, theta_sq)
 
-    residuals = closure_residuals(t, angles, (a_p, b_p, c_p))
+    residuals = closure_residuals(t.as_tuple(), angles, (a_p, b_p, c_p))
     if max(residuals) > residual_tol:
         raise InfeasibleConfiguration(
             f"closure residuals {residuals} exceed {residual_tol:g}; "
             "no interior point realizes these edges and angles")
-
-    rot = canonical_rotation(angles)
-    t_rot, angles_rot = _rotated_problem(t, angles, rot)
-    try:
-        coeff = star_point_coefficients(t_rot, angles_rot)
-        a_vec, b_vec = embed_triangle(t_rot)
-        x = 0.5 * coeff.alpha * a_vec + 0.5 * coeff.beta * b_vec
-        bary = _barycentric(x, a_vec, b_vec)
-        if min(bary) < -BARY_TOL:
-            raise InfeasibleConfiguration(
-                f"recovered point lies outside the triangle: barycentric {bary}")
-    except SingularConfiguration:
-        # Coefficients unusable; distances above are still regular there.
-        pass
 
     point = point_from_distances(t, a_p, b_p, c_p)
     bary = _barycentric(point, *embed_triangle(t))
@@ -281,6 +267,6 @@ def general_solve_by_circles(t: TriangleEdges, angles: PhaseAngles) -> StarSolut
 
     rotated_distances = (x.distance_to(b_vec), x.distance_to(a_vec), x.norm())
     a_p, b_p, c_p = _rot3(rotated_distances, (3 - rot) % 3)
-    residuals = closure_residuals(t, angles, (a_p, b_p, c_p))
+    residuals = closure_residuals(t.as_tuple(), angles, (a_p, b_p, c_p))
     point = point_from_distances(t, a_p, b_p, c_p)
     return StarSolution(a_p, b_p, c_p, point, residuals)

@@ -153,25 +153,6 @@ def theta_squared(t: TriangleEdges) -> float:
     return math.sqrt(p_big * p_small)
 
 
-@dataclass(frozen=True)
-class TriangleInvariants:
-    """Relabeling-invariant quantities: theta_sq = 4*area, the squared-edge sum,
-    and the three law-of-cosines combinations 2*(adjacent product)*cos(angle)."""
-
-    theta_sq: float
-    sum_sq: float
-    cos_terms: tuple[float, float, float]  # (a^2+b^2-c^2, b^2+c^2-a^2, c^2+a^2-b^2)
-
-
-def triangle_invariants(t: TriangleEdges) -> TriangleInvariants:
-    a2, b2, c2 = t.a * t.a, t.b * t.b, t.c * t.c
-    return TriangleInvariants(
-        theta_sq=theta_squared(t),
-        sum_sq=a2 + b2 + c2,
-        cos_terms=(a2 + b2 - c2, b2 + c2 - a2, c2 + a2 - b2),
-    )
-
-
 _EDGE_LABELS = ("a", "b", "c")
 
 
@@ -224,3 +205,70 @@ class PhaseAngles:
 
     def cotangents(self) -> tuple[float, float, float]:
         return (cot_deg(self.psi_a), cot_deg(self.psi_b), cot_deg(self.psi_c))
+
+
+@dataclass(frozen=True)
+class StarSolution:
+    """Distances from the recovered interior point to the vertices A, B, C.
+
+    ``point`` is the position of the interior point in the canonical frame
+    (C at origin, B on +x, A above). ``residuals`` are the relative
+    law-of-cosines closure defects, one per edge.
+    """
+
+    a_prime: float
+    b_prime: float
+    c_prime: float
+    point: PlaneVector
+    residuals: tuple[float, float, float]
+
+    def distances(self) -> tuple[float, float, float]:
+        return (self.a_prime, self.b_prime, self.c_prime)
+
+    @property
+    def max_residual(self) -> float:
+        return max(self.residuals)
+
+
+def embed_triangle(t: TriangleEdges) -> tuple[PlaneVector, PlaneVector]:
+    """Place the triangle in the canonical frame; return the spanning vectors.
+
+    The first vector has length ``a`` and runs from C along +x to B; the
+    second has length ``b`` and runs from C to A in the upper half-plane.
+    Its height is taken from the stable area evaluation, so the embedding
+    agrees with :func:`theta_squared` to the last bit even for needles.
+    """
+    cos_phi = (t.a * t.a + t.b * t.b - t.c * t.c) / (2.0 * t.a * t.b)
+    cos_phi = max(-1.0, min(1.0, cos_phi))
+    height = theta_squared(t) / (2.0 * t.a)
+    a_vec = PlaneVector(t.a, 0.0)
+    b_vec = PlaneVector(t.b * cos_phi, height)
+    return a_vec, b_vec
+
+
+def point_from_distances(t: TriangleEdges, a_prime: float, b_prime: float,
+                         c_prime: float) -> PlaneVector:
+    """Position (canonical frame) of the upper-half-plane point at the given
+    distances from C and B; the distance to A is implied by consistency."""
+    px = (c_prime * c_prime - b_prime * b_prime + t.a * t.a) / (2.0 * t.a)
+    py_sq = c_prime * c_prime - px * px
+    return PlaneVector(px, math.sqrt(max(py_sq, 0.0)))
+
+
+def closure_residuals(edges: tuple[float, float, float], angles: PhaseAngles,
+                      distances: tuple[float, float, float]) -> tuple[float, float, float]:
+    """Relative defects of the three law-of-cosines closure equations.
+
+    Edge a must satisfy a^2 = b'^2 + c'^2 - 2 b' c' cos(psi_a), cyclically.
+    In the circuit picture this is the mesh rule: each phase-to-phase
+    voltage closes the triangle over its two line voltages.
+    """
+    a, b, c = edges
+    a_p, b_p, c_p = distances
+    cos_a = math.cos(math.radians(angles.psi_a))
+    cos_b = math.cos(math.radians(angles.psi_b))
+    cos_c = math.cos(math.radians(angles.psi_c))
+    r_a = abs(b_p * b_p + c_p * c_p - 2.0 * b_p * c_p * cos_a - a * a) / (a * a)
+    r_b = abs(c_p * c_p + a_p * a_p - 2.0 * c_p * a_p * cos_b - b * b) / (b * b)
+    r_c = abs(a_p * a_p + b_p * b_p - 2.0 * a_p * b_p * cos_c - c * c) / (c * c)
+    return (r_a, r_b, r_c)

@@ -15,8 +15,16 @@ from random import Random
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import ConcentricCircles, NoConvergence
-from .fermat import StarSolution, closure_residuals, point_from_distances
-from .geometry import ORIGIN, PhaseAngles, PlaneVector, TriangleEdges, perp
+from .geometry import (
+    ORIGIN,
+    PhaseAngles,
+    PlaneVector,
+    StarSolution,
+    TriangleEdges,
+    closure_residuals,
+    perp,
+    point_from_distances,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - type-only, avoids a runtime cycle
     from .circuit import Phasor
@@ -60,7 +68,7 @@ def synthesize_triangle(spec: SynthesisSpec) -> tuple[TriangleEdges, StarSolutio
     c = math.sqrt(a_p * a_p + b_p * b_p - 2.0 * a_p * b_p * cos_c)
     edges = TriangleEdges(a, b, c)
     point = point_from_distances(edges, a_p, b_p, c_p)
-    residuals = closure_residuals(edges, spec.angles, spec.distances)
+    residuals = closure_residuals(edges.as_tuple(), spec.angles, spec.distances)
     return edges, StarSolution(a_p, b_p, c_p, point, residuals)
 
 
@@ -110,13 +118,18 @@ class MinimizationResult:
 
 
 def _embed_for_oracle(t: TriangleEdges) -> tuple[PlaneVector, PlaneVector, PlaneVector]:
-    """Vertices (C, B, A) placed independently of the solver embedding."""
+    """Vertices (C, B, A) placed independently of the solver embedding.
+
+    A's height is twice the area over a, from Kahan's sorted-edge product
+    (x >= y >= z): b^2 - ax^2 would cancel on a needle whose short edge is c.
+    """
     ax = (t.a * t.a + t.b * t.b - t.c * t.c) / (2.0 * t.a)
-    ay_sq = t.b * t.b - ax * ax
+    x, y, z = sorted(t.as_tuple(), reverse=True)
+    radicand = (x + (y + z)) * (z - (x - y)) * (z + (x - y)) * (x + (y - z))
     return (
         PlaneVector(0.0, 0.0),
         PlaneVector(t.a, 0.0),
-        PlaneVector(ax, math.sqrt(max(ay_sq, 0.0))),
+        PlaneVector(ax, math.sqrt(max(radicand, 0.0)) / (2.0 * t.a)),
     )
 
 

@@ -172,19 +172,6 @@ def test_solve_command_format_override(tmp_path, monkeypatch, capsys):
     assert json.loads(out.strip())["id"] == "m"
 
 
-def test_solve_command_parallel_matches_serial(tmp_path, monkeypatch, capsys):
-    path = tmp_path / "many.csv"
-    rows = ["id,u1,u2,u3,psi1,psi2"]
-    for i in range(50):
-        rows.append(f"r{i},{400 + i},{400 + (i * 7) % 23},{399 - (i % 5)},,")
-    path.write_text("\n".join(rows) + "\n")
-    code_serial, out_serial, _ = run_cli(["solve", str(path)], monkeypatch, capsys)
-    code_parallel, out_parallel, _ = run_cli(["solve", str(path), "--parallel"],
-                                             monkeypatch, capsys)
-    assert code_serial == code_parallel
-    assert out_serial == out_parallel
-
-
 def test_solve_command_parse_error_exit_1(monkeypatch, capsys):
     stdin = "id,u1,u2,u3,psi1,psi2\nm,400,nope,400,,\n"
     code, _, err = run_cli(["solve", "-"], monkeypatch, capsys, stdin_text=stdin)

@@ -21,7 +21,8 @@ from starsolve import (
     fermat_solve,
     perp,
 )
-from starsolve.fermat import fermat_construction, point_from_distances
+from starsolve.fermat import fermat_construction
+from starsolve.geometry import point_from_distances
 
 SQRT3 = math.sqrt(3.0)
 
@@ -113,7 +114,6 @@ def test_line_solution_invariants():
         t, _ = planted_fermat_instance(rng)
         a_vec, b_vec = embed_triangle(t)
         inter = fermat_line_solution(a_vec, b_vec, *fermat_apexes(a_vec, b_vec))
-        assert inter.det_omega < 0.0
         assert 0.0 < inter.tau0 < 1.0
         assert 0.0 < inter.sigma0 < 1.0
 
@@ -246,15 +246,6 @@ def test_construction_matches_closed_form_batch():
         for value, planted in zip(closed, expected.distances()):
             assert rel_err(value, planted) < 1e-9
     assert mismatches == 0
-
-
-def test_solve_both_cross_checks():
-    s = fermat_solve(TriangleEdges(1, 1, 1), "both")
-    for d in s.distances():
-        assert rel_err(d, 1.0 / SQRT3) < 1e-12
-    s1 = fermat_solve(E1_EDGES, "both")
-    for value, expected in zip(s1.distances(), E1_DISTANCES):
-        assert rel_err(value, expected) < 1e-12
 
 
 def test_solve_unknown_method():

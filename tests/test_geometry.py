@@ -20,7 +20,6 @@ from starsolve import (
     law_of_cosines_angle,
     perp,
     theta_squared,
-    triangle_invariants,
 )
 
 finite_coord = st.floats(min_value=-1e6, max_value=1e6,
@@ -208,14 +207,6 @@ def test_angles_sum_to_180():
         t = TriangleEdges(a, b, c)
         total = sum(law_of_cosines_angle(t, edge) for edge in "abc")
         assert total == pytest.approx(180.0, abs=1e-9)
-
-
-def test_triangle_invariants_fields():
-    t = TriangleEdges(3, 4, 5)
-    inv = triangle_invariants(t)
-    assert inv.theta_sq == theta_squared(t)
-    assert inv.sum_sq == 50.0
-    assert inv.cos_terms == (0.0, 32.0, 18.0)
 
 
 # -- PhaseAngles --------------------------------------------------------------

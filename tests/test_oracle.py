@@ -141,14 +141,13 @@ def test_minimize_near_120_ladder_within_iteration_cap(edges):
     assert rel_err(result.value, fermat_sum(t)) < 1e-12
 
 
-@pytest.mark.parametrize("edges", rotations((1.0, 1e-6, 1.0)))
+@pytest.mark.parametrize("edges", rotations((1.0, 1e-6, 1.0))
+                         + rotations((1.0, 1.0, 1e-4)))
 def test_minimize_needle_within_iteration_cap(edges):
     t = TriangleEdges(*edges)
     result = minimize_distance_sum(t, max_iter=20)
     assert result.converged
-    # 1e-9, not 1e-12: with the short edge as c, the oracle's embedding
-    # loses ~4e-11 to cancellation in the height of vertex A.
-    assert rel_err(result.value, fermat_sum(t)) < 1e-9
+    assert rel_err(result.value, fermat_sum(t)) < 1e-12
 
 
 @pytest.mark.parametrize("angle", [121.0, 150.0])
