@@ -68,29 +68,34 @@ class PhaseToPhaseVoltages:
 
     They are the edges of the phasor triangle, so they must satisfy the
     triangle inequality; a violating triple fits no phasor diagram and is
-    rejected with :class:`InconsistentMeasurement`.
+    rejected with :class:`InconsistentMeasurement`. The validated
+    :class:`TriangleEdges`, with its invariants, is kept for the solvers.
     """
 
     u1: float
     u2: float
     u3: float
+    _edges: TriangleEdges = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        TriangleEdges(self.u1, self.u2, self.u3)
+        object.__setattr__(self, "_edges", TriangleEdges(self.u1, self.u2, self.u3))
 
     def to_edges(self) -> TriangleEdges:
-        return TriangleEdges(self.u1, self.u2, self.u3)
+        return self._edges
 
 
 @dataclass(frozen=True)
 class LineVoltages:
     """The recovered (unmeasurable) line voltages between each phase terminal
-    and the load star point, plus free-form diagnostics notes."""
+    and the load star point, plus free-form diagnostics notes and the
+    solver's relative closure residuals, one per measured voltage (empty
+    when the voltages did not come from a solver)."""
 
     u1p: float
     u2p: float
     u3p: float
     diagnostics: tuple[str, ...] = field(default=(), compare=False)
+    residuals: tuple[float, ...] = field(default=(), compare=False)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.u1p, self.u2p, self.u3p)
@@ -98,9 +103,11 @@ class LineVoltages:
 
 def _diagnose(u: PhaseToPhaseVoltages, solution: StarSolution) -> tuple[str, ...]:
     notes = []
-    scale = u.u1 + u.u2 + u.u3
+    t = u.to_edges()
+    # 1e-9 of the perimeter, which itself may exceed the float range.
+    floor = math.ldexp(1e-9 * sum(t.unit), t.exponent)
     for name, value in zip(("u1p", "u2p", "u3p"), solution.distances()):
-        if value < 1e-9 * scale:
+        if value < floor:
             notes.append(f"{name} is zero within tolerance: "
                          "the load star point sits on a phase terminal")
     return tuple(notes)
@@ -116,7 +123,8 @@ def solve_symmetric_star(u: PhaseToPhaseVoltages) -> LineVoltages:
     Theta^2 is the Heron radical of the voltage triangle.
     """
     solution = fermat_distances_closed_form(u.to_edges())
-    return LineVoltages(*solution.distances(), diagnostics=_diagnose(u, solution))
+    return LineVoltages(*solution.distances(), diagnostics=_diagnose(u, solution),
+                        residuals=solution.residuals)
 
 
 def solve_general_star(u: PhaseToPhaseVoltages, psi1: float, psi2: float) -> LineVoltages:
@@ -128,7 +136,8 @@ def solve_general_star(u: PhaseToPhaseVoltages, psi1: float, psi2: float) -> Lin
     """
     angles = validate_angles(psi1, psi2)
     solution = general_distances_closed_form(u.to_edges(), angles)
-    return LineVoltages(*solution.distances(), diagnostics=_diagnose(u, solution))
+    return LineVoltages(*solution.distances(), diagnostics=_diagnose(u, solution),
+                        residuals=solution.residuals)
 
 
 def line_voltage_phasors(u: PhaseToPhaseVoltages, psi1: float = 120.0,

@@ -15,6 +15,7 @@ parse error, 2 at least one record failed.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import traceback
@@ -62,25 +63,31 @@ EXIT_RECORD_FAILED = 2
 
 def solve_record(m: MeasurementRecord, tolerance: float
                  ) -> tuple[MeasurementRecord, SolutionRecord]:
-    """Solve one measurement; failures become a status, never an exception."""
+    """Solve one measurement; failures become a status, never an exception.
+
+    The status comes from the kernel's own closure residuals. A distance
+    or residual that is not finite becomes an ``internal_error`` row with
+    empty voltages, so no output row carries a number verify cannot read.
+    """
     try:
         u = PhaseToPhaseVoltages(m.u1, m.u2, m.u3)
         if m.has_angles:
-            angles = validate_angles(m.psi1, m.psi2)
             lv = solve_general_star(u, m.psi1, m.psi2)
         else:
-            angles = ALL_120
             lv = solve_symmetric_star(u)
-        report = verify_solution(u, lv, angles, tolerance)
+        values = (*lv.as_tuple(), *lv.residuals)
+        if not all(map(math.isfinite, values)):
+            return m, _failure(m, STATUS_INTERNAL_ERROR, _describe_non_finite(values))
+        worst = max(lv.residuals)
         notes = list(lv.diagnostics)
-        if report.passed:
+        if worst <= tolerance:
             status = STATUS_OK
         else:
             status = STATUS_INFEASIBLE
-            notes.append(f"closure residual {report.max_residual:.3e} "
+            notes.append(f"closure residual {worst:.3e} "
                          f"exceeds tolerance {tolerance:g}")
         solution = SolutionRecord(m.id, lv.u1p, lv.u2p, lv.u3p,
-                                  report.max_residual, status, "; ".join(notes))
+                                  worst, status, "; ".join(notes))
     except AngleAtLeast120 as exc:
         solution = _failure(m, STATUS_ANGLE_GE_120, str(exc))
     except (NotATriangle, AngleOutOfRange) as exc:
@@ -94,6 +101,14 @@ def solve_record(m: MeasurementRecord, tolerance: float
 
 def _failure(m: MeasurementRecord, status: str, message: str) -> SolutionRecord:
     return SolutionRecord(m.id, None, None, None, None, status, message)
+
+
+def _describe_non_finite(values: tuple[float, ...]) -> str:
+    """The non-finite ones among the three line voltages and three residuals."""
+    names = ("u1p", "u2p", "u3p", "residual1", "residual2", "residual3")
+    return "solver returned non-finite " + ", ".join(
+        f"{name}={value!r}" for name, value in zip(names, values)
+        if not math.isfinite(value))
 
 
 def _describe_internal(exc: Exception) -> str:
@@ -133,8 +148,10 @@ def verify_record(m: MeasurementRecord, s: SolutionRecord | None,
             return False, (f"closure residual {report.max_residual:.3e} "
                            f"exceeds tolerance {tolerance:g}")
 
-        circle = general_solve_by_circles(u.to_edges(), angles)
-        floor = 1e-12 * (u.u1 + u.u2 + u.u3)
+        edges = u.to_edges()
+        circle = general_solve_by_circles(edges, angles)
+        # 1e-12 of the perimeter, which itself may exceed the float range.
+        floor = math.ldexp(1e-12 * sum(edges.unit), edges.exponent)
         for name, given, recomputed in zip(("u1p", "u2p", "u3p"),
                                            lv.as_tuple(), circle.distances()):
             if abs(given - recomputed) > max(tolerance * max(given, recomputed), floor):
@@ -142,7 +159,7 @@ def verify_record(m: MeasurementRecord, s: SolutionRecord | None,
                                f"value {recomputed:.6g}")
 
         if not m.has_angles:
-            minimized = minimize_distance_sum(u.to_edges())
+            minimized = minimize_distance_sum(edges)
             total = s.u1p + s.u2p + s.u3p
             if abs(minimized.value - total) > 1e-6 * total:
                 return False, (f"line-voltage sum {total:.9g} disagrees with "

@@ -31,7 +31,6 @@ from .geometry import (
     TriangleEdges,
     closure_residuals,
     embed_triangle,
-    law_of_cosines_angle,
     perp,
 )
 
@@ -62,10 +61,27 @@ def vertex_clamped_distances(t: TriangleEdges, vertex: str) -> tuple[float, floa
     }[vertex]
 
 
+# Cosine of an angle two EPS_ANG_DEG below the limit. A vertex whose
+# cosine is above it lies below the gate by far more than acos and the
+# degree conversion can round, so the angle itself is only evaluated near
+# the gate, where it decides, and for the diagnostic of a wide vertex.
+_COS_CLEAR = math.cos(math.radians(ANGLE_LIMIT_DEG - 2.0 * EPS_ANG_DEG))
+
+
 def require_angles_below_120(t: TriangleEdges) -> None:
-    """Raise :class:`AngleAtLeast120` (with diagnostics) for wide triangles."""
-    for edge, vertex in (("a", "A"), ("b", "B"), ("c", "C")):
-        angle = law_of_cosines_angle(t, edge)
+    """Raise :class:`AngleAtLeast120` (with diagnostics) for wide triangles.
+
+    The cosines come from the squared unit edges, as in
+    :func:`law_of_cosines_angle`, vertex by vertex in the order A, B, C.
+    """
+    (a, b, c), (a2, b2, c2) = t.unit, t.unit_sq
+    cosines = ((b2 + c2 - a2) / (2.0 * b * c),
+               (c2 + a2 - b2) / (2.0 * c * a),
+               (a2 + b2 - c2) / (2.0 * a * b))
+    if min(cosines) > _COS_CLEAR:
+        return
+    for vertex, cos_val in zip("ABC", cosines):
+        angle = math.degrees(math.acos(max(-1.0, min(1.0, cos_val))))
         if angle >= ANGLE_LIMIT_DEG - EPS_ANG_DEG:
             raise AngleAtLeast120(vertex, angle, vertex_clamped_distances(t, vertex))
 

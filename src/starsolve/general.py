@@ -33,12 +33,10 @@ from .geometry import (
     PlaneVector,
     StarSolution,
     TriangleEdges,
-    closure_residuals,
-    cot_deg,
-    embed_triangle,
+    apex_position,
+    closure_defects,
     perp,
-    point_from_distances,
-    theta_squared,
+    point_position,
 )
 from .oracle import intersect_circles
 
@@ -80,8 +78,9 @@ class CircleData:
 
 
 def circumcircle_data(a_vec: PlaneVector, b_vec: PlaneVector,
-                      angles: PhaseAngles) -> CircleData:
-    """Circles through {C, B} and {C, A} subtending psi_a resp. psi_b at X.
+                      cot_a: float, cot_b: float) -> CircleData:
+    """Circles through {C, B} and {C, A} subtending psi_a resp. psi_b at X,
+    given the cotangents of those two viewing angles.
 
     The center of the chord-CB circle sits at half the chord plus a
     cotangent-scaled perpendicular; an obtuse viewing angle puts it on the
@@ -91,8 +90,6 @@ def circumcircle_data(a_vec: PlaneVector, b_vec: PlaneVector,
         raise DegenerateTriangle("spanning vectors are collinear")
     a = a_vec.norm()
     b = b_vec.norm()
-    cot_a = cot_deg(angles.psi_a)
-    cot_b = cot_deg(angles.psi_b)
     return CircleData(
         center_r=0.5 * (a_vec + cot_a * perp(a_vec)),
         center_s=0.5 * (b_vec - cot_b * perp(b_vec)),
@@ -125,12 +122,12 @@ def star_point_coefficients(t: TriangleEdges, angles: PhaseAngles) -> GeneralInt
     beta = t * alpha; substituting back yields alpha and beta. The ``t``
     denominators vanish when X is collinear with a spanning vector, so
     near-vanishing denominators raise :class:`SingularConfiguration`
-    instead of returning garbage coefficients.
+    instead of returning garbage coefficients. The coefficients are
+    dimensionless, so they are computed on the unit triangle.
     """
-    a2, b2, c2 = t.a * t.a, t.b * t.b, t.c * t.c
-    theta_sq = theta_squared(t)
-    cot_a = cot_deg(angles.psi_a)
-    cot_b = cot_deg(angles.psi_b)
+    a2, b2, c2 = t.unit_sq
+    theta_sq = t.unit_theta_sq
+    cot_a, cot_b, _ = angles.cot
     cos2c = a2 + b2 - c2  # 2 <a_vec, b_vec>
 
     d_a = c2 + b2 - a2 - cot_a * theta_sq
@@ -149,23 +146,23 @@ def star_point_coefficients(t: TriangleEdges, angles: PhaseAngles) -> GeneralInt
     return GeneralIntermediate(t=ratio, t_star=ratio_star, alpha=alpha, beta=beta)
 
 
-def _joint_vertex_distance(e1: float, e2: float, e_opp: float,
+def _joint_vertex_distance(s1: float, s2: float, s_opp: float,
                            cot1: float, cot2: float, cot_opp: float,
                            theta_sq: float) -> float:
-    """Distance from the vertex where edges e1 and e2 meet (e_opp across).
+    """Distance from the vertex where edges e1 and e2 meet (e_opp across),
+    from their squares s1, s2 and s_opp.
 
     cot1/cot2 belong to the viewing angles of e1/e2, cot_opp to the edge
     across. A non-positive radicand in the denominator means no point
     realizes the configuration.
     """
-    s1, s2, s_opp = e1 * e1, e2 * e2, e_opp * e_opp
     core = s1 + s2 - s_opp
     numerator = 0.5 * abs((cot1 + cot2) * (core - theta_sq * cot_opp))
     denom = (s1 * (1.0 + cot1 * cot1) + s2 * (1.0 + cot2 * cot2)
              - (cot1 + cot2) * (core * cot_opp + theta_sq))
     if denom <= 0.0:
         raise InfeasibleConfiguration(
-            f"distance denominator {denom:.3e} is not positive; "
+            f"distance denominator {denom:.3e} (unit triangle) is not positive; "
             "no point sees the edges under these angles")
     return numerator / math.sqrt(denom)
 
@@ -185,20 +182,29 @@ def canonical_rotation(angles: PhaseAngles) -> int:
     return {2: 0, 0: 1, 1: 2}[smallest]
 
 
-def _rotated_problem(t: TriangleEdges, angles: PhaseAngles,
-                     r: int) -> tuple[TriangleEdges, PhaseAngles]:
-    ea, eb, ec = _rot3(t.as_tuple(), r)
-    pa, pb, pc = _rot3(angles.as_tuple(), r)
-    return TriangleEdges(ea, eb, ec), PhaseAngles(pa, pb, pc)
+def _rotated_problem(t: TriangleEdges, angles: PhaseAngles, r: int) -> tuple:
+    """The unit edges, their squares and the cotangents, relabeled
+    cyclically by ``r``; Theta^2 is symmetric and needs no relabeling."""
+    return _rot3(t.unit, r), _rot3(t.unit_sq, r), _rot3(angles.cot, r)
 
 
-def _barycentric(x: PlaneVector, a_vec: PlaneVector,
-                 b_vec: PlaneVector) -> tuple[float, float, float]:
-    """Coordinates (u, v, w) of x = v*a_vec + w*b_vec with u = 1 - v - w."""
-    area = a_vec.cross(b_vec)
-    v = x.cross(b_vec) / area
-    w = a_vec.cross(x) / area
+def _barycentric(px: float, py: float, a: float, ax: float,
+                 ay: float) -> tuple[float, float, float]:
+    """Coordinates (u, v, w) of (px, py) = v*B + w*A, u = 1 - v - w, with
+    C at the origin, B at (a, 0) and A at (ax, ay)."""
+    area = a * ay
+    v = (px * ay - py * ax) / area
+    w = a * py / area
     return (1.0 - v - w, v, w)
+
+
+def _at_scale(k: int, distances: tuple[float, float, float], px: float, py: float,
+              residuals: tuple[float, float, float]) -> StarSolution:
+    """A unit-triangle solution scaled back by 2**k; a power of two, so no
+    bit changes."""
+    a_p, b_p, c_p = distances
+    return StarSolution(math.ldexp(a_p, k), math.ldexp(b_p, k), math.ldexp(c_p, k),
+                        PlaneVector(math.ldexp(px, k), math.ldexp(py, k)), residuals)
 
 
 def general_distances_closed_form(t: TriangleEdges, angles: PhaseAngles,
@@ -209,27 +215,29 @@ def general_distances_closed_form(t: TriangleEdges, angles: PhaseAngles,
     relabeling (a,b,c; psi_a,psi_b,psi_c) -> (b,c,a; psi_b,psi_c,psi_a).
     The solution is accepted only if the law-of-cosines closure holds to
     ``residual_tol`` and the point, rebuilt from the distances in the
-    original frame, lands inside the triangle.
+    original frame, lands inside the triangle. Everything is evaluated on
+    the unit triangle of ``t`` and scaled back.
     """
-    theta_sq = theta_squared(t)
-    cot_a, cot_b, cot_c = angles.cotangents()
+    (a, b, _), (a2, b2, c2) = t.unit, t.unit_sq
+    theta_sq = t.unit_theta_sq
+    cot_a, cot_b, cot_c = angles.cot
 
-    a_p = _joint_vertex_distance(t.b, t.c, t.a, cot_b, cot_c, cot_a, theta_sq)
-    b_p = _joint_vertex_distance(t.c, t.a, t.b, cot_c, cot_a, cot_b, theta_sq)
-    c_p = _joint_vertex_distance(t.a, t.b, t.c, cot_a, cot_b, cot_c, theta_sq)
+    a_p = _joint_vertex_distance(b2, c2, a2, cot_b, cot_c, cot_a, theta_sq)
+    b_p = _joint_vertex_distance(c2, a2, b2, cot_c, cot_a, cot_b, theta_sq)
+    c_p = _joint_vertex_distance(a2, b2, c2, cot_a, cot_b, cot_c, theta_sq)
 
-    residuals = closure_residuals(t.as_tuple(), angles, (a_p, b_p, c_p))
+    residuals = closure_defects(t.unit_sq, angles.cos, (a_p, b_p, c_p))
     if max(residuals) > residual_tol:
         raise InfeasibleConfiguration(
             f"closure residuals {residuals} exceed {residual_tol:g}; "
             "no interior point realizes these edges and angles")
 
-    point = point_from_distances(t, a_p, b_p, c_p)
-    bary = _barycentric(point, *embed_triangle(t))
+    px, py = point_position(a, a2, b_p, c_p)
+    bary = _barycentric(px, py, a, *apex_position(a, b, a2, b2, c2, theta_sq))
     if min(bary) < -BARY_TOL:
         raise InfeasibleConfiguration(
             f"recovered point lies outside the triangle: barycentric {bary}")
-    return StarSolution(a_p, b_p, c_p, point, residuals)
+    return _at_scale(t.exponent, (a_p, b_p, c_p), px, py, residuals)
 
 
 def general_solve_by_circles(t: TriangleEdges, angles: PhaseAngles) -> StarSolution:
@@ -239,12 +247,14 @@ def general_solve_by_circles(t: TriangleEdges, angles: PhaseAngles) -> StarSolut
     Both circles pass through vertex C by construction, so the root
     farther from C is selected and must land inside the triangle (within
     barycentric slack); tangency at C is the legitimate boundary case of
-    a vanishing vertex distance.
+    a vanishing vertex distance. The construction runs on the unit
+    triangle of ``t`` and its distances are scaled back.
     """
     rot = canonical_rotation(angles)
-    t_rot, angles_rot = _rotated_problem(t, angles, rot)
-    a_vec, b_vec = embed_triangle(t_rot)
-    circles = circumcircle_data(a_vec, b_vec, angles_rot)
+    (a, b, _), (a2, b2, c2), (cot_a, cot_b, _) = _rotated_problem(t, angles, rot)
+    ax, ay = apex_position(a, b, a2, b2, c2, t.unit_theta_sq)
+    a_vec, b_vec = PlaneVector(a, 0.0), PlaneVector(ax, ay)
+    circles = circumcircle_data(a_vec, b_vec, cot_a, cot_b)
 
     points = intersect_circles(circles.center_r, circles.rho_a,
                                circles.center_s, circles.rho_b)
@@ -254,19 +264,19 @@ def general_solve_by_circles(t: TriangleEdges, angles: PhaseAngles) -> StarSolut
 
     if len(points) == 2:
         strict = [p for p in points
-                  if min(_barycentric(p, a_vec, b_vec)) > 1e-7]
+                  if min(_barycentric(p.x, p.y, a, ax, ay)) > 1e-7]
         if len(strict) == 2:
             raise AmbiguousIntersection(
                 "both circle intersections are interior; input is inconsistent")
 
     x = max(points, key=lambda p: p.norm_sq())
-    bary = _barycentric(x, a_vec, b_vec)
+    bary = _barycentric(x.x, x.y, a, ax, ay)
     if min(bary) < -BARY_TOL:
         raise NoInteriorIntersection(
             f"circle intersection lies outside the triangle: barycentric {bary}")
 
     rotated_distances = (x.distance_to(b_vec), x.distance_to(a_vec), x.norm())
     a_p, b_p, c_p = _rot3(rotated_distances, (3 - rot) % 3)
-    residuals = closure_residuals(t.as_tuple(), angles, (a_p, b_p, c_p))
-    point = point_from_distances(t, a_p, b_p, c_p)
-    return StarSolution(a_p, b_p, c_p, point, residuals)
+    residuals = closure_defects(t.unit_sq, angles.cos, (a_p, b_p, c_p))
+    px, py = point_position(t.unit[0], t.unit_sq[0], b_p, c_p)
+    return _at_scale(t.exponent, (a_p, b_p, c_p), px, py, residuals)

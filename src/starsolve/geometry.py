@@ -9,7 +9,7 @@ in length, so volts work as well as metres).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .config import EPS_ANG_DEG, EPS_LEN, EPS_TRI_COEFF
 from .errors import AngleOutOfRange, NotATriangle, ZeroVector
@@ -107,11 +107,24 @@ class TriangleEdges:
     Construction rejects non-positive lengths and triples that violate the
     triangle inequality beyond the collinearity clamp window; an exactly
     (or near-)collinear triple is allowed and has zero area.
+
+    Construction also computes, once, what every solver reads. The solvers
+    are homogeneous in the edges, so they work on the unit triangle
+    ``unit`` = edges / 2**``exponent``, ``exponent`` being the binary
+    exponent of the longest edge, and scale back by 2**``exponent``. That
+    is exact, so no bit changes, and no square under- or overflows at any
+    scale (Higham, Accuracy and Stability of Numerical Algorithms, 27).
+    ``unit_sq`` holds the squared unit edges and ``unit_theta_sq`` the
+    unit triangle's Theta^2 (see :func:`theta_squared`).
     """
 
     a: float
     b: float
     c: float
+    exponent: int = field(init=False, repr=False, compare=False)
+    unit: tuple[float, float, float] = field(init=False, repr=False, compare=False)
+    unit_sq: tuple[float, float, float] = field(init=False, repr=False, compare=False)
+    unit_theta_sq: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, value in (("a", self.a), ("b", self.b), ("c", self.c)):
@@ -119,12 +132,22 @@ class TriangleEdges:
                 raise NotATriangle(f"edge {name} is not a finite number: {value!r}")
             if value <= 0.0:
                 raise NotATriangle(f"edge {name} must be positive, got {value}")
-            object.__setattr__(self, name, float(value))
-        _, p_small = _stable_heron_pairs(self.a, self.b, self.c)
-        if p_small < -EPS_TRI_COEFF * self.perimeter() ** 2:
+            if type(value) is not float:
+                object.__setattr__(self, name, float(value))
+        exponent = math.frexp(max(self.a, self.b, self.c))[1]
+        a = math.ldexp(self.a, -exponent)
+        b = math.ldexp(self.b, -exponent)
+        c = math.ldexp(self.c, -exponent)
+        p_big, p_small = _stable_heron_pairs(a, b, c)
+        if p_small < -EPS_TRI_COEFF * (a + b + c) ** 2:
             raise NotATriangle(
                 f"edges ({self.a}, {self.b}, {self.c}) violate the triangle inequality"
             )
+        object.__setattr__(self, "exponent", exponent)
+        object.__setattr__(self, "unit", (a, b, c))
+        object.__setattr__(self, "unit_sq", (a * a, b * b, c * c))
+        # A negative p_small inside the clamp window is a collinear triple.
+        object.__setattr__(self, "unit_theta_sq", math.sqrt(p_big * max(p_small, 0.0)))
 
     def perimeter(self) -> float:
         return self.a + self.b + self.c
@@ -141,16 +164,11 @@ def theta_squared(t: TriangleEdges) -> float:
 
     Symmetric in the edges, zero exactly for collinear triples. Evaluated
     with the sorted factored product, so needle triangles keep nearly full
-    relative accuracy instead of losing everything to cancellation.
+    relative accuracy instead of losing everything to cancellation. This
+    is the cached unit-triangle value scaled back, which raises
+    OverflowError when the area itself exceeds the float range.
     """
-    p_big, p_small = _stable_heron_pairs(t.a, t.b, t.c)
-    if p_small < 0.0:
-        if p_small < -EPS_TRI_COEFF * t.perimeter() ** 2:
-            raise NotATriangle(
-                f"edges ({t.a}, {t.b}, {t.c}) violate the triangle inequality"
-            )
-        p_small = 0.0
-    return math.sqrt(p_big * p_small)
+    return math.ldexp(t.unit_theta_sq, 2 * t.exponent)
 
 
 _EDGE_LABELS = ("a", "b", "c")
@@ -160,12 +178,13 @@ def law_of_cosines_angle(t: TriangleEdges, which: str) -> float:
     """Interior angle (degrees) opposite the named edge, from 2rs*cos = r^2+s^2-opp^2."""
     if which not in _EDGE_LABELS:
         raise ValueError(f"edge label must be one of {_EDGE_LABELS}, got {which!r}")
-    opp, r, s = {
-        "a": (t.a, t.b, t.c),
-        "b": (t.b, t.c, t.a),
-        "c": (t.c, t.a, t.b),
+    (a, b, c), (a2, b2, c2) = t.unit, t.unit_sq
+    opp2, r, s, r2, s2 = {
+        "a": (a2, b, c, b2, c2),
+        "b": (b2, c, a, c2, a2),
+        "c": (c2, a, b, a2, b2),
     }[which]
-    cos_val = (r * r + s * s - opp * opp) / (2.0 * r * s)
+    cos_val = (r2 + s2 - opp2) / (2.0 * r * s)
     cos_val = max(-1.0, min(1.0, cos_val))
     return math.degrees(math.acos(cos_val))
 
@@ -177,11 +196,15 @@ class PhaseAngles:
     ``psi_a`` subtends edge a, and so on; the three sum to a full turn. They
     equal the load's phase differences in the circuit picture. Each must lie
     strictly inside (0, 180); at least two are then automatically >= 90.
+    Construction also computes, once, their cotangents ``cot`` and cosines
+    ``cos``, in the same order.
     """
 
     psi_a: float
     psi_b: float
     psi_c: float
+    cot: tuple[float, float, float] = field(init=False, repr=False, compare=False)
+    cos: tuple[float, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, value in (("psi_a", self.psi_a), ("psi_b", self.psi_b),
@@ -199,12 +222,14 @@ class PhaseAngles:
             )
         # Provable from sum=360 with each < 180; documents the geometry.
         assert sum(1 for v in (self.psi_a, self.psi_b, self.psi_c) if v >= 90.0) >= 2
+        a, b, c = self.psi_a, self.psi_b, self.psi_c
+        object.__setattr__(self, "cot", (cot_deg(a), cot_deg(b), cot_deg(c)))
+        object.__setattr__(self, "cos", (math.cos(math.radians(a)),
+                                         math.cos(math.radians(b)),
+                                         math.cos(math.radians(c))))
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.psi_a, self.psi_b, self.psi_c)
-
-    def cotangents(self) -> tuple[float, float, float]:
-        return (cot_deg(self.psi_a), cot_deg(self.psi_b), cot_deg(self.psi_c))
 
 
 @dataclass(frozen=True)
@@ -230,29 +255,58 @@ class StarSolution:
         return max(self.residuals)
 
 
+def apex_position(a: float, b: float, a2: float, b2: float, c2: float,
+                  theta_sq: float) -> tuple[float, float]:
+    """Coordinates of vertex A in the canonical frame (C at the origin, B at
+    (a, 0)), from the edges a, b, the squared edges and Theta^2. The
+    height is taken from the stable area evaluation, so the embedding
+    agrees with :func:`theta_squared` to the last bit even for needles."""
+    cos_phi = (a2 + b2 - c2) / (2.0 * a * b)
+    cos_phi = max(-1.0, min(1.0, cos_phi))
+    return b * cos_phi, theta_sq / (2.0 * a)
+
+
 def embed_triangle(t: TriangleEdges) -> tuple[PlaneVector, PlaneVector]:
     """Place the triangle in the canonical frame; return the spanning vectors.
 
     The first vector has length ``a`` and runs from C along +x to B; the
     second has length ``b`` and runs from C to A in the upper half-plane.
-    Its height is taken from the stable area evaluation, so the embedding
-    agrees with :func:`theta_squared` to the last bit even for needles.
     """
-    cos_phi = (t.a * t.a + t.b * t.b - t.c * t.c) / (2.0 * t.a * t.b)
-    cos_phi = max(-1.0, min(1.0, cos_phi))
-    height = theta_squared(t) / (2.0 * t.a)
-    a_vec = PlaneVector(t.a, 0.0)
-    b_vec = PlaneVector(t.b * cos_phi, height)
-    return a_vec, b_vec
+    (a, b, _), (a2, b2, c2) = t.unit, t.unit_sq
+    x, y = apex_position(a, b, a2, b2, c2, t.unit_theta_sq)
+    k = t.exponent
+    return PlaneVector(t.a, 0.0), PlaneVector(math.ldexp(x, k), math.ldexp(y, k))
+
+
+def point_position(a: float, a2: float, b_prime: float,
+                   c_prime: float) -> tuple[float, float]:
+    """Coordinates (canonical frame, edge a of length ``a`` with square
+    ``a2``) of the upper-half-plane point at the given distances from B and
+    C; the distance to A is implied by consistency."""
+    px = (c_prime * c_prime - b_prime * b_prime + a2) / (2.0 * a)
+    py_sq = c_prime * c_prime - px * px
+    return px, math.sqrt(max(py_sq, 0.0))
 
 
 def point_from_distances(t: TriangleEdges, a_prime: float, b_prime: float,
                          c_prime: float) -> PlaneVector:
     """Position (canonical frame) of the upper-half-plane point at the given
     distances from C and B; the distance to A is implied by consistency."""
-    px = (c_prime * c_prime - b_prime * b_prime + t.a * t.a) / (2.0 * t.a)
-    py_sq = c_prime * c_prime - px * px
-    return PlaneVector(px, math.sqrt(max(py_sq, 0.0)))
+    return PlaneVector(*point_position(t.a, t.a * t.a, b_prime, c_prime))
+
+
+def closure_defects(squares: tuple[float, float, float],
+                    cosines: tuple[float, float, float],
+                    distances: tuple[float, float, float]) -> tuple[float, float, float]:
+    """:func:`closure_residuals` from the squared edges and the cosines of
+    the viewing angles; every length on one scale."""
+    a2, b2, c2 = squares
+    cos_a, cos_b, cos_c = cosines
+    a_p, b_p, c_p = distances
+    r_a = abs(b_p * b_p + c_p * c_p - 2.0 * b_p * c_p * cos_a - a2) / a2
+    r_b = abs(c_p * c_p + a_p * a_p - 2.0 * c_p * a_p * cos_b - b2) / b2
+    r_c = abs(a_p * a_p + b_p * b_p - 2.0 * a_p * b_p * cos_c - c2) / c2
+    return (r_a, r_b, r_c)
 
 
 def closure_residuals(edges: tuple[float, float, float], angles: PhaseAngles,
@@ -261,14 +315,13 @@ def closure_residuals(edges: tuple[float, float, float], angles: PhaseAngles,
 
     Edge a must satisfy a^2 = b'^2 + c'^2 - 2 b' c' cos(psi_a), cyclically.
     In the circuit picture this is the mesh rule: each phase-to-phase
-    voltage closes the triangle over its two line voltages.
+    voltage closes the triangle over its two line voltages. The defects
+    are dimensionless, so the lengths are first divided by one power of
+    two, which leaves their bits unchanged and keeps the squares in range
+    at any scale.
     """
-    a, b, c = edges
-    a_p, b_p, c_p = distances
-    cos_a = math.cos(math.radians(angles.psi_a))
-    cos_b = math.cos(math.radians(angles.psi_b))
-    cos_c = math.cos(math.radians(angles.psi_c))
-    r_a = abs(b_p * b_p + c_p * c_p - 2.0 * b_p * c_p * cos_a - a * a) / (a * a)
-    r_b = abs(c_p * c_p + a_p * a_p - 2.0 * c_p * a_p * cos_b - b * b) / (b * b)
-    r_c = abs(a_p * a_p + b_p * b_p - 2.0 * a_p * b_p * cos_c - c * c) / (c * c)
-    return (r_a, r_b, r_c)
+    (a, b, c), (a_p, b_p, c_p) = edges, distances
+    k = -math.frexp(max(a, b, c, a_p, b_p, c_p))[1]
+    a, b, c = math.ldexp(a, k), math.ldexp(b, k), math.ldexp(c, k)
+    unit_distances = (math.ldexp(a_p, k), math.ldexp(b_p, k), math.ldexp(c_p, k))
+    return closure_defects((a * a, b * b, c * c), angles.cos, unit_distances)

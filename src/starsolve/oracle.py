@@ -117,19 +117,20 @@ class MinimizationResult:
     converged: bool
 
 
-def _embed_for_oracle(t: TriangleEdges) -> tuple[PlaneVector, PlaneVector, PlaneVector]:
+def _embed_for_oracle(a: float, b: float, c: float
+                      ) -> tuple[PlaneVector, PlaneVector, PlaneVector]:
     """Vertices (C, B, A) placed independently of the solver embedding.
 
     A's height is twice the area over a, from Kahan's sorted-edge product
     (x >= y >= z): b^2 - ax^2 would cancel on a needle whose short edge is c.
     """
-    ax = (t.a * t.a + t.b * t.b - t.c * t.c) / (2.0 * t.a)
-    x, y, z = sorted(t.as_tuple(), reverse=True)
+    ax = (a * a + b * b - c * c) / (2.0 * a)
+    x, y, z = sorted((a, b, c), reverse=True)
     radicand = (x + (y + z)) * (z - (x - y)) * (z + (x - y)) * (x + (y - z))
     return (
         PlaneVector(0.0, 0.0),
-        PlaneVector(t.a, 0.0),
-        PlaneVector(ax, math.sqrt(max(radicand, 0.0)) / (2.0 * t.a)),
+        PlaneVector(a, 0.0),
+        PlaneVector(ax, math.sqrt(max(radicand, 0.0)) / (2.0 * a)),
     )
 
 
@@ -159,8 +160,16 @@ def minimize_distance_sum(t: TriangleEdges, max_iter: int = 10_000) -> Minimizat
     triangle, so this bounds the relative gap of ``value`` to the minimum.
     ``converged`` is true on every return; :class:`NoConvergence` is raised
     if ``max_iter`` steps do not reach the certificate.
+
+    The sum is homogeneous in the edges, so the search runs on the edges
+    divided by 2**e, e the binary exponent of the longest edge (taken here,
+    not from the solver's invariants), and the point and value are scaled
+    back: no bit changes, and no square under- or overflows at any scale.
     """
-    vc, vb, va = _embed_for_oracle(t)
+    exponent = math.frexp(max(t.a, t.b, t.c))[1]
+    edges = (math.ldexp(t.a, -exponent), math.ldexp(t.b, -exponent),
+             math.ldexp(t.c, -exponent))
+    vc, vb, va = _embed_for_oracle(*edges)
     corners = (va, vb, vc)
     for k, corner in enumerate(corners):
         others = corners[:k] + corners[k + 1:]
@@ -168,9 +177,8 @@ def minimize_distance_sum(t: TriangleEdges, max_iter: int = 10_000) -> Minimizat
                    ORIGIN)
         if pull.norm() <= 1.0:
             value = sum(corner.distance_to(v) for v in others)
-            return MinimizationResult(corner, value, 0, True)
+            return _scaled_back(exponent, corner.x, corner.y, value, 0)
 
-    edges = t.as_tuple()
     origin = corners[edges.index(max(edges))]
     vertices = [(v.x - origin.x, v.y - origin.y) for v in corners]
     x = y = 0.0
@@ -197,8 +205,7 @@ def minimize_distance_sum(t: TriangleEdges, max_iter: int = 10_000) -> Minimizat
             farthest = max(farthest, d)
         pull = math.hypot(px, py)
         if not on_vertex and pull * farthest <= GAP_CERTIFICATE * fx:
-            point = PlaneVector(x + origin.x, y + origin.y)
-            return MinimizationResult(point, fx, iterations, True)
+            return _scaled_back(exponent, x + origin.x, y + origin.y, fx, iterations)
         if iterations == max_iter:
             break
 
@@ -217,6 +224,12 @@ def minimize_distance_sum(t: TriangleEdges, max_iter: int = 10_000) -> Minimizat
 
     raise NoConvergence(
         f"distance-sum gap not certified within {max_iter} iterations")
+
+
+def _scaled_back(exponent: int, x: float, y: float, value: float,
+                 iterations: int) -> MinimizationResult:
+    point = PlaneVector(math.ldexp(x, exponent), math.ldexp(y, exponent))
+    return MinimizationResult(point, math.ldexp(value, exponent), iterations, True)
 
 
 # =========================================================================

@@ -22,6 +22,8 @@ from typing import Iterable, Iterator, TextIO
 
 MEASUREMENT_FIELDS = ("id", "u1", "u2", "u3", "psi1", "psi2")
 SOLUTION_FIELDS = ("u1p", "u2p", "u3p", "max_residual", "status", "diagnostics")
+# Every other field of an input row is metadata.
+_KNOWN_FIELDS = frozenset(MEASUREMENT_FIELDS + SOLUTION_FIELDS)
 
 STATUS_OK = "ok"
 STATUS_INFEASIBLE = "infeasible"
@@ -144,8 +146,7 @@ def parse_measurement(row: dict, line_no: int) -> MeasurementRecord:
     psi2 = _optional_float(row, "psi2", line_no)
     if (psi1 is None) != (psi2 is None):
         raise ParseError(line_no, "psi1 and psi2 must both be present or both absent")
-    known = set(MEASUREMENT_FIELDS) | set(SOLUTION_FIELDS)
-    meta = {k: str(v) for k, v in row.items() if k not in known}
+    meta = {k: str(v) for k, v in row.items() if k not in _KNOWN_FIELDS}
     return MeasurementRecord(rec_id, u1, u2, u3, psi1, psi2, meta)
 
 

@@ -8,8 +8,12 @@ import math
 
 import pytest
 
-from conftest import E1_EDGES
+from conftest import E1_DISTANCES, E1_EDGES
+from starsolve import circuit, cli
 from starsolve.cli import main, solve_record, verify_record
+from starsolve.fermat import fermat_distances_closed_form
+from starsolve.general import general_solve_by_circles
+from starsolve.geometry import PlaneVector, StarSolution
 from starsolve.records import (
     STATUS_ANGLE_GE_120,
     STATUS_INCONSISTENT,
@@ -217,13 +221,25 @@ def test_tolerance_flag_rejects_non_positive(tmp_path, monkeypatch, capsys, bad)
     assert "finite and positive" in err
 
 
-# The 3-4-5 triangle at 120 deg, scaled until the kernel's squared edges
-# underflow (ZeroDivisionError) or overflow (OverflowError).
-@pytest.mark.parametrize("scale, raised", [(1e-200, "ZeroDivisionError"),
-                                           (1e160, "OverflowError")])
-def test_solve_batch_survives_internal_error(tmp_path, monkeypatch, capsys,
-                                             scale, raised):
-    u1, u2, u3 = (x * scale for x in E1_EDGES.as_tuple())
+def _faulty_kernel(original, bad_edge, fault):
+    """``original`` with ``fault`` (an exception type, or a callable that
+    builds the solver's answer) injected for edges whose ``a`` is ``bad_edge``."""
+    def kernel(t, *args):
+        if t.a != bad_edge:
+            return original(t, *args)
+        if isinstance(fault, type):
+            raise fault("injected fault")
+        return fault(t)
+    return kernel
+
+
+# The 3-4-5 triangle at 120 deg, between two good rows; the 120-deg kernel
+# raises on it.
+@pytest.mark.parametrize("raised", [ZeroDivisionError, OverflowError])
+def test_solve_batch_survives_internal_error(tmp_path, monkeypatch, capsys, raised):
+    u1, u2, u3 = E1_EDGES.as_tuple()
+    monkeypatch.setattr(circuit, "fermat_distances_closed_form",
+                        _faulty_kernel(fermat_distances_closed_form, u1, raised))
     path = tmp_path / "mixed.csv"
     path.write_text("id,u1,u2,u3,psi1,psi2\n"
                     "good1,400,400,400,,\n"
@@ -234,21 +250,59 @@ def test_solve_batch_survives_internal_error(tmp_path, monkeypatch, capsys,
     rows = list(read_pairs(out.splitlines(keepends=True), "csv"))
     assert [m.id for m, _ in rows] == ["good1", "bad", "good2"]
     assert [s.status for _, s in rows] == [STATUS_OK, STATUS_INTERNAL_ERROR, STATUS_OK]
-    assert rows[1][1].diagnostics.startswith(raised)
+    assert rows[1][1].diagnostics.startswith(raised.__name__)
 
 
-def test_verify_record_reports_internal_error():
-    u1, u2, u3 = (x * 1e-200 for x in E1_EDGES.as_tuple())
-    m = MeasurementRecord("tiny", u1, u2, u3)
-    s = SolutionRecord("tiny", 3e-200, 4e-200, 5e-200, 0.0, STATUS_OK)
+def test_verify_record_reports_internal_error(monkeypatch):
+    monkeypatch.setattr(cli, "general_solve_by_circles",
+                        _faulty_kernel(general_solve_by_circles, E1_EDGES.a,
+                                       ZeroDivisionError))
+    monkeypatch.setattr(circuit, "fermat_distances_closed_form",
+                        _faulty_kernel(fermat_distances_closed_form, E1_EDGES.a,
+                                       ZeroDivisionError))
+    m = MeasurementRecord("e1", *E1_EDGES.as_tuple())
+    s = SolutionRecord("e1", *E1_DISTANCES, 0.0, STATUS_OK)
     passed, detail = verify_record(m, s, 1e-8)
     assert not passed
     assert detail.startswith("cross-check raised ZeroDivisionError")
     # A recorded crash is reproduced by the re-solve, but never verified.
-    crashed = SolutionRecord("tiny", None, None, None, None, STATUS_INTERNAL_ERROR)
+    crashed = SolutionRecord("e1", None, None, None, None, STATUS_INTERNAL_ERROR)
     passed, detail = verify_record(m, crashed, 1e-8)
     assert not passed
     assert detail.startswith("cross-check raised ZeroDivisionError")
+
+
+def test_non_finite_answer_becomes_failure_row(tmp_path, monkeypatch, capsys):
+    u1, u2, u3 = E1_EDGES.as_tuple()
+
+    def nan_answer(t):
+        nan = math.nan
+        return StarSolution(nan, nan, nan, PlaneVector(nan, nan), (nan, nan, nan))
+
+    monkeypatch.setattr(circuit, "fermat_distances_closed_form",
+                        _faulty_kernel(fermat_distances_closed_form, u1, nan_answer))
+    path = tmp_path / "mixed.csv"
+    path.write_text("id,u1,u2,u3,psi1,psi2\n"
+                    "good1,400,400,400,,\n"
+                    f"bad,{u1!r},{u2!r},{u3!r},,\n"
+                    "good2,400,400,400,,\n")
+    code, out, err = run_cli(["solve", str(path)], monkeypatch, capsys)
+    assert code == 2 and err == ""
+    rows = list(read_pairs(out.splitlines(keepends=True), "csv"))
+    assert [s.status for _, s in rows] == [STATUS_OK, STATUS_INTERNAL_ERROR, STATUS_OK]
+    bad = rows[1][1]
+    assert (bad.u1p, bad.u2p, bad.u3p, bad.max_residual) == (None, None, None, None)
+    assert bad.diagnostics.startswith("solver returned non-finite u1p=nan")
+    assert "nan" not in out.replace(bad.diagnostics, "")
+
+    solved = tmp_path / "solved.csv"
+    solved.write_text(out)
+    code, out, err = run_cli(["verify", str(solved)], monkeypatch, capsys)
+    assert code == 2 and err == ""
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines[:3]] == ["good1", "bad", "good2"]
+    assert "PASS" in lines[0] and "FAIL" in lines[1] and "PASS" in lines[2]
+    assert lines[3] == "3 records, 1 failed"
 
 
 def test_usage_error_exit_1(monkeypatch, capsys):

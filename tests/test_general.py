@@ -58,7 +58,7 @@ def test_validate_angles_rejects_out_of_range():
 
 def test_right_angle_gives_thales_circle():
     a_vec, b_vec = embed_triangle(TriangleEdges(1, 1, 1))
-    data = circumcircle_data(a_vec, b_vec, PhaseAngles(90, 150, 120))
+    data = circumcircle_data(a_vec, b_vec, *PhaseAngles(90, 150, 120).cot[:2])
     assert data.center_r.distance_to(0.5 * a_vec) < 1e-15
     assert data.rho_a == pytest.approx(0.5, rel=1e-15)
     assert data.h_r == 0.0
@@ -66,7 +66,7 @@ def test_right_angle_gives_thales_circle():
 
 def test_120_deg_circle_radius():
     a_vec, b_vec = embed_triangle(TriangleEdges(1, 1, 1))
-    data = circumcircle_data(a_vec, b_vec, ALL_120)
+    data = circumcircle_data(a_vec, b_vec, *ALL_120.cot[:2])
     assert data.rho_a == pytest.approx(1 / math.sqrt(3), rel=1e-14)
     assert data.rho_b == pytest.approx(1 / math.sqrt(3), rel=1e-14)
 
@@ -76,7 +76,7 @@ def test_circle_centers_equidistant_from_chord_ends():
     for _ in range(100):
         spec, t, _ = planted_general_instance(rng)
         a_vec, b_vec = embed_triangle(t)
-        data = circumcircle_data(a_vec, b_vec, spec.angles)
+        data = circumcircle_data(a_vec, b_vec, *spec.angles.cot[:2])
         origin = PlaneVector(0.0, 0.0)
         assert rel_err(data.center_r.distance_to(origin), data.rho_a) < 1e-12
         assert rel_err(data.center_r.distance_to(a_vec), data.rho_a) < 1e-12
@@ -88,7 +88,7 @@ def test_circles_pass_through_solution_point():
     equilateral = TriangleEdges(1, 1, 1)
     for t in (equilateral, planted_fermat_instance(Random(61))[0]):
         a_vec, b_vec = embed_triangle(t)
-        data = circumcircle_data(a_vec, b_vec, ALL_120)
+        data = circumcircle_data(a_vec, b_vec, *ALL_120.cot[:2])
         x = fermat_distances_closed_form(t).point
         eps = 1e-9 * t.perimeter()
         assert abs(x.distance_to(data.center_r) - data.rho_a) < eps
@@ -263,7 +263,7 @@ def test_recovered_point_on_both_circles():
         spec, t, _ = planted_general_instance(rng)
         s = general_solve_by_circles(t, spec.angles)
         a_vec, b_vec = embed_triangle(t)
-        data = circumcircle_data(a_vec, b_vec, spec.angles)
+        data = circumcircle_data(a_vec, b_vec, *spec.angles.cot[:2])
         eps = 1e-9 * t.perimeter()
         assert abs(s.point.distance_to(data.center_r) - data.rho_a) < eps
         assert abs(s.point.distance_to(data.center_s) - data.rho_b) < eps

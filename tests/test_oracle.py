@@ -221,7 +221,7 @@ def test_points_satisfy_both_circle_equations():
 
 def test_e4_circumcircles_intersect_at_planted_point():
     a_vec, b_vec = embed_triangle(E4_EDGES)
-    data = circumcircle_data(a_vec, b_vec, E4_ANGLES)
+    data = circumcircle_data(a_vec, b_vec, *E4_ANGLES.cot[:2])
     points = intersect_circles(data.center_r, data.rho_a, data.center_s, data.rho_b)
     assert len(points) == 2
     planted = synthesize_triangle(SynthesisSpec((3.0, 4.0, 5.0), E4_ANGLES))[1].point
@@ -274,7 +274,7 @@ def test_planted_instances_recovered_by_oracle_routes():
         a_vec, b_vec = embed_triangle(t)
         # Canonical labels may differ inside the solver; here we drive the
         # kernel directly in the original labels.
-        data = circumcircle_data(a_vec, b_vec, spec.angles)
+        data = circumcircle_data(a_vec, b_vec, *spec.angles.cot[:2])
         points = intersect_circles(data.center_r, data.rho_a,
                                    data.center_s, data.rho_b)
         assert points

@@ -1,0 +1,108 @@
+"""Scale invariance: the solvers are homogeneous of degree one in voltage.
+
+A measurement scaled by any finite positive factor must solve to the
+scaled answer, and verify must accept it, down to the smallest and up to
+the largest scales a float holds.
+"""
+
+from __future__ import annotations
+
+import math
+from random import Random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import rel_err
+from starsolve import PhaseToPhaseVoltages, solve_general_star, solve_symmetric_star
+from starsolve.cli import main, solve_record, verify_record
+from starsolve.oracle import random_synthesis_spec, synthesize_triangle
+from starsolve.records import STATUS_OK, MeasurementRecord
+
+SCALES = (1e-200, 1e-160, 1e150, 1e160)
+
+
+def forward_edges(d, psi):
+    """Phase-to-phase voltages of line voltages ``d`` at phase differences
+    ``psi`` (degrees), by the law of cosines; u_i lies across from d_i."""
+    d1, d2, d3 = d
+    c1, c2, c3 = (math.cos(math.radians(p)) for p in psi)
+    return (math.sqrt(d2 * d2 + d3 * d3 - 2.0 * d2 * d3 * c1),
+            math.sqrt(d3 * d3 + d1 * d1 - 2.0 * d3 * d1 * c2),
+            math.sqrt(d1 * d1 + d2 * d2 - 2.0 * d1 * d2 * c3))
+
+
+# The 3-4-5 triangle at 120 deg, and line voltages (1, 2, 1.5) seen under
+# phase differences (100, 130, 130) deg.
+CASES = {
+    "345-at-120": ((3.0, 4.0, 5.0), None),
+    "general": (forward_edges((1.0, 2.0, 1.5), (100.0, 130.0, 130.0)), (100.0, 130.0)),
+}
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_extreme_scale_solves_and_verifies(case, scale):
+    u, psi = CASES[case]
+    psi = psi or (None, None)
+    _, unit = solve_record(MeasurementRecord("unit", *u, *psi), 1e-8)
+    m = MeasurementRecord("scaled", *(x * scale for x in u), *psi)
+    _, s = solve_record(m, 1e-8)
+    assert unit.status == s.status == STATUS_OK, s.diagnostics
+    for got, want in zip((s.u1p, s.u2p, s.u3p), (unit.u1p, unit.u2p, unit.u3p)):
+        assert rel_err(got, want * scale) <= 1e-12
+    passed, detail = verify_record(m, s, 1e-8)
+    assert passed, detail
+
+
+def test_extreme_scale_pipeline(tmp_path, capsys):
+    lines = ["id,u1,u2,u3,psi1,psi2"]
+    for case, (u, psi) in sorted(CASES.items()):
+        for scale in SCALES:
+            angles = [repr(p) for p in psi] if psi else ["", ""]
+            lines.append(",".join([f"{case}-x{scale:g}",
+                                   *(repr(x * scale) for x in u), *angles]))
+    batch = tmp_path / "scaled.csv"
+    batch.write_text("\n".join(lines) + "\n")
+    assert main(["solve", str(batch)]) == 0
+    solved = tmp_path / "solved.csv"
+    solved.write_text(capsys.readouterr().out)
+    assert main(["verify", str(solved)]) == 0
+    assert capsys.readouterr().out.endswith("8 records, 0 failed\n")
+
+
+def _solve(u, psi):
+    voltages = PhaseToPhaseVoltages(*u)
+    if psi is None:
+        return solve_symmetric_star(voltages)
+    return solve_general_star(voltages, *psi)
+
+
+def _planted(seed: int, symmetric: bool):
+    spec = random_synthesis_spec(Random(seed), symmetric=symmetric)
+    edges, _ = synthesize_triangle(spec)
+    psi = None if symmetric else (spec.angles.psi_a, spec.angles.psi_b)
+    return edges.as_tuple(), psi
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), e=st.integers(-300, 300),
+       symmetric=st.booleans())
+def test_decimal_scale_property(seed, e, symmetric):
+    u, psi = _planted(seed, symmetric)
+    k = 10.0 ** e
+    unit = _solve(u, psi)
+    scaled = _solve(tuple(x * k for x in u), psi)
+    for got, want in zip(scaled.as_tuple(), unit.as_tuple()):
+        assert rel_err(got, want * k) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), e=st.integers(-1000, 1000),
+       symmetric=st.booleans())
+def test_power_of_two_scale_is_exact(seed, e, symmetric):
+    u, psi = _planted(seed, symmetric)
+    unit = _solve(u, psi)
+    scaled = _solve(tuple(math.ldexp(x, e) for x in u), psi)
+    assert scaled.as_tuple() == tuple(math.ldexp(x, e) for x in unit.as_tuple())
+    assert scaled.residuals == unit.residuals
