@@ -34,6 +34,7 @@ from .circuit import (
 from .config import residual_tolerance
 from .errors import AngleAtLeast120, AngleOutOfRange, NotATriangle, StarSolveError
 from .general import general_solve_by_circles, validate_angles
+from .geometry import TriangleEdges
 from .oracle import minimize_distance_sum, random_synthesis_spec, synthesize_triangle
 from .records import (
     STATUS_ANGLE_GE_120,
@@ -159,11 +160,16 @@ def verify_record(m: MeasurementRecord, s: SolutionRecord | None,
                                f"value {recomputed:.6g}")
 
         if not m.has_angles:
-            minimized = minimize_distance_sum(edges)
-            total = s.u1p + s.u2p + s.u3p
+            # Both sums over 2**k, k the edges' exponent: the sum itself may
+            # exceed the float range, and dividing by 2**k changes no bit.
+            k = edges.exponent
+            minimized = minimize_distance_sum(TriangleEdges(*edges.unit))
+            total = (math.ldexp(s.u1p, -k) + math.ldexp(s.u2p, -k)
+                     + math.ldexp(s.u3p, -k))
             if abs(minimized.value - total) > 1e-6 * total:
                 return False, (f"line-voltage sum {total:.9g} disagrees with "
-                               f"minimized distance sum {minimized.value:.9g}")
+                               f"minimized distance sum {minimized.value:.9g} "
+                               f"(both over 2**{k})")
     except StarSolveError as exc:
         return False, f"cross-check raised: {exc}"
     except Exception as exc:  # one bad row must not end the batch

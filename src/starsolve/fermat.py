@@ -29,9 +29,10 @@ from .geometry import (
     PlaneVector,
     StarSolution,
     TriangleEdges,
-    closure_residuals,
-    embed_triangle,
+    apex_position,
+    closure_defects,
     perp,
+    solution_at_scale,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -141,17 +142,24 @@ def fermat_distances_closed_form(t: TriangleEdges) -> StarSolution:
 
 
 def fermat_construction(t: TriangleEdges) -> tuple[StarSolution, FermatIntermediate]:
-    """Constructive route: distances measured from the cevian intersection."""
+    """Constructive route: distances measured from the cevian intersection.
+
+    The construction runs on the unit triangle of ``t``; its distances and
+    point (also the intersection ``m``) are scaled back by 2**exponent.
+    """
     require_angles_below_120(t)
-    a_vec, b_vec = embed_triangle(t)
+    (a, b, _), (a2, b2, c2) = t.unit, t.unit_sq
+    a_vec = PlaneVector(a, 0.0)
+    b_vec = PlaneVector(*apex_position(a, b, a2, b2, c2, t.unit_theta_sq))
     p, q = fermat_apexes(a_vec, b_vec)
     inter = fermat_line_solution(a_vec, b_vec, p, q)
     m = inter.m
-    a_p = m.distance_to(b_vec)   # A sits at b_vec
-    b_p = m.distance_to(a_vec)   # B sits at a_vec
-    c_p = m.norm()               # C is the origin
-    residuals = closure_residuals(t.as_tuple(), ALL_120, (a_p, b_p, c_p))
-    return StarSolution(a_p, b_p, c_p, m, residuals), inter
+    distances = (m.distance_to(b_vec),   # A sits at b_vec
+                 m.distance_to(a_vec),   # B sits at a_vec
+                 m.norm())               # C is the origin
+    residuals = closure_defects(t.unit_sq, ALL_120.cos, distances)
+    solution = solution_at_scale(t.exponent, distances, m.x, m.y, residuals)
+    return solution, FermatIntermediate(inter.tau0, inter.sigma0, solution.point)
 
 
 def fermat_solve(t: TriangleEdges, method: SolveMethod = "closed_form") -> StarSolution:

@@ -35,10 +35,10 @@ from .geometry import (
     TriangleEdges,
     apex_position,
     closure_defects,
-    perp,
     point_position,
+    solution_at_scale,
 )
-from .oracle import intersect_circles
+from .oracle import circle_intersections
 
 # Interiority slack for barycentric coordinates (dimensionless).
 BARY_TOL = 1e-9
@@ -80,24 +80,37 @@ class CircleData:
 def circumcircle_data(a_vec: PlaneVector, b_vec: PlaneVector,
                       cot_a: float, cot_b: float) -> CircleData:
     """Circles through {C, B} and {C, A} subtending psi_a resp. psi_b at X,
-    given the cotangents of those two viewing angles.
+    given the cotangents of those two viewing angles; this is
+    :func:`_chord_circles` on vectors, plus the center heights."""
+    crx, cry, csx, csy, rho_a, rho_b = _chord_circles(a_vec.x, a_vec.y, b_vec.x,
+                                                      b_vec.y, cot_a, cot_b)
+    return CircleData(
+        center_r=PlaneVector(crx, cry),
+        center_s=PlaneVector(csx, csy),
+        rho_a=rho_a,
+        rho_b=rho_b,
+        h_r=-0.5 * a_vec.norm() * cot_a,
+        h_s=-0.5 * b_vec.norm() * cot_b,
+    )
+
+
+def _chord_circles(ux: float, uy: float, vx: float, vy: float, cot_a: float,
+                   cot_b: float) -> tuple[float, float, float, float, float, float]:
+    """Centers and radii (center_r x, y, center_s x, y, rho_a, rho_b) of the
+    circles over the spanning vectors u = C->B and v = C->A.
 
     The center of the chord-CB circle sits at half the chord plus a
     cotangent-scaled perpendicular; an obtuse viewing angle puts it on the
     far side of the chord from X, a right angle on the chord itself.
     """
-    if a_vec.cross(b_vec) <= 1e-15 * a_vec.norm() * b_vec.norm():
+    a = math.hypot(ux, uy)
+    b = math.hypot(vx, vy)
+    if ux * vy - uy * vx <= 1e-15 * a * b:
         raise DegenerateTriangle("spanning vectors are collinear")
-    a = a_vec.norm()
-    b = b_vec.norm()
-    return CircleData(
-        center_r=0.5 * (a_vec + cot_a * perp(a_vec)),
-        center_s=0.5 * (b_vec - cot_b * perp(b_vec)),
-        rho_a=0.5 * a * math.sqrt(1.0 + cot_a * cot_a),
-        rho_b=0.5 * b * math.sqrt(1.0 + cot_b * cot_b),
-        h_r=-0.5 * a * cot_a,
-        h_s=-0.5 * b * cot_b,
-    )
+    return ((ux - uy * cot_a) * 0.5, (uy + ux * cot_a) * 0.5,
+            (vx + vy * cot_b) * 0.5, (vy - vx * cot_b) * 0.5,
+            0.5 * a * math.sqrt(1.0 + cot_a * cot_a),
+            0.5 * b * math.sqrt(1.0 + cot_b * cot_b))
 
 
 # =========================================================================
@@ -168,18 +181,20 @@ def _joint_vertex_distance(s1: float, s2: float, s_opp: float,
 
 
 def _rot3(triple: tuple, r: int) -> tuple:
-    x, y, z = triple
-    for _ in range(r % 3):
-        x, y, z = y, z, x
-    return (x, y, z)
+    """``triple`` rotated left by ``r`` places: (x, y, z) -> (y, z, x) for 1."""
+    r %= 3
+    return triple[r:] + triple[:r]
+
+
+# Rotation count by the index of the smallest viewing angle.
+_ROTATION_OF_SMALLEST = (1, 2, 0)
 
 
 def canonical_rotation(angles: PhaseAngles) -> int:
     """Cyclic rotation count placing the smallest viewing angle last, so the
     two largest (hence both >= 90 deg) drive the chord-circle construction."""
     psis = angles.as_tuple()
-    smallest = min(range(3), key=lambda i: psis[i])
-    return {2: 0, 0: 1, 1: 2}[smallest]
+    return _ROTATION_OF_SMALLEST[psis.index(min(psis))]
 
 
 def _rotated_problem(t: TriangleEdges, angles: PhaseAngles, r: int) -> tuple:
@@ -198,13 +213,9 @@ def _barycentric(px: float, py: float, a: float, ax: float,
     return (1.0 - v - w, v, w)
 
 
-def _at_scale(k: int, distances: tuple[float, float, float], px: float, py: float,
-              residuals: tuple[float, float, float]) -> StarSolution:
-    """A unit-triangle solution scaled back by 2**k; a power of two, so no
-    bit changes."""
-    a_p, b_p, c_p = distances
-    return StarSolution(math.ldexp(a_p, k), math.ldexp(b_p, k), math.ldexp(c_p, k),
-                        PlaneVector(math.ldexp(px, k), math.ldexp(py, k)), residuals)
+def _norm_sq(point: tuple[float, float]) -> float:
+    x, y = point
+    return x * x + y * y
 
 
 def general_distances_closed_form(t: TriangleEdges, angles: PhaseAngles,
@@ -237,7 +248,7 @@ def general_distances_closed_form(t: TriangleEdges, angles: PhaseAngles,
     if min(bary) < -BARY_TOL:
         raise InfeasibleConfiguration(
             f"recovered point lies outside the triangle: barycentric {bary}")
-    return _at_scale(t.exponent, (a_p, b_p, c_p), px, py, residuals)
+    return solution_at_scale(t.exponent, (a_p, b_p, c_p), px, py, residuals)
 
 
 def general_solve_by_circles(t: TriangleEdges, angles: PhaseAngles) -> StarSolution:
@@ -253,30 +264,28 @@ def general_solve_by_circles(t: TriangleEdges, angles: PhaseAngles) -> StarSolut
     rot = canonical_rotation(angles)
     (a, b, _), (a2, b2, c2), (cot_a, cot_b, _) = _rotated_problem(t, angles, rot)
     ax, ay = apex_position(a, b, a2, b2, c2, t.unit_theta_sq)
-    a_vec, b_vec = PlaneVector(a, 0.0), PlaneVector(ax, ay)
-    circles = circumcircle_data(a_vec, b_vec, cot_a, cot_b)
+    crx, cry, csx, csy, rho_a, rho_b = _chord_circles(a, 0.0, ax, ay, cot_a, cot_b)
 
-    points = intersect_circles(circles.center_r, circles.rho_a,
-                               circles.center_s, circles.rho_b)
+    points = circle_intersections(crx, cry, rho_a, csx, csy, rho_b)
     if not points:
         raise NoInteriorIntersection(
             "the viewing-angle circles do not intersect; configuration infeasible")
 
-    if len(points) == 2:
-        strict = [p for p in points
-                  if min(_barycentric(p.x, p.y, a, ax, ay)) > 1e-7]
-        if len(strict) == 2:
-            raise AmbiguousIntersection(
-                "both circle intersections are interior; input is inconsistent")
+    if len(points) == 2 and all(min(_barycentric(x, y, a, ax, ay)) > 1e-7
+                                for x, y in points):
+        raise AmbiguousIntersection(
+            "both circle intersections are interior; input is inconsistent")
 
-    x = max(points, key=lambda p: p.norm_sq())
-    bary = _barycentric(x.x, x.y, a, ax, ay)
+    px, py = max(points, key=_norm_sq)
+    bary = _barycentric(px, py, a, ax, ay)
     if min(bary) < -BARY_TOL:
         raise NoInteriorIntersection(
             f"circle intersection lies outside the triangle: barycentric {bary}")
 
-    rotated_distances = (x.distance_to(b_vec), x.distance_to(a_vec), x.norm())
+    # Distances to A = (ax, ay), B = (a, 0) and C at the origin.
+    rotated_distances = (math.hypot(px - ax, py - ay), math.hypot(px - a, py),
+                         math.hypot(px, py))
     a_p, b_p, c_p = _rot3(rotated_distances, (3 - rot) % 3)
     residuals = closure_defects(t.unit_sq, angles.cos, (a_p, b_p, c_p))
     px, py = point_position(t.unit[0], t.unit_sq[0], b_p, c_p)
-    return _at_scale(t.exponent, (a_p, b_p, c_p), px, py, residuals)
+    return solution_at_scale(t.exponent, (a_p, b_p, c_p), px, py, residuals)

@@ -255,6 +255,15 @@ class StarSolution:
         return max(self.residuals)
 
 
+def solution_at_scale(k: int, distances: tuple[float, float, float], px: float,
+                      py: float, residuals: tuple[float, float, float]) -> StarSolution:
+    """A unit-triangle solution scaled back by 2**k; a power of two, so no
+    bit changes."""
+    a_p, b_p, c_p = distances
+    return StarSolution(math.ldexp(a_p, k), math.ldexp(b_p, k), math.ldexp(c_p, k),
+                        PlaneVector(math.ldexp(px, k), math.ldexp(py, k)), residuals)
+
+
 def apex_position(a: float, b: float, a2: float, b2: float, c2: float,
                   theta_sq: float) -> tuple[float, float]:
     """Coordinates of vertex A in the canonical frame (C at the origin, B at
@@ -291,8 +300,12 @@ def point_position(a: float, a2: float, b_prime: float,
 def point_from_distances(t: TriangleEdges, a_prime: float, b_prime: float,
                          c_prime: float) -> PlaneVector:
     """Position (canonical frame) of the upper-half-plane point at the given
-    distances from C and B; the distance to A is implied by consistency."""
-    return PlaneVector(*point_position(t.a, t.a * t.a, b_prime, c_prime))
+    distances from C and B; the distance to A is implied by consistency.
+    Evaluated on the unit triangle of ``t`` and scaled back by 2**exponent."""
+    k = t.exponent
+    x, y = point_position(t.unit[0], t.unit_sq[0], math.ldexp(b_prime, -k),
+                          math.ldexp(c_prime, -k))
+    return PlaneVector(math.ldexp(x, k), math.ldexp(y, k))
 
 
 def closure_defects(squares: tuple[float, float, float],

@@ -16,13 +16,11 @@ from typing import TYPE_CHECKING, Sequence
 
 from .errors import ConcentricCircles, NoConvergence
 from .geometry import (
-    ORIGIN,
     PhaseAngles,
     PlaneVector,
     StarSolution,
     TriangleEdges,
     closure_residuals,
-    perp,
     point_from_distances,
 )
 
@@ -118,8 +116,9 @@ class MinimizationResult:
 
 
 def _embed_for_oracle(a: float, b: float, c: float
-                      ) -> tuple[PlaneVector, PlaneVector, PlaneVector]:
-    """Vertices (C, B, A) placed independently of the solver embedding.
+                      ) -> tuple[tuple[float, float], ...]:
+    """Vertices (C, B, A), as (x, y) pairs, placed independently of the
+    solver embedding.
 
     A's height is twice the area over a, from Kahan's sorted-edge product
     (x >= y >= z): b^2 - ax^2 would cancel on a needle whose short edge is c.
@@ -127,11 +126,7 @@ def _embed_for_oracle(a: float, b: float, c: float
     ax = (a * a + b * b - c * c) / (2.0 * a)
     x, y, z = sorted((a, b, c), reverse=True)
     radicand = (x + (y + z)) * (z - (x - y)) * (z + (x - y)) * (x + (y - z))
-    return (
-        PlaneVector(0.0, 0.0),
-        PlaneVector(a, 0.0),
-        PlaneVector(ax, math.sqrt(max(radicand, 0.0)) / (2.0 * a)),
-    )
+    return ((0.0, 0.0), (a, 0.0), (ax, math.sqrt(max(radicand, 0.0)) / (2.0 * a)))
 
 
 def _distance_sum(x: float, y: float, vertices: list[tuple[float, float]]) -> float:
@@ -171,16 +166,17 @@ def minimize_distance_sum(t: TriangleEdges, max_iter: int = 10_000) -> Minimizat
              math.ldexp(t.c, -exponent))
     vc, vb, va = _embed_for_oracle(*edges)
     corners = (va, vb, vc)
-    for k, corner in enumerate(corners):
-        others = corners[:k] + corners[k + 1:]
-        pull = sum(((1.0 / corner.distance_to(v)) * (v - corner) for v in others),
-                   ORIGIN)
-        if pull.norm() <= 1.0:
-            value = sum(corner.distance_to(v) for v in others)
-            return _scaled_back(exponent, corner.x, corner.y, value, 0)
+    for k, (cx, cy) in enumerate(corners):
+        (ux, uy), (vx, vy) = corners[:k] + corners[k + 1:]
+        du = math.hypot(cx - ux, cy - uy)
+        dv = math.hypot(cx - vx, cy - vy)
+        inv_u, inv_v = 1.0 / du, 1.0 / dv
+        if math.hypot((ux - cx) * inv_u + (vx - cx) * inv_v,
+                      (uy - cy) * inv_u + (vy - cy) * inv_v) <= 1.0:
+            return _scaled_back(exponent, cx, cy, du + dv, 0)
 
-    origin = corners[edges.index(max(edges))]
-    vertices = [(v.x - origin.x, v.y - origin.y) for v in corners]
+    ox, oy = corners[edges.index(max(edges))]
+    vertices = [(vx - ox, vy - oy) for vx, vy in corners]
     x = y = 0.0
     fx = _distance_sum(x, y, vertices)
     for iterations in range(max_iter + 1):
@@ -205,7 +201,7 @@ def minimize_distance_sum(t: TriangleEdges, max_iter: int = 10_000) -> Minimizat
             farthest = max(farthest, d)
         pull = math.hypot(px, py)
         if not on_vertex and pull * farthest <= GAP_CERTIFICATE * fx:
-            return _scaled_back(exponent, x + origin.x, y + origin.y, fx, iterations)
+            return _scaled_back(exponent, x + ox, y + oy, fx, iterations)
         if iterations == max_iter:
             break
 
@@ -242,7 +238,17 @@ def intersect_circles(c1: PlaneVector, r1: float, c2: PlaneVector, r2: float,
 
     Returns an empty tuple for separated or nested circles, one point at
     (near-)tangency, two points otherwise. ``eps`` is the absolute window
-    around tangency; it defaults to 1e-12 of the radius scale.
+    around tangency; it defaults to 1e-12 of the radius scale. This is
+    :func:`circle_intersections` on vectors.
+    """
+    return tuple(PlaneVector(x, y) for x, y in
+                 circle_intersections(c1.x, c1.y, r1, c2.x, c2.y, r2, eps))
+
+
+def circle_intersections(c1x: float, c1y: float, r1: float,
+                         c2x: float, c2y: float, r2: float,
+                         eps: float | None = None) -> tuple[tuple[float, float], ...]:
+    """:func:`intersect_circles` on coordinates: the points as (x, y) pairs.
 
     The half-chord height is the altitude of the triangle with sides
     (d, r1, r2), evaluated as a factored product; the naive
@@ -253,7 +259,7 @@ def intersect_circles(c1: PlaneVector, r1: float, c2: PlaneVector, r2: float,
         raise ValueError(f"radii must be positive, got {r1} and {r2}")
     if eps is None:
         eps = 1e-12 * (r1 + r2)
-    d = c1.distance_to(c2)
+    d = math.hypot(c1x - c2x, c1y - c2y)
     if d <= eps:
         raise ConcentricCircles(
             f"centers coincide within {eps:g}; intersection undefined")
@@ -267,13 +273,14 @@ def intersect_circles(c1: PlaneVector, r1: float, c2: PlaneVector, r2: float,
     h = math.sqrt(pair_sep * max(pair_nest, 0.0)) / (2.0 * d)
 
     along = (d * d + (r1 - r2) * (r1 + r2)) / (2.0 * d)
-    axis = (1.0 / d) * (c2 - c1)
-    base = c1 + along * axis
+    inv_d = 1.0 / d
+    ux, uy = (c2x - c1x) * inv_d, (c2y - c1y) * inv_d   # unit axis c1 -> c2
+    bx, by = c1x + ux * along, c1y + uy * along
     if h <= eps:
-        return (base,)
-    offset = h * perp(axis)
-    points = sorted((base + offset, base - offset), key=lambda p: (p.x, p.y))
-    return tuple(points)
+        return ((bx, by),)
+    ox, oy = -uy * h, ux * h                             # h * perp(axis)
+    first, second = (bx + ox, by + oy), (bx - ox, by - oy)
+    return (second, first) if second < first else (first, second)
 
 
 # =========================================================================

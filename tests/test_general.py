@@ -237,10 +237,21 @@ def test_circles_limiting_case():
 
 
 def test_circles_infeasible_raises():
-    from starsolve.errors import NoInteriorIntersection, StarSolveError
-    with pytest.raises((NoInteriorIntersection, StarSolveError)):
+    from starsolve.errors import NoInteriorIntersection
+    with pytest.raises(NoInteriorIntersection) as info:
         general_solve_by_circles(
             TriangleEdges(1.0, 1.0, 1.999), PhaseAngles(119.0, 120.0, 121.0))
+    assert info.type is NoInteriorIntersection
+    assert str(info.value).startswith("circle intersection lies outside the triangle")
+
+
+@pytest.mark.parametrize("edges", [(1.0, 1.0, 2.0), (1.0, 2.0, 1.0), (2.0, 1.0, 1.0)])
+def test_circles_collinear_edges_raise_degenerate(edges):
+    from starsolve.errors import DegenerateTriangle
+    with pytest.raises(DegenerateTriangle) as info:
+        general_solve_by_circles(TriangleEdges(*edges), ALL_120)
+    assert info.type is DegenerateTriangle
+    assert str(info.value) == "spanning vectors are collinear"
 
 
 def test_both_routes_recover_plantings():

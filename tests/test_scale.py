@@ -14,9 +14,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import rel_err
-from starsolve import PhaseToPhaseVoltages, solve_general_star, solve_symmetric_star
+from starsolve import (
+    PhaseToPhaseVoltages,
+    TriangleEdges,
+    fermat_solve,
+    general_solve_by_circles,
+    solve_general_star,
+    solve_symmetric_star,
+)
 from starsolve.cli import main, solve_record, verify_record
-from starsolve.oracle import random_synthesis_spec, synthesize_triangle
+from starsolve.oracle import (
+    minimize_distance_sum,
+    random_synthesis_spec,
+    synthesize_triangle,
+)
 from starsolve.records import STATUS_OK, MeasurementRecord
 
 SCALES = (1e-200, 1e-160, 1e150, 1e160)
@@ -106,3 +117,84 @@ def test_power_of_two_scale_is_exact(seed, e, symmetric):
     scaled = _solve(tuple(math.ldexp(x, e) for x in u), psi)
     assert scaled.as_tuple() == tuple(math.ldexp(x, e) for x in unit.as_tuple())
     assert scaled.residuals == unit.residuals
+
+
+def _scaled_edges(u, e):
+    return TriangleEdges(*(math.ldexp(x, e) for x in u))
+
+
+def _scaled_point(point, e):
+    return (math.ldexp(point.x, e), math.ldexp(point.y, e))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), e=st.integers(-1000, 1000),
+       symmetric=st.booleans())
+def test_circle_route_power_of_two_scale_is_exact(seed, e, symmetric):
+    spec = random_synthesis_spec(Random(seed), symmetric=symmetric)
+    edges, _ = synthesize_triangle(spec)
+    unit = general_solve_by_circles(edges, spec.angles)
+    scaled = general_solve_by_circles(_scaled_edges(edges.as_tuple(), e), spec.angles)
+    assert scaled.distances() == tuple(math.ldexp(x, e) for x in unit.distances())
+    assert (scaled.point.x, scaled.point.y) == _scaled_point(unit.point, e)
+    assert scaled.residuals == unit.residuals
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), e=st.integers(-1000, 1000),
+       symmetric=st.booleans())
+def test_oracle_power_of_two_scale_is_exact(seed, e, symmetric):
+    # General plantings include triangles with an angle >= 120 deg, whose
+    # minimum is a vertex found by the Kuhn test.
+    u, _ = _planted(seed, symmetric)
+    unit = minimize_distance_sum(TriangleEdges(*u))
+    scaled = minimize_distance_sum(_scaled_edges(u, e))
+    assert scaled.value == math.ldexp(unit.value, e)
+    assert (scaled.point.x, scaled.point.y) == _scaled_point(unit.point, e)
+    assert scaled.iterations == unit.iterations
+
+
+# The 3-4-5 triangle at 120 deg times 3e307: its line voltages sum past
+# the largest float.
+BEYOND_FLOAT_SUM = [tuple(x * 3e307 for x in u)
+                    for u in ((3.0, 4.0, 5.0), (4.0, 5.0, 3.0), (5.0, 3.0, 4.0))]
+
+
+@pytest.mark.parametrize("u", BEYOND_FLOAT_SUM)
+def test_verify_line_voltage_sum_beyond_float_range(u):
+    m = MeasurementRecord("huge", *u)
+    _, s = solve_record(m, 1e-8)
+    assert s.status == STATUS_OK, s.diagnostics
+    assert math.isinf(s.u1p + s.u2p + s.u3p)
+    passed, detail = verify_record(m, s, 1e-8)
+    assert passed, detail
+
+
+def test_verify_line_voltage_sum_beyond_float_range_pipeline(tmp_path, capsys):
+    lines = ["id,u1,u2,u3"] + [f"huge-{i},{','.join(map(repr, u))}"
+                               for i, u in enumerate(BEYOND_FLOAT_SUM)]
+    batch = tmp_path / "huge.csv"
+    batch.write_text("\n".join(lines) + "\n")
+    assert main(["solve", str(batch)]) == 0
+    solved = tmp_path / "solved.csv"
+    solved.write_text(capsys.readouterr().out)
+    assert main(["verify", str(solved)]) == 0
+    assert capsys.readouterr().out.endswith("3 records, 0 failed\n")
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_construction_matches_closed_form_at_extreme_scale(scale):
+    t = TriangleEdges(3.0 * scale, 4.0 * scale, 5.0 * scale)
+    constructed = fermat_solve(t, "construction").distances()
+    closed = fermat_solve(t).distances()
+    for got, want in zip(constructed, closed):
+        assert rel_err(got, want) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), e=st.integers(-1000, 1000))
+def test_construction_power_of_two_scale_is_exact(seed, e):
+    u, _ = _planted(seed, symmetric=True)
+    unit = fermat_solve(TriangleEdges(*u), "construction")
+    scaled = fermat_solve(_scaled_edges(u, e), "construction")
+    assert scaled.distances() == tuple(math.ldexp(x, e) for x in unit.distances())
