@@ -36,24 +36,15 @@ from .errors import (
     NoInteriorIntersection,
     NotATriangle,
     PhaseDiagnostic,
-    SingularConfiguration,
     StarSolveError,
-    ZeroVector,
 )
 from .fermat import (
-    FermatIntermediate,
-    fermat_apexes,
     fermat_distances_closed_form,
-    fermat_line_solution,
     fermat_solve,
 )
 from .general import (
-    CircleData,
-    GeneralIntermediate,
-    circumcircle_data,
     general_distances_closed_form,
     general_solve_by_circles,
-    star_point_coefficients,
     validate_angles,
 )
 from .geometry import (
@@ -61,16 +52,12 @@ from .geometry import (
     PlaneVector,
     StarSolution,
     TriangleEdges,
-    angle_between,
     embed_triangle,
-    law_of_cosines_angle,
-    perp,
     theta_squared,
 )
 from .oracle import (
     MinimizationResult,
     SynthesisSpec,
-    intersect_circles,
     minimize_distance_sum,
     sample_waveform_amplitude,
     synthesize_triangle,
@@ -82,11 +69,8 @@ __all__ = [
     "AmbiguousIntersection",
     "AngleAtLeast120",
     "AngleOutOfRange",
-    "CircleData",
     "ConcentricCircles",
     "DegenerateTriangle",
-    "FermatIntermediate",
-    "GeneralIntermediate",
     "InconsistentMeasurement",
     "InfeasibleConfiguration",
     "LineVoltages",
@@ -100,31 +84,21 @@ __all__ = [
     "Phasor",
     "PlaneVector",
     "ResidualReport",
-    "SingularConfiguration",
     "StarSolution",
     "StarSolveError",
     "SynthesisSpec",
     "TriangleEdges",
-    "ZeroVector",
-    "angle_between",
-    "circumcircle_data",
     "embed_triangle",
-    "fermat_apexes",
     "fermat_distances_closed_form",
-    "fermat_line_solution",
     "fermat_solve",
     "general_distances_closed_form",
     "general_solve_by_circles",
-    "intersect_circles",
-    "law_of_cosines_angle",
     "line_voltage_phasors",
     "minimize_distance_sum",
-    "perp",
     "phasor_difference",
     "sample_waveform_amplitude",
     "solve_general_star",
     "solve_symmetric_star",
-    "star_point_coefficients",
     "synthesize_triangle",
     "theta_squared",
     "validate_angles",

@@ -21,7 +21,7 @@ import sys
 import traceback
 from itertools import chain
 from random import Random
-from typing import TextIO
+from typing import Iterator, TextIO
 
 from .circuit import (
     ALL_120,
@@ -187,9 +187,15 @@ def _open_input(path: str) -> tuple[TextIO, bool]:
     return open(path, "r", newline=""), True
 
 
-def _detect(path: str, first_line: str) -> str:
+def _sniff(path: str, lines: Iterator[str]) -> tuple[Iterator[str], str] | None:
+    """The lines, a leading byte-order mark removed, and their format; None
+    for an empty stream."""
+    first = next(lines, None)
+    if first is None:
+        return None
+    first = first.removeprefix("\ufeff")
     fmt = format_for_path(path) if path != "-" else None
-    return fmt or detect_format(first_line)
+    return chain([first], lines), fmt or detect_format(first)
 
 
 # =========================================================================
@@ -208,15 +214,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"star-solve: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        lines = iter(stream)
-        first = next(lines, None)
-        if first is None:
+        sniffed = _sniff(args.path, iter(stream))
+        if sniffed is None:
             return EXIT_OK
-        in_fmt = _detect(args.path, first)
-        out_fmt = args.format or in_fmt
-        writer = RowWriter(sys.stdout, out_fmt)
+        lines, in_fmt = sniffed
+        writer = RowWriter(sys.stdout, args.format or in_fmt)
         failed = 0
-        for measurement in read_measurements(chain([first], lines), in_fmt):
+        for measurement in read_measurements(lines, in_fmt):
             _, solution = solve_record(measurement, tolerance)
             writer.write(combined_row(measurement, solution))
             if not solution.solved:
@@ -242,14 +246,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"star-solve: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        lines = iter(stream)
-        first = next(lines, None)
-        if first is None:
+        sniffed = _sniff(args.path, iter(stream))
+        if sniffed is None:
             print("0 records, 0 failed")
             return EXIT_OK
-        fmt = _detect(args.path, first)
         total = failed = 0
-        for measurement, solution in read_pairs(chain([first], lines), fmt):
+        for measurement, solution in read_pairs(*sniffed):
             total += 1
             passed, detail = verify_record(measurement, solution, tolerance)
             if not passed:

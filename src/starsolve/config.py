@@ -13,18 +13,12 @@ from __future__ import annotations
 import math
 import os
 
-# Absolute norm below which a vector counts as zero (direction undefined).
-EPS_LEN = 1e-300
-
 # Angle-sum and angle-comparison slack, in degrees.
 EPS_ANG_DEG = 1e-9
 
 # Clamp window for the sign-carrying product in the stable Heron evaluation:
 # values in [-EPS_TRI_COEFF * (a+b+c)^2, 0] are treated as exactly collinear.
 EPS_TRI_COEFF = 1e-12
-
-# Coefficient-denominator gate, times the squared-edge scale a^2+b^2+c^2.
-EPS_DEN_COEFF = 1e-10
 
 # Default relative closure-residual tolerance for solution acceptance.
 RESIDUAL_TOL = 1e-8

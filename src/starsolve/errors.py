@@ -15,10 +15,6 @@ class StarSolveError(Exception):
 
 # -- plane-geometry ----------------------------------------------------------
 
-class ZeroVector(StarSolveError):
-    """An operation that needs a direction received a (near-)zero vector."""
-
-
 class NotATriangle(StarSolveError):
     """Three lengths violate the triangle inequality or are non-positive."""
 
@@ -62,10 +58,6 @@ class AngleOutOfRange(StarSolveError):
         if reason:
             msg = f"{name} = {value_deg:.6g} deg: {reason}"
         super().__init__(msg)
-
-
-class SingularConfiguration(StarSolveError):
-    """A coefficient denominator vanished; closed-form coefficients unusable."""
 
 
 class InfeasibleConfiguration(StarSolveError):

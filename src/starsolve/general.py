@@ -10,6 +10,11 @@ from X to the vertices. Two independent routes:
 * the constructive route: X is where the two circles meet that each carry
   all points seeing one edge under its prescribed angle (inscribed-angle
   locus); both circles pass through vertex C, and X is the other point.
+  :func:`_chord_circles` gives the circles and
+  :func:`starsolve.oracle.circle_intersections` meets them.
+
+Both routes run on plain floats over the unit triangle of the edges and
+build a vector only for the point they return.
 
 With every angle at 120 deg the closed form is the 120-deg solver of
 :mod:`starsolve.fermat`, which calls it behind its wide-angle gate.
@@ -18,19 +23,16 @@ With every angle at 120 deg the closed form is the 120-deg solver of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .config import EPS_DEN_COEFF, RESIDUAL_TOL
+from .config import RESIDUAL_TOL
 from .errors import (
     AmbiguousIntersection,
     DegenerateTriangle,
     InfeasibleConfiguration,
     NoInteriorIntersection,
-    SingularConfiguration,
 )
 from .geometry import (
     PhaseAngles,
-    PlaneVector,
     StarSolution,
     TriangleEdges,
     apex_position,
@@ -45,11 +47,7 @@ BARY_TOL = 1e-9
 
 __all__ = [
     "PhaseAngles",
-    "CircleData",
-    "GeneralIntermediate",
     "validate_angles",
-    "circumcircle_data",
-    "star_point_coefficients",
     "general_distances_closed_form",
     "general_solve_by_circles",
 ]
@@ -64,40 +62,12 @@ def validate_angles(psi_a: float, psi_b: float) -> PhaseAngles:
 # Inscribed-angle circles
 # =========================================================================
 
-@dataclass(frozen=True)
-class CircleData:
-    """Circumcircle centers/radii of the chords CB and CA for the prescribed
-    viewing angles, plus the signed center heights over the chords."""
-
-    center_r: PlaneVector
-    center_s: PlaneVector
-    rho_a: float
-    rho_b: float
-    h_r: float
-    h_s: float
-
-
-def circumcircle_data(a_vec: PlaneVector, b_vec: PlaneVector,
-                      cot_a: float, cot_b: float) -> CircleData:
-    """Circles through {C, B} and {C, A} subtending psi_a resp. psi_b at X,
-    given the cotangents of those two viewing angles; this is
-    :func:`_chord_circles` on vectors, plus the center heights."""
-    crx, cry, csx, csy, rho_a, rho_b = _chord_circles(a_vec.x, a_vec.y, b_vec.x,
-                                                      b_vec.y, cot_a, cot_b)
-    return CircleData(
-        center_r=PlaneVector(crx, cry),
-        center_s=PlaneVector(csx, csy),
-        rho_a=rho_a,
-        rho_b=rho_b,
-        h_r=-0.5 * a_vec.norm() * cot_a,
-        h_s=-0.5 * b_vec.norm() * cot_b,
-    )
-
-
 def _chord_circles(ux: float, uy: float, vx: float, vy: float, cot_a: float,
                    cot_b: float) -> tuple[float, float, float, float, float, float]:
     """Centers and radii (center_r x, y, center_s x, y, rho_a, rho_b) of the
-    circles over the spanning vectors u = C->B and v = C->A.
+    circles through {C, B} and {C, A} from which the chords are seen under
+    psi_a resp. psi_b, given the spanning vectors u = C->B and v = C->A and
+    the cotangents of those two viewing angles.
 
     The center of the chord-CB circle sits at half the chord plus a
     cotangent-scaled perpendicular; an obtuse viewing angle puts it on the
@@ -114,50 +84,8 @@ def _chord_circles(ux: float, uy: float, vx: float, vy: float, cot_a: float,
 
 
 # =========================================================================
-# Closed-form coefficients and distances
+# Closed-form distances
 # =========================================================================
-
-@dataclass(frozen=True)
-class GeneralIntermediate:
-    """Coefficients of X = (alpha/2) a_vec + (beta/2) b_vec, with the ratio
-    t = beta/alpha and its reciprocal t_star."""
-
-    t: float
-    t_star: float
-    alpha: float
-    beta: float
-
-
-def star_point_coefficients(t: TriangleEdges, angles: PhaseAngles) -> GeneralIntermediate:
-    """Solve the two circle equations for the expansion coefficients of X.
-
-    Subtracting the quadratic circle equations leaves the linear relation
-    beta = t * alpha; substituting back yields alpha and beta. The ``t``
-    denominators vanish when X is collinear with a spanning vector, so
-    near-vanishing denominators raise :class:`SingularConfiguration`
-    instead of returning garbage coefficients. The coefficients are
-    dimensionless, so they are computed on the unit triangle.
-    """
-    a2, b2, c2 = t.unit_sq
-    theta_sq = t.unit_theta_sq
-    cot_a, cot_b, _ = angles.cot
-    cos2c = a2 + b2 - c2  # 2 <a_vec, b_vec>
-
-    d_a = c2 + b2 - a2 - cot_a * theta_sq
-    d_b = c2 + a2 - b2 - cot_b * theta_sq
-    gate = EPS_DEN_COEFF * (a2 + b2 + c2)
-    if abs(d_a) < gate or abs(d_b) < gate:
-        raise SingularConfiguration(
-            f"coefficient denominators {d_a:.3e}, {d_b:.3e} below gate {gate:.3e}")
-
-    ratio = d_b / d_a
-    ratio_star = d_a / d_b
-    alpha = (2.0 * a2 + ratio * cos2c + ratio * cot_a * theta_sq) / \
-        (a2 + ratio * ratio * b2 + ratio * cos2c)
-    beta = (2.0 * b2 + ratio_star * cos2c + ratio_star * cot_b * theta_sq) / \
-        (b2 + ratio_star * ratio_star * a2 + ratio_star * cos2c)
-    return GeneralIntermediate(t=ratio, t_star=ratio_star, alpha=alpha, beta=beta)
-
 
 def _joint_vertex_distance(s1: float, s2: float, s_opp: float,
                            cot1: float, cot2: float, cot_opp: float,

@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .config import EPS_ANG_DEG, EPS_LEN, EPS_TRI_COEFF
-from .errors import AngleOutOfRange, NotATriangle, ZeroVector
+from .config import EPS_ANG_DEG, EPS_TRI_COEFF
+from .errors import AngleOutOfRange, NotATriangle
 
 
 @dataclass(frozen=True)
@@ -54,27 +54,6 @@ class PlaneVector:
 
 
 ORIGIN = PlaneVector(0.0, 0.0)
-
-
-def perp(v: PlaneVector) -> PlaneVector:
-    """Rotate ``v`` by +90 deg: same norm, zero dot product, {v, perp(v)} positively oriented."""
-    return PlaneVector(-v.y, v.x)
-
-
-def angle_between(u: PlaneVector, v: PlaneVector, eps_len: float = EPS_LEN) -> float:
-    """Counterclockwise angle from ``u`` to ``v`` in degrees, in [0, 360).
-
-    Satisfies u.dot(v) = |u||v| cos(phi) and perp(u).dot(v) = |u||v| sin(phi).
-
-    Raises:
-        ZeroVector: if either argument has norm below ``eps_len``.
-    """
-    if u.norm() < eps_len:
-        raise ZeroVector("angle_between: first argument is a zero vector")
-    if v.norm() < eps_len:
-        raise ZeroVector("angle_between: second argument is a zero vector")
-    deg = math.degrees(math.atan2(u.cross(v), u.dot(v)))
-    return deg % 360.0
 
 
 def cot_deg(angle_deg: float) -> float:
@@ -169,24 +148,6 @@ def theta_squared(t: TriangleEdges) -> float:
     OverflowError when the area itself exceeds the float range.
     """
     return math.ldexp(t.unit_theta_sq, 2 * t.exponent)
-
-
-_EDGE_LABELS = ("a", "b", "c")
-
-
-def law_of_cosines_angle(t: TriangleEdges, which: str) -> float:
-    """Interior angle (degrees) opposite the named edge, from 2rs*cos = r^2+s^2-opp^2."""
-    if which not in _EDGE_LABELS:
-        raise ValueError(f"edge label must be one of {_EDGE_LABELS}, got {which!r}")
-    (a, b, c), (a2, b2, c2) = t.unit, t.unit_sq
-    opp2, r, s, r2, s2 = {
-        "a": (a2, b, c, b2, c2),
-        "b": (b2, c, a, c2, a2),
-        "c": (c2, a, b, a2, b2),
-    }[which]
-    cos_val = (r2 + s2 - opp2) / (2.0 * r * s)
-    cos_val = max(-1.0, min(1.0, cos_val))
-    return math.degrees(math.acos(cos_val))
 
 
 @dataclass(frozen=True)

@@ -232,23 +232,14 @@ def _scaled_back(exponent: int, x: float, y: float, value: float,
 # Circle-circle intersection kernel
 # =========================================================================
 
-def intersect_circles(c1: PlaneVector, r1: float, c2: PlaneVector, r2: float,
-                      eps: float | None = None) -> tuple[PlaneVector, ...]:
-    """Intersection points of two circles, ordered by x then y.
-
-    Returns an empty tuple for separated or nested circles, one point at
-    (near-)tangency, two points otherwise. ``eps`` is the absolute window
-    around tangency; it defaults to 1e-12 of the radius scale. This is
-    :func:`circle_intersections` on vectors.
-    """
-    return tuple(PlaneVector(x, y) for x, y in
-                 circle_intersections(c1.x, c1.y, r1, c2.x, c2.y, r2, eps))
-
-
 def circle_intersections(c1x: float, c1y: float, r1: float,
                          c2x: float, c2y: float, r2: float,
                          eps: float | None = None) -> tuple[tuple[float, float], ...]:
-    """:func:`intersect_circles` on coordinates: the points as (x, y) pairs.
+    """Intersection points of two circles, as (x, y) pairs ordered by x then y.
+
+    Returns an empty tuple for separated or nested circles, one point at
+    (near-)tangency, two points otherwise. ``eps`` is the absolute window
+    around tangency; it defaults to 1e-12 of the radius scale.
 
     The half-chord height is the altitude of the triangle with sides
     (d, r1, r2), evaluated as a factored product; the naive

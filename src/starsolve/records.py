@@ -24,6 +24,9 @@ MEASUREMENT_FIELDS = ("id", "u1", "u2", "u3", "psi1", "psi2")
 SOLUTION_FIELDS = ("u1p", "u2p", "u3p", "max_residual", "status", "diagnostics")
 # Every other field of an input row is metadata.
 _KNOWN_FIELDS = frozenset(MEASUREMENT_FIELDS + SOLUTION_FIELDS)
+# The JSON values a field takes. Any other in a known field is a parse
+# error: true would read as 1.0, an object or array be written as its repr.
+_JSON_SCALARS = frozenset((str, int, float, type(None)))
 
 STATUS_OK = "ok"
 STATUS_INFEASIBLE = "infeasible"
@@ -97,11 +100,20 @@ def iter_raw_rows(lines: Iterable[str], fmt: str) -> Iterator[tuple[int, dict]]:
     """Yield (line_no, mapping) per record, streaming."""
     if fmt == "csv":
         reader = csv.DictReader(lines)
-        for row in reader:
-            if row.get(None):
-                raise ParseError(reader.line_num,
-                                 f"more fields than header columns: {row[None]!r}")
-            yield reader.line_num, {k: v for k, v in row.items() if k is not None}
+        try:
+            seen: set[str] = set()
+            for name in reader.fieldnames or ():
+                if name in seen:
+                    raise ParseError(reader.line_num, f"header repeats column {name!r}")
+                seen.add(name)
+            for row in reader:
+                if row.get(None):
+                    raise ParseError(reader.line_num,
+                                     f"more fields than header columns: {row[None]!r}")
+                yield reader.line_num, {k: v for k, v in row.items() if k is not None}
+        except csv.Error as exc:
+            # The DictReader has not counted the line the csv reader failed on.
+            raise ParseError(reader.reader.line_num, f"malformed CSV: {exc}") from exc
     elif fmt == "jsonl":
         for line_no, line in enumerate(lines, start=1):
             if not line.strip():
@@ -110,8 +122,15 @@ def iter_raw_rows(lines: Iterable[str], fmt: str) -> Iterator[tuple[int, dict]]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(line_no, f"invalid JSON: {exc.msg}") from exc
+            except (ValueError, RecursionError) as exc:  # too many digits or too deep
+                raise ParseError(line_no, f"invalid JSON: {exc}") from exc
             if not isinstance(obj, dict):
                 raise ParseError(line_no, "each JSON line must be an object")
+            if not _JSON_SCALARS.issuperset(map(type, obj.values())):
+                for key in MEASUREMENT_FIELDS + SOLUTION_FIELDS:
+                    if isinstance(obj.get(key), (bool, dict, list)):
+                        raise ParseError(line_no, f"field {key!r} is not a number "
+                                                  f"or a string: {obj[key]!r}")
             yield line_no, obj
     else:
         raise ValueError(f"unknown format {fmt!r}")
@@ -123,7 +142,7 @@ def _required_float(row: dict, key: str, line_no: int) -> float:
         raise ParseError(line_no, f"missing required field {key!r}")
     try:
         result = float(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(line_no, f"field {key!r} is not a number: {value!r}") from exc
     if not math.isfinite(result):
         raise ParseError(line_no, f"field {key!r} is not finite: {value!r}")
@@ -202,6 +221,18 @@ def combined_row(m: MeasurementRecord, s: SolutionRecord) -> dict:
     return row
 
 
+class _LineFeedEnded:
+    """Passes the csv writer's CRLF-ended lines on ended by LF alone. The
+    writer quotes a field holding a bare CR only when CR is part of its line
+    terminator; left unquoted, that CR would end the row for every reader."""
+
+    def __init__(self, stream: TextIO):
+        self._stream = stream
+
+    def write(self, line: str) -> None:
+        self._stream.write(line[:-2] + "\n")
+
+
 class RowWriter:
     """Streaming writer; CSV header is fixed by the first row's keys."""
 
@@ -216,8 +247,8 @@ class RowWriter:
         if self._fmt == "csv":
             if self._csv_writer is None:
                 self._csv_writer = csv.DictWriter(
-                    self._stream, fieldnames=list(row.keys()),
-                    extrasaction="ignore", restval="", lineterminator="\n")
+                    _LineFeedEnded(self._stream), fieldnames=list(row.keys()),
+                    extrasaction="ignore", restval="", lineterminator="\r\n")
                 self._csv_writer.writeheader()
             self._csv_writer.writerow({k: self._csv_value(v) for k, v in row.items()})
         else:

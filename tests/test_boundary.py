@@ -1,0 +1,156 @@
+"""Property tests of the input boundary.
+
+Whatever text arrives on stdin, ``star-solve`` answers with an exit code:
+0 or 2 with nothing on stderr, or 1 with exactly one ``line N:`` message.
+No traceback escapes, and every row that ``solve`` marks ``ok`` passes
+``verify``. The text is generated: random and repeated headers, missing
+and extra fields, quoting, CRLF, a byte-order mark, blank lines, huge
+integers, ``nan``/``inf`` spellings, booleans and nested values.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import re
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
+
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from starsolve.cli import main, verify_record
+from starsolve.config import RESIDUAL_TOL
+from starsolve.records import read_pairs
+
+FIELDS = ("id", "u1", "u2", "u3", "psi1", "psi2")
+COLUMNS = st.sampled_from(FIELDS + ("site", "u1p", "status", ""))
+
+# Mostly well-formed rows, so that many solve; one value in eight is a fault.
+VOLTAGES = st.floats(min_value=100.0, max_value=400.0)
+ANGLES = st.floats(min_value=90.0, max_value=150.0)
+HUGE = st.integers(min_value=10**300, max_value=10**400).map(str)
+CSV_FAULTS = st.one_of(HUGE, st.text(max_size=6), st.sampled_from([
+    "", "nan", "NaN", "-nan", "inf", "-inf", "Infinity", "1e999", "-1", "0",
+    "1_000", " 7 ", "true", "{}", "[1, 2]", '"q"']))
+JSON_FAULTS = st.one_of(HUGE, st.text(max_size=6).map(json.dumps), st.sampled_from([
+    "NaN", "Infinity", "-Infinity", "1e999", "-1", "0", "true", "false", "null",
+    "[]", "[400]", '{"u1": 1}', '"400"', '"inf"', '""']))
+
+
+@st.composite
+def record(draw) -> dict[str, object]:
+    """A measurement as field values, psi present or absent together."""
+    row = {"id": draw(st.text(max_size=6)), "u1": draw(VOLTAGES), "u2": draw(VOLTAGES),
+           "u3": draw(VOLTAGES), "site": draw(st.text(max_size=3))}
+    if draw(st.booleans()):
+        row["psi1"], row["psi2"] = draw(ANGLES), draw(ANGLES)
+    return row
+
+
+def csv_field(value: str, quote: bool) -> str:
+    if quote or any(ch in value for ch in ',"\r\n'):
+        return '"' + value.replace('"', '""') + '"'
+    return value
+
+
+@st.composite
+def csv_text(draw) -> str:
+    if draw(st.integers(0, 4)):
+        header = list(draw(st.permutations(FIELDS + ("site",))))
+    else:
+        header = draw(st.lists(COLUMNS, min_size=1, max_size=8))
+    quote = draw(st.booleans())
+    lines = [",".join(csv_field(name, quote) for name in header)]
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("")
+            continue
+        row = draw(record())
+        values = [draw(CSV_FAULTS) if draw(st.integers(0, 7)) == 0 else
+                  row.get(name, "") for name in header]
+        if draw(st.integers(0, 9)) == 0:  # a field goes missing or one is extra
+            values = values[:-1] if draw(st.booleans()) else values + ["1"]
+        lines.append(",".join(csv_field(str(v), quote) for v in values))
+    return finish(draw, lines)
+
+
+@st.composite
+def jsonl_text(draw) -> str:
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["", "[1]", "{", "null"])))
+            continue
+        row = {key: json.dumps(value) for key, value in draw(record()).items()}
+        for key in draw(st.lists(st.sampled_from(FIELDS), max_size=2)):
+            row[key] = draw(JSON_FAULTS)
+        fields = (f"{json.dumps(key)}: {value}" for key, value in row.items())
+        lines.append("{" + ", ".join(fields) + "}")
+    return finish(draw, lines)
+
+
+def finish(draw, lines: list[str]) -> str:
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + "".join(line + end for line in lines)
+
+
+SETTINGS = settings(max_examples=60, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+PARSE_MESSAGE = re.compile(r"star-solve: line \d+: [^\n]*\n")
+
+
+def run(argv: list[str], text: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), \
+            redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_clean_exit(code: int, err: str) -> None:
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert PARSE_MESSAGE.fullmatch(err), err
+    else:
+        assert err == ""
+
+
+def assert_ok_rows_verify(solved: str) -> None:
+    """Every ok row passes each verify check, and verify reads the output."""
+    pairs = list(read_pairs(io.StringIO(solved), "jsonl" if solved.startswith("{")
+                            else "csv"))
+    for measurement, solution in pairs:
+        if solution.solved:
+            passed, detail = verify_record(measurement, solution, RESIDUAL_TOL)
+            assert passed, (measurement, solution, detail)
+    code, out, err = run(["verify", "-"], solved)
+    assert code in (0, 2) and err == ""
+    assert out.endswith(f"{len(pairs)} records, {out.count(': FAIL (')} failed\n")
+
+
+@SETTINGS
+@given(st.one_of(csv_text(), jsonl_text()))
+@example('{"u1": 1' + "0" * 400 + ', "u2": 1, "u3": 1}\n')  # beyond the float range
+@example('{"u1": ' + "1" * 5000 + "}\n")  # beyond the int parser's digit limit
+@example('{"u1": ' + "[" * 100_000 + "}\n")  # deeper than the JSON parser recurses
+@example("id,u1,u2,u3\nm,1," + "1" * 140_000 + ",1\n")  # over the CSV field limit
+def test_cli_answers_any_text_with_an_exit_code(text):
+    code, out, err = run(["solve", "-"], text)
+    assert_clean_exit(code, err)
+    if out:  # complete rows, also those written before a parse error
+        assert_ok_rows_verify(out)
+    assert_clean_exit(*run(["verify", "-"], text)[::2])
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+def test_synth_solve_verify_closes_for_any_seed(seed, symmetric):
+    code, synthesized, _ = run(["synth", "--count", "20", "--seed", str(seed)]
+                               + (["--symmetric"] if symmetric else []), "")
+    assert code == 0
+    code, solved, err = run(["solve", "-"], synthesized)
+    assert (code, err) == (0, "")
+    code, verified, err = run(["verify", "-"], solved)
+    assert (code, err) == (0, "")
+    assert verified.endswith("20 records, 0 failed\n")

@@ -183,6 +183,63 @@ def test_solve_command_parse_error_exit_1(monkeypatch, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_integer_beyond_float_range_is_parse_error(command, monkeypatch, capsys):
+    stdin = '{"id": "m", "u1": 1' + "0" * 400 + ', "u2": 1, "u3": 1}\n'
+    code, _, err = run_cli([command, "-"], monkeypatch, capsys, stdin_text=stdin)
+    assert code == 1
+    assert err.startswith("star-solve: line 1: field 'u1' is not a number")
+
+
+def test_csv_field_over_reader_limit_is_parse_error(monkeypatch, capsys):
+    stdin = "id,u1,u2,u3\nm,400,400,400\nn,400," + "4" * 140_000 + ",400\n"
+    code, out, err = run_cli(["solve", "-"], monkeypatch, capsys, stdin_text=stdin)
+    assert code == 1
+    assert out.count("\n") == 2  # the header and the first row
+    assert err.startswith("star-solve: line 3: malformed CSV")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("u1", "true"), ("psi1", "false"), ("u2", "[400]"), ("id", '{"a": 1}'),
+])
+def test_json_value_of_wrong_kind_is_parse_error(field, value, monkeypatch, capsys):
+    row = {"id": '"m"', "u1": "400", "u2": "400", "u3": "400", "psi1": "120",
+           "psi2": "120", field: value}
+    stdin = "{" + ", ".join(f'"{k}": {v}' for k, v in row.items()) + "}\n"
+    code, out, err = run_cli(["solve", "-"], monkeypatch, capsys, stdin_text=stdin)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"star-solve: line 1: field {field!r} is not a number or")
+
+
+def test_repeated_csv_header_is_parse_error(monkeypatch, capsys):
+    stdin = "id,u1,u2,u3,psi1,psi2,u1\nm,400,400,400,,,300\n"
+    code, out, err = run_cli(["solve", "-"], monkeypatch, capsys, stdin_text=stdin)
+    assert (code, out) == (1, "")
+    assert err == "star-solve: line 1: header repeats column 'u1'\n"
+
+
+@pytest.mark.parametrize("text", [
+    "id,u1,u2,u3,psi1,psi2\nm,400,400,400,,\n",
+    '{"id": "m", "u1": 400, "u2": 400, "u3": 400}\n',
+])
+def test_byte_order_mark_is_ignored(text, monkeypatch, capsys):
+    plain = run_cli(["solve", "-"], monkeypatch, capsys, stdin_text=text)
+    assert plain[0] == 0
+    assert run_cli(["solve", "-"], monkeypatch, capsys,
+                   stdin_text="\ufeff" + text) == plain
+    code, out, _ = run_cli(["verify", "-"], monkeypatch, capsys,
+                           stdin_text="\ufeff" + plain[1])
+    assert code == 0 and out.endswith("1 records, 0 failed\n")
+
+
+def test_carriage_return_in_a_field_is_quoted_on_output(monkeypatch, capsys):
+    stdin = 'id,u1,u2,u3\n"a\rb",400,400,400\n'
+    code, out, _ = run_cli(["solve", "-"], monkeypatch, capsys, stdin_text=stdin)
+    assert code == 0 and out.split("\n")[1].startswith('"a\rb",400,')
+    code, out, _ = run_cli(["verify", "-"], monkeypatch, capsys, stdin_text=out)
+    assert code == 0 and out.endswith("1 records, 0 failed\n")
+
+
 def test_solve_command_missing_file_exit_1(monkeypatch, capsys):
     code, _, err = run_cli(["solve", "/no/such/file.csv"], monkeypatch, capsys)
     assert code == 1

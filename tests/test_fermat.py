@@ -10,16 +10,11 @@ import pytest
 from conftest import E1_DISTANCES, E1_EDGES, planted_fermat_instance, rel_err
 from starsolve import (
     AngleAtLeast120,
-    DegenerateTriangle,
     PlaneVector,
     TriangleEdges,
-    angle_between,
     embed_triangle,
-    fermat_apexes,
     fermat_distances_closed_form,
-    fermat_line_solution,
     fermat_solve,
-    perp,
 )
 from starsolve.fermat import fermat_construction
 from starsolve.geometry import point_from_distances
@@ -50,72 +45,6 @@ def test_embed_preserves_lengths():
     assert b_vec.norm() == pytest.approx(t.b, rel=1e-14)
     assert (a_vec - b_vec).norm() == pytest.approx(t.c, rel=1e-14)
     assert b_vec.y > 0
-
-
-# -- apexes -------------------------------------------------------------------
-
-def test_apex_over_x_axis_edge():
-    p, _ = fermat_apexes(PlaneVector(1, 0), PlaneVector(0, 1))
-    assert p.x == pytest.approx(0.5, abs=1e-15)
-    assert p.y == pytest.approx(-SQRT3 / 2, abs=1e-15)
-
-
-def test_apex_over_second_edge():
-    _, q = fermat_apexes(PlaneVector(1, 0), PlaneVector(0, 1))
-    assert q.x == pytest.approx(-SQRT3 / 2, abs=1e-15)
-    assert q.y == pytest.approx(0.5, abs=1e-15)
-
-
-def test_apexes_form_equilateral_triangles():
-    a_vec, b_vec = embed_triangle(TriangleEdges(1, 1, 1))
-    p, q = fermat_apexes(a_vec, b_vec)
-    for apex, base in ((p, a_vec), (q, b_vec)):
-        assert apex.norm() == pytest.approx(base.norm(), rel=1e-14)
-        assert apex.distance_to(base) == pytest.approx(base.norm(), rel=1e-14)
-    # Outward: each apex sits across its base line from the third vertex.
-    assert p.y < 0 < b_vec.y
-    assert b_vec.cross(q) > 0 > b_vec.cross(a_vec)
-
-
-def test_apexes_reject_collinear():
-    with pytest.raises(DegenerateTriangle):
-        fermat_apexes(PlaneVector(1, 0), PlaneVector(2, 0))
-
-
-# -- line intersection --------------------------------------------------------
-
-def test_line_solution_equilateral_is_centroid():
-    a_vec, b_vec = embed_triangle(TriangleEdges(1, 1, 1))
-    inter = fermat_line_solution(a_vec, b_vec, *fermat_apexes(a_vec, b_vec))
-    assert inter.tau0 == pytest.approx(inter.sigma0, rel=1e-14)
-    centroid = (1.0 / 3.0) * (a_vec + b_vec)
-    assert inter.m.distance_to(centroid) < 1e-15
-
-
-def test_line_solution_345_lines_agree():
-    t = TriangleEdges(3, 4, 5)
-    a_vec, b_vec = embed_triangle(t)
-    p, q = fermat_apexes(a_vec, b_vec)
-    inter = fermat_line_solution(a_vec, b_vec, p, q)
-    on_ap = b_vec + inter.tau0 * (p - b_vec)
-    on_bq = a_vec + inter.sigma0 * (q - a_vec)
-    assert on_ap.distance_to(on_bq) < 1e-9 * t.perimeter()
-
-
-def test_line_solution_forward_synthesis_norm():
-    a_vec, b_vec = embed_triangle(E1_EDGES)
-    inter = fermat_line_solution(a_vec, b_vec, *fermat_apexes(a_vec, b_vec))
-    assert inter.m.norm() == pytest.approx(5.0, rel=1e-12)
-
-
-def test_line_solution_invariants():
-    rng = Random(314)
-    for _ in range(200):
-        t, _ = planted_fermat_instance(rng)
-        a_vec, b_vec = embed_triangle(t)
-        inter = fermat_line_solution(a_vec, b_vec, *fermat_apexes(a_vec, b_vec))
-        assert 0.0 < inter.tau0 < 1.0
-        assert 0.0 < inter.sigma0 < 1.0
 
 
 # -- closed form --------------------------------------------------------------
@@ -177,7 +106,8 @@ def test_rays_meet_at_120_degrees():
         to_b = a_vec - s.point
         to_c = PlaneVector(0.0, 0.0) - s.point
         for u, v in ((to_a, to_c), (to_c, to_b), (to_b, to_a)):
-            assert angle_between(u, v) == pytest.approx(120.0, abs=1e-7)
+            turn = math.degrees(math.atan2(u.cross(v), u.dot(v))) % 360.0
+            assert turn == pytest.approx(120.0, abs=1e-7)
 
 
 def test_minimality_against_sampled_points():
@@ -207,7 +137,9 @@ def test_point_collinear_with_third_apex():
     for _ in range(100):
         t, _ = planted_fermat_instance(rng)
         a_vec, b_vec = embed_triangle(t)
-        r = 0.5 * (a_vec + b_vec + SQRT3 * (perp(a_vec) - perp(b_vec)))
+        # (-y, x) turns (x, y) by +90 deg; this is turn(a_vec) - turn(b_vec).
+        turned = PlaneVector(b_vec.y - a_vec.y, a_vec.x - b_vec.x)
+        r = 0.5 * (a_vec + b_vec + SQRT3 * turned)
         m = fermat_solve(t).point
         assert abs(m.cross(r)) <= 1e-10 * m.norm() * r.norm()
 
@@ -239,7 +171,7 @@ def test_construction_matches_closed_form_batch():
     for _ in range(1000):
         t, expected = planted_fermat_instance(rng)
         closed = fermat_distances_closed_form(t).distances()
-        constructed = fermat_construction(t)[0].distances()
+        constructed = fermat_construction(t).distances()
         for x, y in zip(closed, constructed):
             if rel_err(x, y, floor=1e-12 * t.perimeter()) > 1e-8:
                 mismatches += 1

@@ -20,16 +20,24 @@ from starsolve import (
     PhaseAngles,
     PlaneVector,
     TriangleEdges,
-    circumcircle_data,
     embed_triangle,
     fermat_distances_closed_form,
     general_distances_closed_form,
     general_solve_by_circles,
-    star_point_coefficients,
     validate_angles,
 )
+from starsolve.general import _chord_circles
 
 ALL_120 = PhaseAngles(120.0, 120.0, 120.0)
+
+
+def chord_circles(t: TriangleEdges, cot_a: float, cot_b: float):
+    """Centers and radii of the inscribed-angle circles over edges a and b
+    of ``t``, embedded at its own scale."""
+    a_vec, b_vec = embed_triangle(t)
+    crx, cry, csx, csy, rho_a, rho_b = _chord_circles(a_vec.x, a_vec.y, b_vec.x,
+                                                      b_vec.y, cot_a, cot_b)
+    return PlaneVector(crx, cry), PlaneVector(csx, csy), rho_a, rho_b
 
 
 # -- validate_angles ----------------------------------------------------------
@@ -54,21 +62,19 @@ def test_validate_angles_rejects_out_of_range():
     assert info.value.name == "psi_c"
 
 
-# -- circumcircle data --------------------------------------------------------
+# -- inscribed-angle circles --------------------------------------------------
 
 def test_right_angle_gives_thales_circle():
-    a_vec, b_vec = embed_triangle(TriangleEdges(1, 1, 1))
-    data = circumcircle_data(a_vec, b_vec, *PhaseAngles(90, 150, 120).cot[:2])
-    assert data.center_r.distance_to(0.5 * a_vec) < 1e-15
-    assert data.rho_a == pytest.approx(0.5, rel=1e-15)
-    assert data.h_r == 0.0
+    t = TriangleEdges(1, 1, 1)
+    center_r, _, rho_a, _ = chord_circles(t, *PhaseAngles(90, 150, 120).cot[:2])
+    assert center_r.distance_to(0.5 * embed_triangle(t)[0]) < 1e-15
+    assert rho_a == pytest.approx(0.5, rel=1e-15)
 
 
 def test_120_deg_circle_radius():
-    a_vec, b_vec = embed_triangle(TriangleEdges(1, 1, 1))
-    data = circumcircle_data(a_vec, b_vec, *ALL_120.cot[:2])
-    assert data.rho_a == pytest.approx(1 / math.sqrt(3), rel=1e-14)
-    assert data.rho_b == pytest.approx(1 / math.sqrt(3), rel=1e-14)
+    _, _, rho_a, rho_b = chord_circles(TriangleEdges(1, 1, 1), *ALL_120.cot[:2])
+    assert rho_a == pytest.approx(1 / math.sqrt(3), rel=1e-14)
+    assert rho_b == pytest.approx(1 / math.sqrt(3), rel=1e-14)
 
 
 def test_circle_centers_equidistant_from_chord_ends():
@@ -76,62 +82,22 @@ def test_circle_centers_equidistant_from_chord_ends():
     for _ in range(100):
         spec, t, _ = planted_general_instance(rng)
         a_vec, b_vec = embed_triangle(t)
-        data = circumcircle_data(a_vec, b_vec, *spec.angles.cot[:2])
+        center_r, center_s, rho_a, rho_b = chord_circles(t, *spec.angles.cot[:2])
         origin = PlaneVector(0.0, 0.0)
-        assert rel_err(data.center_r.distance_to(origin), data.rho_a) < 1e-12
-        assert rel_err(data.center_r.distance_to(a_vec), data.rho_a) < 1e-12
-        assert rel_err(data.center_s.distance_to(origin), data.rho_b) < 1e-12
-        assert rel_err(data.center_s.distance_to(b_vec), data.rho_b) < 1e-12
+        assert rel_err(center_r.distance_to(origin), rho_a) < 1e-12
+        assert rel_err(center_r.distance_to(a_vec), rho_a) < 1e-12
+        assert rel_err(center_s.distance_to(origin), rho_b) < 1e-12
+        assert rel_err(center_s.distance_to(b_vec), rho_b) < 1e-12
 
 
 def test_circles_pass_through_solution_point():
     equilateral = TriangleEdges(1, 1, 1)
     for t in (equilateral, planted_fermat_instance(Random(61))[0]):
-        a_vec, b_vec = embed_triangle(t)
-        data = circumcircle_data(a_vec, b_vec, *ALL_120.cot[:2])
+        center_r, center_s, rho_a, rho_b = chord_circles(t, *ALL_120.cot[:2])
         x = fermat_distances_closed_form(t).point
         eps = 1e-9 * t.perimeter()
-        assert abs(x.distance_to(data.center_r) - data.rho_a) < eps
-        assert abs(x.distance_to(data.center_s) - data.rho_b) < eps
-
-
-# -- coefficients -------------------------------------------------------------
-
-def test_coefficients_equilateral_give_centroid():
-    t = TriangleEdges(1, 1, 1)
-    coeff = star_point_coefficients(t, ALL_120)
-    assert coeff.alpha == pytest.approx(2.0 / 3.0, rel=1e-12)
-    assert coeff.beta == pytest.approx(2.0 / 3.0, rel=1e-12)
-    a_vec, b_vec = embed_triangle(t)
-    x = 0.5 * coeff.alpha * a_vec + 0.5 * coeff.beta * b_vec
-    centroid = (1.0 / 3.0) * (a_vec + b_vec)
-    assert x.distance_to(centroid) < 1e-15
-
-
-def test_coefficients_isosceles_symmetry():
-    coeff = star_point_coefficients(TriangleEdges(2, 2, 1.5), PhaseAngles(130, 130, 100))
-    assert coeff.t == pytest.approx(1.0, rel=1e-14)
-    assert coeff.t_star == pytest.approx(1.0, rel=1e-14)
-    assert coeff.alpha == pytest.approx(coeff.beta, rel=1e-13)
-
-
-def test_coefficient_invariants():
-    rng = Random(62)
-    for _ in range(200):
-        spec, t, _ = planted_general_instance(rng)
-        coeff = star_point_coefficients(t, spec.angles)
-        assert rel_err(coeff.t * coeff.t_star, 1.0) < 1e-12
-        assert rel_err(coeff.beta, coeff.t * coeff.alpha) < 1e-10
-
-
-def test_coefficients_locate_planted_point():
-    rng = Random(63)
-    for _ in range(100):
-        spec, t, expected = planted_general_instance(rng)
-        coeff = star_point_coefficients(t, spec.angles)
-        a_vec, b_vec = embed_triangle(t)
-        x = 0.5 * coeff.alpha * a_vec + 0.5 * coeff.beta * b_vec
-        assert x.distance_to(expected.point) < 1e-9 * t.perimeter()
+        assert abs(x.distance_to(center_r) - rho_a) < eps
+        assert abs(x.distance_to(center_s) - rho_b) < eps
 
 
 # -- closed form --------------------------------------------------------------
@@ -273,8 +239,7 @@ def test_recovered_point_on_both_circles():
     for _ in range(100):
         spec, t, _ = planted_general_instance(rng)
         s = general_solve_by_circles(t, spec.angles)
-        a_vec, b_vec = embed_triangle(t)
-        data = circumcircle_data(a_vec, b_vec, *spec.angles.cot[:2])
+        center_r, center_s, rho_a, rho_b = chord_circles(t, *spec.angles.cot[:2])
         eps = 1e-9 * t.perimeter()
-        assert abs(s.point.distance_to(data.center_r) - data.rho_a) < eps
-        assert abs(s.point.distance_to(data.center_s) - data.rho_b) < eps
+        assert abs(s.point.distance_to(center_r) - rho_a) < eps
+        assert abs(s.point.distance_to(center_s) - rho_b) < eps

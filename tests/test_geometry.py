@@ -1,4 +1,4 @@
-"""Plane-vector and triangle primitive tests."""
+"""Triangle primitive tests."""
 
 from __future__ import annotations
 
@@ -13,88 +13,9 @@ from starsolve import (
     AngleOutOfRange,
     NotATriangle,
     PhaseAngles,
-    PlaneVector,
     TriangleEdges,
-    ZeroVector,
-    angle_between,
-    law_of_cosines_angle,
-    perp,
     theta_squared,
 )
-
-finite_coord = st.floats(min_value=-1e6, max_value=1e6,
-                         allow_nan=False, allow_infinity=False)
-
-
-# -- perp ---------------------------------------------------------------------
-
-def test_perp_axis():
-    assert perp(PlaneVector(1, 0)) == PlaneVector(0, 1)
-
-
-def test_perp_zero_fixed_point():
-    assert perp(PlaneVector(0.0, 0.0)) == PlaneVector(0.0, -0.0)
-
-
-def test_perp_pythagorean_triple():
-    v = perp(PlaneVector(3, 4))
-    assert (v.x, v.y) == (-4, 3)
-    assert v.norm() == 5.0
-
-
-@given(finite_coord, finite_coord)
-def test_perp_properties(x, y):
-    v = PlaneVector(x, y)
-    p = perp(v)
-    assert p.norm() == v.norm()
-    assert v.dot(p) == 0.0
-    if v.norm() > 1e-150:  # below this, x*x + y*y underflows
-        assert v.cross(p) > 0.0
-
-
-# -- angle_between ------------------------------------------------------------
-
-@pytest.mark.parametrize("u, v, expected", [
-    (PlaneVector(1, 0), PlaneVector(0, 1), 90.0),
-    (PlaneVector(1, 0), PlaneVector(0, -1), 270.0),
-    (PlaneVector(1, 0), PlaneVector(1, 1), 45.0),
-])
-def test_angle_between_examples(u, v, expected):
-    assert angle_between(u, v) == pytest.approx(expected, abs=1e-12)
-
-
-def test_angle_between_zero_vector():
-    with pytest.raises(ZeroVector):
-        angle_between(PlaneVector(0, 0), PlaneVector(1, 0))
-    with pytest.raises(ZeroVector):
-        angle_between(PlaneVector(1, 0), PlaneVector(0, 0))
-
-
-def test_angle_between_matches_dot_and_cross():
-    rng = Random(2024)
-    for _ in range(200):
-        u = PlaneVector(rng.uniform(-5, 5), rng.uniform(-5, 5))
-        v = PlaneVector(rng.uniform(-5, 5), rng.uniform(-5, 5))
-        if u.norm() < 1e-3 or v.norm() < 1e-3:
-            continue
-        phi = math.radians(angle_between(u, v))
-        scale = u.norm() * v.norm()
-        assert u.dot(v) == pytest.approx(scale * math.cos(phi), abs=1e-9 * scale)
-        assert perp(u).dot(v) == pytest.approx(scale * math.sin(phi), abs=1e-9 * scale)
-
-
-def test_angle_between_orientation_sum():
-    rng = Random(99)
-    for _ in range(200):
-        u = PlaneVector(rng.uniform(-5, 5), rng.uniform(-5, 5))
-        v = PlaneVector(rng.uniform(-5, 5), rng.uniform(-5, 5))
-        if u.norm() < 1e-3 or v.norm() < 1e-3:
-            continue
-        if abs(u.cross(v)) < 1e-6 * u.norm() * v.norm():
-            continue  # collinear pairs wrap to 0 instead of 360
-        total = angle_between(u, v) + angle_between(v, u)
-        assert total == pytest.approx(360.0, abs=1e-9)
-
 
 # -- theta_squared ------------------------------------------------------------
 
@@ -175,38 +96,6 @@ def test_theta_needle_accuracy():
         hyp = math.sqrt(1.0 + h * h)
         value = theta_squared(TriangleEdges(1.0, h, hyp))
         assert rel_err(value, 2.0 * h) < 1e-10
-
-
-# -- law_of_cosines_angle -----------------------------------------------------
-
-def test_angle_equilateral():
-    assert law_of_cosines_angle(TriangleEdges(1, 1, 1), "c") == pytest.approx(60.0, abs=1e-12)
-
-
-def test_angle_right_triangle():
-    assert law_of_cosines_angle(TriangleEdges(3, 4, 5), "c") == pytest.approx(90.0, abs=1e-12)
-
-
-def test_angle_from_forward_synthesis():
-    t = TriangleEdges(math.sqrt(61), 7, math.sqrt(37))
-    expected = math.degrees(math.acos((49 + 37 - 61) / (2 * 7 * math.sqrt(37))))
-    assert law_of_cosines_angle(t, "a") == pytest.approx(expected, abs=1e-12)
-
-
-def test_angle_bad_label():
-    with pytest.raises(ValueError):
-        law_of_cosines_angle(TriangleEdges(1, 1, 1), "d")
-
-
-def test_angles_sum_to_180():
-    rng = Random(5)
-    for _ in range(300):
-        a = rng.uniform(0.5, 5)
-        b = rng.uniform(0.5, 5)
-        c = rng.uniform(abs(a - b) + 0.05, a + b - 0.05)
-        t = TriangleEdges(a, b, c)
-        total = sum(law_of_cosines_angle(t, edge) for edge in "abc")
-        assert total == pytest.approx(180.0, abs=1e-9)
 
 
 # -- PhaseAngles --------------------------------------------------------------

@@ -3,7 +3,8 @@
 Order, lowest first: geometry <- oracle <- general <- fermat <- circuit <- cli.
 The oracle stays independent of the solvers it checks. ``errors``, ``config``
 and ``records`` are leaves: any module may import them and they import no
-sibling. The package ``__init__`` sits on top and re-exports.
+sibling. The package ``__init__`` sits on top and re-exports. No module
+imports a name it never uses.
 """
 
 from __future__ import annotations
@@ -68,3 +69,31 @@ def test_imports_point_down(module):
 
 def test_oracle_imports_no_solver():
     assert not package_imports(PACKAGE / "oracle.py") & {"general", "fermat"}
+
+
+def unused_imports(path: Path) -> set[str]:
+    """Names a module imports and never mentions again.
+
+    A name counts as used when it is read anywhere, or when a string
+    constant equals it: a quoted annotation or an ``__all__`` entry.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported: set[str] = set()
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name).split(".")[0]
+                            for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.add(node.value)
+    return imported - used
+
+
+@pytest.mark.parametrize("module", LAYERS + LEAVES + ("__init__",))
+def test_no_unused_imports(module):
+    unused = unused_imports(PACKAGE / f"{module}.py")
+    assert not unused, f"{module} imports {sorted(unused)} and never uses them"

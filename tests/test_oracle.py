@@ -24,17 +24,16 @@ from starsolve import (
     PlaneVector,
     SynthesisSpec,
     TriangleEdges,
-    circumcircle_data,
     embed_triangle,
     fermat_solve,
-    intersect_circles,
     minimize_distance_sum,
     phasor_difference,
     sample_waveform_amplitude,
     synthesize_triangle,
     theta_squared,
 )
-from starsolve.oracle import random_synthesis_spec
+from starsolve.general import _chord_circles
+from starsolve.oracle import circle_intersections, random_synthesis_spec
 
 ALL_120 = PhaseAngles(120.0, 120.0, 120.0)
 
@@ -174,58 +173,66 @@ def test_minimize_symmetric_planted_property(a_p, b_p, c_p):
     assert result.value >= total * (1.0 - 1e-12)
 
 
-# -- intersect_circles --------------------------------------------------------
+# -- circle_intersections -----------------------------------------------------
 
 def test_tangent_circles_single_point():
-    points = intersect_circles(PlaneVector(0, 0), 1.0, PlaneVector(2, 0), 1.0)
+    points = circle_intersections(0.0, 0.0, 1.0, 2.0, 0.0, 1.0)
     assert len(points) == 1
-    assert points[0].distance_to(PlaneVector(1, 0)) < 1e-12
+    assert math.dist(points[0], (1.0, 0.0)) < 1e-12
 
 
 def test_unit_circles_classic_intersection():
-    points = intersect_circles(PlaneVector(0, 0), 1.0, PlaneVector(1, 0), 1.0)
+    points = circle_intersections(0.0, 0.0, 1.0, 1.0, 0.0, 1.0)
     assert len(points) == 2
     lower, upper = points
-    assert lower.distance_to(PlaneVector(0.5, -math.sqrt(3) / 2)) < 1e-12
-    assert upper.distance_to(PlaneVector(0.5, math.sqrt(3) / 2)) < 1e-12
+    assert math.dist(lower, (0.5, -math.sqrt(3) / 2)) < 1e-12
+    assert math.dist(upper, (0.5, math.sqrt(3) / 2)) < 1e-12
 
 
 def test_separated_and_nested_circles():
-    assert intersect_circles(PlaneVector(0, 0), 1.0, PlaneVector(5, 0), 1.0) == ()
-    assert intersect_circles(PlaneVector(0, 0), 3.0, PlaneVector(0.5, 0), 1.0) == ()
+    assert circle_intersections(0.0, 0.0, 1.0, 5.0, 0.0, 1.0) == ()
+    assert circle_intersections(0.0, 0.0, 3.0, 0.5, 0.0, 1.0) == ()
 
 
 def test_concentric_circles_rejected():
     with pytest.raises(ConcentricCircles):
-        intersect_circles(PlaneVector(1, 1), 1.0, PlaneVector(1, 1), 2.0)
+        circle_intersections(1.0, 1.0, 1.0, 1.0, 1.0, 2.0)
 
 
 def test_bad_radius_rejected():
     with pytest.raises(ValueError):
-        intersect_circles(PlaneVector(0, 0), 0.0, PlaneVector(1, 0), 1.0)
+        circle_intersections(0.0, 0.0, 0.0, 1.0, 0.0, 1.0)
 
 
 def test_points_satisfy_both_circle_equations():
     rng = Random(92)
     for _ in range(200):
-        c1 = PlaneVector(rng.uniform(-5, 5), rng.uniform(-5, 5))
-        c2 = PlaneVector(rng.uniform(-5, 5), rng.uniform(-5, 5))
+        c1 = (rng.uniform(-5, 5), rng.uniform(-5, 5))
+        c2 = (rng.uniform(-5, 5), rng.uniform(-5, 5))
         r1 = rng.uniform(0.1, 6.0)
         r2 = rng.uniform(0.1, 6.0)
-        if c1.distance_to(c2) < 1e-6:
+        if math.dist(c1, c2) < 1e-6:
             continue
-        for pt in intersect_circles(c1, r1, c2, r2):
-            assert abs(pt.distance_to(c1) - r1) < 1e-9 * (r1 + r2)
-            assert abs(pt.distance_to(c2) - r2) < 1e-9 * (r1 + r2)
+        for pt in circle_intersections(*c1, r1, *c2, r2):
+            assert abs(math.dist(pt, c1) - r1) < 1e-9 * (r1 + r2)
+            assert abs(math.dist(pt, c2) - r2) < 1e-9 * (r1 + r2)
+
+
+def _inscribed_angle_circles(t: TriangleEdges, angles: PhaseAngles):
+    """The solver's two circles over edges a and b of ``t``, at its scale,
+    in the original labels, as (center x, y, radius) twice."""
+    a_vec, b_vec = embed_triangle(t)
+    crx, cry, csx, csy, rho_a, rho_b = _chord_circles(a_vec.x, a_vec.y, b_vec.x,
+                                                      b_vec.y, *angles.cot[:2])
+    return crx, cry, rho_a, csx, csy, rho_b
 
 
 def test_e4_circumcircles_intersect_at_planted_point():
-    a_vec, b_vec = embed_triangle(E4_EDGES)
-    data = circumcircle_data(a_vec, b_vec, *E4_ANGLES.cot[:2])
-    points = intersect_circles(data.center_r, data.rho_a, data.center_s, data.rho_b)
+    points = circle_intersections(*_inscribed_angle_circles(E4_EDGES, E4_ANGLES))
     assert len(points) == 2
     planted = synthesize_triangle(SynthesisSpec((3.0, 4.0, 5.0), E4_ANGLES))[1].point
-    assert min(p.distance_to(planted) for p in points) < 1e-9 * E4_EDGES.perimeter()
+    assert min(PlaneVector(*p).distance_to(planted) for p in points) \
+        < 1e-9 * E4_EDGES.perimeter()
 
 
 # -- waveform sampling --------------------------------------------------------
@@ -274,11 +281,9 @@ def test_planted_instances_recovered_by_oracle_routes():
         a_vec, b_vec = embed_triangle(t)
         # Canonical labels may differ inside the solver; here we drive the
         # kernel directly in the original labels.
-        data = circumcircle_data(a_vec, b_vec, *spec.angles.cot[:2])
-        points = intersect_circles(data.center_r, data.rho_a,
-                                   data.center_s, data.rho_b)
+        points = circle_intersections(*_inscribed_angle_circles(t, spec.angles))
         assert points
-        x = max(points, key=lambda p: p.norm_sq())
+        x = PlaneVector(*max(points, key=lambda p: math.hypot(*p)))
         planted = expected.distances()
         floor = 1e-12 * t.perimeter()
         assert rel_err(x.distance_to(b_vec), planted[0], floor=floor) < 1e-8
