@@ -47,6 +47,55 @@ def test_embed_preserves_lengths():
     assert b_vec.y > 0
 
 
+# -- cevian intersection ------------------------------------------------------
+
+def _cevian_params(t, point):
+    """Parameters of ``point`` along the cevians A->P and B->Q, where P and
+    Q are the apexes of the outward equilateral triangles on CB and CA,
+    together with the point's distances from the two lines."""
+    a_vec, b_vec = embed_triangle(t)
+    p = PlaneVector(0.5 * a_vec.x, -(SQRT3 / 2.0) * a_vec.x)
+    q = PlaneVector(0.5 * b_vec.x - (SQRT3 / 2.0) * b_vec.y,
+                    (SQRT3 / 2.0) * b_vec.x + 0.5 * b_vec.y)
+    out = []
+    for start, apex in ((b_vec, p), (a_vec, q)):
+        d, m = apex - start, point - start
+        out.append((m.dot(d) / d.dot(d), abs(d.cross(m)) / d.norm()))
+    return out
+
+
+def test_line_solution_equilateral_is_centroid():
+    t = TriangleEdges(1, 1, 1)
+    s = fermat_construction(t)
+    (tau0, _), (sigma0, _) = _cevian_params(t, s.point)
+    assert tau0 == pytest.approx(sigma0, rel=1e-14)
+    a_vec, b_vec = embed_triangle(t)
+    centroid = (1.0 / 3.0) * (a_vec + b_vec)
+    assert s.point.distance_to(centroid) < 1e-15
+
+
+def test_line_solution_345_lines_agree():
+    t = TriangleEdges(3, 4, 5)
+    s = fermat_construction(t)
+    for _, off_line in _cevian_params(t, s.point):
+        assert off_line < 1e-9 * t.perimeter()
+
+
+def test_line_solution_forward_synthesis_norm():
+    s = fermat_construction(E1_EDGES)
+    assert s.point.norm() == pytest.approx(5.0, rel=1e-12)
+
+
+def test_line_solution_invariants():
+    rng = Random(314)
+    for _ in range(200):
+        t, _ = planted_fermat_instance(rng)
+        s = fermat_construction(t)
+        for param, off_line in _cevian_params(t, s.point):
+            assert 0.0 < param < 1.0
+            assert off_line < 1e-9 * t.perimeter()
+
+
 # -- closed form --------------------------------------------------------------
 
 def test_closed_form_equilateral():
