@@ -25,7 +25,6 @@ from .circuit import (
     verify_solution,
 )
 from .errors import (
-    AmbiguousIntersection,
     AngleAtLeast120,
     AngleOutOfRange,
     ConcentricCircles,
@@ -66,7 +65,6 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguousIntersection",
     "AngleAtLeast120",
     "AngleOutOfRange",
     "ConcentricCircles",

@@ -101,16 +101,26 @@ class LineVoltages:
         return (self.u1p, self.u2p, self.u3p)
 
 
-def _diagnose(u: PhaseToPhaseVoltages, solution: StarSolution) -> tuple[str, ...]:
-    notes = []
+def _star_solution(u: PhaseToPhaseVoltages, angles: PhaseAngles) -> StarSolution:
+    """At 120 deg each the gated 120-deg solver, else the general kernel."""
+    if angles == ALL_120:
+        return fermat_distances_closed_form(u.to_edges())
+    return general_distances_closed_form(u.to_edges(), angles)
+
+
+def _line_voltages(u: PhaseToPhaseVoltages, angles: PhaseAngles) -> LineVoltages:
+    """The kernel's distances as line voltages, noting each that is zero."""
+    solution = _star_solution(u, angles)
     t = u.to_edges()
     # 1e-9 of the perimeter, which itself may exceed the float range.
     floor = math.ldexp(1e-9 * sum(t.unit), t.exponent)
+    notes = []
     for name, value in zip(("u1p", "u2p", "u3p"), solution.distances()):
         if value < floor:
             notes.append(f"{name} is zero within tolerance: "
                          "the load star point sits on a phase terminal")
-    return tuple(notes)
+    return LineVoltages(*solution.distances(), diagnostics=tuple(notes),
+                        residuals=solution.residuals)
 
 
 def solve_symmetric_star(u: PhaseToPhaseVoltages) -> LineVoltages:
@@ -122,9 +132,7 @@ def solve_symmetric_star(u: PhaseToPhaseVoltages) -> LineVoltages:
     Theta^2) / sqrt(U1^2+U2^2+U3^2 + sqrt3*Theta^2), cyclically, where
     Theta^2 is the Heron radical of the voltage triangle.
     """
-    solution = fermat_distances_closed_form(u.to_edges())
-    return LineVoltages(*solution.distances(), diagnostics=_diagnose(u, solution),
-                        residuals=solution.residuals)
+    return _line_voltages(u, ALL_120)
 
 
 def solve_general_star(u: PhaseToPhaseVoltages, psi1: float, psi2: float) -> LineVoltages:
@@ -132,12 +140,9 @@ def solve_general_star(u: PhaseToPhaseVoltages, psi1: float, psi2: float) -> Lin
 
     ``psi1`` and ``psi2`` are the phase differences of the line voltages
     (degrees); the third is 360 - psi1 - psi2. With both at 120 deg this
-    coincides with :func:`solve_symmetric_star`.
+    is :func:`solve_symmetric_star`, wide-angle gate included.
     """
-    angles = validate_angles(psi1, psi2)
-    solution = general_distances_closed_form(u.to_edges(), angles)
-    return LineVoltages(*solution.distances(), diagnostics=_diagnose(u, solution),
-                        residuals=solution.residuals)
+    return _line_voltages(u, validate_angles(psi1, psi2))
 
 
 def line_voltage_phasors(u: PhaseToPhaseVoltages, psi1: float = 120.0,
@@ -149,11 +154,7 @@ def line_voltage_phasors(u: PhaseToPhaseVoltages, psi1: float = 120.0,
     toward each phase terminal) because only phase differences are
     physical.
     """
-    angles = validate_angles(psi1, psi2)
-    if angles == ALL_120:
-        solution = fermat_distances_closed_form(u.to_edges())
-    else:
-        solution = general_distances_closed_form(u.to_edges(), angles)
+    solution = _star_solution(u, validate_angles(psi1, psi2))
     a_vec, b_vec = embed_triangle(u.to_edges())
     x = solution.point
     result = []

@@ -15,13 +15,14 @@ parse error, 2 at least one record failed.
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import os
 import sys
 import traceback
 from itertools import chain
 from random import Random
-from typing import Iterator, TextIO
+from typing import Callable, Iterator, TextIO
 
 from .circuit import (
     ALL_120,
@@ -156,10 +157,10 @@ def verify_record(m: MeasurementRecord, s: SolutionRecord | None,
         for name, given, recomputed in zip(("u1p", "u2p", "u3p"),
                                            lv.as_tuple(), circle.distances()):
             if abs(given - recomputed) > max(tolerance * max(given, recomputed), floor):
-                return False, (f"{name}={given:.6g} disagrees with circle-path "
-                               f"value {recomputed:.6g}")
+                return False, (f"{name}={given!r} disagrees with circle-path "
+                               f"value {recomputed!r}")
 
-        if not m.has_angles:
+        if angles == ALL_120:
             # Both sums over 2**k, k the edges' exponent: the sum itself may
             # exceed the float range, and dividing by 2**k changes no bit.
             k = edges.exponent
@@ -181,21 +182,47 @@ def verify_record(m: MeasurementRecord, s: SolutionRecord | None,
 # Stream plumbing
 # =========================================================================
 
-def _open_input(path: str) -> tuple[TextIO, bool]:
-    if path == "-":
-        return sys.stdin, False
-    return open(path, "r", newline=""), True
+def _open_input(path: str) -> tuple[TextIO, Callable[[], object]]:
+    """The input as UTF-8 text whatever the locale, lines split as the csv
+    module expects, and what releases it: standard input is wrapped, not
+    closed. A byte that is not UTF-8 decodes to a lone surrogate."""
+    if path != "-":
+        stream = open(path, encoding="utf-8", errors="surrogateescape", newline="")
+        return stream, stream.close
+    buffer = getattr(sys.stdin, "buffer", None)
+    if buffer is None:
+        return sys.stdin, lambda: None
+    stream = io.TextIOWrapper(buffer, encoding="utf-8", errors="surrogateescape",
+                              newline="")
+    return stream, stream.detach
 
 
-def _sniff(path: str, lines: Iterator[str]) -> tuple[Iterator[str], str] | None:
-    """The lines, a leading byte-order mark removed, and their format; None
-    for an empty stream."""
+def _sniff(path: str, lines: Iterator[str]) -> tuple[Iterator[str], str]:
+    """The lines, a leading byte-order mark removed, and their format."""
     first = next(lines, None)
     if first is None:
-        return None
+        return iter(()), "csv"
     first = first.removeprefix("\ufeff")
-    fmt = format_for_path(path) if path != "-" else None
-    return chain([first], lines), fmt or detect_format(first)
+    return chain([first], lines), format_for_path(path) or detect_format(first)
+
+
+def _run(path: str, tolerance: float | None,
+         body: Callable[[Iterator[str], str, float], int]) -> int:
+    """``body(lines, fmt, tolerance)`` over the input at ``path``; a bad
+    tolerance, an unopenable input or a parse error is a usage error."""
+    try:
+        tolerance = residual_tolerance(tolerance)
+        stream, release = _open_input(path)
+    except (ValueError, OSError) as exc:
+        print(f"star-solve: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        return body(*_sniff(path, iter(stream)), tolerance)
+    except ParseError as exc:
+        print(f"star-solve: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    finally:
+        release()
 
 
 # =========================================================================
@@ -203,21 +230,7 @@ def _sniff(path: str, lines: Iterator[str]) -> tuple[Iterator[str], str] | None:
 # =========================================================================
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    try:
-        tolerance = residual_tolerance(args.tolerance)
-    except ValueError as exc:
-        print(f"star-solve: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        stream, owned = _open_input(args.path)
-    except OSError as exc:
-        print(f"star-solve: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        sniffed = _sniff(args.path, iter(stream))
-        if sniffed is None:
-            return EXIT_OK
-        lines, in_fmt = sniffed
+    def solve(lines: Iterator[str], in_fmt: str, tolerance: float) -> int:
         writer = RowWriter(sys.stdout, args.format or in_fmt)
         failed = 0
         for measurement in read_measurements(lines, in_fmt):
@@ -226,32 +239,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
             if not solution.solved:
                 failed += 1
         return EXIT_RECORD_FAILED if failed else EXIT_OK
-    except ParseError as exc:
-        print(f"star-solve: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    finally:
-        if owned:
-            stream.close()
+    return _run(args.path, args.tolerance, solve)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        tolerance = residual_tolerance(None)
-    except ValueError as exc:
-        print(f"star-solve: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        stream, owned = _open_input(args.path)
-    except OSError as exc:
-        print(f"star-solve: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        sniffed = _sniff(args.path, iter(stream))
-        if sniffed is None:
-            print("0 records, 0 failed")
-            return EXIT_OK
+    def verify(lines: Iterator[str], in_fmt: str, tolerance: float) -> int:
         total = failed = 0
-        for measurement, solution in read_pairs(*sniffed):
+        for measurement, solution in read_pairs(lines, in_fmt):
             total += 1
             passed, detail = verify_record(measurement, solution, tolerance)
             if not passed:
@@ -259,12 +253,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(f"{measurement.id}: {'PASS' if passed else 'FAIL'} ({detail})")
         print(f"{total} records, {failed} failed")
         return EXIT_RECORD_FAILED if failed else EXIT_OK
-    except ParseError as exc:
-        print(f"star-solve: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    finally:
-        if owned:
-            stream.close()
+    return _run(args.path, None, verify)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:

@@ -1,11 +1,11 @@
 """Tolerance constants.
 
 All tolerances are relative to a problem scale unless the name says
-absolute. Solver entry points take keyword overrides; these module values
-are the documented defaults. Voltages are carried in IEEE-754 binary64,
-which holds far more precision than any voltage measurement, so the
-defaults are chosen well below measurement noise but above accumulated
-rounding of the short formula pipelines.
+absolute. The solvers use these values as they are; only the CLI residual
+tolerance can be set, by flag or environment variable. Voltages are
+carried in IEEE-754 binary64, which holds far more precision than any
+voltage measurement, so the defaults are chosen well below measurement
+noise but above accumulated rounding of the short formula pipelines.
 """
 
 from __future__ import annotations

@@ -68,10 +68,6 @@ class NoInteriorIntersection(StarSolveError):
     """The two viewing-angle circles do not intersect inside the triangle."""
 
 
-class AmbiguousIntersection(StarSolveError):
-    """Both circle intersections qualify as interior; input is inconsistent."""
-
-
 # -- circuit-adapter ---------------------------------------------------------
 
 # Measured voltages that fit no phasor diagram (triangle inequality fails).

@@ -9,9 +9,9 @@ from X to the vertices. Two independent routes:
   vertex through a cyclic relabeling, and
 * the constructive route: X is where the two circles meet that each carry
   all points seeing one edge under its prescribed angle (inscribed-angle
-  locus); both circles pass through vertex C, and X is the other point.
-  :func:`_chord_circles` gives the circles and
-  :func:`starsolve.oracle.circle_intersections` meets them.
+  locus). Both circles pass through vertex C, so their other common point
+  is C reflected in the line through their centres, which
+  :func:`_chord_circles` gives.
 
 Both routes run on plain floats over the unit triangle of the edges and
 build a vector only for the point they return.
@@ -26,7 +26,7 @@ import math
 
 from .config import RESIDUAL_TOL
 from .errors import (
-    AmbiguousIntersection,
+    ConcentricCircles,
     DegenerateTriangle,
     InfeasibleConfiguration,
     NoInteriorIntersection,
@@ -40,7 +40,6 @@ from .geometry import (
     point_position,
     solution_at_scale,
 )
-from .oracle import circle_intersections
 
 # Interiority slack for barycentric coordinates (dimensionless).
 BARY_TOL = 1e-9
@@ -125,12 +124,6 @@ def canonical_rotation(angles: PhaseAngles) -> int:
     return _ROTATION_OF_SMALLEST[psis.index(min(psis))]
 
 
-def _rotated_problem(t: TriangleEdges, angles: PhaseAngles, r: int) -> tuple:
-    """The unit edges, their squares and the cotangents, relabeled
-    cyclically by ``r``; Theta^2 is symmetric and needs no relabeling."""
-    return _rot3(t.unit, r), _rot3(t.unit_sq, r), _rot3(angles.cot, r)
-
-
 def _barycentric(px: float, py: float, a: float, ax: float,
                  ay: float) -> tuple[float, float, float]:
     """Coordinates (u, v, w) of (px, py) = v*B + w*A, u = 1 - v - w, with
@@ -141,19 +134,14 @@ def _barycentric(px: float, py: float, a: float, ax: float,
     return (1.0 - v - w, v, w)
 
 
-def _norm_sq(point: tuple[float, float]) -> float:
-    x, y = point
-    return x * x + y * y
-
-
-def general_distances_closed_form(t: TriangleEdges, angles: PhaseAngles,
-                                  residual_tol: float = RESIDUAL_TOL) -> StarSolution:
+def general_distances_closed_form(t: TriangleEdges,
+                                  angles: PhaseAngles) -> StarSolution:
     """Closed-form distances from X to the three vertices.
 
     Each distance comes from the same expression under the cyclic
     relabeling (a,b,c; psi_a,psi_b,psi_c) -> (b,c,a; psi_b,psi_c,psi_a).
     The solution is accepted only if the law-of-cosines closure holds to
-    ``residual_tol`` and the point, rebuilt from the distances in the
+    ``RESIDUAL_TOL`` and the point, rebuilt from the distances in the
     original frame, lands inside the triangle. Everything is evaluated on
     the unit triangle of ``t`` and scaled back.
     """
@@ -166,9 +154,9 @@ def general_distances_closed_form(t: TriangleEdges, angles: PhaseAngles,
     c_p = _joint_vertex_distance(a2, b2, c2, cot_a, cot_b, cot_c, theta_sq)
 
     residuals = closure_defects(t.unit_sq, angles.cos, (a_p, b_p, c_p))
-    if max(residuals) > residual_tol:
+    if max(residuals) > RESIDUAL_TOL:
         raise InfeasibleConfiguration(
-            f"closure residuals {residuals} exceed {residual_tol:g}; "
+            f"closure residuals {residuals} exceed {RESIDUAL_TOL:g}; "
             "no interior point realizes these edges and angles")
 
     px, py = point_position(a, a2, b_p, c_p)
@@ -180,31 +168,31 @@ def general_distances_closed_form(t: TriangleEdges, angles: PhaseAngles,
 
 
 def general_solve_by_circles(t: TriangleEdges, angles: PhaseAngles) -> StarSolution:
-    """Constructive route: X as the non-vertex intersection of the two
+    """Constructive route: X as the second common point of the two
     inscribed-angle circles.
 
-    Both circles pass through vertex C by construction, so the root
-    farther from C is selected and must land inside the triangle (within
-    barycentric slack); tangency at C is the legitimate boundary case of
-    a vanishing vertex distance. The construction runs on the unit
-    triangle of ``t`` and its distances are scaled back.
+    Both circles pass through vertex C at the origin, so X is C reflected
+    in the line of centres: with d = c_s - c_r, X = 2 (c_r x d) / |d|^2
+    * (d_y, -d_x). It must land inside the triangle (within barycentric
+    slack); a line of centres through C is tangency at C, the legitimate
+    boundary case of a vanishing vertex distance. The construction runs on
+    the unit triangle of ``t`` and its distances are scaled back.
     """
     rot = canonical_rotation(angles)
-    (a, b, _), (a2, b2, c2), (cot_a, cot_b, _) = _rotated_problem(t, angles, rot)
+    # Theta^2 is symmetric and needs no relabeling.
+    (a, b, _), (a2, b2, c2) = _rot3(t.unit, rot), _rot3(t.unit_sq, rot)
+    cot_a, cot_b, _ = _rot3(angles.cot, rot)
     ax, ay = apex_position(a, b, a2, b2, c2, t.unit_theta_sq)
     crx, cry, csx, csy, rho_a, rho_b = _chord_circles(a, 0.0, ax, ay, cot_a, cot_b)
 
-    points = circle_intersections(crx, cry, rho_a, csx, csy, rho_b)
-    if not points:
-        raise NoInteriorIntersection(
-            "the viewing-angle circles do not intersect; configuration infeasible")
-
-    if len(points) == 2 and all(min(_barycentric(x, y, a, ax, ay)) > 1e-7
-                                for x, y in points):
-        raise AmbiguousIntersection(
-            "both circle intersections are interior; input is inconsistent")
-
-    px, py = max(points, key=_norm_sq)
+    dx, dy = csx - crx, csy - cry
+    d = math.hypot(dx, dy)
+    eps = 1e-12 * (rho_a + rho_b)
+    if d <= eps:
+        raise ConcentricCircles(
+            f"centers coincide within {eps:g}; intersection undefined")
+    scale = 2.0 * (crx * dy - cry * dx) / (d * d)
+    px, py = scale * dy, -scale * dx
     bary = _barycentric(px, py, a, ax, ay)
     if min(bary) < -BARY_TOL:
         raise NoInteriorIntersection(

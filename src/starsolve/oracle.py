@@ -3,7 +3,9 @@
 Nothing here reuses solver formulas: the minimizer works on the
 distance-sum objective and its derivatives alone, the circle kernel is
 plain radical-line arithmetic, and waveform sampling works in the time
-domain. These routines back the test suite and the CLI ``verify`` command.
+domain. The minimizer backs ``verify`` and the synthesis ``synth``; the
+circle kernel, which no solver calls, is the tests' reference for the
+circle route of :mod:`starsolve.general`.
 """
 
 from __future__ import annotations
@@ -233,13 +235,13 @@ def _scaled_back(exponent: int, x: float, y: float, value: float,
 # =========================================================================
 
 def circle_intersections(c1x: float, c1y: float, r1: float,
-                         c2x: float, c2y: float, r2: float,
-                         eps: float | None = None) -> tuple[tuple[float, float], ...]:
+                         c2x: float, c2y: float, r2: float
+                         ) -> tuple[tuple[float, float], ...]:
     """Intersection points of two circles, as (x, y) pairs ordered by x then y.
 
     Returns an empty tuple for separated or nested circles, one point at
-    (near-)tangency, two points otherwise. ``eps`` is the absolute window
-    around tangency; it defaults to 1e-12 of the radius scale.
+    (near-)tangency, two points otherwise. The window around tangency, and
+    around coincident centres, is 1e-12 of the radius scale.
 
     The half-chord height is the altitude of the triangle with sides
     (d, r1, r2), evaluated as a factored product; the naive
@@ -248,8 +250,7 @@ def circle_intersections(c1x: float, c1y: float, r1: float,
     """
     if r1 <= 0.0 or r2 <= 0.0:
         raise ValueError(f"radii must be positive, got {r1} and {r2}")
-    if eps is None:
-        eps = 1e-12 * (r1 + r2)
+    eps = 1e-12 * (r1 + r2)
     d = math.hypot(c1x - c2x, c1y - c2y)
     if d <= eps:
         raise ConcentricCircles(

@@ -96,8 +96,30 @@ def format_for_path(path: str) -> str | None:
     return None
 
 
+def _not_text(text: str) -> str | None:
+    """Why ``text`` is not UTF-8, or None. ``surrogateescape`` decodes a byte
+    that is not UTF-8 to U+DC80..U+DCFF; any other lone surrogate came escaped."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        code = ord(text[exc.start])
+        if 0xDC80 <= code <= 0xDCFF:
+            return f"byte 0x{code - 0xDC00:02x} is not UTF-8"
+        return f"lone surrogate U+{code:04X} is not text"
+    return None
+
+
+def _text_lines(lines: Iterable[str]) -> Iterator[str]:
+    """The lines; one that is not UTF-8 text is a parse error."""
+    for line_no, line in enumerate(lines, start=1):
+        if not line.isascii() and (reason := _not_text(line)):
+            raise ParseError(line_no, reason)
+        yield line
+
+
 def iter_raw_rows(lines: Iterable[str], fmt: str) -> Iterator[tuple[int, dict]]:
-    """Yield (line_no, mapping) per record, streaming."""
+    """Yield (line_no, mapping) per record, streaming; non-UTF-8 text is an error."""
+    lines = _text_lines(lines)
     if fmt == "csv":
         reader = csv.DictReader(lines)
         try:
@@ -126,6 +148,10 @@ def iter_raw_rows(lines: Iterable[str], fmt: str) -> Iterator[tuple[int, dict]]:
                 raise ParseError(line_no, f"invalid JSON: {exc}") from exc
             if not isinstance(obj, dict):
                 raise ParseError(line_no, "each JSON line must be an object")
+            if "\\u" in line:  # only an escape can make a lone surrogate
+                for text in (*obj, *obj.values()):
+                    if isinstance(text, str) and (reason := _not_text(text)):
+                        raise ParseError(line_no, f"string {text!r}: {reason}")
             if not _JSON_SCALARS.issuperset(map(type, obj.values())):
                 for key in MEASUREMENT_FIELDS + SOLUTION_FIELDS:
                     if isinstance(obj.get(key), (bool, dict, list)):

@@ -5,6 +5,12 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +19,7 @@ from starsolve import circuit, cli
 from starsolve.cli import main, solve_record, verify_record
 from starsolve.fermat import fermat_distances_closed_form
 from starsolve.general import general_solve_by_circles
-from starsolve.geometry import PlaneVector, StarSolution
+from starsolve.geometry import PhaseAngles, PlaneVector, StarSolution
 from starsolve.records import (
     STATUS_ANGLE_GE_120,
     STATUS_INCONSISTENT,
@@ -238,6 +244,101 @@ def test_carriage_return_in_a_field_is_quoted_on_output(monkeypatch, capsys):
     assert code == 0 and out.split("\n")[1].startswith('"a\rb",400,')
     code, out, _ = run_cli(["verify", "-"], monkeypatch, capsys, stdin_text=out)
     assert code == 0 and out.endswith("1 records, 0 failed\n")
+
+
+NOT_UTF8 = b"id,u1,u2,u3\nm\xff,400,400,400\n"
+LONE_SURROGATE = b'{"id": "\\ud800", "u1": 400, "u2": 400, "u3": 400}\n'
+ONE_PARSE_MESSAGE = re.compile(r"star-solve: line \d+: [^\n]*\n")
+
+
+@pytest.mark.parametrize("data, message", [
+    (NOT_UTF8, "line 2: byte 0xff is not UTF-8"),
+    (LONE_SURROGATE, r"line 1: string '\ud800': lone surrogate U+D800 is not text"),
+], ids=["not-utf8", "lone-surrogate"])
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_input_that_is_not_text_is_parse_error(data, message, command, source,
+                                                tmp_path, monkeypatch, capsys):
+    path = tmp_path / "in.txt"
+    path.write_bytes(data)
+    if source == "stdin":
+        # Standard input as Python sets it up in UTF-8 mode.
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+            io.BytesIO(data), encoding="utf-8", errors="surrogateescape"))
+    code, out, err = run_cli([command, str(path) if source == "file" else "-"],
+                             monkeypatch, capsys)
+    assert (code, out, err) == (1, "", f"star-solve: {message}\n")
+
+
+@pytest.mark.parametrize("utf8_mode", ["0", "1"])
+@pytest.mark.parametrize("data", [NOT_UTF8, LONE_SURROGATE],
+                         ids=["not-utf8", "lone-surrogate"])
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_input_that_is_not_text_fails_alike_in_any_utf8_mode(utf8_mode, data, source,
+                                                            tmp_path):
+    path = tmp_path / "in.txt"
+    path.write_bytes(data)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONUTF8": utf8_mode,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src),
+                                                       os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "starsolve.cli", "solve",
+         str(path) if source == "file" else "-"],
+        input=data if source == "stdin" else b"", capture_output=True, env=env,
+        timeout=60)
+    assert (done.returncode, done.stdout) == (1, b"")
+    assert ONE_PARSE_MESSAGE.fullmatch(done.stderr.decode()), done.stderr
+
+
+def test_explicit_120_deg_row_decides_like_empty_psi(monkeypatch, capsys):
+    stdin = "id,u1,u2,u3,psi1,psi2\nw,1,1,1.9,120,120\nw,1,1,1.9,,\n"
+    code, out, _ = run_cli(["solve", "-"], monkeypatch, capsys, stdin_text=stdin)
+    assert code == 2
+    (_, explicit), (_, empty) = read_pairs(out.splitlines(keepends=True), "csv")
+    assert explicit.status == empty.status == STATUS_ANGLE_GE_120
+    assert explicit.diagnostics == empty.diagnostics
+
+
+def test_verify_runs_distance_sum_oracle_on_explicit_120_deg(monkeypatch):
+    calls = []
+    minimize = cli.minimize_distance_sum
+    monkeypatch.setattr(cli, "minimize_distance_sum",
+                        lambda t: calls.append(t) or minimize(t))
+    m = MeasurementRecord("e1", *E1_EDGES.as_tuple(), 120.0, 120.0)
+    s = SolutionRecord("e1", *E1_DISTANCES, 0.0, STATUS_OK)
+    assert verify_record(m, s, 1e-8)[0]
+    assert len(calls) == 1
+
+
+def test_circle_mismatch_message_shows_both_values(monkeypatch):
+    def nudged(t, angles):
+        solution = general_solve_by_circles(t, angles)
+        return replace(solution, a_prime=solution.a_prime * (1.0 + 1e-7))
+
+    monkeypatch.setattr(cli, "general_solve_by_circles", nudged)
+    m = MeasurementRecord("e1", *E1_EDGES.as_tuple())
+    s = SolutionRecord("e1", *E1_DISTANCES, 0.0, STATUS_OK)
+    passed, detail = verify_record(m, s, 1e-8)
+    recomputed = nudged(E1_EDGES, PhaseAngles(120.0, 120.0, 120.0)).a_prime
+    assert not passed
+    assert detail == (f"u1p={E1_DISTANCES[0]!r} disagrees with circle-path "
+                      f"value {recomputed!r}")
+
+
+def test_near_180_deg_row_solves_and_verifies(tmp_path, monkeypatch, capsys):
+    # The circle route once intersected the circles by the radical line, and
+    # at this row it missed the star point by 7e-7 relative.
+    batch = tmp_path / "in.csv"
+    batch.write_text("id,u1,u2,u3,psi1,psi2\n"
+                     "r15,95.3280037301,98.6690362844,3.34488370469,"
+                     "2.70466653684,178.373930277\n")
+    code, out, _ = run_cli(["solve", str(batch)], monkeypatch, capsys)
+    assert code == 0
+    solved = tmp_path / "solved.csv"
+    solved.write_text(out)
+    code, out, _ = run_cli(["verify", str(solved)], monkeypatch, capsys)
+    assert (code, out.splitlines()[-1]) == (0, "1 records, 0 failed")
 
 
 def test_solve_command_missing_file_exit_1(monkeypatch, capsys):

@@ -6,6 +6,7 @@ import math
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     E4_ANGLES,
@@ -19,14 +20,19 @@ from starsolve import (
     InfeasibleConfiguration,
     PhaseAngles,
     PlaneVector,
+    SynthesisSpec,
     TriangleEdges,
     embed_triangle,
     fermat_distances_closed_form,
     general_distances_closed_form,
     general_solve_by_circles,
+    synthesize_triangle,
     validate_angles,
 )
+from starsolve.cli import solve_record, verify_record
+from starsolve.config import RESIDUAL_TOL
 from starsolve.general import _chord_circles
+from starsolve.records import MeasurementRecord
 
 ALL_120 = PhaseAngles(120.0, 120.0, 120.0)
 
@@ -243,3 +249,45 @@ def test_recovered_point_on_both_circles():
         eps = 1e-9 * t.perimeter()
         assert abs(s.point.distance_to(center_r) - rho_a) < eps
         assert abs(s.point.distance_to(center_s) - rho_b) < eps
+
+
+# -- circle route against the closed form at extreme angles --------------------
+
+@st.composite
+def planted_extreme(draw):
+    """Distances over six decades, seen under angles in (0, 180): the largest
+    up to 179.999 deg, its gap to 180 log-uniform, the smallest down to 1."""
+    distances = tuple(10.0 ** draw(st.floats(-3.0, 3.0)) for _ in range(3))
+    largest = 180.0 - 10.0 ** draw(st.floats(-3.0, math.log10(60.0)))
+    low, high = max(1.0, 360.0 - 2.0 * largest), (360.0 - largest) / 2.0
+    smallest = low + (high - low) * draw(st.floats(0.0, 1.0))
+    psis = draw(st.permutations((largest, smallest, 360.0 - largest - smallest)))
+    angles = PhaseAngles(psis[0], psis[1], 360.0 - psis[0] - psis[1])
+    return synthesize_triangle(SynthesisSpec(distances, angles))[0], angles
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_extreme())
+@example((TriangleEdges(95.3280037301223, 98.66903628441688, 3.3448837046922284),
+          validate_angles(2.7046665368394143, 178.37393027680892)))
+def test_circle_route_tracks_closed_form_at_extreme_angles(case):
+    """Every ok row verifies, and the circle route agrees with the closed
+    form per component. The example was a false FAIL of the route that
+    intersected the circles by the radical line."""
+    t, angles = case
+    m = MeasurementRecord("x", t.a, t.b, t.c, angles.psi_a, angles.psi_b)
+    _, s = solve_record(m, RESIDUAL_TOL)
+    if s.solved:
+        passed, detail = verify_record(m, s, RESIDUAL_TOL)
+        assert passed, detail
+    try:
+        closed = general_distances_closed_form(t, angles)
+    except InfeasibleConfiguration:
+        return
+    # The closed form is only as exact as its own closure residual: a
+    # relative defect r in a squared edge moves the distances by ~r/2.
+    rel = 1e-9 + max(closed.residuals)
+    floor = 1e-12 * (t.a + t.b + t.c)
+    for got, want in zip(general_solve_by_circles(t, angles).distances(),
+                         closed.distances()):
+        assert abs(got - want) <= max(rel * want, floor), (got, want)

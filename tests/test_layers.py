@@ -1,10 +1,11 @@
 """Intra-package imports point down one order of layers, so no cycle can form.
 
 Order, lowest first: geometry <- oracle <- general <- fermat <- circuit <- cli.
-The oracle stays independent of the solvers it checks. ``errors``, ``config``
-and ``records`` are leaves: any module may import them and they import no
-sibling. The package ``__init__`` sits on top and re-exports. No module
-imports a name it never uses.
+The oracle and the solvers it checks (``general``, ``fermat``) import nothing
+from each other, so each stays an independent check on the other.
+``errors``, ``config`` and ``records`` are leaves: any module may import
+them and they import no sibling. The package ``__init__`` sits on top and
+re-exports. No module imports a name it never uses.
 """
 
 from __future__ import annotations
@@ -69,6 +70,11 @@ def test_imports_point_down(module):
 
 def test_oracle_imports_no_solver():
     assert not package_imports(PACKAGE / "oracle.py") & {"general", "fermat"}
+
+
+def test_solvers_import_no_oracle():
+    assert [solver for solver in ("general", "fermat")
+            if "oracle" in package_imports(PACKAGE / f"{solver}.py")] == []
 
 
 def unused_imports(path: Path) -> set[str]:

@@ -1,5 +1,5 @@
 """The package's public names: all resolve, listed once and in order, and the
-vector-era helpers that no solve or verify path reached stay gone."""
+helpers and exceptions that no solve or verify path reached stay gone."""
 
 from __future__ import annotations
 
@@ -12,9 +12,10 @@ import starsolve
 
 MODULES = tuple(module.name for module in pkgutil.iter_modules(starsolve.__path__))
 
-# Removed once the constructions ran on plain floats; nothing called them.
-REMOVED = ("CircleData", "EPS_DEN_COEFF", "EPS_LEN", "FermatIntermediate",
-           "GeneralIntermediate", "SingularConfiguration", "ZeroVector",
+# Removed once the constructions ran on plain floats, and once the circle
+# route reflected vertex C in the line of centres; nothing called them.
+REMOVED = ("AmbiguousIntersection", "CircleData", "EPS_DEN_COEFF", "EPS_LEN",
+           "FermatIntermediate", "GeneralIntermediate", "SingularConfiguration", "ZeroVector",
            "_EDGE_LABELS", "angle_between", "circumcircle_data", "fermat_apexes",
            "fermat_line_solution", "intersect_circles", "law_of_cosines_angle",
            "perp", "star_point_coefficients")
