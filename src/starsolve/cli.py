@@ -250,7 +250,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             passed, detail = verify_record(measurement, solution, tolerance)
             if not passed:
                 failed += 1
-            print(f"{measurement.id}: {'PASS' if passed else 'FAIL'} ({detail})")
+            rec_id = measurement.id
+            if not rec_id.isprintable():  # a line break would forge a verdict line
+                rec_id = repr(rec_id)
+            print(f"{rec_id}: {'PASS' if passed else 'FAIL'} ({detail})")
         print(f"{total} records, {failed} failed")
         return EXIT_RECORD_FAILED if failed else EXIT_OK
     return _run(args.path, None, verify)
@@ -278,7 +281,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
             status=STATUS_OK,
             diagnostics="planted ground truth",
         )
-        writer.write(combined_row(measurement, planted))
+        # The golden file's format: 12 significant digits.
+        writer.write({k: f"{v:.12g}" if isinstance(v, float) else v
+                      for k, v in combined_row(measurement, planted).items()})
     return EXIT_OK
 
 

@@ -7,9 +7,9 @@ Two interchangeable wire formats carry the same field names:
 
 Solution rows append ``u1p,u2p,u3p,max_residual,status,diagnostics`` and
 echo the measurement fields, so a solve output feeds straight into
-verify. Unknown input columns ride along as free-form metadata. Numbers
-are serialized with 12 significant digits, comfortably above every
-solver tolerance.
+verify. Unknown input columns ride along as free-form metadata, each
+value as it was read. Records carry values, not text: a float is written
+as ``repr`` writes it, so every value read back is the value written.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ class MeasurementRecord:
     u3: float
     psi1: float | None = None
     psi2: float | None = None
-    meta: dict[str, str] = field(default_factory=dict)
+    meta: dict[str, object] = field(default_factory=dict)
 
     @property
     def has_angles(self) -> bool:
@@ -118,24 +118,30 @@ def _text_lines(lines: Iterable[str]) -> Iterator[str]:
 
 
 def iter_raw_rows(lines: Iterable[str], fmt: str) -> Iterator[tuple[int, dict]]:
-    """Yield (line_no, mapping) per record, streaming; non-UTF-8 text is an error."""
+    """Yield (line_no, mapping) per record, streaming; non-UTF-8 text is an
+    error. A CSV row short of the header's columns has them as ``""``."""
     lines = _text_lines(lines)
     if fmt == "csv":
-        reader = csv.DictReader(lines)
+        reader = csv.reader(lines)
         try:
+            header = next(reader, None)
+            if header is None:
+                return
             seen: set[str] = set()
-            for name in reader.fieldnames or ():
+            for name in header:
                 if name in seen:
                     raise ParseError(reader.line_num, f"header repeats column {name!r}")
                 seen.add(name)
+            width = len(header)
             for row in reader:
-                if row.get(None):
+                if len(row) > width:
                     raise ParseError(reader.line_num,
-                                     f"more fields than header columns: {row[None]!r}")
-                yield reader.line_num, {k: v for k, v in row.items() if k is not None}
+                                     f"more fields than header columns: {row[width:]!r}")
+                if row:  # a blank line is no record
+                    row += [""] * (width - len(row))
+                    yield reader.line_num, dict(zip(header, row))
         except csv.Error as exc:
-            # The DictReader has not counted the line the csv reader failed on.
-            raise ParseError(reader.reader.line_num, f"malformed CSV: {exc}") from exc
+            raise ParseError(reader.line_num, f"malformed CSV: {exc}") from exc
     elif fmt == "jsonl":
         for line_no, line in enumerate(lines, start=1):
             if not line.strip():
@@ -183,7 +189,8 @@ def _optional_float(row: dict, key: str, line_no: int) -> float | None:
 
 
 def parse_measurement(row: dict, line_no: int) -> MeasurementRecord:
-    rec_id = str(row.get("id") or f"record-{line_no}")
+    rec_id = row.get("id")
+    rec_id = f"record-{line_no}" if rec_id is None or rec_id == "" else str(rec_id)
     u1 = _required_float(row, "u1", line_no)
     u2 = _required_float(row, "u2", line_no)
     u3 = _required_float(row, "u3", line_no)
@@ -191,7 +198,7 @@ def parse_measurement(row: dict, line_no: int) -> MeasurementRecord:
     psi2 = _optional_float(row, "psi2", line_no)
     if (psi1 is None) != (psi2 is None):
         raise ParseError(line_no, "psi1 and psi2 must both be present or both absent")
-    meta = {k: str(v) for k, v in row.items() if k not in _KNOWN_FIELDS}
+    meta = {k: v for k, v in row.items() if k not in _KNOWN_FIELDS}
     return MeasurementRecord(rec_id, u1, u2, u3, psi1, psi2, meta)
 
 
@@ -227,10 +234,6 @@ def read_pairs(lines: Iterable[str], fmt: str) -> Iterator[
 # =========================================================================
 # Writing
 # =========================================================================
-
-def _round12(x: float) -> float:
-    return float(f"{x:.12g}")
-
 
 def combined_row(m: MeasurementRecord, s: SolutionRecord) -> dict:
     """Measurement fields, echoed for pipeline chaining, plus the solution."""
@@ -270,27 +273,14 @@ class RowWriter:
         self._csv_writer: csv.DictWriter | None = None
 
     def write(self, row: dict) -> None:
-        if self._fmt == "csv":
-            if self._csv_writer is None:
-                self._csv_writer = csv.DictWriter(
-                    _LineFeedEnded(self._stream), fieldnames=list(row.keys()),
-                    extrasaction="ignore", restval="", lineterminator="\r\n")
-                self._csv_writer.writeheader()
-            self._csv_writer.writerow({k: self._csv_value(v) for k, v in row.items()})
-        else:
-            payload = {k: self._json_value(v) for k, v in row.items()}
-            self._stream.write(json.dumps(payload) + "\n")
-
-    @staticmethod
-    def _csv_value(value: object) -> str:
-        if value is None:
-            return ""
-        if isinstance(value, float):
-            return f"{value:.12g}"
-        return str(value)
-
-    @staticmethod
-    def _json_value(value: object) -> object:
-        if isinstance(value, float):
-            return _round12(value)
-        return value
+        """The row as it is: None is an empty CSV field or JSON null, and a
+        float keeps every digit."""
+        if self._fmt == "jsonl":
+            self._stream.write(json.dumps(row) + "\n")
+            return
+        if self._csv_writer is None:
+            self._csv_writer = csv.DictWriter(
+                _LineFeedEnded(self._stream), fieldnames=list(row),
+                extrasaction="ignore", restval="", lineterminator="\r\n")
+            self._csv_writer.writeheader()
+        self._csv_writer.writerow(row)

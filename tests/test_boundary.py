@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import re
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from starsolve import PhaseAngles, SynthesisSpec, synthesize_triangle
 from starsolve.cli import main, verify_record
 from starsolve.config import RESIDUAL_TOL
 from starsolve.records import read_pairs
@@ -154,3 +156,33 @@ def test_synth_solve_verify_closes_for_any_seed(seed, symmetric):
     code, verified, err = run(["verify", "-"], solved)
     assert (code, err) == (0, "")
     assert verified.endswith("20 records, 0 failed\n")
+
+
+@st.composite
+def near_180_deg_row(draw) -> tuple[float, float, float, float, float]:
+    """u1, u2, u3, psi1, psi2 of planted line voltages 10**U(-3, 3) whose
+    widest phase difference is 180 deg - 10**U(-3, log10 60), the narrowest
+    at least 1 deg."""
+    widest = 180.0 - 10.0 ** draw(st.floats(-3.0, math.log10(60.0)))
+    rest = 360.0 - widest
+    other = draw(st.floats(max(1.0, rest - widest), min(widest, rest - 1.0)))
+    psi_a, psi_b, _ = draw(st.permutations((widest, other, rest - other)))
+    distances = tuple(10.0 ** draw(st.floats(-3.0, 3.0)) for _ in range(3))
+    spec = SynthesisSpec(distances, PhaseAngles(psi_a, psi_b, 360.0 - psi_a - psi_b))
+    return (*synthesize_triangle(spec)[0].as_tuple(), psi_a, psi_b)
+
+
+@SETTINGS
+@given(st.lists(near_180_deg_row(), min_size=1, max_size=5))
+def test_ok_near_180_deg_rows_verify_from_solve_output(rows):
+    text = "id,u1,u2,u3,psi1,psi2\n" + "".join(
+        f"r{i}," + ",".join(map(repr, row)) + "\n" for i, row in enumerate(rows))
+    code, solved, err = run(["solve", "-"], text)
+    assert code in (0, 2) and err == ""
+    pairs = list(read_pairs(io.StringIO(solved), "csv"))
+    assert [(m.u1, m.u2, m.u3, m.psi1, m.psi2) for m, _ in pairs] == rows
+    code, verified, err = run(["verify", "-"], solved)
+    assert err == ""
+    for (measurement, solution), line in zip(pairs, verified.splitlines()):
+        if solution.solved:
+            assert line.startswith(f"{measurement.id}: PASS ("), line

@@ -241,9 +241,48 @@ def test_byte_order_mark_is_ignored(text, monkeypatch, capsys):
 def test_carriage_return_in_a_field_is_quoted_on_output(monkeypatch, capsys):
     stdin = 'id,u1,u2,u3\n"a\rb",400,400,400\n'
     code, out, _ = run_cli(["solve", "-"], monkeypatch, capsys, stdin_text=stdin)
-    assert code == 0 and out.split("\n")[1].startswith('"a\rb",400,')
+    assert code == 0 and out.split("\n")[1].startswith('"a\rb",400.0,')
     code, out, _ = run_cli(["verify", "-"], monkeypatch, capsys, stdin_text=out)
     assert code == 0 and out.endswith("1 records, 0 failed\n")
+
+
+def test_short_csv_row_echoes_empty_metadata(monkeypatch, capsys):
+    stdin = "id,u1,u2,u3,psi1,psi2,feeder\na,400,400,400\nb,400,400,400,,,F2\n"
+    code, out, _ = run_cli(["solve", "-"], monkeypatch, capsys, stdin_text=stdin)
+    assert code == 0
+    echoed = read_measurements(out.splitlines(keepends=True), "csv")
+    assert [m.meta for m in echoed] == [{"feeder": ""}, {"feeder": "F2"}]
+
+
+def test_jsonl_metadata_is_echoed_as_parsed(monkeypatch, capsys):
+    stdin = '{"id": "m", "u1": 400, "u2": 400, "u3": 400, "feeder": null, "n": 3}\n'
+    code, out, _ = run_cli(["solve", "-"], monkeypatch, capsys, stdin_text=stdin)
+    assert code == 0 and out.endswith(', "feeder": null, "n": 3}\n')
+    code, out, _ = run_cli(["solve", "--format", "csv", "-"], monkeypatch, capsys,
+                           stdin_text=stdin)
+    assert code == 0 and out.splitlines()[1].endswith(",,3")
+
+
+def test_json_id_is_replaced_only_when_missing_null_or_empty(monkeypatch, capsys):
+    voltages = '"u1": 400, "u2": 400, "u3": 400}\n'
+    stdin = "".join("{" + head + voltages
+                    for head in ('"id": 0, ', '"id": null, ', "", '"id": "", '))
+    code, out, _ = run_cli(["solve", "-"], monkeypatch, capsys, stdin_text=stdin)
+    assert code == 0
+    assert [json.loads(line)["id"] for line in out.splitlines()] == [
+        "0", "record-2", "record-3", "record-4"]
+
+
+@pytest.mark.parametrize("rec_id", ["x: PASS (ok)\ny", "x\r0 failed", "x\u2028y"])
+def test_verify_prints_one_line_per_record(rec_id, monkeypatch, capsys):
+    stdin = f'id,u1,u2,u3\n"{rec_id}",400,400,400\nplain,400,400,400\n'
+    code, out, _ = run_cli(["solve", "-"], monkeypatch, capsys, stdin_text=stdin)
+    assert code == 0
+    code, out, _ = run_cli(["verify", "-"], monkeypatch, capsys, stdin_text=out)
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 3
+    assert lines[0].startswith(f"{rec_id!r}: PASS (")
+    assert lines[1].startswith("plain: PASS (")
 
 
 NOT_UTF8 = b"id,u1,u2,u3\nm\xff,400,400,400\n"
@@ -338,6 +377,25 @@ def test_near_180_deg_row_solves_and_verifies(tmp_path, monkeypatch, capsys):
     solved = tmp_path / "solved.csv"
     solved.write_text(out)
     code, out, _ = run_cli(["verify", str(solved)], monkeypatch, capsys)
+    assert (code, out.splitlines()[-1]) == (0, "1 records, 0 failed")
+
+
+R15 = ("r15", 95.3280037301223, 98.66903628441688, 3.3448837046922284,
+       2.7046665368394143, 178.37393027680892)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_full_precision_near_180_deg_row_verifies(fmt, monkeypatch, capsys):
+    # Echoed at 12 digits, this row was another triangle, and verify FAILed
+    # the solution of this one on it.
+    if fmt == "csv":
+        stdin = "id,u1,u2,u3,psi1,psi2\n" + ",".join(map(str, R15)) + "\n"
+    else:
+        stdin = json.dumps(dict(zip(("id", "u1", "u2", "u3", "psi1", "psi2"),
+                                    R15))) + "\n"
+    code, out, _ = run_cli(["solve", "-"], monkeypatch, capsys, stdin_text=stdin)
+    assert code == 0
+    code, out, _ = run_cli(["verify", "-"], monkeypatch, capsys, stdin_text=out)
     assert (code, out.splitlines()[-1]) == (0, "1 records, 0 failed")
 
 
