@@ -62,7 +62,7 @@ def phasor_difference(p1: Phasor, p2: Phasor) -> Phasor:
     return Phasor(amplitude, math.degrees(math.atan2(z.imag, z.real)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PhaseToPhaseVoltages:
     """The three measurable voltages between phase terminals (volts).
 
@@ -77,14 +77,15 @@ class PhaseToPhaseVoltages:
     u3: float
     _edges: TriangleEdges = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_edges", TriangleEdges(self.u1, self.u2, self.u3))
+    def __init__(self, u1: float, u2: float, u3: float):
+        # Frozen, so every field is set here, in one step.
+        self.__dict__.update(u1=u1, u2=u2, u3=u3, _edges=TriangleEdges(u1, u2, u3))
 
     def to_edges(self) -> TriangleEdges:
         return self._edges
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LineVoltages:
     """The recovered (unmeasurable) line voltages between each phase terminal
     and the load star point, plus free-form diagnostics notes and the
@@ -96,6 +97,12 @@ class LineVoltages:
     u3p: float
     diagnostics: tuple[str, ...] = field(default=(), compare=False)
     residuals: tuple[float, ...] = field(default=(), compare=False)
+
+    def __init__(self, u1p: float, u2p: float, u3p: float,
+                 diagnostics: tuple[str, ...] = (), residuals: tuple[float, ...] = ()):
+        # Frozen, so every field is set here, in one step.
+        self.__dict__.update(u1p=u1p, u2p=u2p, u3p=u3p, diagnostics=diagnostics,
+                             residuals=residuals)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.u1p, self.u2p, self.u3p)
@@ -111,16 +118,17 @@ def _star_solution(u: PhaseToPhaseVoltages, angles: PhaseAngles) -> StarSolution
 def _line_voltages(u: PhaseToPhaseVoltages, angles: PhaseAngles) -> LineVoltages:
     """The kernel's distances as line voltages, noting each that is zero."""
     solution = _star_solution(u, angles)
+    distances = solution.distances()
     t = u.to_edges()
     # 1e-9 of the perimeter, which itself may exceed the float range.
     floor = math.ldexp(1e-9 * sum(t.unit), t.exponent)
-    notes = []
-    for name, value in zip(("u1p", "u2p", "u3p"), solution.distances()):
-        if value < floor:
-            notes.append(f"{name} is zero within tolerance: "
-                         "the load star point sits on a phase terminal")
-    return LineVoltages(*solution.distances(), diagnostics=tuple(notes),
-                        residuals=solution.residuals)
+    notes = ()
+    if min(distances) < floor:
+        notes = tuple(f"{name} is zero within tolerance: "
+                      "the load star point sits on a phase terminal"
+                      for name, value in zip(("u1p", "u2p", "u3p"), distances)
+                      if value < floor)
+    return LineVoltages(*distances, notes, solution.residuals)
 
 
 def solve_symmetric_star(u: PhaseToPhaseVoltages) -> LineVoltages:

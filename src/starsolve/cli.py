@@ -77,17 +77,16 @@ def solve_record(m: MeasurementRecord, tolerance: float
             lv = solve_general_star(u, m.psi1, m.psi2)
         else:
             lv = solve_symmetric_star(u)
-        values = (*lv.as_tuple(), *lv.residuals)
+        values = (lv.u1p, lv.u2p, lv.u3p, *lv.residuals)
         if not all(map(math.isfinite, values)):
             return m, _failure(m, STATUS_INTERNAL_ERROR, _describe_non_finite(values))
         worst = max(lv.residuals)
-        notes = list(lv.diagnostics)
+        notes = lv.diagnostics
         if worst <= tolerance:
             status = STATUS_OK
         else:
             status = STATUS_INFEASIBLE
-            notes.append(f"closure residual {worst:.3e} "
-                         f"exceeds tolerance {tolerance:g}")
+            notes += (f"closure residual {worst:.3e} exceeds tolerance {tolerance:g}",)
         solution = SolutionRecord(m.id, lv.u1p, lv.u2p, lv.u3p,
                                   worst, status, "; ".join(notes))
     except AngleAtLeast120 as exc:
@@ -164,7 +163,10 @@ def verify_record(m: MeasurementRecord, s: SolutionRecord | None,
             # Both sums over 2**k, k the edges' exponent: the sum itself may
             # exceed the float range, and dividing by 2**k changes no bit.
             k = edges.exponent
-            minimized = minimize_distance_sum(TriangleEdges(*edges.unit))
+            # Started at the claimed star point: a right claim needs no step.
+            minimized = minimize_distance_sum(
+                TriangleEdges(*edges.unit),
+                start=(math.ldexp(s.u2p, -k), math.ldexp(s.u3p, -k)))
             total = (math.ldexp(s.u1p, -k) + math.ldexp(s.u2p, -k)
                      + math.ldexp(s.u3p, -k))
             if abs(minimized.value - total) > 1e-6 * total:

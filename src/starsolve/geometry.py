@@ -15,12 +15,16 @@ from .config import EPS_ANG_DEG, EPS_TRI_COEFF
 from .errors import AngleOutOfRange, NotATriangle
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PlaneVector:
     """A 2-D Euclidean vector (also used for point positions)."""
 
     x: float
     y: float
+
+    def __init__(self, x: float, y: float):
+        # Frozen, so every field is set here, in one step.
+        self.__dict__.update(x=x, y=y)
 
     def __add__(self, other: "PlaneVector") -> "PlaneVector":
         return PlaneVector(self.x + other.x, self.y + other.y)
@@ -56,12 +60,12 @@ class PlaneVector:
 ORIGIN = PlaneVector(0.0, 0.0)
 
 
-def cot_deg(angle_deg: float) -> float:
-    """Cotangent of an angle given in degrees; exact zero at 90 deg."""
-    if angle_deg == 90.0:
-        return 0.0
+def _cos_cot(angle_deg: float) -> tuple[float, float]:
+    """Cosine and cotangent of an angle given in degrees; the cotangent is
+    exactly zero at 90 deg."""
     rad = math.radians(angle_deg)
-    return math.cos(rad) / math.sin(rad)
+    cos = math.cos(rad)
+    return cos, 0.0 if angle_deg == 90.0 else cos / math.sin(rad)
 
 
 def _stable_heron_pairs(a: float, b: float, c: float) -> tuple[float, float]:
@@ -78,7 +82,17 @@ def _stable_heron_pairs(a: float, b: float, c: float) -> tuple[float, float]:
     return p_big, p_small
 
 
-@dataclass(frozen=True)
+def _edge_length(name: str, value: object) -> float:
+    """``value`` as an edge length; raises :class:`NotATriangle` unless it
+    is a finite positive number."""
+    if not (isinstance(value, (int, float)) and math.isfinite(value)):
+        raise NotATriangle(f"edge {name} is not a finite number: {value!r}")
+    if value <= 0.0:
+        raise NotATriangle(f"edge {name} must be positive, got {value}")
+    return float(value)
+
+
+@dataclass(frozen=True, init=False)
 class TriangleEdges:
     """Three edge lengths (equivalently: three phase-to-phase voltage amplitudes).
 
@@ -105,28 +119,23 @@ class TriangleEdges:
     unit_sq: tuple[float, float, float] = field(init=False, repr=False, compare=False)
     unit_theta_sq: float = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        for name, value in (("a", self.a), ("b", self.b), ("c", self.c)):
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
-                raise NotATriangle(f"edge {name} is not a finite number: {value!r}")
-            if value <= 0.0:
-                raise NotATriangle(f"edge {name} must be positive, got {value}")
-            if type(value) is not float:
-                object.__setattr__(self, name, float(value))
-        exponent = math.frexp(max(self.a, self.b, self.c))[1]
-        a = math.ldexp(self.a, -exponent)
-        b = math.ldexp(self.b, -exponent)
-        c = math.ldexp(self.c, -exponent)
-        p_big, p_small = _stable_heron_pairs(a, b, c)
-        if p_small < -EPS_TRI_COEFF * (a + b + c) ** 2:
-            raise NotATriangle(
-                f"edges ({self.a}, {self.b}, {self.c}) violate the triangle inequality"
-            )
-        object.__setattr__(self, "exponent", exponent)
-        object.__setattr__(self, "unit", (a, b, c))
-        object.__setattr__(self, "unit_sq", (a * a, b * b, c * c))
-        # A negative p_small inside the clamp window is a collinear triple.
-        object.__setattr__(self, "unit_theta_sq", math.sqrt(p_big * max(p_small, 0.0)))
+    def __init__(self, a: float, b: float, c: float):
+        if not (type(a) is type(b) is type(c) is float
+                and 0.0 < a < math.inf and 0.0 < b < math.inf and 0.0 < c < math.inf):
+            a, b, c = map(_edge_length, "abc", (a, b, c))
+        exponent = math.frexp(max(a, b, c))[1]
+        ua = math.ldexp(a, -exponent)
+        ub = math.ldexp(b, -exponent)
+        uc = math.ldexp(c, -exponent)
+        p_big, p_small = _stable_heron_pairs(ua, ub, uc)
+        if p_small < -EPS_TRI_COEFF * (ua + ub + uc) ** 2:
+            raise NotATriangle(f"edges ({a}, {b}, {c}) violate the triangle inequality")
+        # Frozen, so every field is set here, in one step. A negative p_small
+        # inside the clamp window is a collinear triple.
+        self.__dict__.update(
+            a=a, b=b, c=c, exponent=exponent, unit=(ua, ub, uc),
+            unit_sq=(ua * ua, ub * ub, uc * uc),
+            unit_theta_sq=math.sqrt(p_big * max(p_small, 0.0)))
 
     def perimeter(self) -> float:
         return self.a + self.b + self.c
@@ -150,7 +159,17 @@ def theta_squared(t: TriangleEdges) -> float:
     return math.ldexp(t.unit_theta_sq, 2 * t.exponent)
 
 
-@dataclass(frozen=True)
+def _viewing_angle(name: str, value: float) -> float:
+    """``value`` as a viewing angle; raises :class:`AngleOutOfRange` unless
+    it lies strictly inside (0, 180) deg."""
+    if not math.isfinite(value):
+        raise AngleOutOfRange(name, value, "not a finite number")
+    if not 0.0 < value < 180.0:
+        raise AngleOutOfRange(name, value)
+    return float(value)
+
+
+@dataclass(frozen=True, init=False)
 class PhaseAngles:
     """Viewing angles (degrees) subtended at the interior point by the three edges.
 
@@ -167,33 +186,24 @@ class PhaseAngles:
     cot: tuple[float, float, float] = field(init=False, repr=False, compare=False)
     cos: tuple[float, float, float] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        for name, value in (("psi_a", self.psi_a), ("psi_b", self.psi_b),
-                            ("psi_c", self.psi_c)):
-            if not math.isfinite(value):
-                raise AngleOutOfRange(name, value, "not a finite number")
-            if not 0.0 < value < 180.0:
-                raise AngleOutOfRange(name, value)
-            object.__setattr__(self, name, float(value))
-        total = self.psi_a + self.psi_b + self.psi_c
+    def __init__(self, psi_a: float, psi_b: float, psi_c: float):
+        a, b, c = psi_a, psi_b, psi_c
+        if not (type(a) is type(b) is type(c) is float
+                and 0.0 < a < 180.0 and 0.0 < b < 180.0 and 0.0 < c < 180.0):
+            a, b, c = map(_viewing_angle, ("psi_a", "psi_b", "psi_c"), (a, b, c))
+        total = a + b + c
         if abs(total - 360.0) > EPS_ANG_DEG:
-            raise AngleOutOfRange(
-                "psi_c", self.psi_c,
-                f"angles sum to {total!r} deg, expected 360",
-            )
-        # Provable from sum=360 with each < 180; documents the geometry.
-        assert sum(1 for v in (self.psi_a, self.psi_b, self.psi_c) if v >= 90.0) >= 2
-        a, b, c = self.psi_a, self.psi_b, self.psi_c
-        object.__setattr__(self, "cot", (cot_deg(a), cot_deg(b), cot_deg(c)))
-        object.__setattr__(self, "cos", (math.cos(math.radians(a)),
-                                         math.cos(math.radians(b)),
-                                         math.cos(math.radians(c))))
+            raise AngleOutOfRange("psi_c", c, f"angles sum to {total!r} deg, expected 360")
+        (cos_a, cot_a), (cos_b, cot_b), (cos_c, cot_c) = map(_cos_cot, (a, b, c))
+        # Frozen, so every field is set here, in one step.
+        self.__dict__.update(psi_a=a, psi_b=b, psi_c=c, cot=(cot_a, cot_b, cot_c),
+                             cos=(cos_a, cos_b, cos_c))
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.psi_a, self.psi_b, self.psi_c)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StarSolution:
     """Distances from the recovered interior point to the vertices A, B, C.
 
@@ -207,6 +217,12 @@ class StarSolution:
     c_prime: float
     point: PlaneVector
     residuals: tuple[float, float, float]
+
+    def __init__(self, a_prime: float, b_prime: float, c_prime: float,
+                 point: PlaneVector, residuals: tuple[float, float, float]):
+        # Frozen, so every field is set here, in one step.
+        self.__dict__.update(a_prime=a_prime, b_prime=b_prime, c_prime=c_prime,
+                             point=point, residuals=residuals)
 
     def distances(self) -> tuple[float, float, float]:
         return (self.a_prime, self.b_prime, self.c_prime)

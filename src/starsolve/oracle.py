@@ -135,7 +135,17 @@ def _distance_sum(x: float, y: float, vertices: list[tuple[float, float]]) -> fl
     return sum(math.hypot(x - vx, y - vy) for vx, vy in vertices)
 
 
-def minimize_distance_sum(t: TriangleEdges, max_iter: int = 10_000) -> MinimizationResult:
+def _trilaterate(a: float, to_b: float, to_c: float) -> tuple[float, float]:
+    """The point in the upper half-plane at distance ``to_b`` from B = (a, 0)
+    and ``to_c`` from C at the origin, or the nearest point on the x-axis
+    when the two circles miss each other."""
+    x = (to_c * to_c - to_b * to_b + a * a) / (2.0 * a)
+    return x, math.sqrt(max(to_c * to_c - x * x, 0.0))
+
+
+def minimize_distance_sum(t: TriangleEdges, max_iter: int = 10_000,
+                          start: tuple[float, float] | None = None
+                          ) -> MinimizationResult:
     """Minimize f(X) = |XA| + |XB| + |XC| (Fermat-Weber) to a certified gap.
 
     A vertex is the minimum exactly when the unit vectors from it toward
@@ -151,6 +161,13 @@ def minimize_distance_sum(t: TriangleEdges, max_iter: int = 10_000) -> Minimizat
     the Vardi-Zhang step (PNAS 97(4), 2000) moves (1 - 1/r) of the way to
     the weighted mean of the other two, r > 1 being the length of the sum
     of unit vectors toward them. ``iterations`` counts these steps.
+
+    ``start`` = (distance to B, distance to C), in the units of ``t``,
+    starts the iteration instead at the point at those distances on A's
+    side of edge a; the origin stays where it was. A start that is not
+    finite, or not once divided by 2**e (see below), is ignored. A good
+    start only saves steps: the stopping rule below bounds the gap
+    wherever the iteration began.
 
     It stops when |grad f(X)| * max_k |X - V_k| <= GAP_CERTIFICATE * f(X).
     By convexity f(X) - f(X*) <= grad f(X) . (X - X*), and X* lies in the
@@ -180,6 +197,14 @@ def minimize_distance_sum(t: TriangleEdges, max_iter: int = 10_000) -> Minimizat
     ox, oy = corners[edges.index(max(edges))]
     vertices = [(vx - ox, vy - oy) for vx, vy in corners]
     x = y = 0.0
+    if start is not None:
+        try:
+            sx, sy = _trilaterate(edges[0], math.ldexp(start[0], -exponent),
+                                  math.ldexp(start[1], -exponent))
+        except OverflowError:  # a start far beyond the scale of the edges
+            sx = sy = math.nan
+        if math.isfinite(sx) and math.isfinite(sy):
+            x, y = sx - ox, sy - oy
     fx = _distance_sum(x, y, vertices)
     for iterations in range(max_iter + 1):
         # Over the vertices X is not on: the unit vectors toward them (their

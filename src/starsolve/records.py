@@ -10,15 +10,21 @@ echo the measurement fields, so a solve output feeds straight into
 verify. Unknown input columns ride along as free-form metadata, each
 value as it was read. Records carry values, not text: a float is written
 as ``repr`` writes it, so every value read back is the value written.
+In CSV a JSON object, array or boolean in the metadata is written as its
+JSON text, since the CSV has no other way to carry it.
+
+A CSV header is resolved to column positions once per stream, and each
+row is read by position; both record types are immutable named tuples.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, TextIO
+from math import isfinite
+from operator import itemgetter
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, NamedTuple, TextIO
 
 MEASUREMENT_FIELDS = ("id", "u1", "u2", "u3", "psi1", "psi2")
 SOLUTION_FIELDS = ("u1p", "u2p", "u3p", "max_residual", "status", "diagnostics")
@@ -27,6 +33,8 @@ _KNOWN_FIELDS = frozenset(MEASUREMENT_FIELDS + SOLUTION_FIELDS)
 # The JSON values a field takes. Any other in a known field is a parse
 # error: true would read as 1.0, an object or array be written as its repr.
 _JSON_SCALARS = frozenset((str, int, float, type(None)))
+# No metadata: one shared empty mapping, which nothing can change.
+_NO_META: Mapping[str, object] = MappingProxyType({})
 
 STATUS_OK = "ok"
 STATUS_INFEASIBLE = "infeasible"
@@ -44,8 +52,7 @@ class ParseError(Exception):
         super().__init__(f"line {line_no}: {message}")
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
+class MeasurementRecord(NamedTuple):
     """One circuit measurement: voltages, optional phase differences, metadata."""
 
     id: str
@@ -54,15 +61,14 @@ class MeasurementRecord:
     u3: float
     psi1: float | None = None
     psi2: float | None = None
-    meta: dict[str, object] = field(default_factory=dict)
+    meta: Mapping[str, object] = _NO_META
 
     @property
     def has_angles(self) -> bool:
         return self.psi1 is not None
 
 
-@dataclass(frozen=True)
-class SolutionRecord:
+class SolutionRecord(NamedTuple):
     """Solver output for one measurement; voltages are None when it failed."""
 
     id: str
@@ -117,118 +123,145 @@ def _text_lines(lines: Iterable[str]) -> Iterator[str]:
         yield line
 
 
-def iter_raw_rows(lines: Iterable[str], fmt: str) -> Iterator[tuple[int, dict]]:
-    """Yield (line_no, mapping) per record, streaming; non-UTF-8 text is an
-    error. A CSV row short of the header's columns has them as ``""``."""
-    lines = _text_lines(lines)
+def _rows(lines: Iterable[str], fmt: str, fields: tuple[str, ...]
+          ) -> Iterator[tuple[int, tuple, dict]]:
+    """(line_no, values of ``fields``, metadata) per record, streaming; a
+    field the record lacks is None, and non-UTF-8 text is an error."""
     if fmt == "csv":
-        reader = csv.reader(lines)
-        try:
-            header = next(reader, None)
-            if header is None:
-                return
-            seen: set[str] = set()
-            for name in header:
-                if name in seen:
-                    raise ParseError(reader.line_num, f"header repeats column {name!r}")
-                seen.add(name)
-            width = len(header)
-            for row in reader:
-                if len(row) > width:
-                    raise ParseError(reader.line_num,
-                                     f"more fields than header columns: {row[width:]!r}")
-                if row:  # a blank line is no record
-                    row += [""] * (width - len(row))
-                    yield reader.line_num, dict(zip(header, row))
-        except csv.Error as exc:
-            raise ParseError(reader.line_num, f"malformed CSV: {exc}") from exc
-    elif fmt == "jsonl":
-        for line_no, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(line_no, f"invalid JSON: {exc.msg}") from exc
-            except (ValueError, RecursionError) as exc:  # too many digits or too deep
-                raise ParseError(line_no, f"invalid JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise ParseError(line_no, "each JSON line must be an object")
-            if "\\u" in line:  # only an escape can make a lone surrogate
-                for text in (*obj, *obj.values()):
-                    if isinstance(text, str) and (reason := _not_text(text)):
-                        raise ParseError(line_no, f"string {text!r}: {reason}")
-            if not _JSON_SCALARS.issuperset(map(type, obj.values())):
-                for key in MEASUREMENT_FIELDS + SOLUTION_FIELDS:
-                    if isinstance(obj.get(key), (bool, dict, list)):
-                        raise ParseError(line_no, f"field {key!r} is not a number "
-                                                  f"or a string: {obj[key]!r}")
-            yield line_no, obj
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+        return _csv_rows(_text_lines(lines), fields)
+    if fmt == "jsonl":
+        return _json_rows(_text_lines(lines), fields)
+    raise ValueError(f"unknown format {fmt!r}")
 
 
-def _required_float(row: dict, key: str, line_no: int) -> float:
-    value = row.get(key)
-    if value is None or (isinstance(value, str) and not value.strip()):
-        raise ParseError(line_no, f"missing required field {key!r}")
+def _csv_rows(lines: Iterator[str], fields: tuple[str, ...]
+              ) -> Iterator[tuple[int, tuple, dict]]:
+    """The CSV records. The header is checked and resolved to positions
+    once; a row short of its columns has them as ``""``."""
+    reader = csv.reader(lines)
     try:
-        result = float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(line_no, f"field {key!r} is not a number: {value!r}") from exc
-    if not math.isfinite(result):
-        raise ParseError(line_no, f"field {key!r} is not finite: {value!r}")
-    return result
+        header = next(reader, None)
+        if header is None:
+            return
+        seen: set[str] = set()
+        for name in header:
+            if name in seen:
+                raise ParseError(reader.line_num, f"header repeats column {name!r}")
+            seen.add(name)
+        width = len(header)
+        position = {name: i for i, name in enumerate(header)}
+        # Every row is padded to the header's width with "" and then ends in
+        # a None, which is what a field the header lacks reads.
+        pad = [""] * width + [None]
+        take = itemgetter(*(position.get(name, width) for name in fields))
+        meta = [(name, i) for i, name in enumerate(header) if name not in _KNOWN_FIELDS]
+        for row in reader:
+            if not row:  # a blank line is no record
+                continue
+            if len(row) > width:
+                raise ParseError(reader.line_num,
+                                 f"more fields than header columns: {row[width:]!r}")
+            row += pad[len(row):]
+            yield reader.line_num, take(row), {name: row[i] for name, i in meta}
+    except csv.Error as exc:
+        raise ParseError(reader.line_num, f"malformed CSV: {exc}") from exc
 
 
-def _optional_float(row: dict, key: str, line_no: int) -> float | None:
-    value = row.get(key)
-    if value is None or (isinstance(value, str) and not value.strip()):
-        return None
-    return _required_float(row, key, line_no)
+def _json_rows(lines: Iterator[str], fields: tuple[str, ...]
+               ) -> Iterator[tuple[int, tuple, dict]]:
+    """The JSON-lines records: one object per line, blank lines skipped."""
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(line_no, f"invalid JSON: {exc.msg}") from exc
+        except (ValueError, RecursionError) as exc:  # too many digits or too deep
+            raise ParseError(line_no, f"invalid JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise ParseError(line_no, "each JSON line must be an object")
+        if "\\u" in line:  # only an escape can make a lone surrogate
+            for text in (*obj, *obj.values()):
+                if isinstance(text, str) and (reason := _not_text(text)):
+                    raise ParseError(line_no, f"string {text!r}: {reason}")
+        if not _JSON_SCALARS.issuperset(map(type, obj.values())):
+            for key in MEASUREMENT_FIELDS + SOLUTION_FIELDS:
+                if isinstance(obj.get(key), (bool, dict, list)):
+                    raise ParseError(line_no, f"field {key!r} is not a number "
+                                              f"or a string: {obj[key]!r}")
+        yield line_no, tuple(map(obj.get, fields)), _metadata(obj)
 
 
-def parse_measurement(row: dict, line_no: int) -> MeasurementRecord:
-    rec_id = row.get("id")
+def _metadata(row: dict) -> dict:
+    return {k: v for k, v in row.items() if k not in _KNOWN_FIELDS}
+
+
+def _number(value: object, key: str, line_no: int,
+            required: bool = True) -> float | None:
+    """``value`` as a finite float. An absent value (None or blank text) is
+    an error if ``required``, else None."""
+    if value is not None and value != "":
+        try:
+            number = float(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            if not (isinstance(value, str) and value.isspace()):
+                raise ParseError(line_no, f"field {key!r} is not a number: "
+                                          f"{value!r}") from exc
+        else:
+            if not isfinite(number):
+                raise ParseError(line_no, f"field {key!r} is not finite: {value!r}")
+            return number
+    if required:
+        raise ParseError(line_no, f"missing required field {key!r}")
+    return None
+
+
+def _measurement(line_no: int, rec_id: object, u1: object, u2: object, u3: object,
+                 psi1: object, psi2: object, meta: dict) -> MeasurementRecord:
     rec_id = f"record-{line_no}" if rec_id is None or rec_id == "" else str(rec_id)
-    u1 = _required_float(row, "u1", line_no)
-    u2 = _required_float(row, "u2", line_no)
-    u3 = _required_float(row, "u3", line_no)
-    psi1 = _optional_float(row, "psi1", line_no)
-    psi2 = _optional_float(row, "psi2", line_no)
+    u1 = _number(u1, "u1", line_no)
+    u2 = _number(u2, "u2", line_no)
+    u3 = _number(u3, "u3", line_no)
+    psi1 = _number(psi1, "psi1", line_no, required=False)
+    psi2 = _number(psi2, "psi2", line_no, required=False)
     if (psi1 is None) != (psi2 is None):
         raise ParseError(line_no, "psi1 and psi2 must both be present or both absent")
-    meta = {k: v for k, v in row.items() if k not in _KNOWN_FIELDS}
     return MeasurementRecord(rec_id, u1, u2, u3, psi1, psi2, meta)
 
 
-def parse_solution(row: dict, line_no: int, rec_id: str) -> SolutionRecord | None:
+def _solution(line_no: int, rec_id: str, u1p: object, u2p: object, u3p: object,
+              max_residual: object, status: object,
+              diagnostics: object) -> SolutionRecord | None:
     """Solution fields of a combined row, or None if the row carries none."""
-    values = [_optional_float(row, key, line_no) for key in ("u1p", "u2p", "u3p")]
-    status = str(row.get("status") or "").strip()
-    if all(v is None for v in values) and not status:
+    u1p = _number(u1p, "u1p", line_no, required=False)
+    u2p = _number(u2p, "u2p", line_no, required=False)
+    u3p = _number(u3p, "u3p", line_no, required=False)
+    status = str(status or "").strip()
+    if u1p is None and u2p is None and u3p is None and not status:
         return None
-    if any(v is None for v in values) and status in ("", STATUS_OK):
+    if (u1p is None or u2p is None or u3p is None) and status in ("", STATUS_OK):
         raise ParseError(line_no, "incomplete solution: u1p, u2p, u3p required")
-    return SolutionRecord(
-        id=rec_id,
-        u1p=values[0], u2p=values[1], u3p=values[2],
-        max_residual=_optional_float(row, "max_residual", line_no),
-        status=status or STATUS_OK,
-        diagnostics=str(row.get("diagnostics") or ""),
-    )
+    return SolutionRecord(rec_id, u1p, u2p, u3p,
+                          _number(max_residual, "max_residual", line_no, required=False),
+                          status or STATUS_OK, str(diagnostics or ""))
+
+
+def parse_measurement(row: dict, line_no: int) -> MeasurementRecord:
+    """The measurement in a mapping of field names to values."""
+    return _measurement(line_no, *map(row.get, MEASUREMENT_FIELDS), _metadata(row))
 
 
 def read_measurements(lines: Iterable[str], fmt: str) -> Iterator[MeasurementRecord]:
-    for line_no, row in iter_raw_rows(lines, fmt):
-        yield parse_measurement(row, line_no)
+    for line_no, values, meta in _rows(lines, fmt, MEASUREMENT_FIELDS):
+        yield _measurement(line_no, *values, meta)
 
 
 def read_pairs(lines: Iterable[str], fmt: str) -> Iterator[
         tuple[MeasurementRecord, SolutionRecord | None]]:
-    for line_no, row in iter_raw_rows(lines, fmt):
-        measurement = parse_measurement(row, line_no)
-        yield measurement, parse_solution(row, line_no, measurement.id)
+    for line_no, values, meta in _rows(lines, fmt, MEASUREMENT_FIELDS + SOLUTION_FIELDS):
+        measurement = _measurement(line_no, *values[:6], meta)
+        yield measurement, _solution(line_no, measurement.id, *values[6:])
 
 
 # =========================================================================
@@ -262,15 +295,25 @@ class _LineFeedEnded:
         self._stream.write(line[:-2] + "\n")
 
 
+# JSON values that CSV has no text for; a CSV row carries them as JSON text.
+_JSON_ONLY = frozenset((dict, list, bool))
+
+
+def _csv_value(value: object) -> object:
+    return json.dumps(value) if type(value) in _JSON_ONLY else value
+
+
 class RowWriter:
-    """Streaming writer; CSV header is fixed by the first row's keys."""
+    """Streaming writer. The first row's keys fix the CSV header: a later
+    row's other keys are dropped and its missing ones written empty."""
 
     def __init__(self, stream: TextIO, fmt: str):
         if fmt not in ("csv", "jsonl"):
             raise ValueError(f"unknown format {fmt!r}")
         self._stream = stream
         self._fmt = fmt
-        self._csv_writer: csv.DictWriter | None = None
+        self._csv_writer = None
+        self._fields: tuple[str, ...] = ()
 
     def write(self, row: dict) -> None:
         """The row as it is: None is an empty CSV field or JSON null, and a
@@ -279,8 +322,11 @@ class RowWriter:
             self._stream.write(json.dumps(row) + "\n")
             return
         if self._csv_writer is None:
-            self._csv_writer = csv.DictWriter(
-                _LineFeedEnded(self._stream), fieldnames=list(row),
-                extrasaction="ignore", restval="", lineterminator="\r\n")
-            self._csv_writer.writeheader()
-        self._csv_writer.writerow(row)
+            self._csv_writer = csv.writer(_LineFeedEnded(self._stream),
+                                          lineterminator="\r\n")
+            self._fields = tuple(row)
+            self._csv_writer.writerow(self._fields)
+        values = list(map(row.get, self._fields))
+        if not _JSON_ONLY.isdisjoint(map(type, values)):
+            values = list(map(_csv_value, values))
+        self._csv_writer.writerow(values)

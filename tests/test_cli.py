@@ -16,6 +16,7 @@ import pytest
 
 from conftest import E1_DISTANCES, E1_EDGES
 from starsolve import circuit, cli
+from starsolve.circuit import ResidualReport
 from starsolve.cli import main, solve_record, verify_record
 from starsolve.fermat import fermat_distances_closed_form
 from starsolve.general import general_solve_by_circles
@@ -246,6 +247,62 @@ def test_carriage_return_in_a_field_is_quoted_on_output(monkeypatch, capsys):
     assert code == 0 and out.endswith("1 records, 0 failed\n")
 
 
+def _solved_fields(u1, u2, u3, psi1=None, psi2=None):
+    """u1p, u2p, u3p and max_residual of the solved row, as CSV writes them."""
+    _, s = solve_record(MeasurementRecord("x", u1, u2, u3, psi1, psi2), 1e-8)
+    return ",".join(map(repr, (s.u1p, s.u2p, s.u3p, s.max_residual)))
+
+
+SOLUTION_HEADER = "id,u1,u2,u3,psi1,psi2,u1p,u2p,u3p,max_residual,status,diagnostics"
+
+
+def test_solve_writes_csv_bytes(monkeypatch, capsys):
+    # A metadata column, a short row whose missing fields write empty, and an
+    # id with a bare CR, quoted on its LF-ended line.
+    stdin = ("id,u1,u2,u3,psi1,psi2,feeder\n"
+             "a,400,400,400,,,F1\n"
+             "b,3,4,5\n"
+             '"c\rd",400,400,400,110,130,F3\n')
+    code, out, _ = run_cli(["solve", "-"], monkeypatch, capsys, stdin_text=stdin)
+    assert code == 0
+    assert out == (
+        f"{SOLUTION_HEADER},feeder\n"
+        f"a,400.0,400.0,400.0,,,{_solved_fields(400.0, 400.0, 400.0)},ok,,F1\n"
+        f"b,3.0,4.0,5.0,,,{_solved_fields(3.0, 4.0, 5.0)},ok,,\n"
+        f'"c\rd",400.0,400.0,400.0,110.0,130.0,'
+        f"{_solved_fields(400.0, 400.0, 400.0, 110.0, 130.0)},ok,,F3\n")
+
+
+def test_jsonl_to_csv_header_is_fixed_by_the_first_row(monkeypatch, capsys):
+    stdin = ('{"id": "j1", "u1": 400, "u2": 400, "u3": 400, "site": "x", "n": 1}\n'
+             '{"id": "j2", "u1": 400, "u2": 400, "u3": 400, "n": 2, "extra": "y"}\n'
+             '{"id": "j3", "u1": 400, "u2": 400, "u3": 400}\n')
+    code, out, _ = run_cli(["solve", "--format", "csv", "-"], monkeypatch, capsys,
+                           stdin_text=stdin)
+    solved = _solved_fields(400.0, 400.0, 400.0)
+    assert code == 0
+    assert out == (f"{SOLUTION_HEADER},site,n\n"
+                   f"j1,400.0,400.0,400.0,,,{solved},ok,,x,1\n"
+                   f"j2,400.0,400.0,400.0,,,{solved},ok,,,2\n"
+                   f"j3,400.0,400.0,400.0,,,{solved},ok,,,\n")
+
+
+def test_json_object_array_and_boolean_metadata_go_to_csv_as_json(monkeypatch, capsys):
+    stdin = ('{"id": "j1", "u1": 400, "u2": 400, "u3": 400, '
+             '"tags": {"a": 1}, "on": true, "seen": [1, "x"], "off": false}\n')
+    code, out, _ = run_cli(["solve", "--format", "csv", "-"], monkeypatch, capsys,
+                           stdin_text=stdin)
+    assert code == 0
+    assert out.splitlines()[1].endswith(',"{""a"": 1}",true,"[1, ""x""]",false')
+    (m,) = read_measurements(out.splitlines(keepends=True), "csv")
+    assert {key: json.loads(text) for key, text in m.meta.items()} == {
+        "tags": {"a": 1}, "on": True, "seen": [1, "x"], "off": False}
+    code, out, _ = run_cli(["solve", "-"], monkeypatch, capsys, stdin_text=stdin)
+    assert code == 0
+    assert out.endswith(', "tags": {"a": 1}, "on": true, "seen": [1, "x"], '
+                        '"off": false}\n')
+
+
 def test_short_csv_row_echoes_empty_metadata(monkeypatch, capsys):
     stdin = "id,u1,u2,u3,psi1,psi2,feeder\na,400,400,400\nb,400,400,400,,,F2\n"
     code, out, _ = run_cli(["solve", "-"], monkeypatch, capsys, stdin_text=stdin)
@@ -343,11 +400,29 @@ def test_verify_runs_distance_sum_oracle_on_explicit_120_deg(monkeypatch):
     calls = []
     minimize = cli.minimize_distance_sum
     monkeypatch.setattr(cli, "minimize_distance_sum",
-                        lambda t: calls.append(t) or minimize(t))
+                        lambda t, **kw: calls.append(t) or minimize(t, **kw))
     m = MeasurementRecord("e1", *E1_EDGES.as_tuple(), 120.0, 120.0)
     s = SolutionRecord("e1", *E1_DISTANCES, 0.0, STATUS_OK)
     assert verify_record(m, s, 1e-8)[0]
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("claim", [(3.03, 4.04, 5.05), (3.03, 4.0, 5.0)])
+def test_verify_fails_a_sum_off_the_minimum_from_any_start(claim, monkeypatch):
+    # Closure and the circle re-solve are made to agree with the claim, so
+    # only the distance-sum oracle, started at the claimed point, can fail it.
+    monkeypatch.setattr(cli, "verify_solution",
+                        lambda u, lv, angles, tolerance: ResidualReport(
+                            (0.0, 0.0, 0.0), 0.0, tolerance, True))
+    monkeypatch.setattr(cli, "general_solve_by_circles",
+                        lambda t, angles: StarSolution(*claim, PlaneVector(0.0, 0.0),
+                                                       (0.0, 0.0, 0.0)))
+    m = MeasurementRecord("e1", *E1_EDGES.as_tuple())
+    s = SolutionRecord("e1", *claim, 0.0, STATUS_OK)
+    passed, detail = verify_record(m, s, 1e-8)
+    assert not passed
+    assert detail == (f"line-voltage sum {sum(claim) / 8:.9g} disagrees with "
+                      "minimized distance sum 1.5 (both over 2**3)")
 
 
 def test_circle_mismatch_message_shows_both_values(monkeypatch):

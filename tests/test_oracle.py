@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (
+    E1_EDGES,
     E4_ANGLES,
     E4_EDGES,
     distances_at_120,
@@ -171,6 +172,32 @@ def test_minimize_symmetric_planted_property(a_p, b_p, c_p):
     assert result.converged
     assert rel_err(result.value, total) < 1e-9
     assert result.value >= total * (1.0 - 1e-12)
+
+
+def test_minimize_started_at_the_planted_point_takes_no_step():
+    rng = Random(4)
+    for _ in range(300):
+        t, expected = planted_fermat_instance(rng)
+        cold = minimize_distance_sum(t)
+        warm = minimize_distance_sum(t, start=(expected.b_prime, expected.c_prime))
+        assert warm.iterations == 0 and warm.converged
+        assert rel_err(warm.value, cold.value) < 1e-15
+
+
+@pytest.mark.parametrize("start", [(0.0, 0.0), (4.04, 5.05), (1.0, 50.0), (1e15, 1e15),
+                                   (math.sqrt(37.0), 7.0)])
+def test_minimize_any_start_reaches_the_certified_minimum(start):
+    # E1's 120-deg point is at distances (3, 4, 5); the last start is vertex A.
+    result = minimize_distance_sum(E1_EDGES, max_iter=20, start=start)
+    assert result.converged and result.iterations > 0
+    assert rel_err(result.value, 12.0) < 1e-12
+
+
+@pytest.mark.parametrize("scale, start", [(1.0, (math.nan, 4.0)), (1.0, (4.0, math.inf)),
+                                          (1.0, (1e300, 1e300)), (1e-300, (1e10, 1e10))])
+def test_minimize_start_not_finite_on_the_scaled_edges_is_the_cold_start(scale, start):
+    t = TriangleEdges(*(x * scale for x in E1_EDGES.as_tuple()))
+    assert minimize_distance_sum(t, start=start) == minimize_distance_sum(t)
 
 
 # -- circle_intersections -----------------------------------------------------

@@ -1,5 +1,6 @@
 """The package's public names: all resolve, listed once and in order, and the
-helpers and exceptions that no solve or verify path reached stay gone."""
+helpers and exceptions that no solve or verify path reached stay gone. The
+records and values a row passes through cannot be changed once built."""
 
 from __future__ import annotations
 
@@ -9,6 +10,15 @@ import pkgutil
 import pytest
 
 import starsolve
+from starsolve import (
+    LineVoltages,
+    PhaseAngles,
+    PhaseToPhaseVoltages,
+    PlaneVector,
+    StarSolution,
+    TriangleEdges,
+)
+from starsolve.records import MeasurementRecord, SolutionRecord
 
 MODULES = tuple(module.name for module in pkgutil.iter_modules(starsolve.__path__))
 
@@ -34,3 +44,24 @@ def test_exports_sorted_without_duplicates():
 def test_removed_names_stay_removed(module):
     namespace = importlib.import_module(f"starsolve.{module}" if module else "starsolve")
     assert not [name for name in REMOVED if hasattr(namespace, name)]
+
+
+@pytest.mark.parametrize("value, name", [
+    (MeasurementRecord("m", 3.0, 4.0, 5.0), "u1"),
+    (MeasurementRecord("m", 3.0, 4.0, 5.0), "meta"),
+    (SolutionRecord("m", 1.0, 2.0, 3.0, 0.0, "ok"), "status"),
+    (TriangleEdges(3.0, 4.0, 5.0), "a"),
+    (TriangleEdges(3.0, 4.0, 5.0), "unit_sq"),
+    (PhaseAngles(110.0, 130.0, 120.0), "psi_a"),
+    (PhaseAngles(110.0, 130.0, 120.0), "cos"),
+    (LineVoltages(1.0, 2.0, 3.0), "u1p"),
+    (LineVoltages(1.0, 2.0, 3.0), "residuals"),
+    (PhaseToPhaseVoltages(3.0, 4.0, 5.0), "u1"),
+    (StarSolution(1.0, 2.0, 3.0, PlaneVector(0.0, 0.0), (0.0, 0.0, 0.0)), "a_prime"),
+    (PlaneVector(0.0, 0.0), "x"),
+], ids=lambda item: type(item).__name__ if not isinstance(item, str) else item)
+def test_fields_cannot_be_assigned(value, name):
+    with pytest.raises(AttributeError):
+        setattr(value, name, getattr(value, name))
+    with pytest.raises(AttributeError):
+        setattr(value, "added", 0)
