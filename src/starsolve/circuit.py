@@ -173,7 +173,7 @@ def line_voltage_phasors(u: PhaseToPhaseVoltages, psi1: float = 120.0,
     return tuple(result)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ResidualReport:
     """Closure check of a proposed solution against the measurement."""
 
@@ -181,6 +181,12 @@ class ResidualReport:
     max_residual: float
     tolerance: float
     passed: bool
+
+    def __init__(self, residuals: tuple[float, float, float], max_residual: float,
+                 tolerance: float, passed: bool):
+        # Frozen, so every field is set here, in one step.
+        self.__dict__.update(residuals=residuals, max_residual=max_residual,
+                             tolerance=tolerance, passed=passed)
 
 
 def verify_solution(u: PhaseToPhaseVoltages, lv: LineVoltages,

@@ -89,7 +89,8 @@ def random_synthesis_spec(rng: Random, seed: int = 0,
     while True:
         # Three unit-rate exponentials normalized to the simplex.
         draws = [-math.log(1.0 - rng.random()) for _ in range(3)]
-        total = sum(draws)
+        # Two plain additions: sum() is compensated from Python 3.12 on.
+        total = draws[0] + draws[1] + draws[2]
         psis = [360.0 * d / total for d in draws]
         if all(60.0 < psi < 180.0 for psi in psis):
             psi_a, psi_b = psis[0], psis[1]

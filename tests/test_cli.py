@@ -601,6 +601,40 @@ def test_usage_error_exit_1(monkeypatch, capsys):
     assert code == 1
 
 
+def test_main_builds_one_parser_and_leaks_no_state_between_calls(tmp_path, monkeypatch,
+                                                                  capsys):
+    builds, build = [], cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    monkeypatch.setattr(cli, "_parser", None)
+    batch = tmp_path / "in.csv"
+    batch.write_text("id,u1,u2,u3,psi1,psi2\nm,400,400,400,,\n")
+
+    code, out, _ = run_cli(["solve", "--format", "jsonl", str(batch)], monkeypatch, capsys)
+    assert code == 0 and json.loads(out)["id"] == "m"
+    code, csv_out, _ = run_cli(["solve", str(batch)], monkeypatch, capsys)
+    assert code == 0 and csv_out.startswith("id,u1,u2,u3,psi1,psi2,")
+
+    code, out, err = run_cli(["solve", "--tolerance", "0", str(batch)], monkeypatch, capsys)
+    assert (code, out) == (1, "") and err.startswith("star-solve: ")
+    code, out, err = run_cli(["solve", "--format", "xml", str(batch)], monkeypatch, capsys)
+    assert (code, out) == (1, "") and "invalid choice: 'xml'" in err
+    solved = tmp_path / "solved.csv"
+    solved.write_text(csv_out)
+    code, out, _ = run_cli(["verify", str(solved)], monkeypatch, capsys)
+    assert code == 0 and out.endswith("1 records, 0 failed\n")
+
+    code, out, _ = run_cli(["--help"], monkeypatch, capsys)
+    assert code == 0 and out.startswith("usage: star-solve")
+    code, out, _ = run_cli(["solve", str(batch)], monkeypatch, capsys)
+    assert (code, out) == (0, csv_out)
+    assert len(builds) == 1
+
+
 # -- verify command -----------------------------------------------------------
 
 def test_verify_accepts_solver_output(tmp_path, monkeypatch, capsys):
@@ -647,6 +681,16 @@ def test_synth_deterministic(monkeypatch, capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert len(out1.strip().splitlines()) == 11
+
+
+def test_synth_bytes_do_not_depend_on_the_python_version(monkeypatch, capsys):
+    # The angle draws' normalizer is two plain additions; sum() is compensated
+    # from Python 3.12 on, and this row's planted residual then read 0.
+    code, out, _ = run_cli(["synth", "--count", "2000", "--seed", "7"], monkeypatch, capsys)
+    assert code == 0
+    header, *rows = out.splitlines()
+    row = next(row for row in rows if row.startswith("synth-7-00006,"))
+    assert dict(zip(header.split(","), row.split(",")))["max_residual"] == "1.79302236962e-16"
 
 
 def test_synth_symmetric_leaves_psi_empty(monkeypatch, capsys):

@@ -18,6 +18,7 @@ from starsolve import (
     StarSolution,
     TriangleEdges,
 )
+from starsolve.circuit import ResidualReport
 from starsolve.records import MeasurementRecord, SolutionRecord
 
 MODULES = tuple(module.name for module in pkgutil.iter_modules(starsolve.__path__))
@@ -59,6 +60,9 @@ def test_removed_names_stay_removed(module):
     (PhaseToPhaseVoltages(3.0, 4.0, 5.0), "u1"),
     (StarSolution(1.0, 2.0, 3.0, PlaneVector(0.0, 0.0), (0.0, 0.0, 0.0)), "a_prime"),
     (PlaneVector(0.0, 0.0), "x"),
+    (ResidualReport((0.0, 0.0, 0.0), 0.0, 1e-8, True), "passed"),
+    (ResidualReport(residuals=(0.0, 0.0, 0.0), max_residual=0.0, tolerance=1e-8,
+                    passed=True), "residuals"),
 ], ids=lambda item: type(item).__name__ if not isinstance(item, str) else item)
 def test_fields_cannot_be_assigned(value, name):
     with pytest.raises(AttributeError):
