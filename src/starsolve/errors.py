@@ -20,7 +20,8 @@ class NotATriangle(StarSolveError):
 
 
 class DegenerateTriangle(StarSolveError):
-    """Two spanning vectors are collinear; the triangle has no interior."""
+    """Two spanning vectors are collinear, or an edge is too short beside the
+    longest to square: the triangle has no interior a float can resolve."""
 
 
 # -- fermat-solver -----------------------------------------------------------

@@ -44,14 +44,6 @@ from .geometry import (
 # Interiority slack for barycentric coordinates (dimensionless).
 BARY_TOL = 1e-9
 
-__all__ = [
-    "PhaseAngles",
-    "validate_angles",
-    "general_distances_closed_form",
-    "general_solve_by_circles",
-]
-
-
 def validate_angles(psi_a: float, psi_b: float) -> PhaseAngles:
     """Complete (psi_a, psi_b) with psi_c = 360 - psi_a - psi_b and validate."""
     return PhaseAngles(psi_a, psi_b, 360.0 - psi_a - psi_b)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .config import EPS_ANG_DEG, EPS_TRI_COEFF
-from .errors import AngleOutOfRange, NotATriangle
+from .errors import AngleOutOfRange, DegenerateTriangle, NotATriangle
 
 
 @dataclass(frozen=True, init=False)
@@ -26,32 +26,8 @@ class PlaneVector:
         # Frozen, so every field is set here, in one step.
         self.__dict__.update(x=x, y=y)
 
-    def __add__(self, other: "PlaneVector") -> "PlaneVector":
-        return PlaneVector(self.x + other.x, self.y + other.y)
-
     def __sub__(self, other: "PlaneVector") -> "PlaneVector":
         return PlaneVector(self.x - other.x, self.y - other.y)
-
-    def __mul__(self, k: float) -> "PlaneVector":
-        return PlaneVector(self.x * k, self.y * k)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "PlaneVector":
-        return PlaneVector(-self.x, -self.y)
-
-    def dot(self, other: "PlaneVector") -> float:
-        return self.x * other.x + self.y * other.y
-
-    def cross(self, other: "PlaneVector") -> float:
-        """Signed parallelogram area; positive when ``other`` is counterclockwise."""
-        return self.x * other.y - self.y * other.x
-
-    def norm_sq(self) -> float:
-        return self.x * self.x + self.y * self.y
-
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
 
     def distance_to(self, other: "PlaneVector") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
@@ -99,7 +75,9 @@ class TriangleEdges:
     Edge ``a`` is opposite vertex A, ``b`` opposite B, ``c`` opposite C.
     Construction rejects non-positive lengths and triples that violate the
     triangle inequality beyond the collinearity clamp window; an exactly
-    (or near-)collinear triple is allowed and has zero area.
+    (or near-)collinear triple is allowed and has zero area. A needle whose
+    short edge squares to zero on the unit triangle (below) raises
+    :class:`DegenerateTriangle`: every closure defect divides by that square.
 
     Construction also computes, once, what every solver reads. The solvers
     are homogeneous in the edges, so they work on the unit triangle
@@ -130,11 +108,14 @@ class TriangleEdges:
         p_big, p_small = _stable_heron_pairs(ua, ub, uc)
         if p_small < -EPS_TRI_COEFF * (ua + ub + uc) ** 2:
             raise NotATriangle(f"edges ({a}, {b}, {c}) violate the triangle inequality")
+        unit_sq = (ua * ua, ub * ub, uc * uc)
+        if 0.0 in unit_sq:
+            raise DegenerateTriangle(f"edges ({a}, {b}, {c}): the shortest squares "
+                                     "to 0 beside the longest")
         # Frozen, so every field is set here, in one step. A negative p_small
         # inside the clamp window is a collinear triple.
         self.__dict__.update(
-            a=a, b=b, c=c, exponent=exponent, unit=(ua, ub, uc),
-            unit_sq=(ua * ua, ub * ub, uc * uc),
+            a=a, b=b, c=c, exponent=exponent, unit=(ua, ub, uc), unit_sq=unit_sq,
             unit_theta_sq=math.sqrt(p_big * max(p_small, 0.0)))
 
     def perimeter(self) -> float:
@@ -142,9 +123,6 @@ class TriangleEdges:
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.a, self.b, self.c)
-
-    def scaled(self, k: float) -> "TriangleEdges":
-        return TriangleEdges(self.a * k, self.b * k, self.c * k)
 
 
 def theta_squared(t: TriangleEdges) -> float:

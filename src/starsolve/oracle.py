@@ -1,11 +1,9 @@
 """Independent verification machinery.
 
 Nothing here reuses solver formulas: the minimizer works on the
-distance-sum objective and its derivatives alone, the circle kernel is
-plain radical-line arithmetic, and waveform sampling works in the time
-domain. The minimizer backs ``verify`` and the synthesis ``synth``; the
-circle kernel, which no solver calls, is the tests' reference for the
-circle route of :mod:`starsolve.general`.
+distance-sum objective and its derivatives alone, and waveform sampling
+works in the time domain. The minimizer backs ``verify`` and the
+synthesis ``synth``.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import ConcentricCircles, NoConvergence
+from .errors import NoConvergence
 from .geometry import (
     PhaseAngles,
     PlaneVector,
@@ -24,6 +22,7 @@ from .geometry import (
     TriangleEdges,
     closure_residuals,
     point_from_distances,
+    point_position,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - type-only, avoids a runtime cycle
@@ -136,14 +135,6 @@ def _distance_sum(x: float, y: float, vertices: list[tuple[float, float]]) -> fl
     return sum(math.hypot(x - vx, y - vy) for vx, vy in vertices)
 
 
-def _trilaterate(a: float, to_b: float, to_c: float) -> tuple[float, float]:
-    """The point in the upper half-plane at distance ``to_b`` from B = (a, 0)
-    and ``to_c`` from C at the origin, or the nearest point on the x-axis
-    when the two circles miss each other."""
-    x = (to_c * to_c - to_b * to_b + a * a) / (2.0 * a)
-    return x, math.sqrt(max(to_c * to_c - x * x, 0.0))
-
-
 def minimize_distance_sum(t: TriangleEdges, max_iter: int = 10_000,
                           start: tuple[float, float] | None = None
                           ) -> MinimizationResult:
@@ -200,8 +191,9 @@ def minimize_distance_sum(t: TriangleEdges, max_iter: int = 10_000,
     x = y = 0.0
     if start is not None:
         try:
-            sx, sy = _trilaterate(edges[0], math.ldexp(start[0], -exponent),
-                                  math.ldexp(start[1], -exponent))
+            sx, sy = point_position(edges[0], edges[0] * edges[0],
+                                    math.ldexp(start[0], -exponent),
+                                    math.ldexp(start[1], -exponent))
         except OverflowError:  # a start far beyond the scale of the edges
             sx = sy = math.nan
         if math.isfinite(sx) and math.isfinite(sy):
@@ -254,51 +246,6 @@ def _scaled_back(exponent: int, x: float, y: float, value: float,
                  iterations: int) -> MinimizationResult:
     point = PlaneVector(math.ldexp(x, exponent), math.ldexp(y, exponent))
     return MinimizationResult(point, math.ldexp(value, exponent), iterations, True)
-
-
-# =========================================================================
-# Circle-circle intersection kernel
-# =========================================================================
-
-def circle_intersections(c1x: float, c1y: float, r1: float,
-                         c2x: float, c2y: float, r2: float
-                         ) -> tuple[tuple[float, float], ...]:
-    """Intersection points of two circles, as (x, y) pairs ordered by x then y.
-
-    Returns an empty tuple for separated or nested circles, one point at
-    (near-)tangency, two points otherwise. The window around tangency, and
-    around coincident centres, is 1e-12 of the radius scale.
-
-    The half-chord height is the altitude of the triangle with sides
-    (d, r1, r2), evaluated as a factored product; the naive
-    sqrt(r1^2 - along^2) form loses everything to cancellation when both
-    radii dwarf the center distance gap.
-    """
-    if r1 <= 0.0 or r2 <= 0.0:
-        raise ValueError(f"radii must be positive, got {r1} and {r2}")
-    eps = 1e-12 * (r1 + r2)
-    d = math.hypot(c1x - c2x, c1y - c2y)
-    if d <= eps:
-        raise ConcentricCircles(
-            f"centers coincide within {eps:g}; intersection undefined")
-
-    f_sep = r1 + r2 - d            # negative: circles separated
-    f_nest = d - abs(r1 - r2)      # negative: one circle inside the other
-    if f_sep < -eps or f_nest < -eps:
-        return ()
-    pair_sep = (d + r1 + r2) * max(f_sep, 0.0)
-    pair_nest = (d + r1 - r2) * (d - r1 + r2)
-    h = math.sqrt(pair_sep * max(pair_nest, 0.0)) / (2.0 * d)
-
-    along = (d * d + (r1 - r2) * (r1 + r2)) / (2.0 * d)
-    inv_d = 1.0 / d
-    ux, uy = (c2x - c1x) * inv_d, (c2y - c1y) * inv_d   # unit axis c1 -> c2
-    bx, by = c1x + ux * along, c1y + uy * along
-    if h <= eps:
-        return ((bx, by),)
-    ox, oy = -uy * h, ux * h                             # h * perp(axis)
-    first, second = (bx + ox, by + oy), (bx - ox, by - oy)
-    return (second, first) if second < first else (first, second)
 
 
 # =========================================================================

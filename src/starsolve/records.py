@@ -190,11 +190,8 @@ def _json_rows(lines: Iterator[str], fields: tuple[str, ...]
                 if isinstance(obj.get(key), (bool, dict, list)):
                     raise ParseError(line_no, f"field {key!r} is not a number "
                                               f"or a string: {obj[key]!r}")
-        yield line_no, tuple(map(obj.get, fields)), _metadata(obj)
-
-
-def _metadata(row: dict) -> dict:
-    return {k: v for k, v in row.items() if k not in _KNOWN_FIELDS}
+        yield (line_no, tuple(map(obj.get, fields)),
+               {k: v for k, v in obj.items() if k not in _KNOWN_FIELDS})
 
 
 def _number(value: object, key: str, line_no: int,
@@ -245,11 +242,6 @@ def _solution(line_no: int, rec_id: str, u1p: object, u2p: object, u3p: object,
     return SolutionRecord(rec_id, u1p, u2p, u3p,
                           _number(max_residual, "max_residual", line_no, required=False),
                           status or STATUS_OK, str(diagnostics or ""))
-
-
-def parse_measurement(row: dict, line_no: int) -> MeasurementRecord:
-    """The measurement in a mapping of field names to values."""
-    return _measurement(line_no, *map(row.get, MEASUREMENT_FIELDS), _metadata(row))
 
 
 def read_measurements(lines: Iterable[str], fmt: str) -> Iterator[MeasurementRecord]:

@@ -24,6 +24,7 @@ from starsolve.geometry import PhaseAngles, PlaneVector, StarSolution
 from starsolve.records import (
     STATUS_ANGLE_GE_120,
     STATUS_INCONSISTENT,
+    STATUS_INFEASIBLE,
     STATUS_INTERNAL_ERROR,
     STATUS_OK,
     MeasurementRecord,
@@ -31,7 +32,6 @@ from starsolve.records import (
     SolutionRecord,
     combined_row,
     detect_format,
-    parse_measurement,
     read_measurements,
     read_pairs,
 )
@@ -73,13 +73,17 @@ def test_parse_errors_carry_line_numbers():
 
 
 def test_parse_rejects_half_psi():
-    with pytest.raises(ParseError):
-        parse_measurement({"id": "x", "u1": 1, "u2": 1, "u3": 1, "psi1": 115}, 1)
+    lines = ['{"id": "x", "u1": 1, "u2": 1, "u3": 1, "psi1": 115}\n']
+    with pytest.raises(ParseError) as info:
+        list(read_measurements(lines, "jsonl"))
+    assert info.value.line_no == 1
 
 
 def test_parse_missing_voltage():
-    with pytest.raises(ParseError):
-        parse_measurement({"id": "x", "u1": 1, "u2": 1}, 5)
+    lines = ["\n"] * 4 + ['{"id": "x", "u1": 1, "u2": 1}\n']
+    with pytest.raises(ParseError) as info:
+        list(read_measurements(lines, "jsonl"))
+    assert info.value.line_no == 5
 
 
 def test_detect_format():
@@ -223,6 +227,22 @@ def test_repeated_csv_header_is_parse_error(monkeypatch, capsys):
     code, out, err = run_cli(["solve", "-"], monkeypatch, capsys, stdin_text=stdin)
     assert (code, out) == (1, "")
     assert err == "star-solve: line 1: header repeats column 'u1'\n"
+
+
+GOOD_JSON_LINE = '{"id": "a", "u1": 400, "u2": 400, "u3": 400}\n'
+
+
+@pytest.mark.parametrize("command, stdin, message", [
+    ("solve", GOOD_JSON_LINE + '{"id": \n', "line 2: invalid JSON: Expecting value"),
+    ("solve", GOOD_JSON_LINE + "[1, 2]\n", "line 2: each JSON line must be an object"),
+    ("verify", "id,u1,u2,u3,psi1,psi2,u1p,u2p,u3p,max_residual,status,diagnostics\n"
+               "m,400,400,400,,,230.9,,230.9,0,ok,\n",
+     "line 2: incomplete solution: u1p, u2p, u3p required"),
+], ids=["invalid-json", "json-array", "incomplete-solution"])
+def test_bad_record_after_a_good_one_is_parse_error(command, stdin, message,
+                                                    monkeypatch, capsys):
+    code, _, err = run_cli([command, "-"], monkeypatch, capsys, stdin_text=stdin)
+    assert (code, err) == (1, f"star-solve: {message}\n")
 
 
 @pytest.mark.parametrize("text", [
@@ -512,6 +532,16 @@ def test_tolerance_flag_rejects_non_positive(tmp_path, monkeypatch, capsys, bad)
     assert "finite and positive" in err
 
 
+def test_solved_row_over_the_tolerance_is_infeasible(monkeypatch, capsys):
+    stdin = "id,u1,u2,u3,psi1,psi2\nm,400,400,400,,\n"
+    code, out, _ = run_cli(["solve", "--tolerance", "1e-20", "-"], monkeypatch, capsys,
+                           stdin_text=stdin)
+    assert code == 2
+    (_, solution), = read_pairs(out.splitlines(keepends=True), "csv")
+    assert solution.status == STATUS_INFEASIBLE
+    assert solution.diagnostics == "closure residual 1.091e-15 exceeds tolerance 1e-20"
+
+
 def _faulty_kernel(original, bad_edge, fault):
     """``original`` with ``fault`` (an exception type, or a callable that
     builds the solver's answer) injected for edges whose ``a`` is ``bad_edge``."""
@@ -661,6 +691,14 @@ def test_verify_rejects_edited_solution(tmp_path, monkeypatch, capsys):
     code, out, _ = run_cli(["verify", str(edited)], monkeypatch, capsys)
     assert code == 2
     assert "FAIL" in out
+
+
+def test_verify_fails_a_forged_ok_row_that_is_no_triangle(monkeypatch, capsys):
+    stdin = SOLUTION_HEADER + "\nm,1,1,3,,,1,1,1,0,ok,\n"
+    code, out, _ = run_cli(["verify", "-"], monkeypatch, capsys, stdin_text=stdin)
+    assert code == 2
+    assert out == ("m: FAIL (cross-check raised: edges (1.0, 1.0, 3.0) violate the "
+                   "triangle inequality)\n1 records, 1 failed\n")
 
 
 def test_verify_empty_file(tmp_path, monkeypatch, capsys):

@@ -41,9 +41,9 @@ def test_embed_right_triangle():
 def test_embed_preserves_lengths():
     t = E1_EDGES
     a_vec, b_vec = embed_triangle(t)
-    assert a_vec.norm() == pytest.approx(t.a, rel=1e-15)
-    assert b_vec.norm() == pytest.approx(t.b, rel=1e-14)
-    assert (a_vec - b_vec).norm() == pytest.approx(t.c, rel=1e-14)
+    assert math.hypot(a_vec.x, a_vec.y) == pytest.approx(t.a, rel=1e-15)
+    assert math.hypot(b_vec.x, b_vec.y) == pytest.approx(t.b, rel=1e-14)
+    assert a_vec.distance_to(b_vec) == pytest.approx(t.c, rel=1e-14)
     assert b_vec.y > 0
 
 
@@ -60,7 +60,8 @@ def _cevian_params(t, point):
     out = []
     for start, apex in ((b_vec, p), (a_vec, q)):
         d, m = apex - start, point - start
-        out.append((m.dot(d) / d.dot(d), abs(d.cross(m)) / d.norm()))
+        out.append(((m.x * d.x + m.y * d.y) / (d.x * d.x + d.y * d.y),
+                    abs(d.x * m.y - d.y * m.x) / math.hypot(d.x, d.y)))
     return out
 
 
@@ -70,7 +71,8 @@ def test_line_solution_equilateral_is_centroid():
     (tau0, _), (sigma0, _) = _cevian_params(t, s.point)
     assert tau0 == pytest.approx(sigma0, rel=1e-14)
     a_vec, b_vec = embed_triangle(t)
-    centroid = (1.0 / 3.0) * (a_vec + b_vec)
+    centroid = PlaneVector((1.0 / 3.0) * (a_vec.x + b_vec.x),
+                           (1.0 / 3.0) * (a_vec.y + b_vec.y))
     assert s.point.distance_to(centroid) < 1e-15
 
 
@@ -83,7 +85,7 @@ def test_line_solution_345_lines_agree():
 
 def test_line_solution_forward_synthesis_norm():
     s = fermat_construction(E1_EDGES)
-    assert s.point.norm() == pytest.approx(5.0, rel=1e-12)
+    assert math.hypot(s.point.x, s.point.y) == pytest.approx(5.0, rel=1e-12)
 
 
 def test_line_solution_invariants():
@@ -114,7 +116,7 @@ def test_closed_form_recovers_planted_345():
 
 def test_closed_form_scales_linearly():
     k = 230.94
-    s = fermat_distances_closed_form(E1_EDGES.scaled(k))
+    s = fermat_distances_closed_form(TriangleEdges(*(e * k for e in E1_EDGES.as_tuple())))
     for value, expected in zip(s.distances(), E1_DISTANCES):
         assert rel_err(value, k * expected) < 1e-12
 
@@ -155,7 +157,8 @@ def test_rays_meet_at_120_degrees():
         to_b = a_vec - s.point
         to_c = PlaneVector(0.0, 0.0) - s.point
         for u, v in ((to_a, to_c), (to_c, to_b), (to_b, to_a)):
-            turn = math.degrees(math.atan2(u.cross(v), u.dot(v))) % 360.0
+            turn = math.degrees(math.atan2(u.x * v.y - u.y * v.x,
+                                           u.x * v.x + u.y * v.y)) % 360.0
             assert turn == pytest.approx(120.0, abs=1e-7)
 
 
@@ -172,7 +175,7 @@ def test_minimality_against_sampled_points():
         r1, r2 = rng.random(), rng.random()
         if r1 + r2 > 1.0:
             r1, r2 = 1.0 - r1, 1.0 - r2
-        x = r1 * a_vec + r2 * b_vec
+        x = PlaneVector(r1 * a_vec.x + r2 * b_vec.x, r1 * a_vec.y + r2 * b_vec.y)
         total = x.distance_to(b_vec) + x.distance_to(a_vec) + x.distance_to(origin)
         assert total >= best - 1e-12 * best
         if x.distance_to(s.point) > eps_pt:
@@ -187,10 +190,11 @@ def test_point_collinear_with_third_apex():
         t, _ = planted_fermat_instance(rng)
         a_vec, b_vec = embed_triangle(t)
         # (-y, x) turns (x, y) by +90 deg; this is turn(a_vec) - turn(b_vec).
-        turned = PlaneVector(b_vec.y - a_vec.y, a_vec.x - b_vec.x)
-        r = 0.5 * (a_vec + b_vec + SQRT3 * turned)
+        tx, ty = b_vec.y - a_vec.y, a_vec.x - b_vec.x
+        rx = 0.5 * (a_vec.x + b_vec.x + SQRT3 * tx)
+        ry = 0.5 * (a_vec.y + b_vec.y + SQRT3 * ty)
         m = fermat_solve(t).point
-        assert abs(m.cross(r)) <= 1e-10 * m.norm() * r.norm()
+        assert abs(m.x * ry - m.y * rx) <= 1e-10 * math.hypot(m.x, m.y) * math.hypot(rx, ry)
 
 
 def test_wide_triangle_rejected_with_diagnostics():
@@ -243,7 +247,7 @@ def test_residuals_reported_small():
 def test_point_from_distances_roundtrip():
     t = E1_EDGES
     pt = point_from_distances(t, *E1_DISTANCES)
-    assert pt.norm() == pytest.approx(5.0, rel=1e-14)
+    assert math.hypot(pt.x, pt.y) == pytest.approx(5.0, rel=1e-14)
     a_vec, b_vec = embed_triangle(t)
     assert pt.distance_to(b_vec) == pytest.approx(3.0, rel=1e-12)
     assert pt.distance_to(a_vec) == pytest.approx(4.0, rel=1e-12)

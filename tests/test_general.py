@@ -66,6 +66,9 @@ def test_validate_angles_rejects_out_of_range():
     with pytest.raises(AngleOutOfRange) as info:
         validate_angles(85, 85)  # psi_c would be 190
     assert info.value.name == "psi_c"
+    with pytest.raises(AngleOutOfRange) as info:
+        validate_angles(math.nan, 120.0)
+    assert str(info.value) == "psi_a = nan deg: not a finite number"
 
 
 # -- inscribed-angle circles --------------------------------------------------
@@ -73,7 +76,8 @@ def test_validate_angles_rejects_out_of_range():
 def test_right_angle_gives_thales_circle():
     t = TriangleEdges(1, 1, 1)
     center_r, _, rho_a, _ = chord_circles(t, *PhaseAngles(90, 150, 120).cot[:2])
-    assert center_r.distance_to(0.5 * embed_triangle(t)[0]) < 1e-15
+    a_vec = embed_triangle(t)[0]
+    assert center_r.distance_to(PlaneVector(0.5 * a_vec.x, 0.5 * a_vec.y)) < 1e-15
     assert rho_a == pytest.approx(0.5, rel=1e-15)
 
 
@@ -153,7 +157,8 @@ def test_closed_form_homogeneous_in_lengths():
     spec, t, _ = planted_general_instance(rng)
     k = 314.159
     base = general_distances_closed_form(t, spec.angles).distances()
-    scaled = general_distances_closed_form(t.scaled(k), spec.angles).distances()
+    scaled_t = TriangleEdges(*(e * k for e in t.as_tuple()))
+    scaled = general_distances_closed_form(scaled_t, spec.angles).distances()
     for x, y in zip(scaled, base):
         assert rel_err(x, k * y) < 1e-12
 

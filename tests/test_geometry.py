@@ -50,7 +50,7 @@ def test_theta_permutation_invariant_within_4_ulps():
 @given(st.floats(min_value=1e-6, max_value=1e6))
 def test_theta_scales_quadratically(k):
     t = TriangleEdges(3, 4, 5)
-    scaled = theta_squared(t.scaled(k))
+    scaled = theta_squared(TriangleEdges(3 * k, 4 * k, 5 * k))
     assert rel_err(scaled, k * k * theta_squared(t)) < 1e-12
 
 

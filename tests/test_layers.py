@@ -5,7 +5,8 @@ The oracle and the solvers it checks (``general``, ``fermat``) import nothing
 from each other, so each stays an independent check on the other.
 ``errors``, ``config`` and ``records`` are leaves: any module may import
 them and they import no sibling. The package ``__init__`` sits on top and
-re-exports. No module imports a name it never uses.
+re-exports. No module imports a name it never uses, and no module defines
+a name that nothing in the package reads and the package does not export.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+import starsolve
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "starsolve"
 LAYERS = ("geometry", "oracle", "general", "fermat", "circuit", "cli")
@@ -103,3 +106,29 @@ def unused_imports(path: Path) -> set[str]:
 def test_no_unused_imports(module):
     unused = unused_imports(PACKAGE / f"{module}.py")
     assert not unused, f"{module} imports {sorted(unused)} and never uses them"
+
+
+def module_level_names(path: Path) -> set[str]:
+    """Functions, classes and constants a module defines at its top level;
+    dunder names such as ``__all__`` and ``__version__`` left out."""
+    names: set[str] = set()
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(leaf.id for target in targets for leaf in ast.walk(target)
+                         if isinstance(leaf, ast.Name))
+    return {name for name in names if not (name.startswith("__") and name.endswith("__"))}
+
+
+def names_read(path: Path) -> set[str]:
+    return {node.id for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_defined_name_is_read_or_exported():
+    read = set(starsolve.__all__).union(*map(names_read, PACKAGE.glob("*.py")))
+    dead = sorted(f"{module}.{name}" for module in LAYERS + LEAVES
+                  for name in module_level_names(PACKAGE / f"{module}.py") - read)
+    assert not dead, f"defined, never read in the package and not exported: {dead}"

@@ -34,7 +34,7 @@ from starsolve import (
     theta_squared,
 )
 from starsolve.general import _chord_circles
-from starsolve.oracle import circle_intersections, random_synthesis_spec
+from starsolve.oracle import random_synthesis_spec
 
 ALL_120 = PhaseAngles(120.0, 120.0, 120.0)
 
@@ -202,6 +202,50 @@ def test_minimize_start_not_finite_on_the_scaled_edges_is_the_cold_start(scale, 
 
 # -- circle_intersections -----------------------------------------------------
 
+# The reference for the circle route of starsolve.general: plain radical-line
+# arithmetic, which shares nothing with the route's reflection in the line of
+# centres.
+def circle_intersections(c1x: float, c1y: float, r1: float,
+                         c2x: float, c2y: float, r2: float
+                         ) -> tuple[tuple[float, float], ...]:
+    """Intersection points of two circles, as (x, y) pairs ordered by x then y.
+
+    Returns an empty tuple for separated or nested circles, one point at
+    (near-)tangency, two points otherwise. The window around tangency, and
+    around coincident centres, is 1e-12 of the radius scale.
+
+    The half-chord height is the altitude of the triangle with sides
+    (d, r1, r2), evaluated as a factored product; the naive
+    sqrt(r1^2 - along^2) form loses everything to cancellation when both
+    radii dwarf the center distance gap.
+    """
+    if r1 <= 0.0 or r2 <= 0.0:
+        raise ValueError(f"radii must be positive, got {r1} and {r2}")
+    eps = 1e-12 * (r1 + r2)
+    d = math.hypot(c1x - c2x, c1y - c2y)
+    if d <= eps:
+        raise ConcentricCircles(
+            f"centers coincide within {eps:g}; intersection undefined")
+
+    f_sep = r1 + r2 - d            # negative: circles separated
+    f_nest = d - abs(r1 - r2)      # negative: one circle inside the other
+    if f_sep < -eps or f_nest < -eps:
+        return ()
+    pair_sep = (d + r1 + r2) * max(f_sep, 0.0)
+    pair_nest = (d + r1 - r2) * (d - r1 + r2)
+    h = math.sqrt(pair_sep * max(pair_nest, 0.0)) / (2.0 * d)
+
+    along = (d * d + (r1 - r2) * (r1 + r2)) / (2.0 * d)
+    inv_d = 1.0 / d
+    ux, uy = (c2x - c1x) * inv_d, (c2y - c1y) * inv_d   # unit axis c1 -> c2
+    bx, by = c1x + ux * along, c1y + uy * along
+    if h <= eps:
+        return ((bx, by),)
+    ox, oy = -uy * h, ux * h                             # h * perp(axis)
+    first, second = (bx + ox, by + oy), (bx - ox, by - oy)
+    return (second, first) if second < first else (first, second)
+
+
 def test_tangent_circles_single_point():
     points = circle_intersections(0.0, 0.0, 1.0, 2.0, 0.0, 1.0)
     assert len(points) == 1
@@ -315,4 +359,4 @@ def test_planted_instances_recovered_by_oracle_routes():
         floor = 1e-12 * t.perimeter()
         assert rel_err(x.distance_to(b_vec), planted[0], floor=floor) < 1e-8
         assert rel_err(x.distance_to(a_vec), planted[1], floor=floor) < 1e-8
-        assert rel_err(x.norm(), planted[2], floor=floor) < 1e-8
+        assert rel_err(math.hypot(x.x, x.y), planted[2], floor=floor) < 1e-8

@@ -23,13 +23,16 @@ from starsolve.records import MeasurementRecord, SolutionRecord
 
 MODULES = tuple(module.name for module in pkgutil.iter_modules(starsolve.__path__))
 
-# Removed once the constructions ran on plain floats, and once the circle
-# route reflected vertex C in the line of centres; nothing called them.
+# Removed once the constructions ran on plain floats, once the circle
+# route reflected vertex C in the line of centres, and once the oracle
+# started from geometry.point_position; nothing called them. The circle
+# kernel lives on in tests/test_oracle.py as the circle route's reference.
 REMOVED = ("AmbiguousIntersection", "CircleData", "EPS_DEN_COEFF", "EPS_LEN",
            "FermatIntermediate", "GeneralIntermediate", "SingularConfiguration", "ZeroVector",
-           "_EDGE_LABELS", "angle_between", "circumcircle_data", "fermat_apexes",
-           "fermat_line_solution", "intersect_circles", "law_of_cosines_angle",
-           "perp", "star_point_coefficients")
+           "_EDGE_LABELS", "_trilaterate", "angle_between", "circle_intersections",
+           "circumcircle_data", "fermat_apexes", "fermat_line_solution",
+           "intersect_circles", "law_of_cosines_angle", "parse_measurement", "perp",
+           "star_point_coefficients")
 
 
 def test_every_exported_name_resolves():

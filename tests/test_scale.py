@@ -28,7 +28,7 @@ from starsolve.oracle import (
     random_synthesis_spec,
     synthesize_triangle,
 )
-from starsolve.records import STATUS_OK, MeasurementRecord
+from starsolve.records import STATUS_INFEASIBLE, STATUS_OK, MeasurementRecord
 
 SCALES = (1e-200, 1e-160, 1e150, 1e160)
 
@@ -198,3 +198,19 @@ def test_construction_power_of_two_scale_is_exact(seed, e):
     unit = fermat_solve(TriangleEdges(*u), "construction")
     scaled = fermat_solve(_scaled_edges(u, e), "construction")
     assert scaled.distances() == tuple(math.ldexp(x, e) for x in unit.distances())
+
+
+# Needles whose short edge squares to 0 on the unit triangle: every closure
+# defect divides by that square, so the row is infeasible, not an error.
+NEEDLES = [((1.0, 1.0, 1e-162), None), ((1.0, 1.0, 1e-162), (100.0, 130.0)),
+           ((1e300, 1e300, 1e-24), None), ((1.0, 1.0, 5e-324), (170.0, 170.0))]
+
+
+@pytest.mark.parametrize("u, psi", NEEDLES)
+def test_needle_whose_short_edge_squares_to_zero_is_infeasible(u, psi):
+    m = MeasurementRecord("needle", *u, *(psi or (None, None)))
+    _, s = solve_record(m, 1e-8)
+    assert s.status == STATUS_INFEASIBLE, s.diagnostics
+    assert "squares to 0" in s.diagnostics
+    passed, detail = verify_record(m, s, 1e-8)
+    assert passed, detail
