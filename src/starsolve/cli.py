@@ -26,16 +26,16 @@ from typing import Callable, Iterator, TextIO
 
 from .circuit import (
     ALL_120,
+    ANGLES_120,
     LineVoltages,
     PhaseToPhaseVoltages,
-    solve_general_star,
-    solve_symmetric_star,
+    line_voltage_kernel,
     verify_solution,
 )
 from .config import residual_tolerance
 from .errors import AngleAtLeast120, AngleOutOfRange, NotATriangle, StarSolveError
 from .general import general_solve_by_circles, validate_angles
-from .geometry import TriangleEdges
+from .geometry import TriangleEdges, angle_invariants, edge_invariants
 from .oracle import minimize_distance_sum, random_synthesis_spec, synthesize_triangle
 from .records import (
     STATUS_ANGLE_GE_120,
@@ -67,28 +67,31 @@ def solve_record(m: MeasurementRecord, tolerance: float
                  ) -> tuple[MeasurementRecord, SolutionRecord]:
     """Solve one measurement; failures become a status, never an exception.
 
-    The status comes from the kernel's own closure residuals. A distance
-    or residual that is not finite becomes an ``internal_error`` row with
-    empty voltages, so no output row carries a number verify cannot read.
+    The row runs on plain floats through the kernel that
+    :func:`~starsolve.circuit.solve_general_star` and
+    :func:`~starsolve.circuit.solve_symmetric_star` wrap, so both give the
+    same voltages, residuals and notes. The status comes from the kernel's
+    own closure residuals. A distance or residual that is not finite
+    becomes an ``internal_error`` row with empty voltages, so no output row
+    carries a number verify cannot read.
     """
     try:
-        u = PhaseToPhaseVoltages(m.u1, m.u2, m.u3)
+        edges = edge_invariants(m.u1, m.u2, m.u3)
         if m.has_angles:
-            lv = solve_general_star(u, m.psi1, m.psi2)
+            angles = angle_invariants(m.psi1, m.psi2, 360.0 - m.psi1 - m.psi2)
         else:
-            lv = solve_symmetric_star(u)
-        values = (lv.u1p, lv.u2p, lv.u3p, *lv.residuals)
+            angles = ANGLES_120
+        (u1p, u2p, u3p), residuals, notes = line_voltage_kernel(edges, angles)
+        values = (u1p, u2p, u3p, *residuals)
         if not all(map(math.isfinite, values)):
             return m, _failure(m, STATUS_INTERNAL_ERROR, _describe_non_finite(values))
-        worst = max(lv.residuals)
-        notes = lv.diagnostics
+        worst = max(residuals)
         if worst <= tolerance:
             status = STATUS_OK
         else:
             status = STATUS_INFEASIBLE
             notes += (f"closure residual {worst:.3e} exceeds tolerance {tolerance:g}",)
-        solution = SolutionRecord(m.id, lv.u1p, lv.u2p, lv.u3p,
-                                  worst, status, "; ".join(notes))
+        solution = SolutionRecord(m.id, u1p, u2p, u3p, worst, status, "; ".join(notes))
     except AngleAtLeast120 as exc:
         solution = _failure(m, STATUS_ANGLE_GE_120, str(exc))
     except (NotATriangle, AngleOutOfRange) as exc:
@@ -237,7 +240,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         failed = 0
         for measurement in read_measurements(lines, in_fmt):
             _, solution = solve_record(measurement, tolerance)
-            writer.write(combined_row(measurement, solution))
+            writer.write_solution(measurement, solution)
             if not solution.solved:
                 failed += 1
         return EXIT_RECORD_FAILED if failed else EXIT_OK

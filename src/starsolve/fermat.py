@@ -28,6 +28,7 @@ from .geometry import (
     PhaseAngles,
     StarSolution,
     TriangleEdges,
+    Triple,
     apex_position,
     closure_defects,
     solution_at_scale,
@@ -40,13 +41,14 @@ ALL_120 = PhaseAngles(120.0, 120.0, 120.0)
 SolveMethod = Literal["closed_form", "construction"]
 
 
-def vertex_clamped_distances(t: TriangleEdges, vertex: str) -> tuple[float, float, float]:
+def vertex_clamped_distances(edges: Triple, vertex: str) -> Triple:
     """Distances when the minimizing point degenerates onto the named vertex:
     zero there, adjacent edge lengths at the other two corners."""
+    a, b, c = edges
     return {
-        "A": (0.0, t.c, t.b),
-        "B": (t.c, 0.0, t.a),
-        "C": (t.b, t.a, 0.0),
+        "A": (0.0, c, b),
+        "B": (c, 0.0, a),
+        "C": (b, a, 0.0),
     }[vertex]
 
 
@@ -57,13 +59,14 @@ def vertex_clamped_distances(t: TriangleEdges, vertex: str) -> tuple[float, floa
 _COS_CLEAR = math.cos(math.radians(ANGLE_LIMIT_DEG - 2.0 * EPS_ANG_DEG))
 
 
-def require_angles_below_120(t: TriangleEdges) -> None:
-    """Raise :class:`AngleAtLeast120` (with diagnostics) for wide triangles.
+def check_angles_below_120(exponent: int, unit: Triple, unit_sq: Triple) -> None:
+    """Raise :class:`AngleAtLeast120` (with diagnostics) for wide triangles,
+    given as :func:`~starsolve.geometry.edge_invariants` gives them.
 
     Each cosine comes from the squared unit edges by the law of cosines,
     vertex by vertex in the order A, B, C.
     """
-    (a, b, c), (a2, b2, c2) = t.unit, t.unit_sq
+    (a, b, c), (a2, b2, c2) = unit, unit_sq
     cosines = ((b2 + c2 - a2) / (2.0 * b * c),
                (c2 + a2 - b2) / (2.0 * c * a),
                (a2 + b2 - c2) / (2.0 * a * b))
@@ -72,7 +75,16 @@ def require_angles_below_120(t: TriangleEdges) -> None:
     for vertex, cos_val in zip("ABC", cosines):
         angle = math.degrees(math.acos(max(-1.0, min(1.0, cos_val))))
         if angle >= ANGLE_LIMIT_DEG - EPS_ANG_DEG:
-            raise AngleAtLeast120(vertex, angle, vertex_clamped_distances(t, vertex))
+            # A unit edge whose square is not zero is a normal float, so
+            # scaling it back by 2**exponent gives the edge exactly.
+            edges = (math.ldexp(a, exponent), math.ldexp(b, exponent),
+                     math.ldexp(c, exponent))
+            raise AngleAtLeast120(vertex, angle, vertex_clamped_distances(edges, vertex))
+
+
+def require_angles_below_120(t: TriangleEdges) -> None:
+    """:func:`check_angles_below_120` on the invariants of ``t``."""
+    check_angles_below_120(t.exponent, t.unit, t.unit_sq)
 
 
 def fermat_distances_closed_form(t: TriangleEdges) -> StarSolution:

@@ -35,6 +35,7 @@ from .geometry import (
     PhaseAngles,
     StarSolution,
     TriangleEdges,
+    Triple,
     apex_position,
     closure_defects,
     point_position,
@@ -126,37 +127,50 @@ def _barycentric(px: float, py: float, a: float, ax: float,
     return (1.0 - v - w, v, w)
 
 
-def general_distances_closed_form(t: TriangleEdges,
-                                  angles: PhaseAngles) -> StarSolution:
-    """Closed-form distances from X to the three vertices.
+def closed_form_distances(unit: Triple, unit_sq: Triple, theta_sq: float,
+                          cot: Triple, cos: Triple
+                          ) -> tuple[Triple, tuple[float, float], Triple]:
+    """The closed form on plain floats: (distances, point, residuals) on the
+    unit triangle of :func:`~starsolve.geometry.edge_invariants`, from the
+    cotangents and cosines of :func:`~starsolve.geometry.angle_invariants`.
 
     Each distance comes from the same expression under the cyclic
     relabeling (a,b,c; psi_a,psi_b,psi_c) -> (b,c,a; psi_b,psi_c,psi_a).
     The solution is accepted only if the law-of-cosines closure holds to
     ``RESIDUAL_TOL`` and the point, rebuilt from the distances in the
-    original frame, lands inside the triangle. Everything is evaluated on
-    the unit triangle of ``t`` and scaled back.
+    original frame, lands inside the triangle.
     """
-    (a, b, _), (a2, b2, c2) = t.unit, t.unit_sq
-    theta_sq = t.unit_theta_sq
-    cot_a, cot_b, cot_c = angles.cot
+    (a, b, _), (a2, b2, c2) = unit, unit_sq
+    cot_a, cot_b, cot_c = cot
 
     a_p = _joint_vertex_distance(b2, c2, a2, cot_b, cot_c, cot_a, theta_sq)
     b_p = _joint_vertex_distance(c2, a2, b2, cot_c, cot_a, cot_b, theta_sq)
     c_p = _joint_vertex_distance(a2, b2, c2, cot_a, cot_b, cot_c, theta_sq)
 
-    residuals = closure_defects(t.unit_sq, angles.cos, (a_p, b_p, c_p))
+    distances = (a_p, b_p, c_p)
+    residuals = closure_defects(unit_sq, cos, distances)
     if max(residuals) > RESIDUAL_TOL:
         raise InfeasibleConfiguration(
             f"closure residuals {residuals} exceed {RESIDUAL_TOL:g}; "
             "no interior point realizes these edges and angles")
 
     px, py = point_position(a, a2, b_p, c_p)
-    bary = _barycentric(px, py, a, *apex_position(a, b, a2, b2, c2, theta_sq))
+    ax, ay = apex_position(a, b, a2, b2, c2, theta_sq)
+    bary = _barycentric(px, py, a, ax, ay)
     if min(bary) < -BARY_TOL:
         raise InfeasibleConfiguration(
             f"recovered point lies outside the triangle: barycentric {bary}")
-    return solution_at_scale(t.exponent, (a_p, b_p, c_p), px, py, residuals)
+    return distances, (px, py), residuals
+
+
+def general_distances_closed_form(t: TriangleEdges,
+                                  angles: PhaseAngles) -> StarSolution:
+    """Closed-form distances from X to the three vertices:
+    :func:`closed_form_distances` on the unit triangle of ``t``, scaled
+    back."""
+    distances, (px, py), residuals = closed_form_distances(
+        t.unit, t.unit_sq, t.unit_theta_sq, angles.cot, angles.cos)
+    return solution_at_scale(t.exponent, distances, px, py, residuals)
 
 
 def general_solve_by_circles(t: TriangleEdges, angles: PhaseAngles) -> StarSolution:

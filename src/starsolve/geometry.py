@@ -35,6 +35,12 @@ class PlaneVector:
 
 ORIGIN = PlaneVector(0.0, 0.0)
 
+Triple = tuple[float, float, float]
+# What edge_invariants returns: exponent, unit edges, their squares, Theta^2.
+EdgeInvariants = tuple[int, Triple, Triple, float]
+# What angle_invariants returns: the angles, their cotangents and cosines.
+AngleInvariants = tuple[Triple, Triple, Triple]
+
 
 def _cos_cot(angle_deg: float) -> tuple[float, float]:
     """Cosine and cotangent of an angle given in degrees; the cotangent is
@@ -68,25 +74,51 @@ def _edge_length(name: str, value: object) -> float:
     return float(value)
 
 
+def edge_invariants(a: float, b: float, c: float) -> EdgeInvariants:
+    """What every solver reads of three edge lengths, computed once:
+    ``(exponent, unit, unit_sq, theta_sq)``.
+
+    The solvers are homogeneous in the edges, so they work on the unit
+    triangle ``unit`` = edges / 2**``exponent``, ``exponent`` being the
+    binary exponent of the longest edge, and scale back by 2**``exponent``.
+    That is exact, so no bit changes, and no square under- or overflows at
+    any scale (Higham, Accuracy and Stability of Numerical Algorithms, 27).
+    ``unit_sq`` holds the squared unit edges and ``theta_sq`` the unit
+    triangle's Theta^2 (see :func:`theta_squared`).
+
+    Raises :class:`NotATriangle` for a length that is not a finite positive
+    number and for a triple that violates the triangle inequality beyond
+    the collinearity clamp window; an exactly (or near-)collinear triple is
+    allowed and has zero area. A needle whose short edge squares to zero on
+    the unit triangle raises :class:`DegenerateTriangle`: every closure
+    defect divides by that square.
+    """
+    if not (type(a) is type(b) is type(c) is float
+            and 0.0 < a < math.inf and 0.0 < b < math.inf and 0.0 < c < math.inf):
+        a, b, c = map(_edge_length, "abc", (a, b, c))
+    exponent = math.frexp(max(a, b, c))[1]
+    ua = math.ldexp(a, -exponent)
+    ub = math.ldexp(b, -exponent)
+    uc = math.ldexp(c, -exponent)
+    p_big, p_small = _stable_heron_pairs(ua, ub, uc)
+    if p_small < -EPS_TRI_COEFF * (ua + ub + uc) ** 2:
+        raise NotATriangle(f"edges ({a}, {b}, {c}) violate the triangle inequality")
+    unit_sq = (ua * ua, ub * ub, uc * uc)
+    if 0.0 in unit_sq:
+        raise DegenerateTriangle(f"edges ({a}, {b}, {c}): the shortest squares "
+                                 "to 0 beside the longest")
+    # A negative p_small inside the clamp window is a collinear triple.
+    return exponent, (ua, ub, uc), unit_sq, math.sqrt(p_big * max(p_small, 0.0))
+
+
 @dataclass(frozen=True, init=False)
 class TriangleEdges:
     """Three edge lengths (equivalently: three phase-to-phase voltage amplitudes).
 
     Edge ``a`` is opposite vertex A, ``b`` opposite B, ``c`` opposite C.
-    Construction rejects non-positive lengths and triples that violate the
-    triangle inequality beyond the collinearity clamp window; an exactly
-    (or near-)collinear triple is allowed and has zero area. A needle whose
-    short edge squares to zero on the unit triangle (below) raises
-    :class:`DegenerateTriangle`: every closure defect divides by that square.
-
-    Construction also computes, once, what every solver reads. The solvers
-    are homogeneous in the edges, so they work on the unit triangle
-    ``unit`` = edges / 2**``exponent``, ``exponent`` being the binary
-    exponent of the longest edge, and scale back by 2**``exponent``. That
-    is exact, so no bit changes, and no square under- or overflows at any
-    scale (Higham, Accuracy and Stability of Numerical Algorithms, 27).
-    ``unit_sq`` holds the squared unit edges and ``unit_theta_sq`` the
-    unit triangle's Theta^2 (see :func:`theta_squared`).
+    Construction validates the edges by :func:`edge_invariants` and keeps
+    what it computes: ``exponent``, ``unit``, ``unit_sq`` and, as
+    ``unit_theta_sq``, the unit triangle's Theta^2.
     """
 
     a: float
@@ -98,25 +130,10 @@ class TriangleEdges:
     unit_theta_sq: float = field(init=False, repr=False, compare=False)
 
     def __init__(self, a: float, b: float, c: float):
-        if not (type(a) is type(b) is type(c) is float
-                and 0.0 < a < math.inf and 0.0 < b < math.inf and 0.0 < c < math.inf):
-            a, b, c = map(_edge_length, "abc", (a, b, c))
-        exponent = math.frexp(max(a, b, c))[1]
-        ua = math.ldexp(a, -exponent)
-        ub = math.ldexp(b, -exponent)
-        uc = math.ldexp(c, -exponent)
-        p_big, p_small = _stable_heron_pairs(ua, ub, uc)
-        if p_small < -EPS_TRI_COEFF * (ua + ub + uc) ** 2:
-            raise NotATriangle(f"edges ({a}, {b}, {c}) violate the triangle inequality")
-        unit_sq = (ua * ua, ub * ub, uc * uc)
-        if 0.0 in unit_sq:
-            raise DegenerateTriangle(f"edges ({a}, {b}, {c}): the shortest squares "
-                                     "to 0 beside the longest")
-        # Frozen, so every field is set here, in one step. A negative p_small
-        # inside the clamp window is a collinear triple.
-        self.__dict__.update(
-            a=a, b=b, c=c, exponent=exponent, unit=(ua, ub, uc), unit_sq=unit_sq,
-            unit_theta_sq=math.sqrt(p_big * max(p_small, 0.0)))
+        exponent, unit, unit_sq, theta_sq = edge_invariants(a, b, c)
+        # Frozen, so every field is set here, in one step.
+        self.__dict__.update(a=float(a), b=float(b), c=float(c), exponent=exponent,
+                             unit=unit, unit_sq=unit_sq, unit_theta_sq=theta_sq)
 
     def perimeter(self) -> float:
         return self.a + self.b + self.c
@@ -147,6 +164,24 @@ def _viewing_angle(name: str, value: float) -> float:
     return float(value)
 
 
+def angle_invariants(psi_a: float, psi_b: float, psi_c: float) -> AngleInvariants:
+    """Three viewing angles (degrees), their cotangents and their cosines,
+    each a triple in the order a, b, c.
+
+    Raises :class:`AngleOutOfRange` unless every angle lies strictly inside
+    (0, 180) and the three sum to a full turn.
+    """
+    a, b, c = psi_a, psi_b, psi_c
+    if not (type(a) is type(b) is type(c) is float
+            and 0.0 < a < 180.0 and 0.0 < b < 180.0 and 0.0 < c < 180.0):
+        a, b, c = map(_viewing_angle, ("psi_a", "psi_b", "psi_c"), (a, b, c))
+    total = a + b + c
+    if abs(total - 360.0) > EPS_ANG_DEG:
+        raise AngleOutOfRange("psi_c", c, f"angles sum to {total!r} deg, expected 360")
+    (cos_a, cot_a), (cos_b, cot_b), (cos_c, cot_c) = map(_cos_cot, (a, b, c))
+    return (a, b, c), (cot_a, cot_b, cot_c), (cos_a, cos_b, cos_c)
+
+
 @dataclass(frozen=True, init=False)
 class PhaseAngles:
     """Viewing angles (degrees) subtended at the interior point by the three edges.
@@ -154,8 +189,8 @@ class PhaseAngles:
     ``psi_a`` subtends edge a, and so on; the three sum to a full turn. They
     equal the load's phase differences in the circuit picture. Each must lie
     strictly inside (0, 180); at least two are then automatically >= 90.
-    Construction also computes, once, their cotangents ``cot`` and cosines
-    ``cos``, in the same order.
+    Construction also keeps what :func:`angle_invariants` computes: their
+    cotangents ``cot`` and cosines ``cos``, in the same order.
     """
 
     psi_a: float
@@ -165,17 +200,9 @@ class PhaseAngles:
     cos: tuple[float, float, float] = field(init=False, repr=False, compare=False)
 
     def __init__(self, psi_a: float, psi_b: float, psi_c: float):
-        a, b, c = psi_a, psi_b, psi_c
-        if not (type(a) is type(b) is type(c) is float
-                and 0.0 < a < 180.0 and 0.0 < b < 180.0 and 0.0 < c < 180.0):
-            a, b, c = map(_viewing_angle, ("psi_a", "psi_b", "psi_c"), (a, b, c))
-        total = a + b + c
-        if abs(total - 360.0) > EPS_ANG_DEG:
-            raise AngleOutOfRange("psi_c", c, f"angles sum to {total!r} deg, expected 360")
-        (cos_a, cot_a), (cos_b, cot_b), (cos_c, cot_c) = map(_cos_cot, (a, b, c))
+        (a, b, c), cot, cos = angle_invariants(psi_a, psi_b, psi_c)
         # Frozen, so every field is set here, in one step.
-        self.__dict__.update(psi_a=a, psi_b=b, psi_c=c, cot=(cot_a, cot_b, cot_c),
-                             cos=(cos_a, cos_b, cos_c))
+        self.__dict__.update(psi_a=a, psi_b=b, psi_c=c, cot=cot, cos=cos)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.psi_a, self.psi_b, self.psi_c)

@@ -103,8 +103,12 @@ def format_for_path(path: str) -> str | None:
 
 
 def _not_text(text: str) -> str | None:
-    """Why ``text`` is not UTF-8, or None. ``surrogateescape`` decodes a byte
-    that is not UTF-8 to U+DC80..U+DCFF; any other lone surrogate came escaped."""
+    """Why ``text`` is not text a record may hold, or None: a NUL, which the
+    csv module reads and writes differently by Python version, or what is
+    not UTF-8. ``surrogateescape`` decodes a byte that is not UTF-8 to
+    U+DC80..U+DCFF; any other lone surrogate came escaped."""
+    if "\0" in text:
+        return "contains a NUL character"
     try:
         text.encode("utf-8")
     except UnicodeEncodeError as exc:
@@ -116,9 +120,9 @@ def _not_text(text: str) -> str | None:
 
 
 def _text_lines(lines: Iterable[str]) -> Iterator[str]:
-    """The lines; one that is not UTF-8 text is a parse error."""
+    """The lines; one that holds a NUL or is not UTF-8 text is a parse error."""
     for line_no, line in enumerate(lines, start=1):
-        if not line.isascii() and (reason := _not_text(line)):
+        if ("\0" in line or not line.isascii()) and (reason := _not_text(line)):
             raise ParseError(line_no, reason)
         yield line
 
@@ -181,7 +185,7 @@ def _json_rows(lines: Iterator[str], fields: tuple[str, ...]
             raise ParseError(line_no, f"invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise ParseError(line_no, "each JSON line must be an object")
-        if "\\u" in line:  # only an escape can make a lone surrogate
+        if "\\u" in line:  # only an escape can make a lone surrogate or a NUL
             for text in (*obj, *obj.values()):
                 if isinstance(text, str) and (reason := _not_text(text)):
                     raise ParseError(line_no, f"string {text!r}: {reason}")
@@ -289,6 +293,12 @@ class _LineFeedEnded:
 
 # JSON values that CSV has no text for; a CSV row carries them as JSON text.
 _JSON_ONLY = frozenset((dict, list, bool))
+# The columns of combined_row before its metadata.
+_ROW_FIELDS = MEASUREMENT_FIELDS + SOLUTION_FIELDS
+# The types whose CSV text write_solution builds itself: ``str`` gives a
+# float its ``repr``, and a None is an empty field.
+_NONE = type(None)
+_PLAIN = frozenset((str, float, _NONE))
 
 
 def _csv_value(value: object) -> object:
@@ -306,6 +316,8 @@ class RowWriter:
         self._fmt = fmt
         self._csv_writer = None
         self._fields: tuple[str, ...] = ()
+        # The metadata columns once the CSV header is combined_row's.
+        self._meta_fields: tuple[str, ...] | None = None
 
     def write(self, row: dict) -> None:
         """The row as it is: None is an empty CSV field or JSON null, and a
@@ -317,8 +329,39 @@ class RowWriter:
             self._csv_writer = csv.writer(_LineFeedEnded(self._stream),
                                           lineterminator="\r\n")
             self._fields = tuple(row)
+            if self._fields[:len(_ROW_FIELDS)] == _ROW_FIELDS:
+                self._meta_fields = self._fields[len(_ROW_FIELDS):]
             self._csv_writer.writerow(self._fields)
         values = list(map(row.get, self._fields))
         if not _JSON_ONLY.isdisjoint(map(type, values)):
             values = list(map(_csv_value, values))
         self._csv_writer.writerow(values)
+
+    def write_solution(self, m: MeasurementRecord, s: SolutionRecord) -> None:
+        """``write(combined_row(m, s))``, byte for byte.
+
+        A CSV row of text, floats and Nones is joined into its line
+        directly. The csv writer writes it instead when the line needs
+        quoting (more commas than separators, a quote, CR or LF), holds a
+        NUL, which the csv module handles differently by Python version,
+        carries a value of another type, or has metadata that names a
+        record field, which ``combined_row`` lets override that field.
+        """
+        meta_fields = self._meta_fields
+        if meta_fields is None:  # JSON lines, or no combined_row header yet
+            self.write(combined_row(m, s))
+            return
+        meta = m.meta
+        # combined_row's values in _ROW_FIELDS order, then the metadata.
+        values = (*m[:6], *s[1:], *map(meta.get, meta_fields))
+        kinds = set(map(type, values))
+        if kinds <= _PLAIN and _KNOWN_FIELDS.isdisjoint(meta):
+            if _NONE in kinds:
+                line = ",".join(["" if v is None else str(v) for v in values])
+            else:
+                line = ",".join(map(str, values))
+            if not (line.count(",") >= len(values) or '"' in line or "\r" in line
+                    or "\n" in line or "\0" in line):
+                self._stream.write(line + "\n")
+                return
+        self.write(combined_row(m, s))

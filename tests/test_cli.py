@@ -15,10 +15,9 @@ from pathlib import Path
 import pytest
 
 from conftest import E1_DISTANCES, E1_EDGES
-from starsolve import circuit, cli
-from starsolve.circuit import ResidualReport
+from starsolve import cli
+from starsolve.circuit import ResidualReport, line_voltage_kernel
 from starsolve.cli import main, solve_record, verify_record
-from starsolve.fermat import fermat_distances_closed_form
 from starsolve.general import general_solve_by_circles
 from starsolve.geometry import PhaseAngles, PlaneVector, StarSolution
 from starsolve.records import (
@@ -364,14 +363,23 @@ def test_verify_prints_one_line_per_record(rec_id, monkeypatch, capsys):
 
 NOT_UTF8 = b"id,u1,u2,u3\nm\xff,400,400,400\n"
 LONE_SURROGATE = b'{"id": "\\ud800", "u1": 400, "u2": 400, "u3": 400}\n'
+# A NUL, which the csv module of Python 3.10 neither reads nor writes, and
+# that of 3.11 and later does.
+NUL_IN_CSV = b"id,u1,u2,u3\nm\x00,400,400,400\n"
+NUL_IN_JSON_ID = b'{"id": "a\\u0000b", "u1": 400, "u2": 400, "u3": 400}\n'
+NUL_IN_JSON_META = b'{"id": "m", "u1": 400, "u2": 400, "u3": 400, "site": "x\\u0000"}\n'
 ONE_PARSE_MESSAGE = re.compile(r"star-solve: line \d+: [^\n]*\n")
 
 
 @pytest.mark.parametrize("data, message", [
     (NOT_UTF8, "line 2: byte 0xff is not UTF-8"),
     (LONE_SURROGATE, r"line 1: string '\ud800': lone surrogate U+D800 is not text"),
-], ids=["not-utf8", "lone-surrogate"])
-@pytest.mark.parametrize("command", ["solve", "verify"])
+    (NUL_IN_CSV, "line 2: contains a NUL character"),
+    (NUL_IN_JSON_ID, r"line 1: string 'a\x00b': contains a NUL character"),
+    (NUL_IN_JSON_META, r"line 1: string 'x\x00': contains a NUL character"),
+], ids=["not-utf8", "lone-surrogate", "nul-in-csv", "nul-in-json-id", "nul-in-json-meta"])
+@pytest.mark.parametrize("command", [["solve"], ["solve", "--format", "csv"], ["verify"]],
+                         ids=["solve", "solve-csv", "verify"])
 @pytest.mark.parametrize("source", ["file", "stdin"])
 def test_input_that_is_not_text_is_parse_error(data, message, command, source,
                                                 tmp_path, monkeypatch, capsys):
@@ -381,7 +389,7 @@ def test_input_that_is_not_text_is_parse_error(data, message, command, source,
         # Standard input as Python sets it up in UTF-8 mode.
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
             io.BytesIO(data), encoding="utf-8", errors="surrogateescape"))
-    code, out, err = run_cli([command, str(path) if source == "file" else "-"],
+    code, out, err = run_cli([*command, str(path) if source == "file" else "-"],
                              monkeypatch, capsys)
     assert (code, out, err) == (1, "", f"star-solve: {message}\n")
 
@@ -543,14 +551,26 @@ def test_solved_row_over_the_tolerance_is_infeasible(monkeypatch, capsys):
 
 
 def _faulty_kernel(original, bad_edge, fault):
-    """``original`` with ``fault`` (an exception type, or a callable that
-    builds the solver's answer) injected for edges whose ``a`` is ``bad_edge``."""
+    """``original`` with ``fault`` (an exception type) injected for edges
+    whose ``a`` is ``bad_edge``."""
     def kernel(t, *args):
         if t.a != bad_edge:
             return original(t, *args)
+        raise fault("injected fault")
+    return kernel
+
+
+def _faulty_line_voltage_kernel(bad_edge, fault):
+    """The kernel ``cli.solve_record`` calls, with ``fault`` (an exception
+    type, or a callable that builds the kernel's answer) injected for edges
+    whose first is ``bad_edge``."""
+    def kernel(edges, angles):
+        exponent, unit, _, _ = edges
+        if math.ldexp(unit[0], exponent) != bad_edge:
+            return line_voltage_kernel(edges, angles)
         if isinstance(fault, type):
             raise fault("injected fault")
-        return fault(t)
+        return fault()
     return kernel
 
 
@@ -559,8 +579,8 @@ def _faulty_kernel(original, bad_edge, fault):
 @pytest.mark.parametrize("raised", [ZeroDivisionError, OverflowError])
 def test_solve_batch_survives_internal_error(tmp_path, monkeypatch, capsys, raised):
     u1, u2, u3 = E1_EDGES.as_tuple()
-    monkeypatch.setattr(circuit, "fermat_distances_closed_form",
-                        _faulty_kernel(fermat_distances_closed_form, u1, raised))
+    monkeypatch.setattr(cli, "line_voltage_kernel",
+                        _faulty_line_voltage_kernel(u1, raised))
     path = tmp_path / "mixed.csv"
     path.write_text("id,u1,u2,u3,psi1,psi2\n"
                     "good1,400,400,400,,\n"
@@ -578,9 +598,8 @@ def test_verify_record_reports_internal_error(monkeypatch):
     monkeypatch.setattr(cli, "general_solve_by_circles",
                         _faulty_kernel(general_solve_by_circles, E1_EDGES.a,
                                        ZeroDivisionError))
-    monkeypatch.setattr(circuit, "fermat_distances_closed_form",
-                        _faulty_kernel(fermat_distances_closed_form, E1_EDGES.a,
-                                       ZeroDivisionError))
+    monkeypatch.setattr(cli, "line_voltage_kernel",
+                        _faulty_line_voltage_kernel(E1_EDGES.a, ZeroDivisionError))
     m = MeasurementRecord("e1", *E1_EDGES.as_tuple())
     s = SolutionRecord("e1", *E1_DISTANCES, 0.0, STATUS_OK)
     passed, detail = verify_record(m, s, 1e-8)
@@ -596,12 +615,12 @@ def test_verify_record_reports_internal_error(monkeypatch):
 def test_non_finite_answer_becomes_failure_row(tmp_path, monkeypatch, capsys):
     u1, u2, u3 = E1_EDGES.as_tuple()
 
-    def nan_answer(t):
+    def nan_answer():
         nan = math.nan
-        return StarSolution(nan, nan, nan, PlaneVector(nan, nan), (nan, nan, nan))
+        return (nan, nan, nan), (nan, nan, nan), ()
 
-    monkeypatch.setattr(circuit, "fermat_distances_closed_form",
-                        _faulty_kernel(fermat_distances_closed_form, u1, nan_answer))
+    monkeypatch.setattr(cli, "line_voltage_kernel",
+                        _faulty_line_voltage_kernel(u1, nan_answer))
     path = tmp_path / "mixed.csv"
     path.write_text("id,u1,u2,u3,psi1,psi2\n"
                     "good1,400,400,400,,\n"
