@@ -88,7 +88,7 @@ class PhaseToPhaseVoltages:
         return self._edges
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class LineVoltages:
     """The recovered (unmeasurable) line voltages between each phase terminal
     and the load star point, plus free-form diagnostics notes and the
@@ -100,12 +100,6 @@ class LineVoltages:
     u3p: float
     diagnostics: tuple[str, ...] = field(default=(), compare=False)
     residuals: tuple[float, ...] = field(default=(), compare=False)
-
-    def __init__(self, u1p: float, u2p: float, u3p: float,
-                 diagnostics: tuple[str, ...] = (), residuals: tuple[float, ...] = ()):
-        # Frozen, so every field is set here, in one step.
-        self.__dict__.update(u1p=u1p, u2p=u2p, u3p=u3p, diagnostics=diagnostics,
-                             residuals=residuals)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.u1p, self.u2p, self.u3p)
@@ -202,7 +196,7 @@ def line_voltage_phasors(u: PhaseToPhaseVoltages, psi1: float = 120.0,
     return tuple(result)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ResidualReport:
     """Closure check of a proposed solution against the measurement."""
 
@@ -210,12 +204,6 @@ class ResidualReport:
     max_residual: float
     tolerance: float
     passed: bool
-
-    def __init__(self, residuals: tuple[float, float, float], max_residual: float,
-                 tolerance: float, passed: bool):
-        # Frozen, so every field is set here, in one step.
-        self.__dict__.update(residuals=residuals, max_residual=max_residual,
-                             tolerance=tolerance, passed=passed)
 
 
 def verify_solution(u: PhaseToPhaseVoltages, lv: LineVoltages,
@@ -227,7 +215,7 @@ def verify_solution(u: PhaseToPhaseVoltages, lv: LineVoltages,
     u1^2 = u2p^2 + u3p^2 - 2 u2p u3p cos(psi1), cyclically. Passes iff
     every relative residual is below ``tolerance``.
     """
-    residuals = closure_residuals((u.u1, u.u2, u.u3), angles, lv.as_tuple())
+    residuals = closure_residuals((u.u1, u.u2, u.u3), angles.cos, lv.as_tuple())
     worst = max(residuals)
     return ResidualReport(residuals=residuals, max_residual=worst,
                           tolerance=tolerance, passed=worst <= tolerance)

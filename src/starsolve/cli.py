@@ -24,18 +24,18 @@ from itertools import chain
 from random import Random
 from typing import Callable, Iterator, TextIO
 
-from .circuit import (
-    ALL_120,
-    ANGLES_120,
-    LineVoltages,
-    PhaseToPhaseVoltages,
-    line_voltage_kernel,
-    verify_solution,
-)
+from .circuit import ANGLES_120, line_voltage_kernel
 from .config import residual_tolerance
 from .errors import AngleAtLeast120, AngleOutOfRange, NotATriangle, StarSolveError
-from .general import general_solve_by_circles, validate_angles
-from .geometry import TriangleEdges, angle_invariants, edge_invariants
+from .general import circle_distances
+from .geometry import (
+    AngleInvariants,
+    EdgeInvariants,
+    TriangleEdges,
+    angle_invariants,
+    closure_residuals,
+    edge_invariants,
+)
 from .oracle import minimize_distance_sum, random_synthesis_spec, synthesize_triangle
 from .records import (
     STATUS_ANGLE_GE_120,
@@ -63,6 +63,16 @@ EXIT_RECORD_FAILED = 2
 # Per-record solving
 # =========================================================================
 
+def _invariants(m: MeasurementRecord) -> tuple[EdgeInvariants, AngleInvariants]:
+    """The measurement validated, as the floats that solve and verify read:
+    the ``edge_invariants`` of its voltages and the ``angle_invariants`` of
+    its phase differences, or ``ANGLES_120`` when it has none."""
+    edges = edge_invariants(m.u1, m.u2, m.u3)
+    if m.has_angles:
+        return edges, angle_invariants(m.psi1, m.psi2, 360.0 - m.psi1 - m.psi2)
+    return edges, ANGLES_120
+
+
 def solve_record(m: MeasurementRecord, tolerance: float
                  ) -> tuple[MeasurementRecord, SolutionRecord]:
     """Solve one measurement; failures become a status, never an exception.
@@ -76,12 +86,7 @@ def solve_record(m: MeasurementRecord, tolerance: float
     carries a number verify cannot read.
     """
     try:
-        edges = edge_invariants(m.u1, m.u2, m.u3)
-        if m.has_angles:
-            angles = angle_invariants(m.psi1, m.psi2, 360.0 - m.psi1 - m.psi2)
-        else:
-            angles = ANGLES_120
-        (u1p, u2p, u3p), residuals, notes = line_voltage_kernel(edges, angles)
+        (u1p, u2p, u3p), residuals, notes = line_voltage_kernel(*_invariants(m))
         values = (u1p, u2p, u3p, *residuals)
         if not all(map(math.isfinite, values)):
             return m, _failure(m, STATUS_INTERNAL_ERROR, _describe_non_finite(values))
@@ -142,33 +147,30 @@ def verify_record(m: MeasurementRecord, s: SolutionRecord | None,
         return False, (f"recorded status {s.status!r} but re-solve "
                        f"produced {fresh.status!r}")
 
+    claim = (s.u1p, s.u2p, s.u3p)
     try:
-        u = PhaseToPhaseVoltages(m.u1, m.u2, m.u3)
-        angles = validate_angles(m.psi1, m.psi2) if m.has_angles else ALL_120
-        lv = LineVoltages(s.u1p, s.u2p, s.u3p)
-
-        report = verify_solution(u, lv, angles, tolerance)
-        if not report.passed:
-            return False, (f"closure residual {report.max_residual:.3e} "
+        edges, (psis, cot, cos) = _invariants(m)
+        worst = max(closure_residuals((m.u1, m.u2, m.u3), cos, claim))
+        if not worst <= tolerance:  # a NaN fails too
+            return False, (f"closure residual {worst:.3e} "
                            f"exceeds tolerance {tolerance:g}")
 
-        edges = u.to_edges()
-        circle = general_solve_by_circles(edges, angles)
+        k, unit, unit_sq, theta_sq = edges
+        circle = circle_distances(unit, unit_sq, theta_sq, psis, cot)
         # 1e-12 of the perimeter, which itself may exceed the float range.
-        floor = math.ldexp(1e-12 * sum(edges.unit), edges.exponent)
-        for name, given, recomputed in zip(("u1p", "u2p", "u3p"),
-                                           lv.as_tuple(), circle.distances()):
+        floor = math.ldexp(1e-12 * sum(unit), k)
+        for name, given, recomputed in zip(("u1p", "u2p", "u3p"), claim, circle):
+            recomputed = math.ldexp(recomputed, k)
             if abs(given - recomputed) > max(tolerance * max(given, recomputed), floor):
                 return False, (f"{name}={given!r} disagrees with circle-path "
                                f"value {recomputed!r}")
 
-        if angles == ALL_120:
+        if psis == ANGLES_120[0]:
             # Both sums over 2**k, k the edges' exponent: the sum itself may
             # exceed the float range, and dividing by 2**k changes no bit.
-            k = edges.exponent
             # Started at the claimed star point: a right claim needs no step.
             minimized = minimize_distance_sum(
-                TriangleEdges(*edges.unit),
+                TriangleEdges(*unit),
                 start=(math.ldexp(s.u2p, -k), math.ldexp(s.u3p, -k)))
             total = (math.ldexp(s.u1p, -k) + math.ldexp(s.u2p, -k)
                      + math.ldexp(s.u3p, -k))
@@ -180,7 +182,7 @@ def verify_record(m: MeasurementRecord, s: SolutionRecord | None,
         return False, f"cross-check raised: {exc}"
     except Exception as exc:  # one bad row must not end the batch
         return False, f"cross-check raised {_describe_internal(exc)}"
-    return True, f"max residual {report.max_residual:.3e}"
+    return True, f"max residual {worst:.3e}"
 
 
 # =========================================================================

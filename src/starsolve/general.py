@@ -13,8 +13,9 @@ from X to the vertices. Two independent routes:
   is C reflected in the line through their centres, which
   :func:`_chord_circles` gives.
 
-Both routes run on plain floats over the unit triangle of the edges and
-build a vector only for the point they return.
+Each route is a float kernel on the unit triangle of the edges
+(:func:`closed_form_distances`, :func:`circle_distances`), which the CLI
+calls directly and the value-type functions wrap.
 
 With every angle at 120 deg the closed form is the 120-deg solver of
 :mod:`starsolve.fermat`, which calls it behind its wide-angle gate.
@@ -106,15 +107,10 @@ def _rot3(triple: tuple, r: int) -> tuple:
     return triple[r:] + triple[:r]
 
 
-# Rotation count by the index of the smallest viewing angle.
+# Rotation count by the index of the smallest viewing angle: it places that
+# angle last, so the two largest (hence both >= 90 deg) drive the
+# chord-circle construction.
 _ROTATION_OF_SMALLEST = (1, 2, 0)
-
-
-def canonical_rotation(angles: PhaseAngles) -> int:
-    """Cyclic rotation count placing the smallest viewing angle last, so the
-    two largest (hence both >= 90 deg) drive the chord-circle construction."""
-    psis = angles.as_tuple()
-    return _ROTATION_OF_SMALLEST[psis.index(min(psis))]
 
 
 def _barycentric(px: float, py: float, a: float, ax: float,
@@ -173,22 +169,24 @@ def general_distances_closed_form(t: TriangleEdges,
     return solution_at_scale(t.exponent, distances, px, py, residuals)
 
 
-def general_solve_by_circles(t: TriangleEdges, angles: PhaseAngles) -> StarSolution:
-    """Constructive route: X as the second common point of the two
-    inscribed-angle circles.
+def circle_distances(unit: Triple, unit_sq: Triple, theta_sq: float, psis: Triple,
+                     cot: Triple) -> Triple:
+    """Constructive route on plain floats: the distances from X, the second
+    common point of the two inscribed-angle circles, to the vertices of the
+    unit triangle of :func:`~starsolve.geometry.edge_invariants`, from the
+    angles and cotangents of :func:`~starsolve.geometry.angle_invariants`.
 
     Both circles pass through vertex C at the origin, so X is C reflected
     in the line of centres: with d = c_s - c_r, X = 2 (c_r x d) / |d|^2
     * (d_y, -d_x). It must land inside the triangle (within barycentric
     slack); a line of centres through C is tangency at C, the legitimate
-    boundary case of a vanishing vertex distance. The construction runs on
-    the unit triangle of ``t`` and its distances are scaled back.
+    boundary case of a vanishing vertex distance.
     """
-    rot = canonical_rotation(angles)
+    rot = _ROTATION_OF_SMALLEST[psis.index(min(psis))]
     # Theta^2 is symmetric and needs no relabeling.
-    (a, b, _), (a2, b2, c2) = _rot3(t.unit, rot), _rot3(t.unit_sq, rot)
-    cot_a, cot_b, _ = _rot3(angles.cot, rot)
-    ax, ay = apex_position(a, b, a2, b2, c2, t.unit_theta_sq)
+    (a, b, _), (a2, b2, c2) = _rot3(unit, rot), _rot3(unit_sq, rot)
+    cot_a, cot_b, _ = _rot3(cot, rot)
+    ax, ay = apex_position(a, b, a2, b2, c2, theta_sq)
     crx, cry, csx, csy, rho_a, rho_b = _chord_circles(a, 0.0, ax, ay, cot_a, cot_b)
 
     dx, dy = csx - crx, csy - cry
@@ -207,7 +205,14 @@ def general_solve_by_circles(t: TriangleEdges, angles: PhaseAngles) -> StarSolut
     # Distances to A = (ax, ay), B = (a, 0) and C at the origin.
     rotated_distances = (math.hypot(px - ax, py - ay), math.hypot(px - a, py),
                          math.hypot(px, py))
-    a_p, b_p, c_p = _rot3(rotated_distances, (3 - rot) % 3)
-    residuals = closure_defects(t.unit_sq, angles.cos, (a_p, b_p, c_p))
-    px, py = point_position(t.unit[0], t.unit_sq[0], b_p, c_p)
-    return solution_at_scale(t.exponent, (a_p, b_p, c_p), px, py, residuals)
+    return _rot3(rotated_distances, (3 - rot) % 3)
+
+
+def general_solve_by_circles(t: TriangleEdges, angles: PhaseAngles) -> StarSolution:
+    """Constructive route: :func:`circle_distances` on the unit triangle of
+    ``t``, scaled back."""
+    distances = circle_distances(t.unit, t.unit_sq, t.unit_theta_sq,
+                                 angles.as_tuple(), angles.cot)
+    residuals = closure_defects(t.unit_sq, angles.cos, distances)
+    px, py = point_position(t.unit[0], t.unit_sq[0], distances[1], distances[2])
+    return solution_at_scale(t.exponent, distances, px, py, residuals)

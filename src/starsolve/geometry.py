@@ -15,16 +15,12 @@ from .config import EPS_ANG_DEG, EPS_TRI_COEFF
 from .errors import AngleOutOfRange, DegenerateTriangle, NotATriangle
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class PlaneVector:
     """A 2-D Euclidean vector (also used for point positions)."""
 
     x: float
     y: float
-
-    def __init__(self, x: float, y: float):
-        # Frozen, so every field is set here, in one step.
-        self.__dict__.update(x=x, y=y)
 
     def __sub__(self, other: "PlaneVector") -> "PlaneVector":
         return PlaneVector(self.x - other.x, self.y - other.y)
@@ -208,7 +204,7 @@ class PhaseAngles:
         return (self.psi_a, self.psi_b, self.psi_c)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class StarSolution:
     """Distances from the recovered interior point to the vertices A, B, C.
 
@@ -222,12 +218,6 @@ class StarSolution:
     c_prime: float
     point: PlaneVector
     residuals: tuple[float, float, float]
-
-    def __init__(self, a_prime: float, b_prime: float, c_prime: float,
-                 point: PlaneVector, residuals: tuple[float, float, float]):
-        # Frozen, so every field is set here, in one step.
-        self.__dict__.update(a_prime=a_prime, b_prime=b_prime, c_prime=c_prime,
-                             point=point, residuals=residuals)
 
     def distances(self) -> tuple[float, float, float]:
         return (self.a_prime, self.b_prime, self.c_prime)
@@ -304,11 +294,13 @@ def closure_defects(squares: tuple[float, float, float],
     return (r_a, r_b, r_c)
 
 
-def closure_residuals(edges: tuple[float, float, float], angles: PhaseAngles,
+def closure_residuals(edges: tuple[float, float, float],
+                      cosines: tuple[float, float, float],
                       distances: tuple[float, float, float]) -> tuple[float, float, float]:
     """Relative defects of the three law-of-cosines closure equations.
 
-    Edge a must satisfy a^2 = b'^2 + c'^2 - 2 b' c' cos(psi_a), cyclically.
+    Edge a must satisfy a^2 = b'^2 + c'^2 - 2 b' c' cos(psi_a), cyclically;
+    ``cosines`` holds cos(psi_a), cos(psi_b), cos(psi_c).
     In the circuit picture this is the mesh rule: each phase-to-phase
     voltage closes the triangle over its two line voltages. The defects
     are dimensionless, so the lengths are first divided by one power of
@@ -319,4 +311,4 @@ def closure_residuals(edges: tuple[float, float, float], angles: PhaseAngles,
     k = -math.frexp(max(a, b, c, a_p, b_p, c_p))[1]
     a, b, c = math.ldexp(a, k), math.ldexp(b, k), math.ldexp(c, k)
     unit_distances = (math.ldexp(a_p, k), math.ldexp(b_p, k), math.ldexp(c_p, k))
-    return closure_defects((a * a, b * b, c * c), angles.cos, unit_distances)
+    return closure_defects((a * a, b * b, c * c), cosines, unit_distances)

@@ -67,7 +67,7 @@ def synthesize_triangle(spec: SynthesisSpec) -> tuple[TriangleEdges, StarSolutio
     c = math.sqrt(a_p * a_p + b_p * b_p - 2.0 * a_p * b_p * cos_c)
     edges = TriangleEdges(a, b, c)
     point = point_from_distances(edges, a_p, b_p, c_p)
-    residuals = closure_residuals(edges.as_tuple(), spec.angles, spec.distances)
+    residuals = closure_residuals(edges.as_tuple(), spec.angles.cos, spec.distances)
     return edges, StarSolution(a_p, b_p, c_p, point, residuals)
 
 

@@ -341,27 +341,31 @@ class RowWriter:
         """``write(combined_row(m, s))``, byte for byte.
 
         A CSV row of text, floats and Nones is joined into its line
-        directly. The csv writer writes it instead when the line needs
-        quoting (more commas than separators, a quote, CR or LF), holds a
-        NUL, which the csv module handles differently by Python version,
-        carries a value of another type, or has metadata that names a
-        record field, which ``combined_row`` lets override that field.
+        directly. The csv writer writes the row's values instead when its
+        text needs quoting (a comma, a quote, CR or LF) or holds a NUL,
+        which the csv module handles differently by Python version, or when
+        a value is of another type. A float's ``repr`` holds none of those
+        characters, so the text alone decides. Metadata that names a record
+        field, which ``combined_row`` lets override that field, goes
+        through ``write``.
         """
         meta_fields = self._meta_fields
-        if meta_fields is None:  # JSON lines, or no combined_row header yet
+        meta = m.meta
+        if meta_fields is None or not _KNOWN_FIELDS.isdisjoint(meta):
+            # JSON lines, no combined_row header yet, or an overriding field
             self.write(combined_row(m, s))
             return
-        meta = m.meta
         # combined_row's values in _ROW_FIELDS order, then the metadata.
         values = (*m[:6], *s[1:], *map(meta.get, meta_fields))
         kinds = set(map(type, values))
-        if kinds <= _PLAIN and _KNOWN_FIELDS.isdisjoint(meta):
-            if _NONE in kinds:
-                line = ",".join(["" if v is None else str(v) for v in values])
-            else:
-                line = ",".join(map(str, values))
-            if not (line.count(",") >= len(values) or '"' in line or "\r" in line
-                    or "\n" in line or "\0" in line):
-                self._stream.write(line + "\n")
-                return
-        self.write(combined_row(m, s))
+        if not kinds <= _PLAIN:
+            self._csv_writer.writerow(map(_csv_value, values))
+            return
+        text = "".join([v for v in values if type(v) is str])
+        if "," in text or '"' in text or "\r" in text or "\n" in text or "\0" in text:
+            self._csv_writer.writerow(values)
+        elif _NONE in kinds:
+            self._stream.write(",".join(["" if v is None else str(v) for v in values])
+                               + "\n")
+        else:
+            self._stream.write(",".join(map(str, values)) + "\n")

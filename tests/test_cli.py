@@ -9,17 +9,15 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from conftest import E1_DISTANCES, E1_EDGES
 from starsolve import cli
-from starsolve.circuit import ResidualReport, line_voltage_kernel
+from starsolve.circuit import ANGLES_120, line_voltage_kernel
 from starsolve.cli import main, solve_record, verify_record
-from starsolve.general import general_solve_by_circles
-from starsolve.geometry import PhaseAngles, PlaneVector, StarSolution
+from starsolve.general import circle_distances
 from starsolve.records import (
     STATUS_ANGLE_GE_120,
     STATUS_INCONSISTENT,
@@ -439,12 +437,13 @@ def test_verify_runs_distance_sum_oracle_on_explicit_120_deg(monkeypatch):
 def test_verify_fails_a_sum_off_the_minimum_from_any_start(claim, monkeypatch):
     # Closure and the circle re-solve are made to agree with the claim, so
     # only the distance-sum oracle, started at the claimed point, can fail it.
-    monkeypatch.setattr(cli, "verify_solution",
-                        lambda u, lv, angles, tolerance: ResidualReport(
-                            (0.0, 0.0, 0.0), 0.0, tolerance, True))
-    monkeypatch.setattr(cli, "general_solve_by_circles",
-                        lambda t, angles: StarSolution(*claim, PlaneVector(0.0, 0.0),
-                                                       (0.0, 0.0, 0.0)))
+    monkeypatch.setattr(cli, "closure_residuals",
+                        lambda edges, cosines, distances: (0.0, 0.0, 0.0))
+    # The circle kernel answers on the unit triangle, the edges over 2**k.
+    k = E1_EDGES.exponent
+    monkeypatch.setattr(cli, "circle_distances",
+                        lambda unit, unit_sq, theta_sq, psis, cot:
+                        tuple(math.ldexp(x, -k) for x in claim))
     m = MeasurementRecord("e1", *E1_EDGES.as_tuple())
     s = SolutionRecord("e1", *claim, 0.0, STATUS_OK)
     passed, detail = verify_record(m, s, 1e-8)
@@ -454,15 +453,17 @@ def test_verify_fails_a_sum_off_the_minimum_from_any_start(claim, monkeypatch):
 
 
 def test_circle_mismatch_message_shows_both_values(monkeypatch):
-    def nudged(t, angles):
-        solution = general_solve_by_circles(t, angles)
-        return replace(solution, a_prime=solution.a_prime * (1.0 + 1e-7))
+    def nudged(unit, unit_sq, theta_sq, psis, cot):
+        a_p, b_p, c_p = circle_distances(unit, unit_sq, theta_sq, psis, cot)
+        return a_p * (1.0 + 1e-7), b_p, c_p
 
-    monkeypatch.setattr(cli, "general_solve_by_circles", nudged)
+    monkeypatch.setattr(cli, "circle_distances", nudged)
     m = MeasurementRecord("e1", *E1_EDGES.as_tuple())
     s = SolutionRecord("e1", *E1_DISTANCES, 0.0, STATUS_OK)
     passed, detail = verify_record(m, s, 1e-8)
-    recomputed = nudged(E1_EDGES, PhaseAngles(120.0, 120.0, 120.0)).a_prime
+    psis, cot, _ = ANGLES_120
+    recomputed = math.ldexp(nudged(E1_EDGES.unit, E1_EDGES.unit_sq, E1_EDGES.unit_theta_sq,
+                                   psis, cot)[0], E1_EDGES.exponent)
     assert not passed
     assert detail == (f"u1p={E1_DISTANCES[0]!r} disagrees with circle-path "
                       f"value {recomputed!r}")
@@ -550,12 +551,12 @@ def test_solved_row_over_the_tolerance_is_infeasible(monkeypatch, capsys):
     assert solution.diagnostics == "closure residual 1.091e-15 exceeds tolerance 1e-20"
 
 
-def _faulty_kernel(original, bad_edge, fault):
-    """``original`` with ``fault`` (an exception type) injected for edges
-    whose ``a`` is ``bad_edge``."""
-    def kernel(t, *args):
-        if t.a != bad_edge:
-            return original(t, *args)
+def _faulty_kernel(original, bad_unit_edge, fault):
+    """``original``, a kernel on the unit triangle, with ``fault`` (an
+    exception type) injected for unit edges whose first is ``bad_unit_edge``."""
+    def kernel(unit, *args):
+        if unit[0] != bad_unit_edge:
+            return original(unit, *args)
         raise fault("injected fault")
     return kernel
 
@@ -595,8 +596,8 @@ def test_solve_batch_survives_internal_error(tmp_path, monkeypatch, capsys, rais
 
 
 def test_verify_record_reports_internal_error(monkeypatch):
-    monkeypatch.setattr(cli, "general_solve_by_circles",
-                        _faulty_kernel(general_solve_by_circles, E1_EDGES.a,
+    monkeypatch.setattr(cli, "circle_distances",
+                        _faulty_kernel(circle_distances, E1_EDGES.unit[0],
                                        ZeroDivisionError))
     monkeypatch.setattr(cli, "line_voltage_kernel",
                         _faulty_line_voltage_kernel(E1_EDGES.a, ZeroDivisionError))

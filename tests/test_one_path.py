@@ -3,7 +3,10 @@
 ``cli.solve_record`` runs a measurement through the float kernel that the
 library's value types wrap, so it must return, bit for bit, what the
 library route returns: ``solve_general_star`` or ``solve_symmetric_star``
-plus the status mapping written out below. ``RowWriter.write_solution``
+plus the status mapping written out below. ``cli.verify_record`` checks a
+row on the same floats, so its verdict must be the one the value types,
+the circle route and the oracle give, in the messages written out below.
+``RowWriter.write_solution``
 joins a CSV row into its line itself, so it must write the bytes that the
 csv module writes through ``_LineFeedEnded`` for any id and metadata.
 """
@@ -20,16 +23,22 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from starsolve import (
     AngleAtLeast120,
     AngleOutOfRange,
+    LineVoltages,
     NotATriangle,
     PhaseAngles,
     PhaseToPhaseVoltages,
     StarSolveError,
     SynthesisSpec,
+    TriangleEdges,
+    general_solve_by_circles,
+    minimize_distance_sum,
     solve_general_star,
     solve_symmetric_star,
     synthesize_triangle,
+    validate_angles,
+    verify_solution,
 )
-from starsolve.cli import solve_record
+from starsolve.cli import solve_record, verify_record
 from starsolve.config import RESIDUAL_TOL
 from starsolve.records import (
     STATUS_ANGLE_GE_120,
@@ -150,6 +159,104 @@ def test_solve_record_is_the_library_route_bit_for_bit(case, scale, tolerance):
     returned, solution = solve_record(m, tolerance)
     assert returned is m
     assert bits(solution) == bits(library_record(m, tolerance))
+
+
+def library_verdict(m: MeasurementRecord, s: SolutionRecord,
+                    tolerance: float) -> tuple[bool, str]:
+    """The library route of a verify row: the re-solve above for a failure
+    row, else the closure report, the circle route and, at 120 deg, the
+    distance-sum oracle, on the value types."""
+    if not s.solved:
+        fresh = library_record(m, tolerance)
+        if fresh.status == s.status:
+            return True, f"failure status {s.status!r} confirmed by re-solve"
+        return False, (f"recorded status {s.status!r} but re-solve "
+                       f"produced {fresh.status!r}")
+    try:
+        u = PhaseToPhaseVoltages(m.u1, m.u2, m.u3)
+        angles = validate_angles(*((m.psi1, m.psi2) if m.has_angles else (120.0, 120.0)))
+        lv = LineVoltages(s.u1p, s.u2p, s.u3p)
+        report = verify_solution(u, lv, angles, tolerance)
+        if not report.passed:
+            return False, (f"closure residual {report.max_residual:.3e} "
+                           f"exceeds tolerance {tolerance:g}")
+        t = u.to_edges()
+        floor = math.ldexp(1e-12 * sum(t.unit), t.exponent)
+        circle = general_solve_by_circles(t, angles)
+        for name, given, recomputed in zip(("u1p", "u2p", "u3p"), lv.as_tuple(),
+                                           circle.distances()):
+            if abs(given - recomputed) > max(tolerance * max(given, recomputed), floor):
+                return False, (f"{name}={given!r} disagrees with circle-path "
+                               f"value {recomputed!r}")
+        if angles == validate_angles(120.0, 120.0):
+            k = t.exponent
+            claim = [math.ldexp(x, -k) for x in lv.as_tuple()]
+            minimized = minimize_distance_sum(TriangleEdges(*t.unit), start=claim[1:])
+            total = claim[0] + claim[1] + claim[2]
+            if abs(minimized.value - total) > 1e-6 * total:
+                return False, (f"line-voltage sum {total:.9g} disagrees with "
+                               f"minimized distance sum {minimized.value:.9g} "
+                               f"(both over 2**{k})")
+    except StarSolveError as exc:
+        return False, f"cross-check raised: {exc}"
+    return True, f"max residual {report.max_residual:.3e}"
+
+
+@st.composite
+def claimed(draw) -> tuple:
+    """A planted row, general or at 120 deg (psi empty or written out), and
+    its planted distances, some of them now and then pushed off by a
+    relative step that fails the closure, the circle re-solve or the
+    distance-sum check, depending on the tolerance. A point near a
+    terminal moves the closure little when its short distance is pushed
+    off, so the circle re-solve is the check that fails it."""
+    distances = (draw(DISTANCE), draw(DISTANCE), draw(DISTANCE))
+    near = draw(st.sampled_from([None, 0, 1, 2]))
+    if near is None:
+        signs = draw(st.tuples(*[st.sampled_from([-1.0, 0.0, 1.0])] * 3))
+    else:
+        distances = tuple(d * 1e-3 if i == near else d for i, d in enumerate(distances))
+        signs = tuple(float(i == near) for i in range(3))
+    if draw(st.booleans()):
+        psi_a = draw(st.floats(min_value=60.0, max_value=179.0))
+        psi_b = draw(st.floats(min_value=181.0 - psi_a, max_value=179.0))
+        psi = (psi_a, psi_b)
+        angles = PhaseAngles(psi_a, psi_b, 360.0 - psi_a - psi_b)
+    else:
+        psi = draw(st.sampled_from([None, (120.0, 120.0)]))
+        angles = PhaseAngles(120.0, 120.0, 120.0)
+    edges, _ = synthesize_triangle(SynthesisSpec(distances, angles))
+    step = draw(st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 1e-6, 1e-4, 1e-2]))
+    claim = tuple(d * (1.0 + sign * step) for d, sign in zip(distances, signs))
+    return edges.as_tuple(), psi, claim
+
+
+@st.composite
+def failure_rows(draw) -> tuple:
+    """A row whose solve fails or succeeds, recorded with the failure status
+    a re-solve gives, or with another."""
+    edges, psi = draw(MEASUREMENTS)
+    status = draw(st.sampled_from([None, STATUS_INFEASIBLE, STATUS_INCONSISTENT,
+                                   STATUS_ANGLE_GE_120]))
+    return edges, psi, status
+
+
+@SETTINGS
+@given(st.one_of(claimed(), failure_rows()), SCALE,
+       st.sampled_from([RESIDUAL_TOL, 1e-14, 1e-3]))
+def test_verify_record_is_the_library_route(case, scale, tolerance):
+    (u1, u2, u3), psi, claim = case
+    m = MeasurementRecord("m", u1 * scale, u2 * scale, u3 * scale,
+                          *(psi or (None, None)))
+    if isinstance(claim, tuple):
+        s = SolutionRecord("m", *(d * scale for d in claim), 0.0, STATUS_OK)
+    else:  # a failure row: the status solve gives, unless one is drawn
+        _, solved = solve_record(m, tolerance)
+        s = solved._replace(u1p=None, u2p=None, u3p=None, max_residual=None,
+                            status=claim or solved.status)
+        if s.solved:
+            s = s._replace(status=STATUS_INFEASIBLE)
+    assert verify_record(m, s, tolerance) == library_verdict(m, s, tolerance)
 
 
 # Text, now and then with one of the characters that decide CSV quoting
