@@ -11,94 +11,49 @@ Library entry points:
 * :mod:`starsolve.oracle` for the independent verification machinery.
 
 Every operation is a pure function; the package is thread-safe throughout.
+Each public name, and the module that defines it, is imported on first
+use (PEP 562), so ``star-solve``, which runs on the float kernels of
+:mod:`starsolve.kernel`, loads no value type and no oracle at start-up.
 """
 
-from .circuit import (
-    LineVoltages,
-    Phasor,
-    PhaseToPhaseVoltages,
-    ResidualReport,
-    line_voltage_phasors,
-    phasor_difference,
-    solve_general_star,
-    solve_symmetric_star,
-    verify_solution,
-)
-from .errors import (
-    AngleAtLeast120,
-    AngleOutOfRange,
-    ConcentricCircles,
-    DegenerateTriangle,
-    InconsistentMeasurement,
-    InfeasibleConfiguration,
-    NoConvergence,
-    NoInteriorIntersection,
-    NotATriangle,
-    PhaseDiagnostic,
-    StarSolveError,
-)
-from .fermat import (
-    fermat_distances_closed_form,
-    fermat_solve,
-)
-from .general import (
-    general_distances_closed_form,
-    general_solve_by_circles,
-    validate_angles,
-)
-from .geometry import (
-    PhaseAngles,
-    PlaneVector,
-    StarSolution,
-    TriangleEdges,
-    embed_triangle,
-    theta_squared,
-)
-from .oracle import (
-    MinimizationResult,
-    SynthesisSpec,
-    minimize_distance_sum,
-    sample_waveform_amplitude,
-    synthesize_triangle,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AngleAtLeast120",
-    "AngleOutOfRange",
-    "ConcentricCircles",
-    "DegenerateTriangle",
-    "InconsistentMeasurement",
-    "InfeasibleConfiguration",
-    "LineVoltages",
-    "MinimizationResult",
-    "NoConvergence",
-    "NoInteriorIntersection",
-    "NotATriangle",
-    "PhaseAngles",
-    "PhaseDiagnostic",
-    "PhaseToPhaseVoltages",
-    "Phasor",
-    "PlaneVector",
-    "ResidualReport",
-    "StarSolution",
-    "StarSolveError",
-    "SynthesisSpec",
-    "TriangleEdges",
-    "embed_triangle",
-    "fermat_distances_closed_form",
-    "fermat_solve",
-    "general_distances_closed_form",
-    "general_solve_by_circles",
-    "line_voltage_phasors",
-    "minimize_distance_sum",
-    "phasor_difference",
-    "sample_waveform_amplitude",
-    "solve_general_star",
-    "solve_symmetric_star",
-    "synthesize_triangle",
-    "theta_squared",
-    "validate_angles",
-    "verify_solution",
-]
+# Each public name by the module that defines it.
+_EXPORTS = {
+    "circuit": ("LineVoltages", "Phasor", "PhaseToPhaseVoltages", "ResidualReport",
+                "line_voltage_phasors", "phasor_difference", "solve_general_star",
+                "solve_symmetric_star", "verify_solution"),
+    "errors": ("AngleAtLeast120", "AngleOutOfRange", "ConcentricCircles",
+               "DegenerateTriangle", "InconsistentMeasurement",
+               "InfeasibleConfiguration", "NoConvergence", "NoInteriorIntersection",
+               "NotATriangle", "PhaseDiagnostic", "StarSolveError"),
+    "fermat": ("fermat_distances_closed_form", "fermat_solve"),
+    "general": ("general_distances_closed_form", "general_solve_by_circles",
+                "validate_angles"),
+    "geometry": ("PhaseAngles", "PlaneVector", "StarSolution", "TriangleEdges",
+                 "embed_triangle", "theta_squared"),
+    "oracle": ("MinimizationResult", "SynthesisSpec", "minimize_distance_sum",
+               "sample_waveform_amplitude", "synthesize_triangle"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str) -> object:
+    """A public name or one of the submodules in ``_EXPORTS``, imported on
+    first use and then kept as a module attribute."""
+    if name in _EXPORTS:
+        value = import_module(f"{__name__}.{name}")
+    elif name in _MODULE_OF:
+        value = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -17,19 +17,10 @@ import math
 from dataclasses import dataclass, field
 
 from .config import RESIDUAL_TOL
-from .fermat import ALL_120, check_angles_below_120, fermat_distances_closed_form
-from .general import closed_form_distances, general_distances_closed_form, validate_angles
-from .geometry import (
-    ORIGIN,
-    AngleInvariants,
-    EdgeInvariants,
-    PhaseAngles,
-    StarSolution,
-    TriangleEdges,
-    Triple,
-    closure_residuals,
-    embed_triangle,
-)
+from .fermat import ALL_120, fermat_distances_closed_form
+from .general import general_distances_closed_form, validate_angles
+from .geometry import ORIGIN, PhaseAngles, StarSolution, TriangleEdges, embed_triangle
+from .kernel import closure_residuals, line_voltage_kernel
 
 
 @dataclass(frozen=True)
@@ -105,39 +96,6 @@ class LineVoltages:
         return (self.u1p, self.u2p, self.u3p)
 
 
-# ALL_120 on plain floats, as angle_invariants gives them.
-ANGLES_120 = (ALL_120.as_tuple(), ALL_120.cot, ALL_120.cos)
-
-
-def line_voltage_kernel(edges: EdgeInvariants, angles: AngleInvariants
-                        ) -> tuple[Triple, Triple, tuple[str, ...]]:
-    """Line voltages, closure residuals and notes, on plain floats.
-
-    ``edges`` is what :func:`~starsolve.geometry.edge_invariants` returns
-    and ``angles`` what :func:`~starsolve.geometry.angle_invariants`
-    returns. At 120 deg each the wide-angle gate runs first; then the
-    closed form gives the distances on the unit triangle, scaled back
-    here. A note names each voltage that is zero within tolerance.
-    """
-    exponent, unit, unit_sq, theta_sq = edges
-    psis, cot, cos = angles
-    if psis == ANGLES_120[0]:
-        check_angles_below_120(exponent, unit, unit_sq)
-    (a_p, b_p, c_p), _, residuals = closed_form_distances(unit, unit_sq, theta_sq,
-                                                          cot, cos)
-    distances = (math.ldexp(a_p, exponent), math.ldexp(b_p, exponent),
-                 math.ldexp(c_p, exponent))
-    # 1e-9 of the perimeter, which itself may exceed the float range.
-    floor = math.ldexp(1e-9 * sum(unit), exponent)
-    notes = ()
-    if min(distances) < floor:
-        notes = tuple(f"{name} is zero within tolerance: "
-                      "the load star point sits on a phase terminal"
-                      for name, value in zip(("u1p", "u2p", "u3p"), distances)
-                      if value < floor)
-    return distances, residuals, notes
-
-
 def _star_solution(u: PhaseToPhaseVoltages, angles: PhaseAngles) -> StarSolution:
     """At 120 deg each the gated 120-deg solver, else the general kernel."""
     if angles == ALL_120:
@@ -146,7 +104,8 @@ def _star_solution(u: PhaseToPhaseVoltages, angles: PhaseAngles) -> StarSolution
 
 
 def _line_voltages(u: PhaseToPhaseVoltages, angles: PhaseAngles) -> LineVoltages:
-    """:func:`line_voltage_kernel` on the invariants of ``u`` and ``angles``."""
+    """:func:`~starsolve.kernel.line_voltage_kernel` on the invariants of
+    ``u`` and ``angles``."""
     t = u.to_edges()
     distances, residuals, notes = line_voltage_kernel(
         (t.exponent, t.unit, t.unit_sq, t.unit_theta_sq),

@@ -19,24 +19,21 @@ import io
 import math
 import os
 import sys
-import traceback
 from itertools import chain
-from random import Random
 from typing import Callable, Iterator, TextIO
 
-from .circuit import ANGLES_120, line_voltage_kernel
 from .config import residual_tolerance
 from .errors import AngleAtLeast120, AngleOutOfRange, NotATriangle, StarSolveError
-from .general import circle_distances
-from .geometry import (
+from .kernel import (
+    ANGLES_120,
     AngleInvariants,
     EdgeInvariants,
-    TriangleEdges,
     angle_invariants,
+    circle_distances,
     closure_residuals,
     edge_invariants,
+    line_voltage_kernel,
 )
-from .oracle import minimize_distance_sum, random_synthesis_spec, synthesize_triangle
 from .records import (
     STATUS_ANGLE_GE_120,
     STATUS_INCONSISTENT,
@@ -77,7 +74,8 @@ def solve_record(m: MeasurementRecord, tolerance: float
                  ) -> tuple[MeasurementRecord, SolutionRecord]:
     """Solve one measurement; failures become a status, never an exception.
 
-    The row runs on plain floats through the kernel that
+    The row runs on plain floats through
+    :func:`~starsolve.kernel.line_voltage_kernel`, which
     :func:`~starsolve.circuit.solve_general_star` and
     :func:`~starsolve.circuit.solve_symmetric_star` wrap, so both give the
     same voltages, residuals and notes. The status comes from the kernel's
@@ -122,9 +120,23 @@ def _describe_non_finite(values: tuple[float, ...]) -> str:
 
 def _describe_internal(exc: Exception) -> str:
     """Exception type, message and the innermost frame that raised it."""
+    import traceback  # only a failing row needs it
     frame = traceback.extract_tb(exc.__traceback__)[-1]
     return (f"{type(exc).__name__}: {exc} (at {os.path.basename(frame.filename)}:"
             f"{frame.lineno} in {frame.name})")
+
+
+# The oracle and the value type it takes, bound by verify's first 120-deg
+# claim as _parser is by the first main(): solve, synth and a verify without
+# 120-deg rows never load them. Bound once, not imported in each row, where
+# even an import already done costs about a tenth of a 120-deg verify row.
+TriangleEdges = minimize_distance_sum = None
+
+
+def _bind_oracle() -> None:
+    global TriangleEdges, minimize_distance_sum
+    from .geometry import TriangleEdges
+    from .oracle import minimize_distance_sum
 
 
 def verify_record(m: MeasurementRecord, s: SolutionRecord | None,
@@ -169,6 +181,8 @@ def verify_record(m: MeasurementRecord, s: SolutionRecord | None,
             # Both sums over 2**k, k the edges' exponent: the sum itself may
             # exceed the float range, and dividing by 2**k changes no bit.
             # Started at the claimed star point: a right claim needs no step.
+            if minimize_distance_sum is None:
+                _bind_oracle()
             minimized = minimize_distance_sum(
                 TriangleEdges(*unit),
                 start=(math.ldexp(s.u2p, -k), math.ldexp(s.u3p, -k)))
@@ -205,12 +219,16 @@ def _open_input(path: str) -> tuple[TextIO, Callable[[], object]]:
 
 
 def _sniff(path: str, lines: Iterator[str]) -> tuple[Iterator[str], str]:
-    """The lines, a leading byte-order mark removed, and their format."""
+    """The lines, a leading byte-order mark removed, and their format, told
+    by the first line that is not blank. Blank lines stay in the stream, so
+    the readers count them in their line numbers."""
     first = next(lines, None)
     if first is None:
         return iter(()), "csv"
-    first = first.removeprefix("\ufeff")
-    return chain([first], lines), format_for_path(path) or detect_format(first)
+    head = [first.removeprefix("\ufeff")]
+    while not head[-1].strip() and (line := next(lines, None)) is not None:
+        head.append(line)
+    return chain(head, lines), format_for_path(path) or detect_format(head[-1])
 
 
 def _run(path: str, tolerance: float | None,
@@ -271,6 +289,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.count < 1:
         print("star-solve: --count must be at least 1", file=sys.stderr)
         return EXIT_USAGE
+    from random import Random
+
+    from .oracle import random_synthesis_spec, synthesize_triangle
+
     rng = Random(args.seed)
     writer = RowWriter(sys.stdout, "csv")
     for index in range(args.count):

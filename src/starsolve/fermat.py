@@ -5,8 +5,9 @@ recover the distances from that point to the vertices. Two independent
 routes are provided and can be cross-checked against each other:
 
 * the closed form, which is the general viewing-angle kernel of
-  :mod:`starsolve.general` with every angle at 120 deg, behind a gate that
-  names the wide vertex of a triangle with an angle >= 120 deg, and
+  :mod:`starsolve.general` with every angle at 120 deg, behind the gate
+  of :func:`~starsolve.kernel.check_angles_below_120`, which names the
+  wide vertex of a triangle with an angle >= 120 deg, and
 * the constructive route: erect an outward equilateral triangle on edge
   a, intersect the cevian to its apex with the cevian from B, and measure
   the distances from that intersection, on plain floats.
@@ -21,18 +22,10 @@ from __future__ import annotations
 import math
 from typing import Literal
 
-from .config import ANGLE_LIMIT_DEG, EPS_ANG_DEG
-from .errors import AngleAtLeast120, DegenerateTriangle
+from .errors import DegenerateTriangle
 from .general import general_distances_closed_form
-from .geometry import (
-    PhaseAngles,
-    StarSolution,
-    TriangleEdges,
-    Triple,
-    apex_position,
-    closure_defects,
-    solution_at_scale,
-)
+from .geometry import PhaseAngles, StarSolution, TriangleEdges, solution_at_scale
+from .kernel import apex_position, check_angles_below_120, closure_defects
 
 SQRT3 = math.sqrt(3.0)
 
@@ -41,49 +34,9 @@ ALL_120 = PhaseAngles(120.0, 120.0, 120.0)
 SolveMethod = Literal["closed_form", "construction"]
 
 
-def vertex_clamped_distances(edges: Triple, vertex: str) -> Triple:
-    """Distances when the minimizing point degenerates onto the named vertex:
-    zero there, adjacent edge lengths at the other two corners."""
-    a, b, c = edges
-    return {
-        "A": (0.0, c, b),
-        "B": (c, 0.0, a),
-        "C": (b, a, 0.0),
-    }[vertex]
-
-
-# Cosine of an angle two EPS_ANG_DEG below the limit. A vertex whose
-# cosine is above it lies below the gate by far more than acos and the
-# degree conversion can round, so the angle itself is only evaluated near
-# the gate, where it decides, and for the diagnostic of a wide vertex.
-_COS_CLEAR = math.cos(math.radians(ANGLE_LIMIT_DEG - 2.0 * EPS_ANG_DEG))
-
-
-def check_angles_below_120(exponent: int, unit: Triple, unit_sq: Triple) -> None:
-    """Raise :class:`AngleAtLeast120` (with diagnostics) for wide triangles,
-    given as :func:`~starsolve.geometry.edge_invariants` gives them.
-
-    Each cosine comes from the squared unit edges by the law of cosines,
-    vertex by vertex in the order A, B, C.
-    """
-    (a, b, c), (a2, b2, c2) = unit, unit_sq
-    cosines = ((b2 + c2 - a2) / (2.0 * b * c),
-               (c2 + a2 - b2) / (2.0 * c * a),
-               (a2 + b2 - c2) / (2.0 * a * b))
-    if min(cosines) > _COS_CLEAR:
-        return
-    for vertex, cos_val in zip("ABC", cosines):
-        angle = math.degrees(math.acos(max(-1.0, min(1.0, cos_val))))
-        if angle >= ANGLE_LIMIT_DEG - EPS_ANG_DEG:
-            # A unit edge whose square is not zero is a normal float, so
-            # scaling it back by 2**exponent gives the edge exactly.
-            edges = (math.ldexp(a, exponent), math.ldexp(b, exponent),
-                     math.ldexp(c, exponent))
-            raise AngleAtLeast120(vertex, angle, vertex_clamped_distances(edges, vertex))
-
-
 def require_angles_below_120(t: TriangleEdges) -> None:
-    """:func:`check_angles_below_120` on the invariants of ``t``."""
+    """:func:`~starsolve.kernel.check_angles_below_120` on the invariants
+    of ``t``."""
     check_angles_below_120(t.exponent, t.unit, t.unit_sq)
 
 

@@ -1,0 +1,430 @@
+"""The plain-float kernels that ``solve`` and ``verify`` run.
+
+Every formula a CLI row passes through lives here once, on plain floats:
+the triangle and angle invariants, the closed form and the circle route
+on the unit triangle, the wide-angle gate and the closure residuals. The
+value types of :mod:`starsolve.geometry`, :mod:`starsolve.general`,
+:mod:`starsolve.fermat` and :mod:`starsolve.circuit` wrap these kernels.
+This module imports nothing but :mod:`math`, :mod:`starsolve.config` and
+:mod:`starsolve.errors`, so a CLI start loads no value type.
+
+Everything here is a pure function of its inputs; no state, safe to call
+from any number of threads. Angles cross the API in degrees, lengths in
+whatever unit the caller uses (the solvers are homogeneous of degree one
+in length, so volts work as well as metres).
+"""
+
+from __future__ import annotations
+
+import math
+
+from .config import ANGLE_LIMIT_DEG, EPS_ANG_DEG, EPS_TRI_COEFF, RESIDUAL_TOL
+from .errors import (
+    AngleAtLeast120,
+    AngleOutOfRange,
+    ConcentricCircles,
+    DegenerateTriangle,
+    InfeasibleConfiguration,
+    NoInteriorIntersection,
+    NotATriangle,
+)
+
+Triple = tuple[float, float, float]
+# What edge_invariants returns: exponent, unit edges, their squares, Theta^2.
+EdgeInvariants = tuple[int, Triple, Triple, float]
+# What angle_invariants returns: the angles, their cotangents and cosines.
+AngleInvariants = tuple[Triple, Triple, Triple]
+
+
+# =========================================================================
+# Triangle and angle invariants
+# =========================================================================
+
+def _cos_cot(angle_deg: float) -> tuple[float, float]:
+    """Cosine and cotangent of an angle given in degrees; the cotangent is
+    exactly zero at 90 deg."""
+    rad = math.radians(angle_deg)
+    cos = math.cos(rad)
+    return cos, 0.0 if angle_deg == 90.0 else cos / math.sin(rad)
+
+
+def _stable_heron_pairs(a: float, b: float, c: float) -> tuple[float, float]:
+    """Factor pairs of the Heron radicand, evaluated cancellation-free.
+
+    With x >= y >= z the radicand (a+b+c)(a+c-b)(b+c-a)(a+b-c) is grouped as
+    [ (x+(y+z)) * (x+(y-z)) ] * [ (z+(x-y)) * (z-(x-y)) ].  The first pair is
+    always positive; the second carries the sign of the triangle inequality
+    and stays accurate for needle triangles because no large terms cancel.
+    """
+    x, y, z = sorted((a, b, c), reverse=True)
+    p_big = (x + (y + z)) * (x + (y - z))
+    p_small = (z + (x - y)) * (z - (x - y))
+    return p_big, p_small
+
+
+def _edge_length(name: str, value: object) -> float:
+    """``value`` as an edge length; raises :class:`NotATriangle` unless it
+    is a finite positive number."""
+    if not (isinstance(value, (int, float)) and math.isfinite(value)):
+        raise NotATriangle(f"edge {name} is not a finite number: {value!r}")
+    if value <= 0.0:
+        raise NotATriangle(f"edge {name} must be positive, got {value}")
+    return float(value)
+
+
+def edge_invariants(a: float, b: float, c: float) -> EdgeInvariants:
+    """What every solver reads of three edge lengths, computed once:
+    ``(exponent, unit, unit_sq, theta_sq)``.
+
+    The solvers are homogeneous in the edges, so they work on the unit
+    triangle ``unit`` = edges / 2**``exponent``, ``exponent`` being the
+    binary exponent of the longest edge, and scale back by 2**``exponent``.
+    That is exact, so no bit changes, and no square under- or overflows at
+    any scale (Higham, Accuracy and Stability of Numerical Algorithms, 27).
+    ``unit_sq`` holds the squared unit edges and ``theta_sq`` the unit
+    triangle's Theta^2 (see :func:`~starsolve.geometry.theta_squared`).
+
+    Raises :class:`NotATriangle` for a length that is not a finite positive
+    number and for a triple that violates the triangle inequality beyond
+    the collinearity clamp window; an exactly (or near-)collinear triple is
+    allowed and has zero area. A needle whose short edge squares to zero on
+    the unit triangle raises :class:`DegenerateTriangle`: every closure
+    defect divides by that square.
+    """
+    if not (type(a) is type(b) is type(c) is float
+            and 0.0 < a < math.inf and 0.0 < b < math.inf and 0.0 < c < math.inf):
+        a, b, c = map(_edge_length, "abc", (a, b, c))
+    exponent = math.frexp(max(a, b, c))[1]
+    ua = math.ldexp(a, -exponent)
+    ub = math.ldexp(b, -exponent)
+    uc = math.ldexp(c, -exponent)
+    p_big, p_small = _stable_heron_pairs(ua, ub, uc)
+    if p_small < -EPS_TRI_COEFF * (ua + ub + uc) ** 2:
+        raise NotATriangle(f"edges ({a}, {b}, {c}) violate the triangle inequality")
+    unit_sq = (ua * ua, ub * ub, uc * uc)
+    if 0.0 in unit_sq:
+        raise DegenerateTriangle(f"edges ({a}, {b}, {c}): the shortest squares "
+                                 "to 0 beside the longest")
+    # A negative p_small inside the clamp window is a collinear triple.
+    return exponent, (ua, ub, uc), unit_sq, math.sqrt(p_big * max(p_small, 0.0))
+
+
+def _viewing_angle(name: str, value: float) -> float:
+    """``value`` as a viewing angle; raises :class:`AngleOutOfRange` unless
+    it lies strictly inside (0, 180) deg."""
+    if not math.isfinite(value):
+        raise AngleOutOfRange(name, value, "not a finite number")
+    if not 0.0 < value < 180.0:
+        raise AngleOutOfRange(name, value)
+    return float(value)
+
+
+def angle_invariants(psi_a: float, psi_b: float, psi_c: float) -> AngleInvariants:
+    """Three viewing angles (degrees), their cotangents and their cosines,
+    each a triple in the order a, b, c.
+
+    Raises :class:`AngleOutOfRange` unless every angle lies strictly inside
+    (0, 180) and the three sum to a full turn.
+    """
+    a, b, c = psi_a, psi_b, psi_c
+    if not (type(a) is type(b) is type(c) is float
+            and 0.0 < a < 180.0 and 0.0 < b < 180.0 and 0.0 < c < 180.0):
+        a, b, c = map(_viewing_angle, ("psi_a", "psi_b", "psi_c"), (a, b, c))
+    total = a + b + c
+    if abs(total - 360.0) > EPS_ANG_DEG:
+        raise AngleOutOfRange("psi_c", c, f"angles sum to {total!r} deg, expected 360")
+    (cos_a, cot_a), (cos_b, cot_b), (cos_c, cot_c) = map(_cos_cot, (a, b, c))
+    return (a, b, c), (cot_a, cot_b, cot_c), (cos_a, cos_b, cos_c)
+
+
+# Every phase difference at 120 deg, as angle_invariants gives it.
+ANGLES_120 = angle_invariants(120.0, 120.0, 120.0)
+
+
+# =========================================================================
+# Positions and closure
+# =========================================================================
+
+def apex_position(a: float, b: float, a2: float, b2: float, c2: float,
+                  theta_sq: float) -> tuple[float, float]:
+    """Coordinates of vertex A in the canonical frame (C at the origin, B at
+    (a, 0)), from the edges a, b, the squared edges and Theta^2. The
+    height is taken from the stable area evaluation, so the embedding
+    agrees with :func:`~starsolve.geometry.theta_squared` to the last bit
+    even for needles."""
+    cos_phi = (a2 + b2 - c2) / (2.0 * a * b)
+    cos_phi = max(-1.0, min(1.0, cos_phi))
+    return b * cos_phi, theta_sq / (2.0 * a)
+
+
+def point_position(a: float, a2: float, b_prime: float,
+                   c_prime: float) -> tuple[float, float]:
+    """Coordinates (canonical frame, edge a of length ``a`` with square
+    ``a2``) of the upper-half-plane point at the given distances from B and
+    C; the distance to A is implied by consistency."""
+    px = (c_prime * c_prime - b_prime * b_prime + a2) / (2.0 * a)
+    py_sq = c_prime * c_prime - px * px
+    return px, math.sqrt(max(py_sq, 0.0))
+
+
+def closure_defects(squares: tuple[float, float, float],
+                    cosines: tuple[float, float, float],
+                    distances: tuple[float, float, float]) -> tuple[float, float, float]:
+    """:func:`closure_residuals` from the squared edges and the cosines of
+    the viewing angles; every length on one scale."""
+    a2, b2, c2 = squares
+    cos_a, cos_b, cos_c = cosines
+    a_p, b_p, c_p = distances
+    r_a = abs(b_p * b_p + c_p * c_p - 2.0 * b_p * c_p * cos_a - a2) / a2
+    r_b = abs(c_p * c_p + a_p * a_p - 2.0 * c_p * a_p * cos_b - b2) / b2
+    r_c = abs(a_p * a_p + b_p * b_p - 2.0 * a_p * b_p * cos_c - c2) / c2
+    return (r_a, r_b, r_c)
+
+
+def closure_residuals(edges: tuple[float, float, float],
+                      cosines: tuple[float, float, float],
+                      distances: tuple[float, float, float]) -> tuple[float, float, float]:
+    """Relative defects of the three law-of-cosines closure equations.
+
+    Edge a must satisfy a^2 = b'^2 + c'^2 - 2 b' c' cos(psi_a), cyclically;
+    ``cosines`` holds cos(psi_a), cos(psi_b), cos(psi_c).
+    In the circuit picture this is the mesh rule: each phase-to-phase
+    voltage closes the triangle over its two line voltages. The defects
+    are dimensionless, so the lengths are first divided by one power of
+    two, which leaves their bits unchanged and keeps the squares in range
+    at any scale.
+    """
+    (a, b, c), (a_p, b_p, c_p) = edges, distances
+    k = -math.frexp(max(a, b, c, a_p, b_p, c_p))[1]
+    a, b, c = math.ldexp(a, k), math.ldexp(b, k), math.ldexp(c, k)
+    unit_distances = (math.ldexp(a_p, k), math.ldexp(b_p, k), math.ldexp(c_p, k))
+    return closure_defects((a * a, b * b, c * c), cosines, unit_distances)
+
+
+# =========================================================================
+# Inscribed-angle circles
+# =========================================================================
+
+# Interiority slack for barycentric coordinates (dimensionless).
+BARY_TOL = 1e-9
+
+
+def _chord_circles(ux: float, uy: float, vx: float, vy: float, cot_a: float,
+                   cot_b: float) -> tuple[float, float, float, float, float, float]:
+    """Centers and radii (center_r x, y, center_s x, y, rho_a, rho_b) of the
+    circles through {C, B} and {C, A} from which the chords are seen under
+    psi_a resp. psi_b, given the spanning vectors u = C->B and v = C->A and
+    the cotangents of those two viewing angles.
+
+    The center of the chord-CB circle sits at half the chord plus a
+    cotangent-scaled perpendicular; an obtuse viewing angle puts it on the
+    far side of the chord from X, a right angle on the chord itself.
+    """
+    a = math.hypot(ux, uy)
+    b = math.hypot(vx, vy)
+    if ux * vy - uy * vx <= 1e-15 * a * b:
+        raise DegenerateTriangle("spanning vectors are collinear")
+    return ((ux - uy * cot_a) * 0.5, (uy + ux * cot_a) * 0.5,
+            (vx + vy * cot_b) * 0.5, (vy - vx * cot_b) * 0.5,
+            0.5 * a * math.sqrt(1.0 + cot_a * cot_a),
+            0.5 * b * math.sqrt(1.0 + cot_b * cot_b))
+
+
+def _rot3(triple: tuple, r: int) -> tuple:
+    """``triple`` rotated left by ``r`` places: (x, y, z) -> (y, z, x) for 1."""
+    r %= 3
+    return triple[r:] + triple[:r]
+
+
+# Rotation count by the index of the smallest viewing angle: it places that
+# angle last, so the two largest (hence both >= 90 deg) drive the
+# chord-circle construction.
+_ROTATION_OF_SMALLEST = (1, 2, 0)
+
+
+def _barycentric(px: float, py: float, a: float, ax: float,
+                 ay: float) -> tuple[float, float, float]:
+    """Coordinates (u, v, w) of (px, py) = v*B + w*A, u = 1 - v - w, with
+    C at the origin, B at (a, 0) and A at (ax, ay)."""
+    area = a * ay
+    v = (px * ay - py * ax) / area
+    w = a * py / area
+    return (1.0 - v - w, v, w)
+
+
+def circle_distances(unit: Triple, unit_sq: Triple, theta_sq: float, psis: Triple,
+                     cot: Triple) -> Triple:
+    """Constructive route on plain floats: the distances from X, the second
+    common point of the two inscribed-angle circles, to the vertices of the
+    unit triangle of :func:`edge_invariants`, from the angles and
+    cotangents of :func:`angle_invariants`.
+
+    Both circles pass through vertex C at the origin, so X is C reflected
+    in the line of centres: with d = c_s - c_r, X = 2 (c_r x d) / |d|^2
+    * (d_y, -d_x). It must land inside the triangle (within barycentric
+    slack); a line of centres through C is tangency at C, the legitimate
+    boundary case of a vanishing vertex distance.
+    """
+    rot = _ROTATION_OF_SMALLEST[psis.index(min(psis))]
+    # Theta^2 is symmetric and needs no relabeling.
+    (a, b, _), (a2, b2, c2) = _rot3(unit, rot), _rot3(unit_sq, rot)
+    cot_a, cot_b, _ = _rot3(cot, rot)
+    ax, ay = apex_position(a, b, a2, b2, c2, theta_sq)
+    crx, cry, csx, csy, rho_a, rho_b = _chord_circles(a, 0.0, ax, ay, cot_a, cot_b)
+
+    dx, dy = csx - crx, csy - cry
+    d = math.hypot(dx, dy)
+    eps = 1e-12 * (rho_a + rho_b)
+    if d <= eps:
+        raise ConcentricCircles(
+            f"centers coincide within {eps:g}; intersection undefined")
+    scale = 2.0 * (crx * dy - cry * dx) / (d * d)
+    px, py = scale * dy, -scale * dx
+    bary = _barycentric(px, py, a, ax, ay)
+    if min(bary) < -BARY_TOL:
+        raise NoInteriorIntersection(
+            f"circle intersection lies outside the triangle: barycentric {bary}")
+
+    # Distances to A = (ax, ay), B = (a, 0) and C at the origin.
+    rotated_distances = (math.hypot(px - ax, py - ay), math.hypot(px - a, py),
+                         math.hypot(px, py))
+    return _rot3(rotated_distances, (3 - rot) % 3)
+
+
+# =========================================================================
+# Closed-form distances
+# =========================================================================
+
+def _joint_vertex_distance(s1: float, s2: float, s_opp: float,
+                           cot1: float, cot2: float, cot_opp: float,
+                           theta_sq: float) -> float:
+    """Distance from the vertex where edges e1 and e2 meet (e_opp across),
+    from their squares s1, s2 and s_opp.
+
+    cot1/cot2 belong to the viewing angles of e1/e2, cot_opp to the edge
+    across. A non-positive radicand in the denominator means no point
+    realizes the configuration.
+    """
+    core = s1 + s2 - s_opp
+    numerator = 0.5 * abs((cot1 + cot2) * (core - theta_sq * cot_opp))
+    denom = (s1 * (1.0 + cot1 * cot1) + s2 * (1.0 + cot2 * cot2)
+             - (cot1 + cot2) * (core * cot_opp + theta_sq))
+    if denom <= 0.0:
+        raise InfeasibleConfiguration(
+            f"distance denominator {denom:.3e} (unit triangle) is not positive; "
+            "no point sees the edges under these angles")
+    return numerator / math.sqrt(denom)
+
+
+def closed_form_distances(unit: Triple, unit_sq: Triple, theta_sq: float,
+                          cot: Triple, cos: Triple
+                          ) -> tuple[Triple, tuple[float, float], Triple]:
+    """The closed form on plain floats: (distances, point, residuals) on the
+    unit triangle of :func:`edge_invariants`, from the cotangents and
+    cosines of :func:`angle_invariants`.
+
+    Each distance comes from the same expression under the cyclic
+    relabeling (a,b,c; psi_a,psi_b,psi_c) -> (b,c,a; psi_b,psi_c,psi_a).
+    The solution is accepted only if the law-of-cosines closure holds to
+    ``RESIDUAL_TOL`` and the point, rebuilt from the distances in the
+    original frame, lands inside the triangle.
+    """
+    (a, b, _), (a2, b2, c2) = unit, unit_sq
+    cot_a, cot_b, cot_c = cot
+
+    a_p = _joint_vertex_distance(b2, c2, a2, cot_b, cot_c, cot_a, theta_sq)
+    b_p = _joint_vertex_distance(c2, a2, b2, cot_c, cot_a, cot_b, theta_sq)
+    c_p = _joint_vertex_distance(a2, b2, c2, cot_a, cot_b, cot_c, theta_sq)
+
+    distances = (a_p, b_p, c_p)
+    residuals = closure_defects(unit_sq, cos, distances)
+    if max(residuals) > RESIDUAL_TOL:
+        raise InfeasibleConfiguration(
+            f"closure residuals {residuals} exceed {RESIDUAL_TOL:g}; "
+            "no interior point realizes these edges and angles")
+
+    px, py = point_position(a, a2, b_p, c_p)
+    ax, ay = apex_position(a, b, a2, b2, c2, theta_sq)
+    bary = _barycentric(px, py, a, ax, ay)
+    if min(bary) < -BARY_TOL:
+        raise InfeasibleConfiguration(
+            f"recovered point lies outside the triangle: barycentric {bary}")
+    return distances, (px, py), residuals
+
+
+# =========================================================================
+# The wide-angle gate of the 120-deg problem
+# =========================================================================
+
+def vertex_clamped_distances(edges: Triple, vertex: str) -> Triple:
+    """Distances when the minimizing point degenerates onto the named vertex:
+    zero there, adjacent edge lengths at the other two corners."""
+    a, b, c = edges
+    return {
+        "A": (0.0, c, b),
+        "B": (c, 0.0, a),
+        "C": (b, a, 0.0),
+    }[vertex]
+
+
+# Cosine of an angle two EPS_ANG_DEG below the limit. A vertex whose
+# cosine is above it lies below the gate by far more than acos and the
+# degree conversion can round, so the angle itself is only evaluated near
+# the gate, where it decides, and for the diagnostic of a wide vertex.
+_COS_CLEAR = math.cos(math.radians(ANGLE_LIMIT_DEG - 2.0 * EPS_ANG_DEG))
+
+
+def check_angles_below_120(exponent: int, unit: Triple, unit_sq: Triple) -> None:
+    """Raise :class:`AngleAtLeast120` (with diagnostics) for wide triangles,
+    given as :func:`edge_invariants` gives them.
+
+    Each cosine comes from the squared unit edges by the law of cosines,
+    vertex by vertex in the order A, B, C.
+    """
+    (a, b, c), (a2, b2, c2) = unit, unit_sq
+    cosines = ((b2 + c2 - a2) / (2.0 * b * c),
+               (c2 + a2 - b2) / (2.0 * c * a),
+               (a2 + b2 - c2) / (2.0 * a * b))
+    if min(cosines) > _COS_CLEAR:
+        return
+    for vertex, cos_val in zip("ABC", cosines):
+        angle = math.degrees(math.acos(max(-1.0, min(1.0, cos_val))))
+        if angle >= ANGLE_LIMIT_DEG - EPS_ANG_DEG:
+            # A unit edge whose square is not zero is a normal float, so
+            # scaling it back by 2**exponent gives the edge exactly.
+            edges = (math.ldexp(a, exponent), math.ldexp(b, exponent),
+                     math.ldexp(c, exponent))
+            raise AngleAtLeast120(vertex, angle, vertex_clamped_distances(edges, vertex))
+
+
+# =========================================================================
+# Line voltages
+# =========================================================================
+
+def line_voltage_kernel(edges: EdgeInvariants, angles: AngleInvariants
+                        ) -> tuple[Triple, Triple, tuple[str, ...]]:
+    """Line voltages, closure residuals and notes, on plain floats.
+
+    ``edges`` is what :func:`edge_invariants` returns and ``angles`` what
+    :func:`angle_invariants` returns. At 120 deg each the wide-angle gate
+    runs first; then the closed form gives the distances on the unit
+    triangle, scaled back here. A note names each voltage that is zero
+    within tolerance.
+    """
+    exponent, unit, unit_sq, theta_sq = edges
+    psis, cot, cos = angles
+    if psis == ANGLES_120[0]:
+        check_angles_below_120(exponent, unit, unit_sq)
+    (a_p, b_p, c_p), _, residuals = closed_form_distances(unit, unit_sq, theta_sq,
+                                                          cot, cos)
+    distances = (math.ldexp(a_p, exponent), math.ldexp(b_p, exponent),
+                 math.ldexp(c_p, exponent))
+    # 1e-9 of the perimeter, which itself may exceed the float range.
+    floor = math.ldexp(1e-9 * sum(unit), exponent)
+    notes = ()
+    if min(distances) < floor:
+        notes = tuple(f"{name} is zero within tolerance: "
+                      "the load star point sits on a phase terminal"
+                      for name, value in zip(("u1p", "u2p", "u3p"), distances)
+                      if value < floor)
+    return distances, residuals, notes

@@ -20,10 +20,9 @@ from .geometry import (
     PlaneVector,
     StarSolution,
     TriangleEdges,
-    closure_residuals,
     point_from_distances,
-    point_position,
 )
+from .kernel import closure_residuals, point_position
 
 if TYPE_CHECKING:  # pragma: no cover - type-only, avoids a runtime cycle
     from .circuit import Phasor

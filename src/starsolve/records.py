@@ -144,7 +144,7 @@ def _csv_rows(lines: Iterator[str], fields: tuple[str, ...]
     once; a row short of its columns has them as ``""``."""
     reader = csv.reader(lines)
     try:
-        header = next(reader, None)
+        header = next(filter(None, reader), None)  # blank lines hold no header
         if header is None:
             return
         seen: set[str] = set()

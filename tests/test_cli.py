@@ -15,9 +15,8 @@ import pytest
 
 from conftest import E1_DISTANCES, E1_EDGES
 from starsolve import cli
-from starsolve.circuit import ANGLES_120, line_voltage_kernel
 from starsolve.cli import main, solve_record, verify_record
-from starsolve.general import circle_distances
+from starsolve.kernel import ANGLES_120, circle_distances, line_voltage_kernel
 from starsolve.records import (
     STATUS_ANGLE_GE_120,
     STATUS_INCONSISTENT,
@@ -235,7 +234,10 @@ GOOD_JSON_LINE = '{"id": "a", "u1": 400, "u2": 400, "u3": 400}\n'
     ("verify", "id,u1,u2,u3,psi1,psi2,u1p,u2p,u3p,max_residual,status,diagnostics\n"
                "m,400,400,400,,,230.9,,230.9,0,ok,\n",
      "line 2: incomplete solution: u1p, u2p, u3p required"),
-], ids=["invalid-json", "json-array", "incomplete-solution"])
+    ("solve", "\n" + GOOD_JSON_LINE + "[1, 2]\n", "line 3: each JSON line must be an object"),
+    ("solve", "\nid,u1,u2,u3\nm,400,x,400\n", "line 3: field 'u2' is not a number: 'x'"),
+], ids=["invalid-json", "json-array", "incomplete-solution", "json-after-blank",
+        "csv-after-blank"])
 def test_bad_record_after_a_good_one_is_parse_error(command, stdin, message,
                                                     monkeypatch, capsys):
     code, _, err = run_cli([command, "-"], monkeypatch, capsys, stdin_text=stdin)
@@ -254,6 +256,17 @@ def test_byte_order_mark_is_ignored(text, monkeypatch, capsys):
     code, out, _ = run_cli(["verify", "-"], monkeypatch, capsys,
                            stdin_text="\ufeff" + plain[1])
     assert code == 0 and out.endswith("1 records, 0 failed\n")
+
+
+@pytest.mark.parametrize("blank", ["\n", "\ufeff\n\r\n"], ids=["blank", "bom-blanks"])
+@pytest.mark.parametrize("text", [
+    "id,u1,u2,u3,psi1,psi2\nm,400,400,400,,\n",
+    '{"id": "m", "u1": 400, "u2": 400, "u3": 400}\n',
+], ids=["csv", "jsonl"])
+def test_leading_blank_lines_are_ignored(text, blank, monkeypatch, capsys):
+    plain = run_cli(["solve", "-"], monkeypatch, capsys, stdin_text=text)
+    assert plain[0] == 0
+    assert run_cli(["solve", "-"], monkeypatch, capsys, stdin_text=blank + text) == plain
 
 
 def test_carriage_return_in_a_field_is_quoted_on_output(monkeypatch, capsys):
@@ -423,12 +436,14 @@ def test_explicit_120_deg_row_decides_like_empty_psi(monkeypatch, capsys):
 
 
 def test_verify_runs_distance_sum_oracle_on_explicit_120_deg(monkeypatch):
+    m = MeasurementRecord("e1", *E1_EDGES.as_tuple(), 120.0, 120.0)
+    s = SolutionRecord("e1", *E1_DISTANCES, 0.0, STATUS_OK)
+    # The first 120-deg claim binds the oracle in cli, where later rows find it.
+    verify_record(m, s, 1e-8)
     calls = []
     minimize = cli.minimize_distance_sum
     monkeypatch.setattr(cli, "minimize_distance_sum",
                         lambda t, **kw: calls.append(t) or minimize(t, **kw))
-    m = MeasurementRecord("e1", *E1_EDGES.as_tuple(), 120.0, 120.0)
-    s = SolutionRecord("e1", *E1_DISTANCES, 0.0, STATUS_OK)
     assert verify_record(m, s, 1e-8)[0]
     assert len(calls) == 1
 

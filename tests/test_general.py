@@ -31,7 +31,7 @@ from starsolve import (
 )
 from starsolve.cli import solve_record, verify_record
 from starsolve.config import RESIDUAL_TOL
-from starsolve.general import _chord_circles
+from starsolve.kernel import _chord_circles
 from starsolve.records import MeasurementRecord
 
 ALL_120 = PhaseAngles(120.0, 120.0, 120.0)

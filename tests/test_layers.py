@@ -1,11 +1,13 @@
 """Intra-package imports point down one order of layers, so no cycle can form.
 
-Order, lowest first: geometry <- oracle <- general <- fermat <- circuit <- cli.
-The oracle and the solvers it checks (``general``, ``fermat``) import nothing
-from each other, so each stays an independent check on the other.
-``errors``, ``config`` and ``records`` are leaves: any module may import
-them and they import no sibling. The package ``__init__`` sits on top and
-re-exports. No module imports a name it never uses, and no module defines
+Order, lowest first: kernel <- geometry <- oracle <- general <- fermat <-
+circuit <- cli. ``kernel`` holds the float kernels and imports only the
+leaves ``errors`` and ``config``. The oracle and the solvers it checks
+(``general``, ``fermat``) import nothing from each other, and the oracle
+reads none of the solver formulas in ``kernel``, so each stays an
+independent check on the other. ``errors``, ``config`` and ``records`` are
+leaves: any module may import them and they import no sibling. The package
+``__init__`` sits on top and re-exports. No module imports a name it never uses, and no module defines
 a name that nothing in the package reads and the package does not export.
 """
 
@@ -19,7 +21,7 @@ import pytest
 import starsolve
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "starsolve"
-LAYERS = ("geometry", "oracle", "general", "fermat", "circuit", "cli")
+LAYERS = ("kernel", "geometry", "oracle", "general", "fermat", "circuit", "cli")
 LEAVES = ("errors", "config", "records")
 
 
@@ -71,8 +73,27 @@ def test_imports_point_down(module):
     assert not upward, f"{module} imports {sorted(upward)} from above its layer"
 
 
+def test_kernel_imports_only_errors_and_config():
+    assert package_imports(PACKAGE / "kernel.py") <= {"errors", "config"}
+
+
+# The solver formulas in ``kernel``, which share a module with the
+# primitives the oracle reads.
+SOLVER_KERNELS = {"closed_form_distances", "circle_distances", "check_angles_below_120",
+                  "line_voltage_kernel", "_joint_vertex_distance", "_chord_circles"}
+
+
 def test_oracle_imports_no_solver():
     assert not package_imports(PACKAGE / "oracle.py") & {"general", "fermat"}
+    mentioned = set()
+    for node in ast.walk(ast.parse((PACKAGE / "oracle.py").read_text())):
+        if isinstance(node, ast.Name):
+            mentioned.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            mentioned.add(node.attr)
+        elif isinstance(node, ast.alias):
+            mentioned.add(node.name)
+    assert not mentioned & SOLVER_KERNELS
 
 
 def test_solvers_import_no_oracle():

@@ -33,7 +33,7 @@ from starsolve import (
     synthesize_triangle,
     theta_squared,
 )
-from starsolve.general import _chord_circles
+from starsolve.kernel import _chord_circles
 from starsolve.oracle import random_synthesis_spec
 
 ALL_120 = PhaseAngles(120.0, 120.0, 120.0)

@@ -1,11 +1,13 @@
-"""The package's public names: all resolve, listed once and in order, and the
-helpers and exceptions that no solve or verify path reached stay gone. The
-records and values a row passes through cannot be changed once built."""
+"""The package's public names: all resolve, listed once and in order, to
+the objects their modules define, and the helpers and exceptions that no
+solve or verify path reached stay gone. The records and values a row passes
+through cannot be changed once built."""
 
 from __future__ import annotations
 
 import importlib
 import pkgutil
+import sys
 
 import pytest
 
@@ -19,6 +21,8 @@ from starsolve import (
     TriangleEdges,
 )
 from starsolve.circuit import ResidualReport
+from starsolve.fermat import ALL_120
+from starsolve.kernel import ANGLES_120
 from starsolve.records import MeasurementRecord, SolutionRecord
 
 MODULES = tuple(module.name for module in pkgutil.iter_modules(starsolve.__path__))
@@ -42,6 +46,30 @@ def test_every_exported_name_resolves():
 
 def test_exports_sorted_without_duplicates():
     assert starsolve.__all__ == sorted(set(starsolve.__all__))
+
+
+@pytest.mark.parametrize("name", starsolve.__all__)
+def test_exported_name_is_the_object_its_module_defines(name):
+    value = getattr(starsolve, name)
+    assert getattr(sys.modules[value.__module__], name) is value
+
+
+def test_star_import_binds_exactly_the_exports():
+    namespace: dict = {}
+    exec("from starsolve import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(starsolve.__all__)
+    assert set(starsolve.__all__) <= set(dir(starsolve))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'solve_everything'"):
+        getattr(starsolve, "solve_everything")
+
+
+def test_angles_120_are_all_120_as_floats():
+    expected = (ALL_120.as_tuple(), ALL_120.cot, ALL_120.cos)
+    assert [[x.hex() for x in triple] for triple in ANGLES_120] == \
+        [[x.hex() for x in triple] for triple in expected]
 
 
 @pytest.mark.parametrize("module", ("",) + MODULES)
