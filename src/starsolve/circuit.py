@@ -17,9 +17,9 @@ import math
 from dataclasses import dataclass, field
 
 from .config import RESIDUAL_TOL
-from .fermat import ALL_120, fermat_distances_closed_form
+from .fermat import ALL_120
 from .general import general_distances_closed_form, validate_angles
-from .geometry import ORIGIN, PhaseAngles, StarSolution, TriangleEdges, embed_triangle
+from .geometry import ORIGIN, PhaseAngles, TriangleEdges, embed_triangle
 from .kernel import closure_residuals, line_voltage_kernel
 
 
@@ -96,13 +96,6 @@ class LineVoltages:
         return (self.u1p, self.u2p, self.u3p)
 
 
-def _star_solution(u: PhaseToPhaseVoltages, angles: PhaseAngles) -> StarSolution:
-    """At 120 deg each the gated 120-deg solver, else the general kernel."""
-    if angles == ALL_120:
-        return fermat_distances_closed_form(u.to_edges())
-    return general_distances_closed_form(u.to_edges(), angles)
-
-
 def _line_voltages(u: PhaseToPhaseVoltages, angles: PhaseAngles) -> LineVoltages:
     """:func:`~starsolve.kernel.line_voltage_kernel` on the invariants of
     ``u`` and ``angles``."""
@@ -144,7 +137,7 @@ def line_voltage_phasors(u: PhaseToPhaseVoltages, psi1: float = 120.0,
     toward each phase terminal) because only phase differences are
     physical.
     """
-    solution = _star_solution(u, validate_angles(psi1, psi2))
+    solution = general_distances_closed_form(u.to_edges(), validate_angles(psi1, psi2))
     a_vec, b_vec = embed_triangle(u.to_edges())
     x = solution.point
     result = []

@@ -65,9 +65,9 @@ def _invariants(m: MeasurementRecord) -> tuple[EdgeInvariants, AngleInvariants]:
     the ``edge_invariants`` of its voltages and the ``angle_invariants`` of
     its phase differences, or ``ANGLES_120`` when it has none."""
     edges = edge_invariants(m.u1, m.u2, m.u3)
-    if m.has_angles:
-        return edges, angle_invariants(m.psi1, m.psi2, 360.0 - m.psi1 - m.psi2)
-    return edges, ANGLES_120
+    if m.psi1 is None:
+        return edges, ANGLES_120
+    return edges, angle_invariants(m.psi1, m.psi2, 360.0 - m.psi1 - m.psi2)
 
 
 def solve_record(m: MeasurementRecord, tolerance: float
@@ -85,9 +85,12 @@ def solve_record(m: MeasurementRecord, tolerance: float
     """
     try:
         (u1p, u2p, u3p), residuals, notes = line_voltage_kernel(*_invariants(m))
-        values = (u1p, u2p, u3p, *residuals)
-        if not all(map(math.isfinite, values)):
-            return m, _failure(m, STATUS_INTERNAL_ERROR, _describe_non_finite(values))
+        r1, r2, r3 = residuals
+        # A finite sum clears all six; an infinite one may be an overflow.
+        if not math.isfinite(u1p + u2p + u3p + r1 + r2 + r3):
+            values = (u1p, u2p, u3p, r1, r2, r3)
+            if not all(map(math.isfinite, values)):
+                return m, _failure(m, STATUS_INTERNAL_ERROR, _describe_non_finite(values))
         worst = max(residuals)
         if worst <= tolerance:
             status = STATUS_OK

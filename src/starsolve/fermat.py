@@ -46,11 +46,11 @@ def fermat_distances_closed_form(t: TriangleEdges) -> StarSolution:
     Requires every interior angle strictly below 120 deg; otherwise the
     point degenerates onto the wide vertex and an :class:`AngleAtLeast120`
     carrying the vertex-clamped distances is raised instead of guessing.
-    Past that gate this is the general kernel at 120 deg, whose distances
-    reduce to (sqrt3*(b^2+c^2-a^2) + Theta^2) / sqrt(6*(a^2+b^2+c^2 +
-    sqrt3*Theta^2)), cyclically, with Theta^2 the Heron radical.
+    This is the general kernel at 120 deg, which runs that gate first, and
+    whose distances reduce to (sqrt3*(b^2+c^2-a^2) + Theta^2) /
+    sqrt(6*(a^2+b^2+c^2 + sqrt3*Theta^2)), cyclically, with Theta^2 the
+    Heron radical.
     """
-    require_angles_below_120(t)
     return general_distances_closed_form(t, ALL_120)
 
 

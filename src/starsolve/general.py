@@ -13,23 +13,24 @@ from X to the vertices. Two independent routes:
   is C reflected in the line through their centres.
 
 Each route is a float kernel of :mod:`starsolve.kernel` on the unit
-triangle of the edges (:func:`~starsolve.kernel.closed_form_distances`,
-:func:`~starsolve.kernel.circle_distances`), which the CLI calls directly
-and the value-type functions here wrap.
+triangle of the edges (:func:`~starsolve.kernel.line_voltage_kernel`, the
+one closed form, and :func:`~starsolve.kernel.circle_distances`), which
+the CLI calls directly and the value-type functions here wrap.
 
 With every angle at 120 deg the closed form is the 120-deg solver of
-:mod:`starsolve.fermat`, which calls it behind its wide-angle gate.
+:mod:`starsolve.fermat`: the kernel runs the wide-angle gate first.
 """
 
 from __future__ import annotations
 
-from .geometry import PhaseAngles, StarSolution, TriangleEdges, solution_at_scale
-from .kernel import (
-    circle_distances,
-    closed_form_distances,
-    closure_defects,
-    point_position,
+from .geometry import (
+    PhaseAngles,
+    StarSolution,
+    TriangleEdges,
+    point_from_distances,
+    solution_at_scale,
 )
+from .kernel import circle_distances, closure_defects, line_voltage_kernel, point_position
 
 
 def validate_angles(psi_a: float, psi_b: float) -> PhaseAngles:
@@ -40,11 +41,20 @@ def validate_angles(psi_a: float, psi_b: float) -> PhaseAngles:
 def general_distances_closed_form(t: TriangleEdges,
                                   angles: PhaseAngles) -> StarSolution:
     """Closed-form distances from X to the three vertices:
-    :func:`~starsolve.kernel.closed_form_distances` on the unit triangle of ``t``, scaled
-    back."""
-    distances, (px, py), residuals = closed_form_distances(
-        t.unit, t.unit_sq, t.unit_theta_sq, angles.cot, angles.cos)
-    return solution_at_scale(t.exponent, distances, px, py, residuals)
+    :func:`~starsolve.kernel.line_voltage_kernel` on the invariants of
+    ``t`` and ``angles``, so at 120 deg each a wide triangle raises
+    :class:`~starsolve.errors.AngleAtLeast120`.
+
+    The point is rebuilt from the scaled distances by
+    :func:`~starsolve.geometry.point_from_distances`. It has the kernel's
+    bits wherever those distances are normal floats; where one is
+    subnormal, its scaling back to the unit triangle is no longer exact,
+    and the point may differ in its last bits.
+    """
+    distances, residuals, _ = line_voltage_kernel(
+        (t.exponent, t.unit, t.unit_sq, t.unit_theta_sq),
+        (angles.as_tuple(), angles.cot, angles.cos))
+    return StarSolution(*distances, point_from_distances(t, *distances), residuals)
 
 
 def general_solve_by_circles(t: TriangleEdges, angles: PhaseAngles) -> StarSolution:

@@ -40,28 +40,6 @@ AngleInvariants = tuple[Triple, Triple, Triple]
 # Triangle and angle invariants
 # =========================================================================
 
-def _cos_cot(angle_deg: float) -> tuple[float, float]:
-    """Cosine and cotangent of an angle given in degrees; the cotangent is
-    exactly zero at 90 deg."""
-    rad = math.radians(angle_deg)
-    cos = math.cos(rad)
-    return cos, 0.0 if angle_deg == 90.0 else cos / math.sin(rad)
-
-
-def _stable_heron_pairs(a: float, b: float, c: float) -> tuple[float, float]:
-    """Factor pairs of the Heron radicand, evaluated cancellation-free.
-
-    With x >= y >= z the radicand (a+b+c)(a+c-b)(b+c-a)(a+b-c) is grouped as
-    [ (x+(y+z)) * (x+(y-z)) ] * [ (z+(x-y)) * (z-(x-y)) ].  The first pair is
-    always positive; the second carries the sign of the triangle inequality
-    and stays accurate for needle triangles because no large terms cancel.
-    """
-    x, y, z = sorted((a, b, c), reverse=True)
-    p_big = (x + (y + z)) * (x + (y - z))
-    p_small = (z + (x - y)) * (z - (x - y))
-    return p_big, p_small
-
-
 def _edge_length(name: str, value: object) -> float:
     """``value`` as an edge length; raises :class:`NotATriangle` unless it
     is a finite positive number."""
@@ -98,15 +76,28 @@ def edge_invariants(a: float, b: float, c: float) -> EdgeInvariants:
     ua = math.ldexp(a, -exponent)
     ub = math.ldexp(b, -exponent)
     uc = math.ldexp(c, -exponent)
-    p_big, p_small = _stable_heron_pairs(ua, ub, uc)
+    # The Heron radicand (a+b+c)(a+c-b)(b+c-a)(a+b-c), with x >= y >= z,
+    # grouped as [(x+(y+z)) * (x+(y-z))] * [(z+(x-y)) * (z-(x-y))]. The
+    # first pair is always positive; the second carries the sign of the
+    # triangle inequality and stays accurate for needles, because no large
+    # terms cancel.
+    x, y, z = ua, ub, uc
+    if x < y:
+        x, y = y, x
+    if y < z:
+        y, z = z, y
+        if x < y:
+            x, y = y, x
+    p_big = (x + (y + z)) * (x + (y - z))
+    p_small = (z + (x - y)) * (z - (x - y))
     if p_small < -EPS_TRI_COEFF * (ua + ub + uc) ** 2:
         raise NotATriangle(f"edges ({a}, {b}, {c}) violate the triangle inequality")
-    unit_sq = (ua * ua, ub * ub, uc * uc)
-    if 0.0 in unit_sq:
+    a2, b2, c2 = ua * ua, ub * ub, uc * uc
+    if a2 == 0.0 or b2 == 0.0 or c2 == 0.0:
         raise DegenerateTriangle(f"edges ({a}, {b}, {c}): the shortest squares "
                                  "to 0 beside the longest")
     # A negative p_small inside the clamp window is a collinear triple.
-    return exponent, (ua, ub, uc), unit_sq, math.sqrt(p_big * max(p_small, 0.0))
+    return exponent, (ua, ub, uc), (a2, b2, c2), math.sqrt(p_big * max(p_small, 0.0))
 
 
 def _viewing_angle(name: str, value: float) -> float:
@@ -133,8 +124,13 @@ def angle_invariants(psi_a: float, psi_b: float, psi_c: float) -> AngleInvariant
     total = a + b + c
     if abs(total - 360.0) > EPS_ANG_DEG:
         raise AngleOutOfRange("psi_c", c, f"angles sum to {total!r} deg, expected 360")
-    (cos_a, cot_a), (cos_b, cot_b), (cos_c, cot_c) = map(_cos_cot, (a, b, c))
-    return (a, b, c), (cot_a, cot_b, cot_c), (cos_a, cos_b, cos_c)
+    rad_a, rad_b, rad_c = math.radians(a), math.radians(b), math.radians(c)
+    cos_a, cos_b, cos_c = math.cos(rad_a), math.cos(rad_b), math.cos(rad_c)
+    # A right angle's cotangent is exactly zero; cos(radians(90)) is 6e-17.
+    cot = (0.0 if a == 90.0 else cos_a / math.sin(rad_a),
+           0.0 if b == 90.0 else cos_b / math.sin(rad_b),
+           0.0 if c == 90.0 else cos_c / math.sin(rad_c))
+    return (a, b, c), cot, (cos_a, cos_b, cos_c)
 
 
 # Every phase difference at 120 deg, as angle_invariants gives it.
@@ -316,42 +312,6 @@ def _joint_vertex_distance(s1: float, s2: float, s_opp: float,
     return numerator / math.sqrt(denom)
 
 
-def closed_form_distances(unit: Triple, unit_sq: Triple, theta_sq: float,
-                          cot: Triple, cos: Triple
-                          ) -> tuple[Triple, tuple[float, float], Triple]:
-    """The closed form on plain floats: (distances, point, residuals) on the
-    unit triangle of :func:`edge_invariants`, from the cotangents and
-    cosines of :func:`angle_invariants`.
-
-    Each distance comes from the same expression under the cyclic
-    relabeling (a,b,c; psi_a,psi_b,psi_c) -> (b,c,a; psi_b,psi_c,psi_a).
-    The solution is accepted only if the law-of-cosines closure holds to
-    ``RESIDUAL_TOL`` and the point, rebuilt from the distances in the
-    original frame, lands inside the triangle.
-    """
-    (a, b, _), (a2, b2, c2) = unit, unit_sq
-    cot_a, cot_b, cot_c = cot
-
-    a_p = _joint_vertex_distance(b2, c2, a2, cot_b, cot_c, cot_a, theta_sq)
-    b_p = _joint_vertex_distance(c2, a2, b2, cot_c, cot_a, cot_b, theta_sq)
-    c_p = _joint_vertex_distance(a2, b2, c2, cot_a, cot_b, cot_c, theta_sq)
-
-    distances = (a_p, b_p, c_p)
-    residuals = closure_defects(unit_sq, cos, distances)
-    if max(residuals) > RESIDUAL_TOL:
-        raise InfeasibleConfiguration(
-            f"closure residuals {residuals} exceed {RESIDUAL_TOL:g}; "
-            "no interior point realizes these edges and angles")
-
-    px, py = point_position(a, a2, b_p, c_p)
-    ax, ay = apex_position(a, b, a2, b2, c2, theta_sq)
-    bary = _barycentric(px, py, a, ax, ay)
-    if min(bary) < -BARY_TOL:
-        raise InfeasibleConfiguration(
-            f"recovered point lies outside the triangle: barycentric {bary}")
-    return distances, (px, py), residuals
-
-
 # =========================================================================
 # The wide-angle gate of the 120-deg problem
 # =========================================================================
@@ -398,25 +358,55 @@ def check_angles_below_120(exponent: int, unit: Triple, unit_sq: Triple) -> None
 
 
 # =========================================================================
-# Line voltages
+# The closed form: line voltages
 # =========================================================================
 
 def line_voltage_kernel(edges: EdgeInvariants, angles: AngleInvariants
                         ) -> tuple[Triple, Triple, tuple[str, ...]]:
-    """Line voltages, closure residuals and notes, on plain floats.
+    """The closed form: line voltages, closure residuals and notes, on plain
+    floats.
 
     ``edges`` is what :func:`edge_invariants` returns and ``angles`` what
     :func:`angle_invariants` returns. At 120 deg each the wide-angle gate
-    runs first; then the closed form gives the distances on the unit
-    triangle, scaled back here. A note names each voltage that is zero
-    within tolerance.
+    runs first. Each distance on the unit triangle comes from
+    :func:`_joint_vertex_distance` under the cyclic relabeling
+    (a,b,c; psi_a,psi_b,psi_c) -> (b,c,a; psi_b,psi_c,psi_a). They are
+    accepted only if the law-of-cosines closure holds to ``RESIDUAL_TOL``
+    and the point, rebuilt from them in the canonical frame, lands inside
+    the triangle; then they are scaled back. A note names each voltage
+    that is zero within tolerance.
     """
     exponent, unit, unit_sq, theta_sq = edges
-    psis, cot, cos = angles
+    psis, (cot_a, cot_b, cot_c), cos = angles
     if psis == ANGLES_120[0]:
         check_angles_below_120(exponent, unit, unit_sq)
-    (a_p, b_p, c_p), _, residuals = closed_form_distances(unit, unit_sq, theta_sq,
-                                                          cot, cos)
+    (a, b, _), (a2, b2, c2) = unit, unit_sq
+
+    a_p = _joint_vertex_distance(b2, c2, a2, cot_b, cot_c, cot_a, theta_sq)
+    b_p = _joint_vertex_distance(c2, a2, b2, cot_c, cot_a, cot_b, theta_sq)
+    c_p = _joint_vertex_distance(a2, b2, c2, cot_a, cot_b, cot_c, theta_sq)
+    residuals = closure_defects(unit_sq, cos, (a_p, b_p, c_p))
+    if max(residuals) > RESIDUAL_TOL:
+        raise InfeasibleConfiguration(
+            f"closure residuals {residuals} exceed {RESIDUAL_TOL:g}; "
+            "no interior point realizes these edges and angles")
+
+    # The interior test, written out in one frame: the point at distances
+    # b_p, c_p from B and C (point_position), vertex A (apex_position) and
+    # the point's barycentric coordinates (_barycentric).
+    c_p2 = c_p * c_p
+    px = (c_p2 - b_p * b_p + a2) / (2.0 * a)
+    py = math.sqrt(max(c_p2 - px * px, 0.0))
+    ax = b * max(-1.0, min(1.0, (a2 + b2 - c2) / (2.0 * a * b)))
+    ay = theta_sq / (2.0 * a)
+    area = a * ay
+    v = (px * ay - py * ax) / area
+    w = a * py / area
+    u = 1.0 - v - w
+    if min(u, v, w) < -BARY_TOL:
+        raise InfeasibleConfiguration(
+            f"recovered point lies outside the triangle: barycentric {(u, v, w)}")
+
     distances = (math.ldexp(a_p, exponent), math.ldexp(b_p, exponent),
                  math.ldexp(c_p, exponent))
     # 1e-9 of the perimeter, which itself may exceed the float range.

@@ -141,10 +141,13 @@ def _rows(lines: Iterable[str], fmt: str, fields: tuple[str, ...]
 def _csv_rows(lines: Iterator[str], fields: tuple[str, ...]
               ) -> Iterator[tuple[int, tuple, dict]]:
     """The CSV records. The header is checked and resolved to positions
-    once; a row short of its columns has them as ``""``."""
+    once; a row short of its columns has them as ``""``. A line that holds
+    only whitespace, read as one field of it, is blank, as in JSON lines."""
     reader = csv.reader(lines)
     try:
-        header = next(filter(None, reader), None)  # blank lines hold no header
+        # Blank lines hold no header.
+        header = next((row for row in reader
+                       if len(row) > 1 or row and not row[0].isspace()), None)
         if header is None:
             return
         seen: set[str] = set()
@@ -160,7 +163,7 @@ def _csv_rows(lines: Iterator[str], fields: tuple[str, ...]
         take = itemgetter(*(position.get(name, width) for name in fields))
         meta = [(name, i) for i, name in enumerate(header) if name not in _KNOWN_FIELDS]
         for row in reader:
-            if not row:  # a blank line is no record
+            if len(row) < 2 and (not row or row[0].isspace()):  # a blank line
                 continue
             if len(row) > width:
                 raise ParseError(reader.line_num,

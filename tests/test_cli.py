@@ -269,6 +269,33 @@ def test_leading_blank_lines_are_ignored(text, blank, monkeypatch, capsys):
     assert run_cli(["solve", "-"], monkeypatch, capsys, stdin_text=blank + text) == plain
 
 
+@pytest.mark.parametrize("source", ["stdin", "path"])
+@pytest.mark.parametrize("text, plain", [
+    (" \nid,u1,u2,u3\nm,400,400,400\n", "id,u1,u2,u3\nm,400,400,400\n"),
+    ("id,u1,u2,u3\n  \nm,400,400,400\n", "id,u1,u2,u3\nm,400,400,400\n"),
+    ("\t\r\nid,u1,u2,u3\r\nm,400,400,400\r\n \r\nn,3,4,5\r\n",
+     "id,u1,u2,u3\r\nm,400,400,400\r\nn,3,4,5\r\n"),
+], ids=["before-header", "between-rows", "crlf"])
+def test_csv_line_of_only_whitespace_is_blank(text, plain, source, tmp_path,
+                                              monkeypatch, capsys):
+    def solve(content):
+        if source == "stdin":
+            return run_cli(["solve", "-"], monkeypatch, capsys, stdin_text=content)
+        path = tmp_path / "in.csv"
+        path.write_bytes(content.encode())
+        return run_cli(["solve", str(path)], monkeypatch, capsys)
+
+    expected = solve(plain)
+    assert expected[0] == 0
+    assert solve(text) == expected
+
+
+def test_csv_line_of_only_whitespace_keeps_line_numbers(monkeypatch, capsys):
+    stdin = " \nid,u1,u2,u3\n\t\nm,400,x,400\n"
+    code, _, err = run_cli(["solve", "-"], monkeypatch, capsys, stdin_text=stdin)
+    assert (code, err) == (1, "star-solve: line 4: field 'u2' is not a number: 'x'\n")
+
+
 def test_carriage_return_in_a_field_is_quoted_on_output(monkeypatch, capsys):
     stdin = 'id,u1,u2,u3\n"a\rb",400,400,400\n'
     code, out, _ = run_cli(["solve", "-"], monkeypatch, capsys, stdin_text=stdin)

@@ -79,7 +79,7 @@ def test_kernel_imports_only_errors_and_config():
 
 # The solver formulas in ``kernel``, which share a module with the
 # primitives the oracle reads.
-SOLVER_KERNELS = {"closed_form_distances", "circle_distances", "check_angles_below_120",
+SOLVER_KERNELS = {"circle_distances", "check_angles_below_120",
                   "line_voltage_kernel", "_joint_vertex_distance", "_chord_circles"}
 
 

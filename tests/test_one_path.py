@@ -9,6 +9,10 @@ the circle route and the oracle give, in the messages written out below.
 ``RowWriter.write_solution``
 joins a CSV row into its line itself, so it must write the bytes that the
 csv module writes through ``_LineFeedEnded`` for any id and metadata.
+``kernel.line_voltage_kernel`` evaluates the closed form and its interior
+test in one frame, so it must return, bit for bit, what the kept helpers
+return when called one after another, and the invariant kernels what
+their written-out references return.
 """
 
 from __future__ import annotations
@@ -18,11 +22,13 @@ import io
 import json
 import math
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from starsolve import (
     AngleAtLeast120,
     AngleOutOfRange,
+    DegenerateTriangle,
+    InfeasibleConfiguration,
     LineVoltages,
     NotATriangle,
     PhaseAngles,
@@ -39,7 +45,20 @@ from starsolve import (
     verify_solution,
 )
 from starsolve.cli import solve_record, verify_record
-from starsolve.config import RESIDUAL_TOL
+from starsolve.config import EPS_TRI_COEFF, RESIDUAL_TOL
+from starsolve.kernel import (
+    ANGLES_120,
+    BARY_TOL,
+    _barycentric,
+    _joint_vertex_distance,
+    angle_invariants,
+    apex_position,
+    check_angles_below_120,
+    closure_defects,
+    edge_invariants,
+    line_voltage_kernel,
+    point_position,
+)
 from starsolve.records import (
     STATUS_ANGLE_GE_120,
     STATUS_INCONSISTENT,
@@ -320,3 +339,171 @@ def test_csv_lines_are_the_csv_module_bytes(rows):
             writer.write_solution(m, s)
 
     assert written(by_row_writer) == written(by_csv_module)
+
+
+def reference_kernel(edges: tuple, angles: tuple) -> tuple:
+    """The closed form as helper calls: the three vertex distances, the
+    closure residual, the point rebuilt by ``point_position``, vertex A by
+    ``apex_position``, the interior test by ``_barycentric``, and the scale
+    back with the notes. ``line_voltage_kernel`` writes the interior test
+    out in its own frame and must return the same bits."""
+    exponent, unit, unit_sq, theta_sq = edges
+    psis, (cot_a, cot_b, cot_c), cos = angles
+    if psis == ANGLES_120[0]:
+        check_angles_below_120(exponent, unit, unit_sq)
+    (a, b, _), (a2, b2, c2) = unit, unit_sq
+    a_p = _joint_vertex_distance(b2, c2, a2, cot_b, cot_c, cot_a, theta_sq)
+    b_p = _joint_vertex_distance(c2, a2, b2, cot_c, cot_a, cot_b, theta_sq)
+    c_p = _joint_vertex_distance(a2, b2, c2, cot_a, cot_b, cot_c, theta_sq)
+    residuals = closure_defects(unit_sq, cos, (a_p, b_p, c_p))
+    if max(residuals) > RESIDUAL_TOL:
+        raise InfeasibleConfiguration(
+            f"closure residuals {residuals} exceed {RESIDUAL_TOL:g}; "
+            "no interior point realizes these edges and angles")
+    px, py = point_position(a, a2, b_p, c_p)
+    ax, ay = apex_position(a, b, a2, b2, c2, theta_sq)
+    bary = _barycentric(px, py, a, ax, ay)
+    if min(bary) < -BARY_TOL:
+        raise InfeasibleConfiguration(
+            f"recovered point lies outside the triangle: barycentric {bary}")
+    distances = tuple(math.ldexp(d, exponent) for d in (a_p, b_p, c_p))
+    floor = math.ldexp(1e-9 * sum(unit), exponent)
+    notes = tuple(f"{name} is zero within tolerance: "
+                  "the load star point sits on a phase terminal"
+                  for name, value in zip(("u1p", "u2p", "u3p"), distances)
+                  if value < floor)
+    return distances, residuals, notes
+
+
+def reference_edge_invariants(a: float, b: float, c: float) -> tuple:
+    """``edge_invariants`` of positive finite edges, with the Heron pairs
+    taken in the order ``sorted`` gives and the zero test by ``in``."""
+    exponent = math.frexp(max(a, b, c))[1]
+    ua, ub, uc = (math.ldexp(e, -exponent) for e in (a, b, c))
+    x, y, z = sorted((ua, ub, uc), reverse=True)
+    p_big = (x + (y + z)) * (x + (y - z))
+    p_small = (z + (x - y)) * (z - (x - y))
+    if p_small < -EPS_TRI_COEFF * (ua + ub + uc) ** 2:
+        raise NotATriangle(f"edges ({a}, {b}, {c}) violate the triangle inequality")
+    unit_sq = (ua * ua, ub * ub, uc * uc)
+    if 0.0 in unit_sq:
+        raise DegenerateTriangle(f"edges ({a}, {b}, {c}): the shortest squares "
+                                 "to 0 beside the longest")
+    return exponent, (ua, ub, uc), unit_sq, math.sqrt(p_big * max(p_small, 0.0))
+
+
+def reference_angle_invariants(*psis: float) -> tuple:
+    """``angle_invariants`` of angles it accepts, each cosine and cotangent
+    from its own call."""
+    def cos_cot(psi):
+        rad = math.radians(psi)
+        return math.cos(rad), 0.0 if psi == 90.0 else math.cos(rad) / math.sin(rad)
+    (cos_a, cot_a), (cos_b, cot_b), (cos_c, cot_c) = map(cos_cot, psis)
+    return psis, (cot_a, cot_b, cot_c), (cos_a, cos_b, cos_c)
+
+
+def hexed(value: object) -> object:
+    """``value`` with every float, in any tuple, as its exact hex text."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return tuple(map(hexed, value))
+    return value
+
+
+def outcome(function, *args) -> tuple:
+    """What ``function`` returns, bit for bit, or the type and message of
+    what it raises."""
+    try:
+        return "returned", hexed(function(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def law_of_cosines(distances: tuple, psis: tuple) -> tuple:
+    """Edges of the triangle around a point at ``distances`` from A, B, C
+    that sees the edges under ``psis``; written out here, no program code."""
+    a_p, b_p, c_p = distances
+
+    def edge(x, y, psi):
+        cos = math.cos(math.radians(psi))
+        return math.sqrt(max(x * x + y * y - 2.0 * x * y * cos, 0.0))
+    return edge(b_p, c_p, psis[0]), edge(c_p, a_p, psis[1]), edge(a_p, b_p, psis[2])
+
+
+@st.composite
+def kernel_angles(draw) -> tuple:
+    """General angles, 120 deg each, one angle near 180 deg, or one within
+    1e-290 of 0 deg beside two as near 180 deg as floats go, which makes a
+    cotangent's square overflow."""
+    kind = draw(st.sampled_from(["general", "120", "near-180", "near-0"]))
+    if kind == "120":
+        return (120.0, 120.0, 120.0)
+    if kind == "general":
+        psi_a = draw(st.floats(min_value=60.0, max_value=179.0))
+        psi_b = draw(st.floats(min_value=181.0 - psi_a, max_value=179.0))
+        return psi_a, psi_b, 360.0 - psi_a - psi_b
+    if kind == "near-180":
+        widest = 180.0 - 10.0 ** draw(st.floats(-12.0, math.log10(60.0)))
+        rest = 360.0 - widest
+        other = draw(st.floats(max(1.0, rest - widest), min(widest, rest - 1.0)))
+        psis = (widest, other, rest - other)
+    else:
+        gap = st.floats(1e-13, 4e-10)
+        psis = (draw(st.floats(1e-305, 1e-290)), 180.0 - draw(gap), 180.0 - draw(gap))
+    return tuple(draw(st.permutations(psis)))
+
+
+@st.composite
+def kernel_rows(draw) -> tuple:
+    """Edges and three angles: a planted point, interior, on or near a
+    terminal, or at a needle's tip, solved under its own angles or under
+    other ones; or random edges. Scaled by 2**U(-1000, 1000)."""
+    psis = draw(kernel_angles())
+    distances = [10.0 ** draw(st.floats(-3.0, 3.0)) for _ in range(3)]
+    plant = draw(st.sampled_from(["interior", "terminal", "needle", "other-angles",
+                                  "random-edges"]))
+    if plant == "terminal":
+        distances[draw(st.integers(0, 2))] *= draw(st.sampled_from([0.0, 1e-12, 1e-9]))
+    elif plant == "needle":
+        distances[draw(st.integers(0, 2))] *= 10.0 ** -draw(st.floats(5.0, 15.0))
+    edges = law_of_cosines(distances, psis)
+    if plant == "other-angles":
+        psis = draw(kernel_angles())
+    elif plant == "random-edges":
+        edges = tuple(10.0 ** draw(st.floats(-3.0, 3.0)) for _ in range(3))
+    scale = 2.0 ** draw(st.one_of(st.sampled_from([-1000, 0, 1000]),
+                                  st.integers(-1000, 1000)))
+    return tuple(e * scale for e in edges), psis
+
+
+@SETTINGS
+@given(kernel_rows())
+# Each outcome once for sure: outside the triangle at a terminal and at a
+# needle's tip; NaN from an overflowing cotangent; a collinear triangle; a
+# note; the wide-angle gate; a right angle; the scales 2**1000 and 2**-1000.
+@example(((437.0972887677329, 437.0958891456522, 0.0019103551629673823),
+          (137.1089465049667, 126.50358722231269, 96.38746627272062)))
+@example(((482.32591353379297, 482.3286370640637, 0.020215816990328945),
+          (82.25622258864489, 160.13932847840775, 117.60444893294735)))
+@example(((3.0, 4.0, 5.0), (180.0 - 1e-12, 180.0 - 1e-12, 1e-300)))
+@example(((0.5, 2.5, 3.0), (1e-300, 180.0 - 1e-12, 180.0 - 1e-12)))
+@example(((2.7003498043774963, 1.5, 2.0), (100.0, 130.0, 130.0)))
+@example(((1.0, 1.0, 1.9), (120.0, 120.0, 120.0)))
+@example(((3.2392345835273004, 1.8027756377319946, 2.7979326519318133),
+          (135.0, 90.0, 135.0)))
+@example(((2.8934480578042405e+301, 2.438326744985293e+301, 2.9483334643936736e+301),
+          (100.0, 130.0, 130.0)))
+@example(((2.838410484760956e-301, 2.0340009003693133e-301, 2.469183442223775e-301),
+          (120.0, 120.0, 120.0)))
+def test_line_voltage_kernel_is_the_helper_route_bit_for_bit(row):
+    u, psis = row
+    if min(u) > 0.0:
+        assert outcome(edge_invariants, *u) == outcome(reference_edge_invariants, *u)
+    try:
+        edges, angles = edge_invariants(*u), angle_invariants(*psis)
+    except StarSolveError:
+        return  # no triangle, or an angle out of range: the kernel is not reached
+    assert hexed(angles) == hexed(reference_angle_invariants(*psis))
+    assert (outcome(line_voltage_kernel, edges, angles)
+            == outcome(reference_kernel, edges, angles))
