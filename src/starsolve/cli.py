@@ -35,6 +35,8 @@ from .kernel import (
     line_voltage_kernel,
 )
 from .records import (
+    MEASUREMENT_FIELDS,
+    SOLUTION_FIELDS,
     STATUS_ANGLE_GE_120,
     STATUS_INCONSISTENT,
     STATUS_INFEASIBLE,
@@ -44,7 +46,6 @@ from .records import (
     ParseError,
     RowWriter,
     SolutionRecord,
-    combined_row,
     detect_format,
     format_for_path,
     read_measurements,
@@ -297,26 +298,19 @@ def cmd_synth(args: argparse.Namespace) -> int:
     from .oracle import random_synthesis_spec, synthesize_triangle
 
     rng = Random(args.seed)
-    writer = RowWriter(sys.stdout, "csv")
+    write = sys.stdout.write
+    # The golden file's format: every float at 12 significant digits. No
+    # field holds a comma, a quote or a line break, so none is quoted.
+    write(",".join(MEASUREMENT_FIELDS + SOLUTION_FIELDS) + "\n")
     for index in range(args.count):
         spec = random_synthesis_spec(rng, seed=args.seed, symmetric=args.symmetric)
         edges, expected = synthesize_triangle(spec)
-        measurement = MeasurementRecord(
-            id=f"synth-{args.seed}-{index:05d}",
-            u1=edges.a, u2=edges.b, u3=edges.c,
-            psi1=None if args.symmetric else spec.angles.psi_a,
-            psi2=None if args.symmetric else spec.angles.psi_b,
-        )
-        planted = SolutionRecord(
-            id=measurement.id,
-            u1p=expected.a_prime, u2p=expected.b_prime, u3p=expected.c_prime,
-            max_residual=expected.max_residual,
-            status=STATUS_OK,
-            diagnostics="planted ground truth",
-        )
-        # The golden file's format: 12 significant digits.
-        writer.write({k: f"{v:.12g}" if isinstance(v, float) else v
-                      for k, v in combined_row(measurement, planted).items()})
+        psis = ("," if args.symmetric
+                else f"{spec.angles.psi_a:.12g},{spec.angles.psi_b:.12g}")
+        write(f"synth-{args.seed}-{index:05d},{edges.a:.12g},{edges.b:.12g},"
+              f"{edges.c:.12g},{psis},{expected.a_prime:.12g},"
+              f"{expected.b_prime:.12g},{expected.c_prime:.12g},"
+              f"{expected.max_residual:.12g},{STATUS_OK},planted ground truth\n")
     return EXIT_OK
 
 

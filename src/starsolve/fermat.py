@@ -34,12 +34,6 @@ ALL_120 = PhaseAngles(120.0, 120.0, 120.0)
 SolveMethod = Literal["closed_form", "construction"]
 
 
-def require_angles_below_120(t: TriangleEdges) -> None:
-    """:func:`~starsolve.kernel.check_angles_below_120` on the invariants
-    of ``t``."""
-    check_angles_below_120(t.exponent, t.unit, t.unit_sq)
-
-
 def fermat_distances_closed_form(t: TriangleEdges) -> StarSolution:
     """Closed-form distances from the 120-deg interior point to the vertices.
 
@@ -66,7 +60,7 @@ def fermat_construction(t: TriangleEdges) -> StarSolution:
     has no spurious singularity even for needle shapes. The construction
     runs on the unit triangle of ``t`` and is scaled back by 2**exponent.
     """
-    require_angles_below_120(t)
+    check_angles_below_120(t.exponent, t.unit, t.unit_sq)
     (a, b, _), (a2, b2, c2) = t.unit, t.unit_sq
     ax, ay = apex_position(a, b, a2, b2, c2, t.unit_theta_sq)
     b = math.hypot(ax, ay)   # |CA| as embedded

@@ -299,7 +299,8 @@ def _joint_vertex_distance(s1: float, s2: float, s_opp: float,
 
     cot1/cot2 belong to the viewing angles of e1/e2, cot_opp to the edge
     across. A non-positive radicand in the denominator means no point
-    realizes the configuration.
+    realizes the configuration, and so does a distance that is not finite,
+    as when a cotangent near 0 deg overflows both terms.
     """
     core = s1 + s2 - s_opp
     numerator = 0.5 * abs((cot1 + cot2) * (core - theta_sq * cot_opp))
@@ -309,7 +310,12 @@ def _joint_vertex_distance(s1: float, s2: float, s_opp: float,
         raise InfeasibleConfiguration(
             f"distance denominator {denom:.3e} (unit triangle) is not positive; "
             "no point sees the edges under these angles")
-    return numerator / math.sqrt(denom)
+    distance = numerator / math.sqrt(denom)
+    if not distance < math.inf:  # a NaN, as inf / inf gives, fails too
+        raise InfeasibleConfiguration(
+            f"distance {distance!r} (unit triangle) is not finite; "
+            "no point sees the edges under these angles")
+    return distance
 
 
 # =========================================================================

@@ -309,8 +309,10 @@ def _csv_value(value: object) -> object:
 
 
 class RowWriter:
-    """Streaming writer. The first row's keys fix the CSV header: a later
-    row's other keys are dropped and its missing ones written empty."""
+    """Streaming writer of ``combined_row(m, s)``, through one entry,
+    :meth:`write_solution`. None is an empty CSV field or JSON null, and a
+    float keeps every digit. The first row's keys fix the CSV header: a
+    later row's other keys are dropped and its missing ones written empty."""
 
     def __init__(self, stream: TextIO, fmt: str):
         if fmt not in ("csv", "jsonl"):
@@ -318,30 +320,11 @@ class RowWriter:
         self._stream = stream
         self._fmt = fmt
         self._csv_writer = None
-        self._fields: tuple[str, ...] = ()
-        # The metadata columns once the CSV header is combined_row's.
-        self._meta_fields: tuple[str, ...] | None = None
-
-    def write(self, row: dict) -> None:
-        """The row as it is: None is an empty CSV field or JSON null, and a
-        float keeps every digit."""
-        if self._fmt == "jsonl":
-            self._stream.write(json.dumps(row) + "\n")
-            return
-        if self._csv_writer is None:
-            self._csv_writer = csv.writer(_LineFeedEnded(self._stream),
-                                          lineterminator="\r\n")
-            self._fields = tuple(row)
-            if self._fields[:len(_ROW_FIELDS)] == _ROW_FIELDS:
-                self._meta_fields = self._fields[len(_ROW_FIELDS):]
-            self._csv_writer.writerow(self._fields)
-        values = list(map(row.get, self._fields))
-        if not _JSON_ONLY.isdisjoint(map(type, values)):
-            values = list(map(_csv_value, values))
-        self._csv_writer.writerow(values)
+        # The CSV header's metadata columns, after _ROW_FIELDS.
+        self._meta_fields: tuple[str, ...] = ()
 
     def write_solution(self, m: MeasurementRecord, s: SolutionRecord) -> None:
-        """``write(combined_row(m, s))``, byte for byte.
+        """Write ``combined_row(m, s)``.
 
         A CSV row of text, floats and Nones is joined into its line
         directly. The csv writer writes the row's values instead when its
@@ -349,17 +332,25 @@ class RowWriter:
         which the csv module handles differently by Python version, or when
         a value is of another type. A float's ``repr`` holds none of those
         characters, so the text alone decides. Metadata that names a record
-        field, which ``combined_row`` lets override that field, goes
-        through ``write``.
+        field, which ``combined_row`` lets override that field, is read
+        from ``combined_row`` in header order.
         """
-        meta_fields = self._meta_fields
-        meta = m.meta
-        if meta_fields is None or not _KNOWN_FIELDS.isdisjoint(meta):
-            # JSON lines, no combined_row header yet, or an overriding field
-            self.write(combined_row(m, s))
+        if self._fmt == "jsonl":
+            self._stream.write(json.dumps(combined_row(m, s)) + "\n")
             return
-        # combined_row's values in _ROW_FIELDS order, then the metadata.
-        values = (*m[:6], *s[1:], *map(meta.get, meta_fields))
+        if self._csv_writer is None:
+            fields = tuple(combined_row(m, s))
+            self._meta_fields = fields[len(_ROW_FIELDS):]
+            self._csv_writer = csv.writer(_LineFeedEnded(self._stream),
+                                          lineterminator="\r\n")
+            self._csv_writer.writerow(fields)
+        meta = m.meta
+        if _KNOWN_FIELDS.isdisjoint(meta):
+            # combined_row's values in _ROW_FIELDS order, then the metadata.
+            values = (*m[:6], *s[1:], *map(meta.get, self._meta_fields))
+        else:
+            row = combined_row(m, s)
+            values = tuple(map(row.get, _ROW_FIELDS + self._meta_fields))
         kinds = set(map(type, values))
         if not kinds <= _PLAIN:
             self._csv_writer.writerow(map(_csv_value, values))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import math
@@ -18,6 +19,8 @@ from starsolve import cli
 from starsolve.cli import main, solve_record, verify_record
 from starsolve.kernel import ANGLES_120, circle_distances, line_voltage_kernel
 from starsolve.records import (
+    MEASUREMENT_FIELDS,
+    SOLUTION_FIELDS,
     STATUS_ANGLE_GE_120,
     STATUS_INCONSISTENT,
     STATUS_INFEASIBLE,
@@ -26,6 +29,7 @@ from starsolve.records import (
     MeasurementRecord,
     ParseError,
     SolutionRecord,
+    _LineFeedEnded,
     combined_row,
     detect_format,
     read_measurements,
@@ -802,6 +806,31 @@ def test_synth_symmetric_leaves_psi_empty(monkeypatch, capsys):
     assert cols["psi1"] == "" and cols["psi2"] == ""
     assert cols["status"] == "ok"
     assert float(cols["u1p"]) > 0
+
+
+@pytest.mark.parametrize("extra", [[], ["--symmetric"]])
+def test_synth_lines_are_the_csv_module_bytes(extra, monkeypatch, capsys):
+    # A negative seed puts "--" into every id; still no field needs quoting.
+    from random import Random
+
+    from starsolve.oracle import random_synthesis_spec, synthesize_triangle
+
+    code, out, _ = run_cli(["synth", "--count", "50", "--seed", "-3", *extra],
+                           monkeypatch, capsys)
+    assert code == 0
+    expected = io.StringIO()
+    writer = csv.writer(_LineFeedEnded(expected), lineterminator="\r\n")
+    writer.writerow(MEASUREMENT_FIELDS + SOLUTION_FIELDS)
+    rng = Random(-3)
+    for index in range(50):
+        spec = random_synthesis_spec(rng, seed=-3, symmetric=bool(extra))
+        edges, planted = synthesize_triangle(spec)
+        psis = (None, None) if extra else (spec.angles.psi_a, spec.angles.psi_b)
+        row = (f"synth--3-{index:05d}", *edges.as_tuple(), *psis,
+               *planted.distances(), planted.max_residual, STATUS_OK,
+               "planted ground truth")
+        writer.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in row])
+    assert out == expected.getvalue()
 
 
 def test_synth_count_validation(monkeypatch, capsys):

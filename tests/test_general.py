@@ -178,6 +178,16 @@ def test_infeasible_configuration_detected():
             TriangleEdges(1.0, 1.0, 1.999), PhaseAngles(119.0, 120.0, 121.0))
 
 
+@pytest.mark.parametrize("rotation", range(3))
+def test_overflowing_cotangent_is_infeasible_not_nan(rotation):
+    # cot(1e-300 deg) squares to inf, so a distance is inf / inf, NaN, in
+    # every rotation; the angles sum to 360 within tolerance.
+    psis = (1e-300, 180.0 - 1e-12, 180.0 - 1e-12)
+    angles = PhaseAngles(*psis[rotation:], *psis[:rotation])
+    with pytest.raises(InfeasibleConfiguration, match="not finite"):
+        general_distances_closed_form(TriangleEdges(3, 4, 5), angles)
+
+
 # -- circle route -------------------------------------------------------------
 
 def test_circles_equilateral_all_120():
