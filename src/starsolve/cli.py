@@ -30,7 +30,7 @@ from .kernel import (
     EdgeInvariants,
     angle_invariants,
     circle_distances,
-    closure_residuals,
+    closure_defects,
     edge_invariants,
     line_voltage_kernel,
 )
@@ -130,17 +130,17 @@ def _describe_internal(exc: Exception) -> str:
             f"{frame.lineno} in {frame.name})")
 
 
-# The oracle and the value type it takes, bound by verify's first 120-deg
-# claim as _parser is by the first main(): solve, synth and a verify without
-# 120-deg rows never load them. Bound once, not imported in each row, where
-# even an import already done costs about a tenth of a 120-deg verify row.
-TriangleEdges = minimize_distance_sum = None
+# The oracle's float entry, bound by verify's first 120-deg claim as
+# _parser is by the first main(): the oracle module loads the value types,
+# and solve and a verify without 120-deg rows never load it. Bound once,
+# not imported in each row, where even an import already done costs about
+# a tenth of a 120-deg verify row.
+distance_sum_minimum = None
 
 
 def _bind_oracle() -> None:
-    global TriangleEdges, minimize_distance_sum
-    from .geometry import TriangleEdges
-    from .oracle import minimize_distance_sum
+    global distance_sum_minimum
+    from .oracle import distance_sum_minimum
 
 
 def verify_record(m: MeasurementRecord, s: SolutionRecord | None,
@@ -151,6 +151,11 @@ def verify_record(m: MeasurementRecord, s: SolutionRecord | None,
     circle-intersection re-solve, and (for 120-deg rows) match the
     distance-sum minimum. Failure rows pass iff a re-solve reproduces the
     recorded failure status, unless that status is an internal error.
+
+    A solved row is checked in one pass on the unit triangle of
+    :func:`_invariants`: the claim is divided once by 2**k, k the edges'
+    exponent, and all three checks read it there, so no square or sum
+    leaves the float range. A value is scaled back only to be printed.
     """
     if s is None:
         return False, "row carries no solution fields"
@@ -163,38 +168,35 @@ def verify_record(m: MeasurementRecord, s: SolutionRecord | None,
         return False, (f"recorded status {s.status!r} but re-solve "
                        f"produced {fresh.status!r}")
 
-    claim = (s.u1p, s.u2p, s.u3p)
     try:
-        edges, (psis, cot, cos) = _invariants(m)
-        worst = max(closure_residuals((m.u1, m.u2, m.u3), cos, claim))
+        (k, unit, unit_sq, theta_sq), (psis, cot, cos) = _invariants(m)
+        claim = (math.ldexp(s.u1p, -k), math.ldexp(s.u2p, -k), math.ldexp(s.u3p, -k))
+        worst = max(closure_defects(unit_sq, cos, claim))
         if not worst <= tolerance:  # a NaN fails too
             return False, (f"closure residual {worst:.3e} "
                            f"exceeds tolerance {tolerance:g}")
 
-        k, unit, unit_sq, theta_sq = edges
         circle = circle_distances(unit, unit_sq, theta_sq, psis, cot)
-        # 1e-12 of the perimeter, which itself may exceed the float range.
-        floor = math.ldexp(1e-12 * sum(unit), k)
+        # A value fails if it is off by more than 1e-12 of the perimeter and
+        # by more than the tolerance of the larger; the cheaper test first.
+        floor = 1e-12 * sum(unit)
         for name, given, recomputed in zip(("u1p", "u2p", "u3p"), claim, circle):
-            recomputed = math.ldexp(recomputed, k)
-            if abs(given - recomputed) > max(tolerance * max(given, recomputed), floor):
-                return False, (f"{name}={given!r} disagrees with circle-path "
-                               f"value {recomputed!r}")
+            gap = abs(given - recomputed)
+            if gap > floor and gap > tolerance * (given if given > recomputed
+                                                  else recomputed):
+                return False, (f"{name}={getattr(s, name)!r} disagrees with "
+                               f"circle-path value {math.ldexp(recomputed, k)!r}")
 
         if psis == ANGLES_120[0]:
-            # Both sums over 2**k, k the edges' exponent: the sum itself may
-            # exceed the float range, and dividing by 2**k changes no bit.
             # Started at the claimed star point: a right claim needs no step.
-            if minimize_distance_sum is None:
+            if distance_sum_minimum is None:
                 _bind_oracle()
-            minimized = minimize_distance_sum(
-                TriangleEdges(*unit),
-                start=(math.ldexp(s.u2p, -k), math.ldexp(s.u3p, -k)))
-            total = (math.ldexp(s.u1p, -k) + math.ldexp(s.u2p, -k)
-                     + math.ldexp(s.u3p, -k))
-            if abs(minimized.value - total) > 1e-6 * total:
+            a_p, b_p, c_p = claim
+            _, _, minimized, _ = distance_sum_minimum(*unit, start=(b_p, c_p))
+            total = a_p + b_p + c_p
+            if abs(minimized - total) > 1e-6 * total:
                 return False, (f"line-voltage sum {total:.9g} disagrees with "
-                               f"minimized distance sum {minimized.value:.9g} "
+                               f"minimized distance sum {minimized:.9g} "
                                f"(both over 2**{k})")
     except StarSolveError as exc:
         return False, f"cross-check raised: {exc}"

@@ -226,28 +226,6 @@ def _chord_circles(ux: float, uy: float, vx: float, vy: float, cot_a: float,
             0.5 * b * math.sqrt(1.0 + cot_b * cot_b))
 
 
-def _rot3(triple: tuple, r: int) -> tuple:
-    """``triple`` rotated left by ``r`` places: (x, y, z) -> (y, z, x) for 1."""
-    r %= 3
-    return triple[r:] + triple[:r]
-
-
-# Rotation count by the index of the smallest viewing angle: it places that
-# angle last, so the two largest (hence both >= 90 deg) drive the
-# chord-circle construction.
-_ROTATION_OF_SMALLEST = (1, 2, 0)
-
-
-def _barycentric(px: float, py: float, a: float, ax: float,
-                 ay: float) -> tuple[float, float, float]:
-    """Coordinates (u, v, w) of (px, py) = v*B + w*A, u = 1 - v - w, with
-    C at the origin, B at (a, 0) and A at (ax, ay)."""
-    area = a * ay
-    v = (px * ay - py * ax) / area
-    w = a * py / area
-    return (1.0 - v - w, v, w)
-
-
 def circle_distances(unit: Triple, unit_sq: Triple, theta_sq: float, psis: Triple,
                      cot: Triple) -> Triple:
     """Constructive route on plain floats: the distances from X, the second
@@ -255,16 +233,35 @@ def circle_distances(unit: Triple, unit_sq: Triple, theta_sq: float, psis: Tripl
     unit triangle of :func:`edge_invariants`, from the angles and
     cotangents of :func:`angle_invariants`.
 
-    Both circles pass through vertex C at the origin, so X is C reflected
-    in the line of centres: with d = c_s - c_r, X = 2 (c_r x d) / |d|^2
-    * (d_y, -d_x). It must land inside the triangle (within barycentric
-    slack); a line of centres through C is tangency at C, the legitimate
-    boundary case of a vanishing vertex distance.
+    The triangle is relabeled cyclically so that the smallest viewing
+    angle (the first of equal ones) comes last, and the two largest, both
+    >= 90 deg, drive the construction; the distances are labeled back
+    before they are returned. Both circles pass through vertex C at the
+    origin, so X is C reflected in the line of centres: with
+    d = c_s - c_r, X = 2 (c_r x d) / |d|^2 * (d_y, -d_x). It must land
+    inside the triangle (within barycentric slack); a line of centres
+    through C is tangency at C, the legitimate boundary case of a
+    vanishing vertex distance. The relabeling and the interior test are
+    written out in this one frame; vertex A and the circles come from
+    :func:`apex_position` and :func:`_chord_circles`.
     """
-    rot = _ROTATION_OF_SMALLEST[psis.index(min(psis))]
+    psi_a, psi_b, psi_c = psis
     # Theta^2 is symmetric and needs no relabeling.
-    (a, b, _), (a2, b2, c2) = _rot3(unit, rot), _rot3(unit_sq, rot)
-    cot_a, cot_b, _ = _rot3(cot, rot)
+    if psi_a <= psi_b and psi_a <= psi_c:
+        rot = 1
+        _, a, b = unit
+        c2, a2, b2 = unit_sq
+        _, cot_a, cot_b = cot
+    elif psi_b <= psi_c:
+        rot = 2
+        b, _, a = unit
+        b2, c2, a2 = unit_sq
+        cot_b, _, cot_a = cot
+    else:
+        rot = 0
+        a, b, _ = unit
+        a2, b2, c2 = unit_sq
+        cot_a, cot_b, _ = cot
     ax, ay = apex_position(a, b, a2, b2, c2, theta_sq)
     crx, cry, csx, csy, rho_a, rho_b = _chord_circles(a, 0.0, ax, ay, cot_a, cot_b)
 
@@ -276,15 +273,25 @@ def circle_distances(unit: Triple, unit_sq: Triple, theta_sq: float, psis: Tripl
             f"centers coincide within {eps:g}; intersection undefined")
     scale = 2.0 * (crx * dy - cry * dx) / (d * d)
     px, py = scale * dy, -scale * dx
-    bary = _barycentric(px, py, a, ax, ay)
-    if min(bary) < -BARY_TOL:
+    # Barycentric (u, v, w) of X = v*B + w*A, with C at the origin, B at
+    # (a, 0) and A at (ax, ay); _chord_circles has ruled out a zero area.
+    area = a * ay
+    v = (px * ay - py * ax) / area
+    w = a * py / area
+    u = 1.0 - v - w
+    if min(u, v, w) < -BARY_TOL:
         raise NoInteriorIntersection(
-            f"circle intersection lies outside the triangle: barycentric {bary}")
+            f"circle intersection lies outside the triangle: barycentric {(u, v, w)}")
 
-    # Distances to A = (ax, ay), B = (a, 0) and C at the origin.
-    rotated_distances = (math.hypot(px - ax, py - ay), math.hypot(px - a, py),
-                         math.hypot(px, py))
-    return _rot3(rotated_distances, (3 - rot) % 3)
+    # Distances to A = (ax, ay), B = (a, 0) and C at the origin, labeled back.
+    to_a = math.hypot(px - ax, py - ay)
+    to_b = math.hypot(px - a, py)
+    to_c = math.hypot(px, py)
+    if rot == 1:
+        return to_c, to_a, to_b
+    if rot == 2:
+        return to_b, to_c, to_a
+    return to_a, to_b, to_c
 
 
 # =========================================================================
@@ -379,8 +386,9 @@ def line_voltage_kernel(edges: EdgeInvariants, angles: AngleInvariants
     (a,b,c; psi_a,psi_b,psi_c) -> (b,c,a; psi_b,psi_c,psi_a). They are
     accepted only if the law-of-cosines closure holds to ``RESIDUAL_TOL``
     and the point, rebuilt from them in the canonical frame, lands inside
-    the triangle; then they are scaled back. A note names each voltage
-    that is zero within tolerance.
+    the triangle; then they are scaled back. Collinear edges have no
+    interior, and raise :class:`DegenerateTriangle`. A note names each
+    voltage that is zero within tolerance.
     """
     exponent, unit, unit_sq, theta_sq = edges
     psis, (cot_a, cot_b, cot_c), cos = angles
@@ -399,13 +407,15 @@ def line_voltage_kernel(edges: EdgeInvariants, angles: AngleInvariants
 
     # The interior test, written out in one frame: the point at distances
     # b_p, c_p from B and C (point_position), vertex A (apex_position) and
-    # the point's barycentric coordinates (_barycentric).
+    # the point's barycentric coordinates, as circle_distances takes them.
     c_p2 = c_p * c_p
     px = (c_p2 - b_p * b_p + a2) / (2.0 * a)
     py = math.sqrt(max(c_p2 - px * px, 0.0))
     ax = b * max(-1.0, min(1.0, (a2 + b2 - c2) / (2.0 * a * b)))
     ay = theta_sq / (2.0 * a)
     area = a * ay
+    if area == 0.0:
+        raise DegenerateTriangle("edges are collinear: no interior point")
     v = (px * ay - py * ax) / area
     w = a * py / area
     u = 1.0 - v - w

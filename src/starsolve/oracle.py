@@ -137,7 +137,23 @@ def _distance_sum(x: float, y: float, vertices: list[tuple[float, float]]) -> fl
 def minimize_distance_sum(t: TriangleEdges, max_iter: int = 10_000,
                           start: tuple[float, float] | None = None
                           ) -> MinimizationResult:
-    """Minimize f(X) = |XA| + |XB| + |XC| (Fermat-Weber) to a certified gap.
+    """Minimize f(X) = |XA| + |XB| + |XC| (Fermat-Weber) to a certified gap:
+    :func:`distance_sum_minimum` on the edges of ``t``, with its point as
+    a :class:`~starsolve.geometry.PlaneVector`. ``converged`` is true on
+    every return; :class:`NoConvergence` is raised if ``max_iter`` steps
+    do not reach the certificate."""
+    x, y, value, iterations = distance_sum_minimum(t.a, t.b, t.c, max_iter, start)
+    return MinimizationResult(PlaneVector(x, y), value, iterations, True)
+
+
+def distance_sum_minimum(a: float, b: float, c: float, max_iter: int = 10_000,
+                         start: tuple[float, float] | None = None
+                         ) -> tuple[float, float, float, int]:
+    """The minimum of f(X) = |XA| + |XB| + |XC| (Fermat-Weber) over the
+    triangle with edges ``a``, ``b``, ``c``, on plain floats, to a
+    certified gap: ``(x, y, value, iterations)``, the minimizing point in
+    the frame with C at the origin and B on +x, f there, and the steps
+    taken.
 
     A vertex is the minimum exactly when the unit vectors from it toward
     the other two sum to a length <= 1 (Kuhn's subgradient condition: an
@@ -153,7 +169,7 @@ def minimize_distance_sum(t: TriangleEdges, max_iter: int = 10_000,
     the weighted mean of the other two, r > 1 being the length of the sum
     of unit vectors toward them. ``iterations`` counts these steps.
 
-    ``start`` = (distance to B, distance to C), in the units of ``t``,
+    ``start`` = (distance to B, distance to C), in the units of the edges,
     starts the iteration instead at the point at those distances on A's
     side of edge a; the origin stays where it was. A start that is not
     finite, or not once divided by 2**e (see below), is ignored. A good
@@ -163,17 +179,19 @@ def minimize_distance_sum(t: TriangleEdges, max_iter: int = 10_000,
     It stops when |grad f(X)| * max_k |X - V_k| <= GAP_CERTIFICATE * f(X).
     By convexity f(X) - f(X*) <= grad f(X) . (X - X*), and X* lies in the
     triangle, so this bounds the relative gap of ``value`` to the minimum.
-    ``converged`` is true on every return; :class:`NoConvergence` is raised
-    if ``max_iter`` steps do not reach the certificate.
+    :class:`NoConvergence` is raised if ``max_iter`` steps do not reach
+    the certificate.
 
     The sum is homogeneous in the edges, so the search runs on the edges
     divided by 2**e, e the binary exponent of the longest edge (taken here,
     not from the solver's invariants), and the point and value are scaled
     back: no bit changes, and no square under- or overflows at any scale.
+    On the unit triangle that :func:`~starsolve.kernel.edge_invariants`
+    returns, e is 0.
     """
-    exponent = math.frexp(max(t.a, t.b, t.c))[1]
-    edges = (math.ldexp(t.a, -exponent), math.ldexp(t.b, -exponent),
-             math.ldexp(t.c, -exponent))
+    exponent = math.frexp(max(a, b, c))[1]
+    edges = (math.ldexp(a, -exponent), math.ldexp(b, -exponent),
+             math.ldexp(c, -exponent))
     vc, vb, va = _embed_for_oracle(*edges)
     corners = (va, vb, vc)
     for k, (cx, cy) in enumerate(corners):
@@ -183,7 +201,8 @@ def minimize_distance_sum(t: TriangleEdges, max_iter: int = 10_000,
         inv_u, inv_v = 1.0 / du, 1.0 / dv
         if math.hypot((ux - cx) * inv_u + (vx - cx) * inv_v,
                       (uy - cy) * inv_u + (vy - cy) * inv_v) <= 1.0:
-            return _scaled_back(exponent, cx, cy, du + dv, 0)
+            return (math.ldexp(cx, exponent), math.ldexp(cy, exponent),
+                    math.ldexp(du + dv, exponent), 0)
 
     ox, oy = corners[edges.index(max(edges))]
     vertices = [(vx - ox, vy - oy) for vx, vy in corners]
@@ -220,7 +239,8 @@ def minimize_distance_sum(t: TriangleEdges, max_iter: int = 10_000,
             farthest = max(farthest, d)
         pull = math.hypot(px, py)
         if not on_vertex and pull * farthest <= GAP_CERTIFICATE * fx:
-            return _scaled_back(exponent, x + ox, y + oy, fx, iterations)
+            return (math.ldexp(x + ox, exponent), math.ldexp(y + oy, exponent),
+                    math.ldexp(fx, exponent), iterations)
         if iterations == max_iter:
             break
 
@@ -239,12 +259,6 @@ def minimize_distance_sum(t: TriangleEdges, max_iter: int = 10_000,
 
     raise NoConvergence(
         f"distance-sum gap not certified within {max_iter} iterations")
-
-
-def _scaled_back(exponent: int, x: float, y: float, value: float,
-                 iterations: int) -> MinimizationResult:
-    point = PlaneVector(math.ldexp(x, exponent), math.ldexp(y, exponent))
-    return MinimizationResult(point, math.ldexp(value, exponent), iterations, True)
 
 
 # =========================================================================

@@ -472,9 +472,9 @@ def test_verify_runs_distance_sum_oracle_on_explicit_120_deg(monkeypatch):
     # The first 120-deg claim binds the oracle in cli, where later rows find it.
     verify_record(m, s, 1e-8)
     calls = []
-    minimize = cli.minimize_distance_sum
-    monkeypatch.setattr(cli, "minimize_distance_sum",
-                        lambda t, **kw: calls.append(t) or minimize(t, **kw))
+    minimize = cli.distance_sum_minimum
+    monkeypatch.setattr(cli, "distance_sum_minimum", lambda *edges, **kw:
+                        calls.append(edges) or minimize(*edges, **kw))
     assert verify_record(m, s, 1e-8)[0]
     assert len(calls) == 1
 
@@ -483,8 +483,8 @@ def test_verify_runs_distance_sum_oracle_on_explicit_120_deg(monkeypatch):
 def test_verify_fails_a_sum_off_the_minimum_from_any_start(claim, monkeypatch):
     # Closure and the circle re-solve are made to agree with the claim, so
     # only the distance-sum oracle, started at the claimed point, can fail it.
-    monkeypatch.setattr(cli, "closure_residuals",
-                        lambda edges, cosines, distances: (0.0, 0.0, 0.0))
+    monkeypatch.setattr(cli, "closure_defects",
+                        lambda squares, cosines, distances: (0.0, 0.0, 0.0))
     # The circle kernel answers on the unit triangle, the edges over 2**k.
     k = E1_EDGES.exponent
     monkeypatch.setattr(cli, "circle_distances",
@@ -547,6 +547,32 @@ def test_full_precision_near_180_deg_row_verifies(fmt, monkeypatch, capsys):
     assert code == 0
     code, out, _ = run_cli(["verify", "-"], monkeypatch, capsys, stdin_text=out)
     assert (code, out.splitlines()[-1]) == (0, "1 records, 0 failed")
+
+
+def test_collinear_row_is_infeasible_and_verify_confirms_it(monkeypatch, capsys):
+    # The closure holds on these collinear edges, and the interior test
+    # once divided by their zero area.
+    stdin = "id,u1,u2,u3,psi1,psi2\nc,3,4,1,106.6919676342695,179.999999999\n"
+    code, out, _ = run_cli(["solve", "-"], monkeypatch, capsys, stdin_text=stdin)
+    assert code == 2
+    [(_, solution)] = read_pairs(out.splitlines(keepends=True), "csv")
+    assert solution.status == STATUS_INFEASIBLE
+    assert solution.diagnostics == "edges are collinear: no interior point"
+    code, out, _ = run_cli(["verify", "-"], monkeypatch, capsys, stdin_text=out)
+    assert code == 0
+    assert out.splitlines() == [
+        "c: PASS (failure status 'infeasible' confirmed by re-solve)",
+        "1 records, 0 failed"]
+
+
+@pytest.mark.parametrize("u1p", [2.0 ** 600, 1e300], ids=["2**600", "1e300"])
+def test_absurd_claim_fails_the_closure(u1p):
+    # Beyond 2**(k + 500) the claim's squares overflow on the unit
+    # triangle, and the closure residual reads inf.
+    m = MeasurementRecord("a", 3.0, 4.0, 5.0, 100.0, 130.0)
+    s = SolutionRecord("a", u1p, 2.0, 3.0, 0.0, STATUS_OK)
+    assert verify_record(m, s, 1e-8) == (
+        False, "closure residual inf exceeds tolerance 1e-08")
 
 
 def test_solve_command_missing_file_exit_1(monkeypatch, capsys):

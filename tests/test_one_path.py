@@ -12,7 +12,9 @@ csv module writes through ``_LineFeedEnded`` for any id and metadata.
 ``kernel.line_voltage_kernel`` evaluates the closed form and its interior
 test in one frame, so it must return, bit for bit, what the kept helpers
 return when called one after another, and the invariant kernels what
-their written-out references return.
+their written-out references return. ``kernel.circle_distances`` relabels
+the triangle by comparisons, so it must return what the route rotated by
+tuple slices returns.
 """
 
 from __future__ import annotations
@@ -27,9 +29,11 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from starsolve import (
     AngleAtLeast120,
     AngleOutOfRange,
+    ConcentricCircles,
     DegenerateTriangle,
     InfeasibleConfiguration,
     LineVoltages,
+    NoInteriorIntersection,
     NotATriangle,
     PhaseAngles,
     PhaseToPhaseVoltages,
@@ -49,11 +53,12 @@ from starsolve.config import EPS_TRI_COEFF, RESIDUAL_TOL
 from starsolve.kernel import (
     ANGLES_120,
     BARY_TOL,
-    _barycentric,
+    _chord_circles,
     _joint_vertex_distance,
     angle_invariants,
     apex_position,
     check_angles_below_120,
+    circle_distances,
     closure_defects,
     edge_invariants,
     line_voltage_kernel,
@@ -344,9 +349,10 @@ def test_csv_lines_are_the_csv_module_bytes(rows):
 def reference_kernel(edges: tuple, angles: tuple) -> tuple:
     """The closed form as helper calls: the three vertex distances, the
     closure residual, the point rebuilt by ``point_position``, vertex A by
-    ``apex_position``, the interior test by ``_barycentric``, and the scale
-    back with the notes. ``line_voltage_kernel`` writes the interior test
-    out in its own frame and must return the same bits."""
+    ``apex_position``, the interior test by the barycentric formula after
+    the collinear guard, and the scale back with the notes.
+    ``line_voltage_kernel`` writes the interior test out in its own frame
+    and must return the same bits."""
     exponent, unit, unit_sq, theta_sq = edges
     psis, (cot_a, cot_b, cot_c), cos = angles
     if psis == ANGLES_120[0]:
@@ -362,7 +368,12 @@ def reference_kernel(edges: tuple, angles: tuple) -> tuple:
             "no interior point realizes these edges and angles")
     px, py = point_position(a, a2, b_p, c_p)
     ax, ay = apex_position(a, b, a2, b2, c2, theta_sq)
-    bary = _barycentric(px, py, a, ax, ay)
+    area = a * ay
+    if area == 0.0:
+        raise DegenerateTriangle("edges are collinear: no interior point")
+    v = (px * ay - py * ax) / area
+    w = a * py / area
+    bary = (1.0 - v - w, v, w)
     if min(bary) < -BARY_TOL:
         raise InfeasibleConfiguration(
             f"recovered point lies outside the triangle: barycentric {bary}")
@@ -455,11 +466,12 @@ def kernel_angles(draw) -> tuple:
 
 
 @st.composite
-def kernel_rows(draw) -> tuple:
-    """Edges and three angles: a planted point, interior, on or near a
-    terminal, or at a needle's tip, solved under its own angles or under
-    other ones; or random edges. Scaled by 2**U(-1000, 1000)."""
-    psis = draw(kernel_angles())
+def kernel_rows(draw, angles=kernel_angles()) -> tuple:
+    """Edges and three angles drawn from ``angles``: a planted point,
+    interior, on or near a terminal, or at a needle's tip, solved under its
+    own angles or under other ones; or random edges. Scaled by
+    2**U(-1000, 1000)."""
+    psis = draw(angles)
     distances = [10.0 ** draw(st.floats(-3.0, 3.0)) for _ in range(3)]
     plant = draw(st.sampled_from(["interior", "terminal", "needle", "other-angles",
                                   "random-edges"]))
@@ -469,7 +481,7 @@ def kernel_rows(draw) -> tuple:
         distances[draw(st.integers(0, 2))] *= 10.0 ** -draw(st.floats(5.0, 15.0))
     edges = law_of_cosines(distances, psis)
     if plant == "other-angles":
-        psis = draw(kernel_angles())
+        psis = draw(angles)
     elif plant == "random-edges":
         edges = tuple(10.0 ** draw(st.floats(-3.0, 3.0)) for _ in range(3))
     scale = 2.0 ** draw(st.one_of(st.sampled_from([-1000, 0, 1000]),
@@ -496,6 +508,8 @@ def kernel_rows(draw) -> tuple:
           (100.0, 130.0, 130.0)))
 @example(((2.838410484760956e-301, 2.0340009003693133e-301, 2.469183442223775e-301),
           (120.0, 120.0, 120.0)))
+@example(((3.0, 4.0, 1.0), (106.6919676342695, 179.999999999,
+                            360.0 - 106.6919676342695 - 179.999999999)))
 def test_line_voltage_kernel_is_the_helper_route_bit_for_bit(row):
     u, psis = row
     if min(u) > 0.0:
@@ -507,3 +521,67 @@ def test_line_voltage_kernel_is_the_helper_route_bit_for_bit(row):
     assert hexed(angles) == hexed(reference_angle_invariants(*psis))
     assert (outcome(line_voltage_kernel, edges, angles)
             == outcome(reference_kernel, edges, angles))
+
+
+def reference_circle_distances(unit: tuple, unit_sq: tuple, theta_sq: float,
+                               psis: tuple, cot: tuple) -> tuple:
+    """The circle route as helper calls: the smallest angle (the first of
+    equal ones) rotated last by tuple slices, vertex A by
+    ``apex_position``, the circles by ``_chord_circles``, the interior test
+    by the barycentric formula, and the distances rotated back.
+    ``circle_distances`` relabels by comparisons and must return the same
+    bits."""
+    def rotated(triple, r):
+        return triple[r:] + triple[:r]
+    rot = (1, 2, 0)[psis.index(min(psis))]
+    (a, b, _), (a2, b2, c2) = rotated(unit, rot), rotated(unit_sq, rot)
+    cot_a, cot_b, _ = rotated(cot, rot)
+    ax, ay = apex_position(a, b, a2, b2, c2, theta_sq)
+    crx, cry, csx, csy, rho_a, rho_b = _chord_circles(a, 0.0, ax, ay, cot_a, cot_b)
+    dx, dy = csx - crx, csy - cry
+    d = math.hypot(dx, dy)
+    eps = 1e-12 * (rho_a + rho_b)
+    if d <= eps:
+        raise ConcentricCircles(
+            f"centers coincide within {eps:g}; intersection undefined")
+    scale = 2.0 * (crx * dy - cry * dx) / (d * d)
+    px, py = scale * dy, -scale * dx
+    area = a * ay
+    v = (px * ay - py * ax) / area
+    w = a * py / area
+    bary = (1.0 - v - w, v, w)
+    if min(bary) < -BARY_TOL:
+        raise NoInteriorIntersection(
+            f"circle intersection lies outside the triangle: barycentric {bary}")
+    distances = (math.hypot(px - ax, py - ay), math.hypot(px - a, py),
+                 math.hypot(px, py))
+    return rotated(distances, (3 - rot) % 3)
+
+
+@st.composite
+def tied_angles(draw) -> tuple:
+    """Two equal angles and the third, in any order: the equal pair is
+    the smallest below 120 deg and the largest above it."""
+    psi = draw(st.floats(min_value=90.5, max_value=179.0))
+    return tuple(draw(st.permutations((psi, psi, 360.0 - 2.0 * psi))))
+
+
+@SETTINGS
+@given(kernel_rows(st.one_of(kernel_angles(), tied_angles())))
+# Each outcome once for sure: three equal angles, a tie of the two
+# smallest, an exterior intersection and collinear edges.
+@example(((1.0, 1.0, 1.9), (120.0, 120.0, 120.0)))
+@example(((3.0, 4.0, 5.0), (130.0, 100.0, 130.0)))
+@example(((437.0972887677329, 437.0958891456522, 0.0019103551629673823),
+          (137.1089465049667, 126.50358722231269, 96.38746627272062)))
+@example(((3.0, 4.0, 1.0), (106.6919676342695, 179.999999999,
+                            360.0 - 106.6919676342695 - 179.999999999)))
+def test_circle_distances_is_the_slice_route_bit_for_bit(row):
+    u, psis = row
+    try:
+        (_, unit, unit_sq, theta_sq), (psis, cot, _) = (edge_invariants(*u),
+                                                        angle_invariants(*psis))
+    except StarSolveError:
+        return  # no triangle, or an angle out of range: the route is not reached
+    args = (unit, unit_sq, theta_sq, psis, cot)
+    assert outcome(circle_distances, *args) == outcome(reference_circle_distances, *args)
