@@ -12,8 +12,9 @@ Library entry points:
 
 Every operation is a pure function; the package is thread-safe throughout.
 Each public name, and the module that defines it, is imported on first
-use (PEP 562), so ``star-solve``, which runs on the float kernels of
-:mod:`starsolve.kernel`, loads no value type and no oracle at start-up.
+use (PEP 562). ``star-solve`` runs on the float kernels of
+:mod:`starsolve.kernel` and the oracle's float entries in
+:mod:`starsolve.oracle_kernel`, so no CLI path loads a value type.
 """
 
 from importlib import import_module
@@ -35,7 +36,8 @@ _EXPORTS = {
     "geometry": ("PhaseAngles", "PlaneVector", "StarSolution", "TriangleEdges",
                  "embed_triangle", "theta_squared"),
     "oracle": ("MinimizationResult", "SynthesisSpec", "minimize_distance_sum",
-               "sample_waveform_amplitude", "synthesize_triangle"),
+               "random_synthesis_spec", "sample_waveform_amplitude",
+               "synthesize_triangle"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -34,6 +34,7 @@ from .kernel import (
     edge_invariants,
     line_voltage_kernel,
 )
+from .oracle_kernel import distance_sum_minimum, planted_draw, planted_edges
 from .records import (
     MEASUREMENT_FIELDS,
     SOLUTION_FIELDS,
@@ -130,19 +131,6 @@ def _describe_internal(exc: Exception) -> str:
             f"{frame.lineno} in {frame.name})")
 
 
-# The oracle's float entry, bound by verify's first 120-deg claim as
-# _parser is by the first main(): the oracle module loads the value types,
-# and solve and a verify without 120-deg rows never load it. Bound once,
-# not imported in each row, where even an import already done costs about
-# a tenth of a 120-deg verify row.
-distance_sum_minimum = None
-
-
-def _bind_oracle() -> None:
-    global distance_sum_minimum
-    from .oracle import distance_sum_minimum
-
-
 def verify_record(m: MeasurementRecord, s: SolutionRecord | None,
                   tolerance: float) -> tuple[bool, str]:
     """Check one measurement/solution pair against independent machinery.
@@ -170,7 +158,11 @@ def verify_record(m: MeasurementRecord, s: SolutionRecord | None,
 
     try:
         (k, unit, unit_sq, theta_sq), (psis, cot, cos) = _invariants(m)
-        claim = (math.ldexp(s.u1p, -k), math.ldexp(s.u2p, -k), math.ldexp(s.u3p, -k))
+        try:
+            claim = (math.ldexp(s.u1p, -k), math.ldexp(s.u2p, -k),
+                     math.ldexp(s.u3p, -k))
+        except OverflowError:  # beyond the float range on the unit triangle
+            return False, f"closure residual inf exceeds tolerance {tolerance:g}"
         worst = max(closure_defects(unit_sq, cos, claim))
         if not worst <= tolerance:  # a NaN fails too
             return False, (f"closure residual {worst:.3e} "
@@ -189,8 +181,6 @@ def verify_record(m: MeasurementRecord, s: SolutionRecord | None,
 
         if psis == ANGLES_120[0]:
             # Started at the claimed star point: a right claim needs no step.
-            if distance_sum_minimum is None:
-                _bind_oracle()
             a_p, b_p, c_p = claim
             _, _, minimized, _ = distance_sum_minimum(*unit, start=(b_p, c_p))
             total = a_p + b_p + c_p
@@ -295,9 +285,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.count < 1:
         print("star-solve: --count must be at least 1", file=sys.stderr)
         return EXIT_USAGE
-    from random import Random
-
-    from .oracle import random_synthesis_spec, synthesize_triangle
+    from random import Random  # only synth needs it
 
     rng = Random(args.seed)
     write = sys.stdout.write
@@ -305,14 +293,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
     # field holds a comma, a quote or a line break, so none is quoted.
     write(",".join(MEASUREMENT_FIELDS + SOLUTION_FIELDS) + "\n")
     for index in range(args.count):
-        spec = random_synthesis_spec(rng, seed=args.seed, symmetric=args.symmetric)
-        edges, expected = synthesize_triangle(spec)
-        psis = ("," if args.symmetric
-                else f"{spec.angles.psi_a:.12g},{spec.angles.psi_b:.12g}")
-        write(f"synth-{args.seed}-{index:05d},{edges.a:.12g},{edges.b:.12g},"
-              f"{edges.c:.12g},{psis},{expected.a_prime:.12g},"
-              f"{expected.b_prime:.12g},{expected.c_prime:.12g},"
-              f"{expected.max_residual:.12g},{STATUS_OK},planted ground truth\n")
+        distances, psis = planted_draw(rng, args.symmetric)
+        (a, b, c), residuals = planted_edges(distances, psis)
+        a_p, b_p, c_p = distances
+        psi_text = "," if args.symmetric else f"{psis[0]:.12g},{psis[1]:.12g}"
+        write(f"synth-{args.seed}-{index:05d},{a:.12g},{b:.12g},{c:.12g},{psi_text},"
+              f"{a_p:.12g},{b_p:.12g},{c_p:.12g},{max(residuals):.12g},"
+              f"{STATUS_OK},planted ground truth\n")
     return EXIT_OK
 
 

@@ -469,8 +469,7 @@ def test_explicit_120_deg_row_decides_like_empty_psi(monkeypatch, capsys):
 def test_verify_runs_distance_sum_oracle_on_explicit_120_deg(monkeypatch):
     m = MeasurementRecord("e1", *E1_EDGES.as_tuple(), 120.0, 120.0)
     s = SolutionRecord("e1", *E1_DISTANCES, 0.0, STATUS_OK)
-    # The first 120-deg claim binds the oracle in cli, where later rows find it.
-    verify_record(m, s, 1e-8)
+    # cli calls the oracle's float entry by its module-level name.
     calls = []
     minimize = cli.distance_sum_minimum
     monkeypatch.setattr(cli, "distance_sum_minimum", lambda *edges, **kw:
@@ -571,6 +570,16 @@ def test_absurd_claim_fails_the_closure(u1p):
     # triangle, and the closure residual reads inf.
     m = MeasurementRecord("a", 3.0, 4.0, 5.0, 100.0, 130.0)
     s = SolutionRecord("a", u1p, 2.0, 3.0, 0.0, STATUS_OK)
+    assert verify_record(m, s, 1e-8) == (
+        False, "closure residual inf exceeds tolerance 1e-08")
+
+
+@pytest.mark.parametrize("psis", [(100.0, 130.0), (None, None)], ids=["general", "120"])
+def test_claim_beyond_the_float_range_of_the_unit_triangle_fails_the_closure(psis):
+    # The unit triangle is these edges times 2**994, and so is the claim,
+    # which then exceeds the float range.
+    m = MeasurementRecord("a", 3e-300, 4e-300, 5e-300, *psis)
+    s = SolutionRecord("a", 1e10, 2e-300, 3e-300, 0.0, STATUS_OK)
     assert verify_record(m, s, 1e-8) == (
         False, "closure residual inf exceeds tolerance 1e-08")
 

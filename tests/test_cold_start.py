@@ -1,6 +1,7 @@
-"""A fresh interpreter that imports ``starsolve.cli``, or solves a row
-through it, loads only the float kernels: no value type, no oracle, and
-none of the standard-library modules that only they or a failing row need.
+"""A fresh interpreter that imports ``starsolve.cli``, or solves, verifies
+or synthesizes rows through it, loads only the float kernels and the
+oracle's float entries: no value type, no oracle module, and none of the
+standard-library modules that only they or a failing row need.
 
 Each case runs in its own interpreter and compares ``sys.modules`` after
 the case with a snapshot taken before it, so what the environment itself
@@ -79,8 +80,18 @@ def test_bare_package_import_loads_submodules_on_first_use():
     assert {"starsolve.geometry", "starsolve.oracle"} <= loaded
 
 
-def test_verify_of_a_120_deg_row_loads_the_oracle(tmp_path):
+def test_verify_of_a_120_deg_row_loads_no_value_type_and_no_oracle(tmp_path):
     path = tmp_path / "solved.jsonl"
     path.write_text(SYMMETRIC_SOLVED)
     loaded = loaded_by(run_main(["verify"], path))
-    assert "starsolve.oracle" in loaded
+    assert "starsolve.oracle_kernel" in loaded
+    assert not loaded & NOT_ON_SOLVE
+
+
+@pytest.mark.parametrize("extra", [[], ["--symmetric"]], ids=["general", "symmetric"])
+def test_synth_loads_no_value_type_and_no_oracle(extra):
+    loaded = loaded_by("from starsolve.cli import main\n"
+                       "sys.stdout = io.StringIO()\n"
+                       f"assert main({['synth', '--count', '3', *extra]!r}) == 0\n")
+    assert "starsolve.oracle_kernel" in loaded
+    assert not loaded & NOT_ON_SOLVE - {"random"}

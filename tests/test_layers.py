@@ -1,14 +1,16 @@
 """Intra-package imports point down one order of layers, so no cycle can form.
 
-Order, lowest first: kernel <- geometry <- oracle <- general <- fermat <-
-circuit <- cli. ``kernel`` holds the float kernels and imports only the
-leaves ``errors`` and ``config``. The oracle and the solvers it checks
-(``general``, ``fermat``) import nothing from each other, and the oracle
-reads none of the solver formulas in ``kernel``, so each stays an
-independent check on the other. ``errors``, ``config`` and ``records`` are
-leaves: any module may import them and they import no sibling. The package
-``__init__`` sits on top and re-exports. No module imports a name it never uses, and no module defines
-a name that nothing in the package reads and the package does not export.
+Order, lowest first: kernel <- oracle_kernel <- geometry <- oracle <-
+general <- fermat <- circuit <- cli. ``kernel`` holds the float kernels and
+imports only the leaves ``errors`` and ``config``; ``oracle_kernel`` holds
+the oracle's float entries and imports only ``errors`` and ``kernel``. The
+oracle and the solvers it checks (``general``, ``fermat``) import nothing
+from each other, and neither oracle module reads a solver formula in
+``kernel``, so each stays an independent check on the other. ``errors``,
+``config`` and ``records`` are leaves: any module may import them and they
+import no sibling. The package ``__init__`` sits on top and re-exports. No
+module imports a name it never uses, and no module defines a name that
+nothing in the package reads and the package does not export.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import pytest
 import starsolve
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "starsolve"
-LAYERS = ("kernel", "geometry", "oracle", "general", "fermat", "circuit", "cli")
+LAYERS = ("kernel", "oracle_kernel", "geometry", "oracle", "general", "fermat",
+          "circuit", "cli")
 LEAVES = ("errors", "config", "records")
 
 
@@ -85,20 +88,23 @@ SOLVER_KERNELS = {"circle_distances", "check_angles_below_120",
 
 def test_oracle_imports_no_solver():
     assert not package_imports(PACKAGE / "oracle.py") & {"general", "fermat"}
-    mentioned = set()
-    for node in ast.walk(ast.parse((PACKAGE / "oracle.py").read_text())):
-        if isinstance(node, ast.Name):
-            mentioned.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            mentioned.add(node.attr)
-        elif isinstance(node, ast.alias):
-            mentioned.add(node.name)
-    assert not mentioned & SOLVER_KERNELS
+    assert package_imports(PACKAGE / "oracle_kernel.py") <= {"errors", "kernel"}
+    for module in ("oracle", "oracle_kernel"):
+        mentioned = set()
+        for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+            if isinstance(node, ast.Name):
+                mentioned.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                mentioned.add(node.attr)
+            elif isinstance(node, ast.alias):
+                mentioned.add(node.name)
+        assert not mentioned & SOLVER_KERNELS, module
 
 
 def test_solvers_import_no_oracle():
     assert [solver for solver in ("general", "fermat")
-            if "oracle" in package_imports(PACKAGE / f"{solver}.py")] == []
+            if {"oracle", "oracle_kernel"} & package_imports(PACKAGE / f"{solver}.py")
+            ] == []
 
 
 def unused_imports(path: Path) -> set[str]:

@@ -14,7 +14,9 @@ test in one frame, so it must return, bit for bit, what the kept helpers
 return when called one after another, and the invariant kernels what
 their written-out references return. ``kernel.circle_distances`` relabels
 the triangle by comparisons, so it must return what the route rotated by
-tuple slices returns.
+tuple slices returns. The oracle's value-type functions wrap the float
+entries of ``oracle_kernel`` that the CLI calls, so each must return, bit
+for bit, what its entry returns, and draw from the generator as it does.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import csv
 import io
 import json
 import math
+from random import Random
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -42,6 +45,7 @@ from starsolve import (
     TriangleEdges,
     general_solve_by_circles,
     minimize_distance_sum,
+    random_synthesis_spec,
     solve_general_star,
     solve_symmetric_star,
     synthesize_triangle,
@@ -64,6 +68,7 @@ from starsolve.kernel import (
     line_voltage_kernel,
     point_position,
 )
+from starsolve.oracle_kernel import distance_sum_minimum, planted_draw, planted_edges
 from starsolve.records import (
     STATUS_ANGLE_GE_120,
     STATUS_INCONSISTENT,
@@ -585,3 +590,39 @@ def test_circle_distances_is_the_slice_route_bit_for_bit(row):
         return  # no triangle, or an angle out of range: the route is not reached
     args = (unit, unit_sq, theta_sq, psis, cot)
     assert outcome(circle_distances, *args) == outcome(reference_circle_distances, *args)
+
+
+@SETTINGS
+@given(st.integers(-2 ** 63, 2 ** 63), st.booleans(),
+       st.tuples(DISTANCE, DISTANCE, DISTANCE), kernel_angles(), kernel_rows(),
+       st.one_of(st.none(), st.tuples(DISTANCE, DISTANCE)), st.sampled_from([0, 1, 100]))
+def test_oracle_wrappers_are_their_float_entries_bit_for_bit(
+        seed, symmetric, distances, psis, row, start, max_iter):
+    # The draw: the same values, and the generator left in the same state.
+    wrapped_rng, float_rng = Random(seed), Random(seed)
+    spec = random_synthesis_spec(wrapped_rng, seed, symmetric)
+    assert hexed((spec.distances, spec.angles.as_tuple())) == \
+        hexed(planted_draw(float_rng, symmetric))
+    assert wrapped_rng.getstate() == float_rng.getstate()
+
+    # The forward map, on the draw and on any planted point and angles.
+    for plant, angles in ((spec.distances, spec.angles.as_tuple()), (distances, psis)):
+        def wrapped():
+            edges, expected = synthesize_triangle(SynthesisSpec(plant, PhaseAngles(*angles)))
+            assert expected.distances() == plant
+            return edges.as_tuple(), expected.residuals
+        assert outcome(wrapped) == outcome(planted_edges, plant, angles)
+
+    # The minimizer, started anywhere on the scale of the edges, or not.
+    u, _ = row
+    try:
+        t = TriangleEdges(*u)
+    except StarSolveError:
+        return  # no triangle: the wrapper cannot be called
+    if start is not None:
+        start = (start[0] * t.a, start[1] * t.a)
+
+    def minimized():
+        result = minimize_distance_sum(t, max_iter, start)
+        return result.point.x, result.point.y, result.value, result.iterations
+    assert outcome(minimized) == outcome(distance_sum_minimum, *u, max_iter, start)
