@@ -333,7 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="output format (default: mirror the input)")
     p_solve.add_argument("--tolerance", type=float, default=None, metavar="REL",
                          help="relative residual tolerance for status=ok, finite "
-                              "and > 0 (default 1e-8, or STAR_SOLVE_TOLERANCE)")
+                              "and > 0 (default 1e-8, or STAR_SOLVE_TOLERANCE); "
+                              "residuals above 1e-8 fail whatever the value, so "
+                              "only a smaller one changes a status")
     p_solve.set_defaults(func=cmd_solve)
 
     p_verify = sub.add_parser(

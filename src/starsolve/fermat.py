@@ -72,9 +72,8 @@ def fermat_construction(t: TriangleEdges) -> StarSolution:
     cos_phi = a * ax / (a * b)
     cos_p60 = cos_phi * 0.5 - sin_phi * (SQRT3 / 2.0)   # cos(phi + 60)
     sin_m60 = sin_phi * 0.5 - cos_phi * (SQRT3 / 2.0)   # sin(phi - 60)
+    # sin(phi) > 0 makes cos(phi + 60) < 1/2, so denom > (sqrt3/2)(a^2 + b^2).
     denom = SQRT3 * (a * a + b * b) - 2.0 * SQRT3 * a * b * cos_p60
-    if denom <= 1e-14 * (a * a + b * b):
-        raise DegenerateTriangle("cevian system is singular (degenerate triangle)")
 
     tau0 = (SQRT3 * b * b + 2.0 * a * b * sin_m60) / denom
     mx = ax + (0.5 * a - ax) * tau0

@@ -205,25 +205,24 @@ def closure_residuals(edges: tuple[float, float, float],
 BARY_TOL = 1e-9
 
 
-def _chord_circles(ux: float, uy: float, vx: float, vy: float, cot_a: float,
+def _chord_circles(a: float, vx: float, vy: float, cot_a: float,
                    cot_b: float) -> tuple[float, float, float, float, float, float]:
     """Centers and radii (center_r x, y, center_s x, y, rho_a, rho_b) of the
     circles through {C, B} and {C, A} from which the chords are seen under
-    psi_a resp. psi_b, given the spanning vectors u = C->B and v = C->A and
-    the cotangents of those two viewing angles.
+    psi_a resp. psi_b, given the frame with C at the origin, B at (a, 0)
+    and A at (vx, vy), and the cotangents of those two viewing angles.
 
     The center of the chord-CB circle sits at half the chord plus a
     cotangent-scaled perpendicular; an obtuse viewing angle puts it on the
-    far side of the chord from X, a right angle on the chord itself.
+    far side of the chord from X, a right angle on the chord itself. Only
+    a zero area (vy <= 0) is degenerate, so a needle of any ratio passes.
     """
-    a = math.hypot(ux, uy)
-    b = math.hypot(vx, vy)
-    if ux * vy - uy * vx <= 1e-15 * a * b:
+    if vy <= 0.0:
         raise DegenerateTriangle("spanning vectors are collinear")
-    return ((ux - uy * cot_a) * 0.5, (uy + ux * cot_a) * 0.5,
+    return (a * 0.5, a * cot_a * 0.5,
             (vx + vy * cot_b) * 0.5, (vy - vx * cot_b) * 0.5,
             0.5 * a * math.sqrt(1.0 + cot_a * cot_a),
-            0.5 * b * math.sqrt(1.0 + cot_b * cot_b))
+            0.5 * math.hypot(vx, vy) * math.sqrt(1.0 + cot_b * cot_b))
 
 
 def circle_distances(unit: Triple, unit_sq: Triple, theta_sq: float, psis: Triple,
@@ -263,7 +262,7 @@ def circle_distances(unit: Triple, unit_sq: Triple, theta_sq: float, psis: Tripl
         a2, b2, c2 = unit_sq
         cot_a, cot_b, _ = cot
     ax, ay = apex_position(a, b, a2, b2, c2, theta_sq)
-    crx, cry, csx, csy, rho_a, rho_b = _chord_circles(a, 0.0, ax, ay, cot_a, cot_b)
+    crx, cry, csx, csy, rho_a, rho_b = _chord_circles(a, ax, ay, cot_a, cot_b)
 
     dx, dy = csx - crx, csy - cry
     d = math.hypot(dx, dy)

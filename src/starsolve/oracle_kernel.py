@@ -109,10 +109,6 @@ def _embed_for_oracle(a: float, b: float, c: float
     return ((0.0, 0.0), (a, 0.0), (ax, math.sqrt(max(radicand, 0.0)) / (2.0 * a)))
 
 
-def _distance_sum(x: float, y: float, vertices: list[tuple[float, float]]) -> float:
-    return sum(math.hypot(x - vx, y - vy) for vx, vy in vertices)
-
-
 def distance_sum_minimum(a: float, b: float, c: float, max_iter: int = 10_000,
                          start: tuple[float, float] | None = None
                          ) -> tuple[float, float, float, int]:
@@ -124,7 +120,11 @@ def distance_sum_minimum(a: float, b: float, c: float, max_iter: int = 10_000,
 
     A vertex is the minimum exactly when the unit vectors from it toward
     the other two sum to a length <= 1 (Kuhn's subgradient condition: an
-    interior angle >= 120 deg); it is returned with 0 iterations.
+    interior angle >= 120 deg); it is returned with 0 iterations, before a
+    start is placed. All three corners are tested: only the one across the
+    longest edge can be that wide, but an isosceles needle ties its two
+    longest edges in floats, and rounding in the embedding can make the
+    other corner of the tie the one that passes.
 
     Otherwise the iteration starts on the vertex opposite the longest edge,
     the one nearest the minimum, moved to the origin where floats are
@@ -134,7 +134,9 @@ def distance_sum_minimum(a: float, b: float, c: float, max_iter: int = 10_000,
     weighted mean of the vertices (Tohoku Math. J. 43, 1937). On a vertex
     the Vardi-Zhang step (PNAS 97(4), 2000) moves (1 - 1/r) of the way to
     the weighted mean of the other two, r > 1 being the length of the sum
-    of unit vectors toward them. ``iterations`` counts these steps.
+    of unit vectors toward them. ``iterations`` counts these steps. One
+    pass over the vertices gives the distances from X, and from them f(X),
+    the gradient, the Hessian and Weiszfeld's weights.
 
     ``start`` = (distance to B, distance to C), in the units of the edges,
     starts the iteration instead at the point at those distances on A's
@@ -160,9 +162,7 @@ def distance_sum_minimum(a: float, b: float, c: float, max_iter: int = 10_000,
     edges = (math.ldexp(a, -exponent), math.ldexp(b, -exponent),
              math.ldexp(c, -exponent))
     vc, vb, va = _embed_for_oracle(*edges)
-    corners = (va, vb, vc)
-    for k, (cx, cy) in enumerate(corners):
-        (ux, uy), (vx, vy) = corners[:k] + corners[k + 1:]
+    for (cx, cy), (ux, uy), (vx, vy) in ((va, vb, vc), (vb, va, vc), (vc, va, vb)):
         du = math.hypot(cx - ux, cy - uy)
         dv = math.hypot(cx - vx, cy - vy)
         inv_u, inv_v = 1.0 / du, 1.0 / dv
@@ -171,8 +171,8 @@ def distance_sum_minimum(a: float, b: float, c: float, max_iter: int = 10_000,
             return (math.ldexp(cx, exponent), math.ldexp(cy, exponent),
                     math.ldexp(du + dv, exponent), 0)
 
-    ox, oy = corners[edges.index(max(edges))]
-    vertices = [(vx - ox, vy - oy) for vx, vy in corners]
+    ox, oy = (va, vb, vc)[edges.index(max(edges))]
+    vertices = [(vx - ox, vy - oy) for vx, vy in (va, vb, vc)]
     x = y = 0.0
     if start is not None:
         try:
@@ -183,16 +183,15 @@ def distance_sum_minimum(a: float, b: float, c: float, max_iter: int = 10_000,
             sx = sy = math.nan
         if math.isfinite(sx) and math.isfinite(sy):
             x, y = sx - ox, sy - oy
-    fx = _distance_sum(x, y, vertices)
     for iterations in range(max_iter + 1):
+        distances = [math.hypot(vx - x, vy - y) for vx, vy in vertices]
+        fx = sum(distances)
+        on_vertex = 0.0 in distances
         # Over the vertices X is not on: the unit vectors toward them (their
         # sum is minus the gradient), the Hessian, and Weiszfeld's weights.
-        px = py = hxx = hxy = hyy = wsum = wx = wy = farthest = 0.0
-        on_vertex = False
-        for vx, vy in vertices:
-            d = math.hypot(vx - x, vy - y)
+        px = py = hxx = hxy = hyy = wsum = wx = wy = 0.0
+        for (vx, vy), d in zip(vertices, distances):
             if d == 0.0:
-                on_vertex = True
                 continue
             ux, uy = (vx - x) / d, (vy - y) / d
             px += ux
@@ -203,9 +202,8 @@ def distance_sum_minimum(a: float, b: float, c: float, max_iter: int = 10_000,
             wsum += 1.0 / d
             wx += vx / d
             wy += vy / d
-            farthest = max(farthest, d)
         pull = math.hypot(px, py)
-        if not on_vertex and pull * farthest <= GAP_CERTIFICATE * fx:
+        if not on_vertex and pull * max(distances) <= GAP_CERTIFICATE * fx:
             return (math.ldexp(x + ox, exponent), math.ldexp(y + oy, exponent),
                     math.ldexp(fx, exponent), iterations)
         if iterations == max_iter:
@@ -215,14 +213,13 @@ def distance_sum_minimum(a: float, b: float, c: float, max_iter: int = 10_000,
         if not on_vertex and det > 0.0:
             nx = x + (hyy * px - hxy * py) / det
             ny = y + (hxx * py - hxy * px) / det
-            fn = _distance_sum(nx, ny, vertices)
-            if fn <= fx * (1.0 + _ROUNDING_SLACK):
-                x, y, fx = nx, ny, fn
+            if (sum([math.hypot(vx - nx, vy - ny) for vx, vy in vertices])
+                    <= fx * (1.0 + _ROUNDING_SLACK)):
+                x, y = nx, ny
                 continue
         keep = 1.0 / max(pull, 1.0) if on_vertex else 0.0
         x = (1.0 - keep) * wx / wsum + keep * x
         y = (1.0 - keep) * wy / wsum + keep * y
-        fx = _distance_sum(x, y, vertices)
 
     raise NoConvergence(
         f"distance-sum gap not certified within {max_iter} iterations")

@@ -63,10 +63,6 @@ class MeasurementRecord(NamedTuple):
     psi2: float | None = None
     meta: Mapping[str, object] = _NO_META
 
-    @property
-    def has_angles(self) -> bool:
-        return self.psi1 is not None
-
 
 class SolutionRecord(NamedTuple):
     """Solver output for one measurement; voltages are None when it failed."""

@@ -186,3 +186,29 @@ def test_ok_near_180_deg_rows_verify_from_solve_output(rows):
     for (measurement, solution), line in zip(pairs, verified.splitlines()):
         if solution.solved:
             assert line.startswith(f"{measurement.id}: PASS ("), line
+
+
+def test_needle_rows_verify_by_the_sign_of_the_area():
+    """Needles (1, 1, 10**-e), e = 3, 6, ... 150, in all three rotations:
+    the circle route raises "collinear" only on a zero area, so no verdict
+    cites it, and at the general angle sets every ok row passes. At 120 deg
+    the oracle's needles are a separate matter."""
+    angle_sets = {"wide": (170.0, 170.0), "general": (100.0, 150.0), "fermat": None}
+    text = "id,u1,u2,u3,psi1,psi2\n"
+    for name, angles in angle_sets.items():
+        for e in range(3, 151, 3):
+            n = 10.0 ** -e
+            for r, edges in enumerate(((1.0, 1.0, n), (n, 1.0, 1.0), (1.0, n, 1.0))):
+                psis = ",".join(map(repr, angles)) if angles else ","
+                text += f"{name}-{e}-{r}," + ",".join(map(repr, edges)) + f",{psis}\n"
+    code, solved, err = run(["solve", "-"], text)
+    assert code in (0, 2) and err == ""
+    pairs = list(read_pairs(io.StringIO(solved), "csv"))
+    code, verified, err = run(["verify", "-"], solved)
+    assert err == ""
+    lines = verified.splitlines()[:-1]
+    assert len(lines) == len(pairs) == 3 * 3 * 50
+    assert [line for line in lines if "collinear" in line] == []
+    for (measurement, solution), line in zip(pairs, lines):
+        if solution.solved and not measurement.id.startswith("fermat"):
+            assert line.startswith(f"{measurement.id}: PASS ("), line

@@ -41,8 +41,8 @@ def chord_circles(t: TriangleEdges, cot_a: float, cot_b: float):
     """Centers and radii of the inscribed-angle circles over edges a and b
     of ``t``, embedded at its own scale."""
     a_vec, b_vec = embed_triangle(t)
-    crx, cry, csx, csy, rho_a, rho_b = _chord_circles(a_vec.x, a_vec.y, b_vec.x,
-                                                      b_vec.y, cot_a, cot_b)
+    crx, cry, csx, csy, rho_a, rho_b = _chord_circles(a_vec.x, b_vec.x, b_vec.y,
+                                                      cot_a, cot_b)
     return PlaneVector(crx, cry), PlaneVector(csx, csy), rho_a, rho_b
 
 

@@ -10,7 +10,9 @@ from each other, and neither oracle module reads a solver formula in
 ``config`` and ``records`` are leaves: any module may import them and they
 import no sibling. The package ``__init__`` sits on top and re-exports. No
 module imports a name it never uses, and no module defines a name that
-nothing in the package reads and the package does not export.
+nothing in the package reads and the package does not export, nor a
+method or property on a class the package does not export that nothing
+in the package reads as an attribute.
 """
 
 from __future__ import annotations
@@ -159,3 +161,32 @@ def test_every_defined_name_is_read_or_exported():
     dead = sorted(f"{module}.{name}" for module in LAYERS + LEAVES
                   for name in module_level_names(PACKAGE / f"{module}.py") - read)
     assert not dead, f"defined, never read in the package and not exported: {dead}"
+
+
+def class_members(path: Path) -> set[tuple[str, str]]:
+    """``(class, member)`` for each method and property of the classes a
+    module defines at its top level; dunder methods left out."""
+    return {(node.name, member.name)
+            for node in ast.parse(path.read_text(), filename=str(path)).body
+            if isinstance(node, ast.ClassDef)
+            for member in node.body
+            if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (member.name.startswith("__") and member.name.endswith("__"))}
+
+
+def attributes_read(path: Path) -> set[str]:
+    return {node.attr for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+# argparse calls the parser's error() itself.
+CALLED_FROM_OUTSIDE = {"cli._Parser.error"}
+
+
+def test_every_class_member_is_read_or_exported():
+    read = set().union(*map(attributes_read, PACKAGE.glob("*.py")))
+    dead = sorted({f"{module}.{cls}.{member}" for module in LAYERS + LEAVES
+                   for cls, member in class_members(PACKAGE / f"{module}.py")
+                   if cls not in starsolve.__all__ and member not in read}
+                  - CALLED_FROM_OUTSIDE)
+    assert not dead, f"members of unexported classes, never read in the package: {dead}"

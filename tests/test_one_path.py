@@ -17,6 +17,9 @@ the triangle by comparisons, so it must return what the route rotated by
 tuple slices returns. The oracle's value-type functions wrap the float
 entries of ``oracle_kernel`` that the CLI calls, so each must return, bit
 for bit, what its entry returns, and draw from the generator as it does.
+``oracle_kernel.distance_sum_minimum`` sums f(X) in the pass that gives
+its derivatives, so it must return, bit for bit, what the route that sums
+f in a pass of its own returns.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from starsolve import (
     DegenerateTriangle,
     InfeasibleConfiguration,
     LineVoltages,
+    NoConvergence,
     NoInteriorIntersection,
     NotATriangle,
     PhaseAngles,
@@ -68,7 +72,14 @@ from starsolve.kernel import (
     line_voltage_kernel,
     point_position,
 )
-from starsolve.oracle_kernel import distance_sum_minimum, planted_draw, planted_edges
+from starsolve.oracle_kernel import (
+    _ROUNDING_SLACK,
+    GAP_CERTIFICATE,
+    _embed_for_oracle,
+    distance_sum_minimum,
+    planted_draw,
+    planted_edges,
+)
 from starsolve.records import (
     STATUS_ANGLE_GE_120,
     STATUS_INCONSISTENT,
@@ -93,7 +104,7 @@ def library_record(m: MeasurementRecord, tolerance: float) -> SolutionRecord:
     mapping."""
     try:
         u = PhaseToPhaseVoltages(m.u1, m.u2, m.u3)
-        if m.has_angles:
+        if m.psi1 is not None:
             lv = solve_general_star(u, m.psi1, m.psi2)
         else:
             lv = solve_symmetric_star(u)
@@ -203,7 +214,7 @@ def library_verdict(m: MeasurementRecord, s: SolutionRecord,
                        f"produced {fresh.status!r}")
     try:
         u = PhaseToPhaseVoltages(m.u1, m.u2, m.u3)
-        angles = validate_angles(*((m.psi1, m.psi2) if m.has_angles else (120.0, 120.0)))
+        angles = validate_angles(*((m.psi1, m.psi2) if m.psi1 is not None else (120.0, 120.0)))
         lv = LineVoltages(s.u1p, s.u2p, s.u3p)
         report = verify_solution(u, lv, angles, tolerance)
         if not report.passed:
@@ -542,7 +553,7 @@ def reference_circle_distances(unit: tuple, unit_sq: tuple, theta_sq: float,
     (a, b, _), (a2, b2, c2) = rotated(unit, rot), rotated(unit_sq, rot)
     cot_a, cot_b, _ = rotated(cot, rot)
     ax, ay = apex_position(a, b, a2, b2, c2, theta_sq)
-    crx, cry, csx, csy, rho_a, rho_b = _chord_circles(a, 0.0, ax, ay, cot_a, cot_b)
+    crx, cry, csx, csy, rho_a, rho_b = _chord_circles(a, ax, ay, cot_a, cot_b)
     dx, dy = csx - crx, csy - cry
     d = math.hypot(dx, dy)
     eps = 1e-12 * (rho_a + rho_b)
@@ -626,3 +637,123 @@ def test_oracle_wrappers_are_their_float_entries_bit_for_bit(
         result = minimize_distance_sum(t, max_iter, start)
         return result.point.x, result.point.y, result.value, result.iterations
     assert outcome(minimized) == outcome(distance_sum_minimum, *u, max_iter, start)
+
+
+def reference_distance_sum_minimum(a: float, b: float, c: float, max_iter: int,
+                                   start: tuple | None) -> tuple:
+    """The distance-sum minimum with f(X) summed in a pass of its own over
+    the vertices, after the pass that gives its derivatives, and the corner
+    tests run over slices of the corners. ``distance_sum_minimum`` sums f
+    in its derivative pass and must return the same bits."""
+    def distance_sum(x, y, vertices):
+        return sum(math.hypot(x - vx, y - vy) for vx, vy in vertices)
+
+    exponent = math.frexp(max(a, b, c))[1]
+    edges = (math.ldexp(a, -exponent), math.ldexp(b, -exponent),
+             math.ldexp(c, -exponent))
+    vc, vb, va = _embed_for_oracle(*edges)
+    corners = (va, vb, vc)
+    for k, (cx, cy) in enumerate(corners):
+        (ux, uy), (vx, vy) = corners[:k] + corners[k + 1:]
+        du = math.hypot(cx - ux, cy - uy)
+        dv = math.hypot(cx - vx, cy - vy)
+        inv_u, inv_v = 1.0 / du, 1.0 / dv
+        if math.hypot((ux - cx) * inv_u + (vx - cx) * inv_v,
+                      (uy - cy) * inv_u + (vy - cy) * inv_v) <= 1.0:
+            return (math.ldexp(cx, exponent), math.ldexp(cy, exponent),
+                    math.ldexp(du + dv, exponent), 0)
+
+    ox, oy = corners[edges.index(max(edges))]
+    vertices = [(vx - ox, vy - oy) for vx, vy in corners]
+    x = y = 0.0
+    if start is not None:
+        try:
+            sx, sy = point_position(edges[0], edges[0] * edges[0],
+                                    math.ldexp(start[0], -exponent),
+                                    math.ldexp(start[1], -exponent))
+        except OverflowError:
+            sx = sy = math.nan
+        if math.isfinite(sx) and math.isfinite(sy):
+            x, y = sx - ox, sy - oy
+    fx = distance_sum(x, y, vertices)
+    for iterations in range(max_iter + 1):
+        px = py = hxx = hxy = hyy = wsum = wx = wy = farthest = 0.0
+        on_vertex = False
+        for vx, vy in vertices:
+            d = math.hypot(vx - x, vy - y)
+            if d == 0.0:
+                on_vertex = True
+                continue
+            ux, uy = (vx - x) / d, (vy - y) / d
+            px += ux
+            py += uy
+            hxx += (1.0 - ux * ux) / d
+            hxy -= ux * uy / d
+            hyy += (1.0 - uy * uy) / d
+            wsum += 1.0 / d
+            wx += vx / d
+            wy += vy / d
+            farthest = max(farthest, d)
+        pull = math.hypot(px, py)
+        if not on_vertex and pull * farthest <= GAP_CERTIFICATE * fx:
+            return (math.ldexp(x + ox, exponent), math.ldexp(y + oy, exponent),
+                    math.ldexp(fx, exponent), iterations)
+        if iterations == max_iter:
+            break
+        det = hxx * hyy - hxy * hxy
+        if not on_vertex and det > 0.0:
+            nx = x + (hyy * px - hxy * py) / det
+            ny = y + (hxx * py - hxy * px) / det
+            fn = distance_sum(nx, ny, vertices)
+            if fn <= fx * (1.0 + _ROUNDING_SLACK):
+                x, y, fx = nx, ny, fn
+                continue
+        keep = 1.0 / max(pull, 1.0) if on_vertex else 0.0
+        x = (1.0 - keep) * wx / wsum + keep * x
+        y = (1.0 - keep) * wy / wsum + keep * y
+        fx = distance_sum(x, y, vertices)
+    raise NoConvergence(f"distance-sum gap not certified within {max_iter} iterations")
+
+
+@st.composite
+def oracle_inputs(draw) -> tuple:
+    """Edges and a start for the distance-sum minimum: a planted 120-deg
+    point, started on it or not; a corner of 120 to 180 deg; or a wide or
+    isosceles needle with a short edge down to 1e-170, its edges in any
+    order. Any of them at a scale of 2**+-900, and a start may lie
+    anywhere."""
+    kind = draw(st.sampled_from(("planted", "wide", "wide needle", "isosceles needle")))
+    start = None
+    if kind == "planted":
+        distances = draw(st.tuples(DISTANCE, DISTANCE, DISTANCE))
+        edges = law_of_cosines(distances, (120.0, 120.0, 120.0))
+        if draw(st.booleans()):
+            start = distances[1], distances[2]
+    elif kind == "isosceles needle":
+        edges = draw(st.permutations((1.0, 1.0, 10.0 ** -draw(st.floats(0.0, 170.0)))))
+    else:
+        # The corner between edges 1 and c, seeing edge a under psi.
+        psi = draw(st.floats(120.0, 179.9))
+        c = draw(DISTANCE) if kind == "wide" else 10.0 ** -draw(st.floats(0.0, 170.0))
+        edges = draw(st.permutations(
+            (math.sqrt(1.0 + c * c - 2.0 * c * math.cos(math.radians(psi))), 1.0, c)))
+    scale = 2.0 ** draw(st.sampled_from([0, draw(st.integers(-900, 900))]))
+    if start is None and draw(st.booleans()):
+        start = draw(DISTANCE) * max(edges), draw(DISTANCE) * max(edges)
+    start = None if start is None else (start[0] * scale, start[1] * scale)
+    return tuple(edge * scale for edge in edges), start
+
+
+# A 150-deg corner at A, between edges 2 and 3.
+WIDE_AT_A = (math.sqrt(13.0 - 12.0 * math.cos(math.radians(150.0))), 2.0, 3.0)
+
+
+@SETTINGS
+@given(oracle_inputs(), st.sampled_from([0, 1, 20, 10_000]))
+@example((WIDE_AT_A, None), 0)
+@example((WIDE_AT_A[2:] + WIDE_AT_A[:2], None), 0)
+@example((WIDE_AT_A[1:] + WIDE_AT_A[:1], None), 0)
+def test_distance_sum_minimum_is_the_two_pass_route_bit_for_bit(case, max_iter):
+    edges, start = case
+    assert (outcome(distance_sum_minimum, *edges, max_iter, start)
+            == outcome(reference_distance_sum_minimum, *edges, max_iter, start))

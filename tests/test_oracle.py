@@ -155,9 +155,15 @@ def test_minimize_wide_vertex_returned_without_iterating(angle):
     b, c = 2.0, 3.0
     a = math.sqrt(b * b + c * c - 2 * b * c * math.cos(math.radians(angle)))
     for edges in rotations((a, b, c)):
-        result = minimize_distance_sum(TriangleEdges(*edges), max_iter=0)
-        assert result.iterations == 0 and result.converged
-        assert rel_err(result.value, b + c) < 1e-12
+        t = TriangleEdges(*edges)
+        # The corner tests run before the start is placed: no start, the
+        # centroid (two thirds of the medians from B and C) and a far point.
+        centroid = (math.sqrt(2 * t.a ** 2 + 2 * t.c ** 2 - t.b ** 2) / 3,
+                    math.sqrt(2 * t.a ** 2 + 2 * t.b ** 2 - t.c ** 2) / 3)
+        for start in (None, centroid, (1e3, 1e3)):
+            result = minimize_distance_sum(t, max_iter=0, start=start)
+            assert result.iterations == 0 and result.converged
+            assert rel_err(result.value, b + c) < 1e-12
 
 
 def test_minimize_iteration_cap_raises():
@@ -293,8 +299,8 @@ def _inscribed_angle_circles(t: TriangleEdges, angles: PhaseAngles):
     """The solver's two circles over edges a and b of ``t``, at its scale,
     in the original labels, as (center x, y, radius) twice."""
     a_vec, b_vec = embed_triangle(t)
-    crx, cry, csx, csy, rho_a, rho_b = _chord_circles(a_vec.x, a_vec.y, b_vec.x,
-                                                      b_vec.y, *angles.cot[:2])
+    crx, cry, csx, csy, rho_a, rho_b = _chord_circles(a_vec.x, b_vec.x, b_vec.y,
+                                                      *angles.cot[:2])
     return crx, cry, rho_a, csx, csy, rho_b
 
 
