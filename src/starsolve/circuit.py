@@ -102,7 +102,7 @@ def _line_voltages(u: PhaseToPhaseVoltages, angles: PhaseAngles) -> LineVoltages
     t = u.to_edges()
     distances, residuals, notes = line_voltage_kernel(
         (t.exponent, t.unit, t.unit_sq, t.unit_theta_sq),
-        (angles.as_tuple(), angles.cot, angles.cos))
+        (angles.as_tuple(), angles.cot, angles.cos), RESIDUAL_TOL)
     return LineVoltages(*distances, notes, residuals)
 
 

@@ -80,26 +80,22 @@ def solve_record(m: MeasurementRecord, tolerance: float
     :func:`~starsolve.kernel.line_voltage_kernel`, which
     :func:`~starsolve.circuit.solve_general_star` and
     :func:`~starsolve.circuit.solve_symmetric_star` wrap, so both give the
-    same voltages, residuals and notes. The status comes from the kernel's
-    own closure residuals. A distance or residual that is not finite
-    becomes an ``internal_error`` row with empty voltages, so no output row
-    carries a number verify cannot read.
+    same voltages, residuals and notes. The kernel accepts the closure on
+    ``tolerance``, so a row it returns is ``ok``. A distance or residual
+    that is not finite becomes an ``internal_error`` row with empty
+    voltages, so no output row carries a number verify cannot read.
     """
     try:
-        (u1p, u2p, u3p), residuals, notes = line_voltage_kernel(*_invariants(m))
+        edges, angles = _invariants(m)
+        (u1p, u2p, u3p), residuals, notes = line_voltage_kernel(edges, angles, tolerance)
         r1, r2, r3 = residuals
         # A finite sum clears all six; an infinite one may be an overflow.
         if not math.isfinite(u1p + u2p + u3p + r1 + r2 + r3):
             values = (u1p, u2p, u3p, r1, r2, r3)
             if not all(map(math.isfinite, values)):
                 return m, _failure(m, STATUS_INTERNAL_ERROR, _describe_non_finite(values))
-        worst = max(residuals)
-        if worst <= tolerance:
-            status = STATUS_OK
-        else:
-            status = STATUS_INFEASIBLE
-            notes += (f"closure residual {worst:.3e} exceeds tolerance {tolerance:g}",)
-        solution = SolutionRecord(m.id, u1p, u2p, u3p, worst, status, "; ".join(notes))
+        solution = SolutionRecord(m.id, u1p, u2p, u3p, max(residuals), STATUS_OK,
+                                  "; ".join(notes))
     except AngleAtLeast120 as exc:
         solution = _failure(m, STATUS_ANGLE_GE_120, str(exc))
     except (NotATriangle, AngleOutOfRange) as exc:
@@ -332,17 +328,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--format", choices=("csv", "jsonl"), default=None,
                          help="output format (default: mirror the input)")
     p_solve.add_argument("--tolerance", type=float, default=None, metavar="REL",
-                         help="relative residual tolerance for status=ok, finite "
-                              "and > 0 (default 1e-8, or STAR_SOLVE_TOLERANCE); "
-                              "residuals above 1e-8 fail whatever the value, so "
-                              "only a smaller one changes a status")
+                         help="relative closure-residual tolerance for status=ok, "
+                              "finite and > 0 (default 1e-8, or STAR_SOLVE_TOLERANCE)")
     p_solve.set_defaults(func=cmd_solve)
 
     p_verify = sub.add_parser(
         "verify", help="verify measurement/solution pairs",
         description="Re-check each row's solution: mesh-rule closure, an "
                     "independent circle-intersection re-solve, and (for "
-                    "120-degree rows) the distance-sum minimality oracle.")
+                    "120-degree rows) the distance-sum minimality oracle. "
+                    "The relative tolerance is STAR_SOLVE_TOLERANCE "
+                    "(default 1e-8), as for solve without --tolerance.")
     p_verify.add_argument("path", nargs="?", default="-",
                           help="input file, or - for stdin (default)")
     p_verify.set_defaults(func=cmd_verify)

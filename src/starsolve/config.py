@@ -1,10 +1,9 @@
 """Tolerance constants.
 
 All tolerances are relative to a problem scale unless the name says
-absolute. The solvers use these values as they are; only the CLI residual
-tolerance can be set, by flag or environment variable, and for ``solve``
-it can only tighten acceptance: the kernel rejects a closure residual
-above RESIDUAL_TOL whatever the CLI's value. Voltages are
+absolute. The library solvers use these values as they are; only the CLI
+residual tolerance can be set, by flag or environment variable, and it is
+the one closure test of ``solve`` and of ``verify`` alike. Voltages are
 carried in IEEE-754 binary64, which holds far more precision than any
 voltage measurement, so the defaults are chosen well below measurement
 noise but above accumulated rounding of the short formula pipelines.

@@ -23,6 +23,7 @@ With every angle at 120 deg the closed form is the 120-deg solver of
 
 from __future__ import annotations
 
+from .config import RESIDUAL_TOL
 from .geometry import (
     PhaseAngles,
     StarSolution,
@@ -53,7 +54,7 @@ def general_distances_closed_form(t: TriangleEdges,
     """
     distances, residuals, _ = line_voltage_kernel(
         (t.exponent, t.unit, t.unit_sq, t.unit_theta_sq),
-        (angles.as_tuple(), angles.cot, angles.cos))
+        (angles.as_tuple(), angles.cot, angles.cos), RESIDUAL_TOL)
     return StarSolution(*distances, point_from_distances(t, *distances), residuals)
 
 

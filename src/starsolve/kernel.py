@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from .config import ANGLE_LIMIT_DEG, EPS_ANG_DEG, EPS_TRI_COEFF, RESIDUAL_TOL
+from .config import ANGLE_LIMIT_DEG, EPS_ANG_DEG, EPS_TRI_COEFF
 from .errors import (
     AngleAtLeast120,
     AngleOutOfRange,
@@ -373,8 +373,8 @@ def check_angles_below_120(exponent: int, unit: Triple, unit_sq: Triple) -> None
 # The closed form: line voltages
 # =========================================================================
 
-def line_voltage_kernel(edges: EdgeInvariants, angles: AngleInvariants
-                        ) -> tuple[Triple, Triple, tuple[str, ...]]:
+def line_voltage_kernel(edges: EdgeInvariants, angles: AngleInvariants,
+                        tolerance: float) -> tuple[Triple, Triple, tuple[str, ...]]:
     """The closed form: line voltages, closure residuals and notes, on plain
     floats.
 
@@ -383,11 +383,12 @@ def line_voltage_kernel(edges: EdgeInvariants, angles: AngleInvariants
     runs first. Each distance on the unit triangle comes from
     :func:`_joint_vertex_distance` under the cyclic relabeling
     (a,b,c; psi_a,psi_b,psi_c) -> (b,c,a; psi_b,psi_c,psi_a). They are
-    accepted only if the law-of-cosines closure holds to ``RESIDUAL_TOL``
-    and the point, rebuilt from them in the canonical frame, lands inside
-    the triangle; then they are scaled back. Collinear edges have no
-    interior, and raise :class:`DegenerateTriangle`. A note names each
-    voltage that is zero within tolerance.
+    accepted only if the law-of-cosines closure holds to the ``tolerance``
+    given (the one acceptance test of a solve) and the point, rebuilt from
+    them in the canonical frame, lands inside the triangle; then they are
+    scaled back. Collinear edges have no interior, and raise
+    :class:`DegenerateTriangle`. A note names each voltage that is zero
+    within tolerance.
     """
     exponent, unit, unit_sq, theta_sq = edges
     psis, (cot_a, cot_b, cot_c), cos = angles
@@ -399,9 +400,9 @@ def line_voltage_kernel(edges: EdgeInvariants, angles: AngleInvariants
     b_p = _joint_vertex_distance(c2, a2, b2, cot_c, cot_a, cot_b, theta_sq)
     c_p = _joint_vertex_distance(a2, b2, c2, cot_a, cot_b, cot_c, theta_sq)
     residuals = closure_defects(unit_sq, cos, (a_p, b_p, c_p))
-    if max(residuals) > RESIDUAL_TOL:
+    if max(residuals) > tolerance:
         raise InfeasibleConfiguration(
-            f"closure residuals {residuals} exceed {RESIDUAL_TOL:g}; "
+            f"closure residuals {residuals} exceed {tolerance:g}; "
             "no interior point realizes these edges and angles")
 
     # The interior test, written out in one frame: the point at distances

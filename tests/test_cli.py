@@ -629,7 +629,53 @@ def test_solved_row_over_the_tolerance_is_infeasible(monkeypatch, capsys):
     assert code == 2
     (_, solution), = read_pairs(out.splitlines(keepends=True), "csv")
     assert solution.status == STATUS_INFEASIBLE
-    assert solution.diagnostics == "closure residual 1.091e-15 exceeds tolerance 1e-20"
+    assert (solution.u1p, solution.u2p, solution.u3p, solution.max_residual) == (
+        None, None, None, None)
+    residual = 1.0913936421275138e-15
+    assert solution.diagnostics == (
+        f"closure residuals {(residual,) * 3} exceed 1e-20; "
+        "no interior point realizes these edges and angles")
+
+
+# At 120 deg the closed form closes this needle's short edge to 1.73e-8
+# only, between the default tolerance and 1e-6.
+NEEDLE_1E8 = "id,u1,u2,u3,psi1,psi2\nn,1,1,1e-8,,\n"
+NEEDLE_1E8_RESIDUAL = 1.732050934109679e-08
+
+
+def test_one_tolerance_decides_solve_and_verify(monkeypatch, capsys):
+    code, by_flag, _ = run_cli(["solve", "--tolerance", "1e-6", "-"], monkeypatch,
+                               capsys, stdin_text=NEEDLE_1E8)
+    assert code == 0
+    (_, solution), = read_pairs(by_flag.splitlines(keepends=True), "csv")
+    assert solution.status == STATUS_OK
+    assert solution.max_residual == NEEDLE_1E8_RESIDUAL
+    assert solution.diagnostics == ""
+
+    monkeypatch.setenv("STAR_SOLVE_TOLERANCE", "1e-6")
+    code, by_env, _ = run_cli(["solve", "-"], monkeypatch, capsys, stdin_text=NEEDLE_1E8)
+    assert code == 0 and by_env == by_flag
+    code, verdict, _ = run_cli(["verify", "-"], monkeypatch, capsys, stdin_text=by_env)
+    assert code == 0
+    assert verdict == "n: PASS (max residual 1.732e-08)\n1 records, 0 failed\n"
+
+    monkeypatch.delenv("STAR_SOLVE_TOLERANCE")
+    code, strict, _ = run_cli(["solve", "-"], monkeypatch, capsys, stdin_text=NEEDLE_1E8)
+    assert code == 2
+    (_, solution), = read_pairs(strict.splitlines(keepends=True), "csv")
+    assert solution.status == STATUS_INFEASIBLE
+    assert solution.diagnostics == (
+        "closure residuals (1.2212453270876722e-15, 1.2212453270876722e-15, "
+        f"{NEEDLE_1E8_RESIDUAL!r}) exceed 1e-08; "
+        "no interior point realizes these edges and angles")
+
+    # The failure solve wrote at the default is refuted under the looser
+    # value, since verify's re-solve accepts on it too.
+    monkeypatch.setenv("STAR_SOLVE_TOLERANCE", "1e-6")
+    code, verdict, _ = run_cli(["verify", "-"], monkeypatch, capsys, stdin_text=strict)
+    assert code == 2
+    assert verdict.startswith(
+        "n: FAIL (recorded status 'infeasible' but re-solve produced 'ok')\n")
 
 
 def _faulty_kernel(original, bad_unit_edge, fault):
@@ -646,10 +692,10 @@ def _faulty_line_voltage_kernel(bad_edge, fault):
     """The kernel ``cli.solve_record`` calls, with ``fault`` (an exception
     type, or a callable that builds the kernel's answer) injected for edges
     whose first is ``bad_edge``."""
-    def kernel(edges, angles):
+    def kernel(edges, angles, tolerance):
         exponent, unit, _, _ = edges
         if math.ldexp(unit[0], exponent) != bad_edge:
-            return line_voltage_kernel(edges, angles)
+            return line_voltage_kernel(edges, angles, tolerance)
         if isinstance(fault, type):
             raise fault("injected fault")
         return fault()

@@ -3,7 +3,8 @@
 ``cli.solve_record`` runs a measurement through the float kernel that the
 library's value types wrap, so it must return, bit for bit, what the
 library route returns: ``solve_general_star`` or ``solve_symmetric_star``
-plus the status mapping written out below. ``cli.verify_record`` checks a
+at their ``RESIDUAL_TOL``, the kernel on the value types' invariants at
+another tolerance, plus the status mapping written out below. ``cli.verify_record`` checks a
 row on the same floats, so its verdict must be the one the value types,
 the circle route and the oracle give, in the messages written out below.
 ``RowWriter.write_solution``
@@ -101,26 +102,31 @@ SCALE = st.sampled_from([1.0, 3.7, 2.0 ** -600, 1e-150, 1e150])
 
 def library_record(m: MeasurementRecord, tolerance: float) -> SolutionRecord:
     """The library route: the value types, the solver, the CLI's status
-    mapping."""
+    mapping. The solvers accept on ``RESIDUAL_TOL``; at another tolerance
+    the route hands the kernel the value types' invariants itself."""
     try:
         u = PhaseToPhaseVoltages(m.u1, m.u2, m.u3)
-        if m.psi1 is not None:
-            lv = solve_general_star(u, m.psi1, m.psi2)
+        if tolerance == RESIDUAL_TOL:
+            if m.psi1 is not None:
+                lv = solve_general_star(u, m.psi1, m.psi2)
+            else:
+                lv = solve_symmetric_star(u)
         else:
-            lv = solve_symmetric_star(u)
+            angles = validate_angles(*((m.psi1, m.psi2) if m.psi1 is not None
+                                       else (120.0, 120.0)))
+            t = u.to_edges()
+            distances, residuals, notes = line_voltage_kernel(
+                (t.exponent, t.unit, t.unit_sq, t.unit_theta_sq),
+                (angles.as_tuple(), angles.cot, angles.cos), tolerance)
+            lv = LineVoltages(*distances, notes, residuals)
     except AngleAtLeast120 as exc:
         return SolutionRecord(m.id, None, None, None, None, STATUS_ANGLE_GE_120, str(exc))
     except (NotATriangle, AngleOutOfRange) as exc:
         return SolutionRecord(m.id, None, None, None, None, STATUS_INCONSISTENT, str(exc))
     except StarSolveError as exc:
         return SolutionRecord(m.id, None, None, None, None, STATUS_INFEASIBLE, str(exc))
-    worst = max(lv.residuals)
-    notes = lv.diagnostics
-    status = STATUS_OK
-    if worst > tolerance:
-        status = STATUS_INFEASIBLE
-        notes += (f"closure residual {worst:.3e} exceeds tolerance {tolerance:g}",)
-    return SolutionRecord(m.id, lv.u1p, lv.u2p, lv.u3p, worst, status, "; ".join(notes))
+    return SolutionRecord(m.id, lv.u1p, lv.u2p, lv.u3p, max(lv.residuals), STATUS_OK,
+                          "; ".join(lv.diagnostics))
 
 
 def bits(record: SolutionRecord) -> tuple:
@@ -362,7 +368,7 @@ def test_csv_lines_are_the_csv_module_bytes(rows):
     assert written(by_row_writer) == written(by_csv_module)
 
 
-def reference_kernel(edges: tuple, angles: tuple) -> tuple:
+def reference_kernel(edges: tuple, angles: tuple, tolerance: float) -> tuple:
     """The closed form as helper calls: the three vertex distances, the
     closure residual, the point rebuilt by ``point_position``, vertex A by
     ``apex_position``, the interior test by the barycentric formula after
@@ -378,9 +384,9 @@ def reference_kernel(edges: tuple, angles: tuple) -> tuple:
     b_p = _joint_vertex_distance(c2, a2, b2, cot_c, cot_a, cot_b, theta_sq)
     c_p = _joint_vertex_distance(a2, b2, c2, cot_a, cot_b, cot_c, theta_sq)
     residuals = closure_defects(unit_sq, cos, (a_p, b_p, c_p))
-    if max(residuals) > RESIDUAL_TOL:
+    if max(residuals) > tolerance:
         raise InfeasibleConfiguration(
-            f"closure residuals {residuals} exceed {RESIDUAL_TOL:g}; "
+            f"closure residuals {residuals} exceed {tolerance:g}; "
             "no interior point realizes these edges and angles")
     px, py = point_position(a, a2, b_p, c_p)
     ax, ay = apex_position(a, b, a2, b2, c2, theta_sq)
@@ -535,8 +541,8 @@ def test_line_voltage_kernel_is_the_helper_route_bit_for_bit(row):
     except StarSolveError:
         return  # no triangle, or an angle out of range: the kernel is not reached
     assert hexed(angles) == hexed(reference_angle_invariants(*psis))
-    assert (outcome(line_voltage_kernel, edges, angles)
-            == outcome(reference_kernel, edges, angles))
+    assert (outcome(line_voltage_kernel, edges, angles, RESIDUAL_TOL)
+            == outcome(reference_kernel, edges, angles, RESIDUAL_TOL))
 
 
 def reference_circle_distances(unit: tuple, unit_sq: tuple, theta_sq: float,
