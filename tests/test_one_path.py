@@ -4,9 +4,10 @@
 library's value types wrap, so it must return, bit for bit, what the
 library route returns: ``solve_general_star`` or ``solve_symmetric_star``
 at their ``RESIDUAL_TOL``, the kernel on the value types' invariants at
-another tolerance, plus the status mapping written out below. ``cli.verify_record`` checks a
-row on the same floats, so its verdict must be the one the value types,
-the circle route and the oracle give, in the messages written out below.
+another tolerance, plus the status mapping written out below.
+``cli.verify_record`` checks a row on the same floats, so its verdict
+must be the one the value types, the circle route and the oracle give,
+in the messages written out below.
 ``RowWriter.write_solution``
 joins a CSV row into its line itself, so it must write the bytes that the
 csv module writes through ``_LineFeedEnded`` for any id and metadata.
