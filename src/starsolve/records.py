@@ -15,12 +15,16 @@ JSON text, since the CSV has no other way to carry it.
 
 A CSV header is resolved to column positions once per stream, and each
 row is read by position; both record types are immutable named tuples.
+Each output stream writes a row through one line template; the csv module
+and ``json.dumps`` write the rows it cannot carry, and the bytes are theirs
+either way (see :meth:`RowWriter.write_solution`).
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from json.encoder import encode_basestring_ascii as _json_text
 from math import isfinite
 from operator import itemgetter
 from types import MappingProxyType
@@ -294,14 +298,41 @@ class _LineFeedEnded:
 _JSON_ONLY = frozenset((dict, list, bool))
 # The columns of combined_row before its metadata.
 _ROW_FIELDS = MEASUREMENT_FIELDS + SOLUTION_FIELDS
-# The types whose CSV text write_solution builds itself: ``str`` gives a
-# float its ``repr``, and a None is an empty field.
-_NONE = type(None)
-_PLAIN = frozenset((str, float, _NONE))
 
 
 def _csv_value(value: object) -> object:
     return json.dumps(value) if type(value) in _JSON_ONLY else value
+
+
+def _json_line(m: MeasurementRecord, s: SolutionRecord) -> str | None:
+    """``json.dumps(combined_row(m, s))`` and a line feed, as one f-string,
+    or None when a number is not finite (json writes ``NaN``, not the
+    ``repr``) or the metadata names a record field or is not text. Text is
+    escaped by the function ``json.dumps`` escapes it with, which raises
+    TypeError on any other type, as the sum of the numbers does on a value
+    that is not one."""
+    rec_id, u1, u2, u3, psi1, psi2, meta = m
+    _, u1p, u2p, u3p, residual, status, diagnostics = s
+    try:
+        # A finite sum has finite terms; a None adds 0.
+        if not isfinite(u1 + u2 + u3 + (psi1 or 0.0) + (psi2 or 0.0) + (u1p or 0.0)
+                        + (u2p or 0.0) + (u3p or 0.0) + (residual or 0.0)):
+            return None
+        if meta and not _KNOWN_FIELDS.isdisjoint(meta):
+            return None
+        tail = "".join([f", {_json_text(k)}: {_json_text(v)}" for k, v in meta.items()])
+        return (f'{{"id": {_json_text(rec_id)}, '
+                f'"u1": {u1!r}, "u2": {u2!r}, "u3": {u3!r}, '
+                f'"psi1": {"null" if psi1 is None else repr(psi1)}, '
+                f'"psi2": {"null" if psi2 is None else repr(psi2)}, '
+                f'"u1p": {"null" if u1p is None else repr(u1p)}, '
+                f'"u2p": {"null" if u2p is None else repr(u2p)}, '
+                f'"u3p": {"null" if u3p is None else repr(u3p)}, '
+                f'"max_residual": {"null" if residual is None else repr(residual)}, '
+                f'"status": {_json_text(status)}, '
+                f'"diagnostics": {_json_text(diagnostics)}{tail}}}\n')
+    except TypeError:  # a value the template cannot carry
+        return None
 
 
 class RowWriter:
@@ -316,46 +347,68 @@ class RowWriter:
         self._stream = stream
         self._fmt = fmt
         self._csv_writer = None
-        # The CSV header's metadata columns, after _ROW_FIELDS.
+        # The CSV header's metadata columns, after _ROW_FIELDS, and the
+        # separators of a line as wide as the header.
         self._meta_fields: tuple[str, ...] = ()
+        self._separators = 0
 
     def write_solution(self, m: MeasurementRecord, s: SolutionRecord) -> None:
-        """Write ``combined_row(m, s)``.
+        """Write ``combined_row(m, s)`` in the bytes of ``json.dumps`` or
+        the csv module.
 
-        A CSV row of text, floats and Nones is joined into its line
-        directly. The csv writer writes the row's values instead when its
-        text needs quoting (a comma, a quote, CR or LF) or holds a NUL,
-        which the csv module handles differently by Python version, or when
-        a value is of another type. A float's ``repr`` holds none of those
-        characters, so the text alone decides. Metadata that names a record
-        field, which ``combined_row`` lets override that field, is read
-        from ``combined_row`` in header order.
+        The stream's line template takes a float as its ``repr``, None as
+        null or an empty field, and text as it is or JSON-escaped. The
+        reference encoder writes what the template cannot carry: metadata
+        that is not text or names a record field (``combined_row`` lets it
+        override that field), a JSON number that is not finite, and a CSV
+        line that needs quoting. The finished line decides that: it must
+        hold one separator fewer than the header has columns and no quote,
+        CR, LF or NUL (which the csv module writes differently by Python
+        version); no float's ``repr`` holds one.
         """
         if self._fmt == "jsonl":
-            self._stream.write(json.dumps(combined_row(m, s)) + "\n")
+            line = _json_line(m, s)
+            if line is None:
+                line = json.dumps(combined_row(m, s)) + "\n"
+            self._stream.write(line)
             return
         if self._csv_writer is None:
             fields = tuple(combined_row(m, s))
             self._meta_fields = fields[len(_ROW_FIELDS):]
+            self._separators = len(fields) - 1
             self._csv_writer = csv.writer(_LineFeedEnded(self._stream),
                                           lineterminator="\r\n")
             self._csv_writer.writerow(fields)
-        meta = m.meta
-        if _KNOWN_FIELDS.isdisjoint(meta):
-            # combined_row's values in _ROW_FIELDS order, then the metadata.
-            values = (*m[:6], *s[1:], *map(meta.get, self._meta_fields))
+        line = self._csv_line(m, s)
+        if type(line) is str:
+            self._stream.write(line)
         else:
-            row = combined_row(m, s)
-            values = tuple(map(row.get, _ROW_FIELDS + self._meta_fields))
-        kinds = set(map(type, values))
-        if not kinds <= _PLAIN:
-            self._csv_writer.writerow(map(_csv_value, values))
-            return
-        text = "".join([v for v in values if type(v) is str])
-        if "," in text or '"' in text or "\r" in text or "\n" in text or "\0" in text:
-            self._csv_writer.writerow(values)
-        elif _NONE in kinds:
-            self._stream.write(",".join(["" if v is None else str(v) for v in values])
-                               + "\n")
-        else:
-            self._stream.write(",".join(map(str, values)) + "\n")
+            self._csv_writer.writerow(line)
+
+    def _csv_line(self, m: MeasurementRecord, s: SolutionRecord) -> str | list:
+        """The row as one line of the header's columns, or the values the
+        csv module writes instead: the same texts when the line needs
+        quoting, and ``combined_row``'s values when the template cannot
+        carry them."""
+        rec_id, u1, u2, u3, psi1, psi2, meta = m
+        _, u1p, u2p, u3p, residual, status, diagnostics = s
+        if not meta or _KNOWN_FIELDS.isdisjoint(meta):
+            texts = [rec_id, repr(u1), repr(u2), repr(u3),
+                     "" if psi1 is None else repr(psi1),
+                     "" if psi2 is None else repr(psi2),
+                     "" if u1p is None else repr(u1p),
+                     "" if u2p is None else repr(u2p),
+                     "" if u3p is None else repr(u3p),
+                     "" if residual is None else repr(residual), status, diagnostics,
+                     *[meta.get(name, "") for name in self._meta_fields]]
+            try:
+                line = ",".join(texts)
+            except TypeError:  # a value that is not text
+                pass
+            else:
+                if (line.count(",") == self._separators and '"' not in line
+                        and "\r" not in line and "\n" not in line and "\0" not in line):
+                    return line + "\n"
+                return texts
+        row = combined_row(m, s)
+        return [_csv_value(row.get(name)) for name in _ROW_FIELDS + self._meta_fields]

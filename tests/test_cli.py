@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from conftest import E1_DISTANCES, E1_EDGES
-from starsolve import cli
+from starsolve import cli, oracle_kernel
 from starsolve.cli import main, solve_record, verify_record
 from starsolve.kernel import ANGLES_120, circle_distances, line_voltage_kernel
 from starsolve.records import (
@@ -469,10 +469,10 @@ def test_explicit_120_deg_row_decides_like_empty_psi(monkeypatch, capsys):
 def test_verify_runs_distance_sum_oracle_on_explicit_120_deg(monkeypatch):
     m = MeasurementRecord("e1", *E1_EDGES.as_tuple(), 120.0, 120.0)
     s = SolutionRecord("e1", *E1_DISTANCES, 0.0, STATUS_OK)
-    # cli calls the oracle's float entry by its module-level name.
+    # cli reads the oracle's float entry from its module on each call.
     calls = []
-    minimize = cli.distance_sum_minimum
-    monkeypatch.setattr(cli, "distance_sum_minimum", lambda *edges, **kw:
+    minimize = oracle_kernel.distance_sum_minimum
+    monkeypatch.setattr(oracle_kernel, "distance_sum_minimum", lambda *edges, **kw:
                         calls.append(edges) or minimize(*edges, **kw))
     assert verify_record(m, s, 1e-8)[0]
     assert len(calls) == 1

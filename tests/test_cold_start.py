@@ -1,7 +1,8 @@
 """A fresh interpreter that imports ``starsolve.cli``, or solves, verifies
-or synthesizes rows through it, loads only the float kernels and the
-oracle's float entries: no value type, no oracle module, and none of the
-standard-library modules that only they or a failing row need.
+or synthesizes rows through it, loads only the float kernels: no value
+type, no oracle module, and none of the standard-library modules that only
+they or a failing row need. The oracle's float entries load only for a
+verify of a 120-deg row and for synth, which alone call them.
 
 Each case runs in its own interpreter and compares ``sys.modules`` after
 the case with a snapshot taken before it, so what the environment itself
@@ -19,11 +20,12 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# Modules a solve never needs: the value types and the oracle, and the
-# standard-library modules that they or a failing row's traceback pull in.
+# Modules a solve never needs: the value types, the oracle and its float
+# entries, and the standard-library modules that they or a failing row's
+# traceback pull in.
 NOT_ON_SOLVE = {"dataclasses", "inspect", "traceback", "random", "starsolve.oracle",
-                "starsolve.geometry", "starsolve.general", "starsolve.fermat",
-                "starsolve.circuit"}
+                "starsolve.oracle_kernel", "starsolve.geometry", "starsolve.general",
+                "starsolve.fermat", "starsolve.circuit"}
 
 GENERAL_CSV = "id,u1,u2,u3,psi1,psi2\nm,380,410,395,115,123\n"
 SYMMETRIC_JSONL = '{"id": "m", "u1": 400, "u2": 400, "u3": 400}\n'
@@ -85,7 +87,7 @@ def test_verify_of_a_120_deg_row_loads_no_value_type_and_no_oracle(tmp_path):
     path.write_text(SYMMETRIC_SOLVED)
     loaded = loaded_by(run_main(["verify"], path))
     assert "starsolve.oracle_kernel" in loaded
-    assert not loaded & NOT_ON_SOLVE
+    assert not loaded & NOT_ON_SOLVE - {"starsolve.oracle_kernel"}
 
 
 @pytest.mark.parametrize("extra", [[], ["--symmetric"]], ids=["general", "symmetric"])
@@ -94,4 +96,4 @@ def test_synth_loads_no_value_type_and_no_oracle(extra):
                        "sys.stdout = io.StringIO()\n"
                        f"assert main({['synth', '--count', '3', *extra]!r}) == 0\n")
     assert "starsolve.oracle_kernel" in loaded
-    assert not loaded & NOT_ON_SOLVE - {"random"}
+    assert not loaded & NOT_ON_SOLVE - {"random", "starsolve.oracle_kernel"}

@@ -9,8 +9,9 @@ another tolerance, plus the status mapping written out below.
 must be the one the value types, the circle route and the oracle give,
 in the messages written out below.
 ``RowWriter.write_solution``
-joins a CSV row into its line itself, so it must write the bytes that the
-csv module writes through ``_LineFeedEnded`` for any id and metadata.
+writes a row through its stream's line template, so it must write the
+bytes that the csv module writes through ``_LineFeedEnded``, or that
+``json.dumps`` writes, for any id, number and metadata.
 ``kernel.line_voltage_kernel`` evaluates the closed form and its interior
 test in one frame, so it must return, bit for bit, what the kept helpers
 return when called one after another, and the invariant kernels what
@@ -306,14 +307,17 @@ def test_verify_record_is_the_library_route(case, scale, tolerance):
     assert verify_record(m, s, tolerance) == library_verdict(m, s, tolerance)
 
 
-# Text, now and then with one of the characters that decide CSV quoting
-# or that the csv module handles by Python version.
+# Text, now and then with one of the characters that decide CSV quoting,
+# that the csv module handles by Python version, or that JSON escapes.
 PLAIN_TEXT = st.text(st.characters(exclude_characters=',"\r\n\x00'), max_size=6)
 TEXT = st.one_of(PLAIN_TEXT, PLAIN_TEXT, st.tuples(
-    PLAIN_TEXT, st.sampled_from(',"\r\n\x00'), PLAIN_TEXT).map("".join))
+    PLAIN_TEXT, st.sampled_from(',"\r\n\x00\\\x1f\xfc\u2028'), PLAIN_TEXT).map("".join))
 META_VALUE = st.one_of(TEXT, st.none(), st.integers(), st.floats(), st.booleans(),
                        st.lists(st.integers(), max_size=2))
-NUMBER = st.floats(allow_nan=False, allow_infinity=False)
+# A finite float, now and then one that JSON writes as NaN or Infinity.
+NUMBER = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([math.nan, math.inf, -math.inf]))
 
 
 @st.composite
@@ -326,7 +330,9 @@ def solved_rows(draw) -> list[tuple[MeasurementRecord, SolutionRecord]]:
     for _ in range(draw(st.integers(1, 4))):
         rec_id = draw(st.one_of(TEXT, TEXT, TEXT, TEXT, st.integers()))
         psi = draw(st.one_of(st.none(), st.tuples(NUMBER, NUMBER)))
-        meta = {key: draw(values) for key in keys if draw(st.integers(0, 5))}
+        # Each row's keys in its own order; the first row's fix the CSV header.
+        meta = {key: draw(values) for key in draw(st.permutations(keys))
+                if draw(st.integers(0, 5))}
         m = MeasurementRecord(rec_id, draw(NUMBER), draw(NUMBER), draw(NUMBER),
                               *(psi or (None, None)), meta)
         if draw(st.booleans()):
@@ -349,8 +355,16 @@ def written(write) -> tuple[str, str | None]:
     return stream.getvalue(), None
 
 
+def text_row(rec_id: str, u1: float, meta: dict) -> tuple:
+    """An ok row with text metadata."""
+    return (MeasurementRecord(rec_id, u1, 4.0, 5.0, meta=meta),
+            SolutionRecord(rec_id, 1.5, 2.5, 3.5, 0.0, STATUS_OK))
+
+
 @SETTINGS
 @given(solved_rows())
+@example([text_row("a", 3.0, {"site": "x", "note": "y"}),
+          text_row("b", 3.0, {"note": "z", "site": "w"})])
 def test_csv_lines_are_the_csv_module_bytes(rows):
     def by_csv_module(stream):
         writer = csv.writer(_LineFeedEnded(stream), lineterminator="\r\n")
@@ -367,6 +381,20 @@ def test_csv_lines_are_the_csv_module_bytes(rows):
             writer.write_solution(m, s)
 
     assert written(by_row_writer) == written(by_csv_module)
+
+
+@SETTINGS
+@given(solved_rows())
+@example([text_row("Z\xfcrich\\", 3.0, {"site": "\x1f\u2028"}),
+          text_row("a", 3.0, {"status": "raw"}),
+          text_row("b", math.nan, {})])
+def test_json_lines_are_the_json_module_bytes(rows):
+    stream = io.StringIO()
+    writer = RowWriter(stream, "jsonl")
+    for m, s in rows:
+        writer.write_solution(m, s)
+    assert stream.getvalue() == "".join(json.dumps(combined_row(m, s)) + "\n"
+                                        for m, s in rows)
 
 
 def reference_kernel(edges: tuple, angles: tuple, tolerance: float) -> tuple:
