@@ -134,9 +134,10 @@ def distance_sum_minimum(a: float, b: float, c: float, max_iter: int = 10_000,
     weighted mean of the vertices (Tohoku Math. J. 43, 1937). On a vertex
     the Vardi-Zhang step (PNAS 97(4), 2000) moves (1 - 1/r) of the way to
     the weighted mean of the other two, r > 1 being the length of the sum
-    of unit vectors toward them. ``iterations`` counts these steps. One
-    pass over the vertices gives the distances from X, and from them f(X),
-    the gradient, the Hessian and Weiszfeld's weights.
+    of unit vectors toward them. ``iterations`` counts these steps. At each
+    X a first pass over the vertices gives the distances from X, f(X) and
+    the gradient, and so the certificate below; only if that fails does a
+    second pass form the Hessian and Weiszfeld's weights for the step.
 
     ``start`` = (distance to B, distance to C), in the units of the edges,
     starts the iteration instead at the point at those distances on A's
@@ -187,21 +188,13 @@ def distance_sum_minimum(a: float, b: float, c: float, max_iter: int = 10_000,
         distances = [math.hypot(vx - x, vy - y) for vx, vy in vertices]
         fx = sum(distances)
         on_vertex = 0.0 in distances
-        # Over the vertices X is not on: the unit vectors toward them (their
-        # sum is minus the gradient), the Hessian, and Weiszfeld's weights.
-        px = py = hxx = hxy = hyy = wsum = wx = wy = 0.0
+        # Minus the gradient: the sum of the unit vectors toward the
+        # vertices X is not on.
+        px = py = 0.0
         for (vx, vy), d in zip(vertices, distances):
-            if d == 0.0:
-                continue
-            ux, uy = (vx - x) / d, (vy - y) / d
-            px += ux
-            py += uy
-            hxx += (1.0 - ux * ux) / d
-            hxy -= ux * uy / d
-            hyy += (1.0 - uy * uy) / d
-            wsum += 1.0 / d
-            wx += vx / d
-            wy += vy / d
+            if d != 0.0:
+                px += (vx - x) / d
+                py += (vy - y) / d
         pull = math.hypot(px, py)
         if not on_vertex and pull * max(distances) <= GAP_CERTIFICATE * fx:
             return (math.ldexp(x + ox, exponent), math.ldexp(y + oy, exponent),
@@ -209,6 +202,17 @@ def distance_sum_minimum(a: float, b: float, c: float, max_iter: int = 10_000,
         if iterations == max_iter:
             break
 
+        # The Hessian and Weiszfeld's weights, over the same vertices.
+        hxx = hxy = hyy = wsum = wx = wy = 0.0
+        for (vx, vy), d in zip(vertices, distances):
+            if d != 0.0:
+                ux, uy = (vx - x) / d, (vy - y) / d
+                hxx += (1.0 - ux * ux) / d
+                hxy -= ux * uy / d
+                hyy += (1.0 - uy * uy) / d
+                wsum += 1.0 / d
+                wx += vx / d
+                wy += vy / d
         det = hxx * hyy - hxy * hxy
         if not on_vertex and det > 0.0:
             nx = x + (hyy * px - hxy * py) / det

@@ -14,7 +14,9 @@ In CSV a JSON object, array or boolean in the metadata is written as its
 JSON text, since the CSV has no other way to carry it.
 
 A CSV header is resolved to column positions once per stream, and each
-row is read by position; both record types are immutable named tuples.
+row is read by position into immutable named tuples, its numbers all
+converted at once and tested finite by their sum; a row that fails is
+converted again, field by field, by ``_number``, which names the field.
 Each output stream writes a row through one line template; the csv module
 and ``json.dumps`` write the rows it cannot carry, and the bytes are theirs
 either way (see :meth:`RowWriter.write_solution`).
@@ -25,20 +27,24 @@ from __future__ import annotations
 import csv
 import json
 from json.encoder import encode_basestring_ascii as _json_text
-from math import isfinite
+from math import inf, isfinite
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, TextIO
 
 MEASUREMENT_FIELDS = ("id", "u1", "u2", "u3", "psi1", "psi2")
 SOLUTION_FIELDS = ("u1p", "u2p", "u3p", "max_residual", "status", "diagnostics")
-# Every other field of an input row is metadata.
-_KNOWN_FIELDS = frozenset(MEASUREMENT_FIELDS + SOLUTION_FIELDS)
+# The columns of combined_row before its metadata; every other field of an
+# input row is metadata.
+_ROW_FIELDS = MEASUREMENT_FIELDS + SOLUTION_FIELDS
+_KNOWN_FIELDS = frozenset(_ROW_FIELDS)
 # The JSON values a field takes. Any other in a known field is a parse
 # error: true would read as 1.0, an object or array be written as its repr.
 _JSON_SCALARS = frozenset((str, int, float, type(None)))
 # No metadata: one shared empty mapping, which nothing can change.
 _NO_META: Mapping[str, object] = MappingProxyType({})
+_ABSENT = (None, "")  # how an absent field mostly reads: null, or an empty CSV field
+_new = tuple.__new__  # a record from a tuple of its fields, skipping the generated __new__
 
 STATUS_OK = "ok"
 STATUS_INFEASIBLE = "infeasible"
@@ -97,9 +103,7 @@ def format_for_path(path: str) -> str | None:
     lower = path.lower()
     if lower.endswith((".jsonl", ".ndjson", ".json")):
         return "jsonl"
-    if lower.endswith(".csv"):
-        return "csv"
-    return None
+    return "csv" if lower.endswith(".csv") else None
 
 
 def _not_text(text: str) -> str | None:
@@ -193,7 +197,7 @@ def _json_rows(lines: Iterator[str], fields: tuple[str, ...]
                 if isinstance(text, str) and (reason := _not_text(text)):
                     raise ParseError(line_no, f"string {text!r}: {reason}")
         if not _JSON_SCALARS.issuperset(map(type, obj.values())):
-            for key in MEASUREMENT_FIELDS + SOLUTION_FIELDS:
+            for key in _ROW_FIELDS:
                 if isinstance(obj.get(key), (bool, dict, list)):
                     raise ParseError(line_no, f"field {key!r} is not a number "
                                               f"or a string: {obj[key]!r}")
@@ -203,19 +207,18 @@ def _json_rows(lines: Iterator[str], fields: tuple[str, ...]
 
 def _number(value: object, key: str, line_no: int,
             required: bool = True) -> float | None:
-    """``value`` as a finite float. An absent value (None or blank text) is
-    an error if ``required``, else None."""
-    if value is not None and value != "":
+    """``value`` as a finite float, or a ParseError naming ``key``. An absent
+    value (None or blank text) is an error if ``required``, else None."""
+    if value is not None and (not isinstance(value, str) or value.strip()):
         try:
             number = float(value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            if not (isinstance(value, str) and value.isspace()):
-                raise ParseError(line_no, f"field {key!r} is not a number: "
-                                          f"{value!r}") from exc
-        else:
-            if not isfinite(number):
-                raise ParseError(line_no, f"field {key!r} is not finite: {value!r}")
-            return number
+        except OverflowError:  # a JSON integer beyond the float range
+            number = inf
+        except (TypeError, ValueError) as exc:
+            raise ParseError(line_no, f"field {key!r} is not a number: {value!r}") from exc
+        if not isfinite(number):
+            raise ParseError(line_no, f"field {key!r} is not finite: {value!r}")
+        return number
     if required:
         raise ParseError(line_no, f"missing required field {key!r}")
     return None
@@ -224,31 +227,44 @@ def _number(value: object, key: str, line_no: int,
 def _measurement(line_no: int, rec_id: object, u1: object, u2: object, u3: object,
                  psi1: object, psi2: object, meta: dict) -> MeasurementRecord:
     rec_id = f"record-{line_no}" if rec_id is None or rec_id == "" else str(rec_id)
-    u1 = _number(u1, "u1", line_no)
-    u2 = _number(u2, "u2", line_no)
-    u3 = _number(u3, "u3", line_no)
+    try:  # every number at once; if that fails, field by field below
+        u1f, u2f, u3f, psi1f, psi2f = float(u1), float(u2), float(u3), None, None
+        if psi1 not in _ABSENT or psi2 not in _ABSENT:
+            psi1f, psi2f = float(psi1), float(psi2)
+        if isfinite(u1f + u2f + u3f + (psi1f or 0.0) + (psi2f or 0.0)):
+            return _new(MeasurementRecord, (rec_id, u1f, u2f, u3f, psi1f, psi2f, meta))
+    except (TypeError, ValueError, OverflowError):
+        pass
+    u1, u2, u3 = (_number(u1, "u1", line_no), _number(u2, "u2", line_no),
+                  _number(u3, "u3", line_no))
     psi1 = _number(psi1, "psi1", line_no, required=False)
     psi2 = _number(psi2, "psi2", line_no, required=False)
     if (psi1 is None) != (psi2 is None):
         raise ParseError(line_no, "psi1 and psi2 must both be present or both absent")
-    return MeasurementRecord(rec_id, u1, u2, u3, psi1, psi2, meta)
+    return _new(MeasurementRecord, (rec_id, u1, u2, u3, psi1, psi2, meta))
 
 
 def _solution(line_no: int, rec_id: str, u1p: object, u2p: object, u3p: object,
-              max_residual: object, status: object,
-              diagnostics: object) -> SolutionRecord | None:
+              residual: object, status: object, diagnostics: object) -> SolutionRecord | None:
     """Solution fields of a combined row, or None if the row carries none."""
-    u1p = _number(u1p, "u1p", line_no, required=False)
-    u2p = _number(u2p, "u2p", line_no, required=False)
-    u3p = _number(u3p, "u3p", line_no, required=False)
-    status = str(status or "").strip()
-    if u1p is None and u2p is None and u3p is None and not status:
+    status, diagnostics = str(status or "").strip(), str(diagnostics or "")
+    if u1p not in _ABSENT:  # not a failure row, whose conversion would only raise
+        try:  # every number at once; if that fails, field by field below
+            u1f, u2f, u3f = float(u1p), float(u2p), float(u3p)
+            residual_f = None if residual in _ABSENT else float(residual)
+            if isfinite(u1f + u2f + u3f + (residual_f or 0.0)):
+                return _new(SolutionRecord, (rec_id, u1f, u2f, u3f, residual_f,
+                                             status or STATUS_OK, diagnostics))
+        except (TypeError, ValueError, OverflowError):
+            pass
+    voltages = [_number(value, key, line_no, required=False)
+                for value, key in zip((u1p, u2p, u3p), SOLUTION_FIELDS)]
+    if voltages == [None, None, None] and not status:
         return None
-    if (u1p is None or u2p is None or u3p is None) and status in ("", STATUS_OK):
+    if None in voltages and status in ("", STATUS_OK):
         raise ParseError(line_no, "incomplete solution: u1p, u2p, u3p required")
-    return SolutionRecord(rec_id, u1p, u2p, u3p,
-                          _number(max_residual, "max_residual", line_no, required=False),
-                          status or STATUS_OK, str(diagnostics or ""))
+    residual = _number(residual, "max_residual", line_no, required=False)
+    return _new(SolutionRecord, (rec_id, *voltages, residual, status or STATUS_OK, diagnostics))
 
 
 def read_measurements(lines: Iterable[str], fmt: str) -> Iterator[MeasurementRecord]:
@@ -258,9 +274,11 @@ def read_measurements(lines: Iterable[str], fmt: str) -> Iterator[MeasurementRec
 
 def read_pairs(lines: Iterable[str], fmt: str) -> Iterator[
         tuple[MeasurementRecord, SolutionRecord | None]]:
-    for line_no, values, meta in _rows(lines, fmt, MEASUREMENT_FIELDS + SOLUTION_FIELDS):
-        measurement = _measurement(line_no, *values[:6], meta)
-        yield measurement, _solution(line_no, measurement.id, *values[6:])
+    for line_no, (rec_id, u1, u2, u3, psi1, psi2, u1p, u2p, u3p, residual, status,
+                  diagnostics), meta in _rows(lines, fmt, _ROW_FIELDS):
+        measurement = _measurement(line_no, rec_id, u1, u2, u3, psi1, psi2, meta)
+        yield measurement, _solution(line_no, measurement.id, u1p, u2p, u3p, residual,
+                                     status, diagnostics)
 
 
 # =========================================================================
@@ -269,15 +287,7 @@ def read_pairs(lines: Iterable[str], fmt: str) -> Iterator[
 
 def combined_row(m: MeasurementRecord, s: SolutionRecord) -> dict:
     """Measurement fields, echoed for pipeline chaining, plus the solution."""
-    row: dict[str, object] = {
-        "id": m.id,
-        "u1": m.u1, "u2": m.u2, "u3": m.u3,
-        "psi1": m.psi1, "psi2": m.psi2,
-        "u1p": s.u1p, "u2p": s.u2p, "u3p": s.u3p,
-        "max_residual": s.max_residual,
-        "status": s.status,
-        "diagnostics": s.diagnostics,
-    }
+    row = dict(zip(_ROW_FIELDS, (*m[:6], *s[1:])))
     row.update(m.meta)
     return row
 
@@ -296,12 +306,6 @@ class _LineFeedEnded:
 
 # JSON values that CSV has no text for; a CSV row carries them as JSON text.
 _JSON_ONLY = frozenset((dict, list, bool))
-# The columns of combined_row before its metadata.
-_ROW_FIELDS = MEASUREMENT_FIELDS + SOLUTION_FIELDS
-
-
-def _csv_value(value: object) -> object:
-    return json.dumps(value) if type(value) in _JSON_ONLY else value
 
 
 def _json_line(m: MeasurementRecord, s: SolutionRecord) -> str | None:
@@ -344,9 +348,7 @@ class RowWriter:
     def __init__(self, stream: TextIO, fmt: str):
         if fmt not in ("csv", "jsonl"):
             raise ValueError(f"unknown format {fmt!r}")
-        self._stream = stream
-        self._fmt = fmt
-        self._csv_writer = None
+        self._stream, self._fmt, self._csv_writer = stream, fmt, None
         # The CSV header's metadata columns, after _ROW_FIELDS, and the
         # separators of a line as wide as the header.
         self._meta_fields: tuple[str, ...] = ()
@@ -367,10 +369,7 @@ class RowWriter:
         version); no float's ``repr`` holds one.
         """
         if self._fmt == "jsonl":
-            line = _json_line(m, s)
-            if line is None:
-                line = json.dumps(combined_row(m, s)) + "\n"
-            self._stream.write(line)
+            self._stream.write(_json_line(m, s) or json.dumps(combined_row(m, s)) + "\n")
             return
         if self._csv_writer is None:
             fields = tuple(combined_row(m, s))
@@ -411,4 +410,5 @@ class RowWriter:
                     return line + "\n"
                 return texts
         row = combined_row(m, s)
-        return [_csv_value(row.get(name)) for name in _ROW_FIELDS + self._meta_fields]
+        return [json.dumps(value) if type(value) in _JSON_ONLY else value
+                for value in map(row.get, _ROW_FIELDS + self._meta_fields)]

@@ -198,8 +198,8 @@ def test_solve_command_parse_error_exit_1(monkeypatch, capsys):
 def test_integer_beyond_float_range_is_parse_error(command, monkeypatch, capsys):
     stdin = '{"id": "m", "u1": 1' + "0" * 400 + ', "u2": 1, "u3": 1}\n'
     code, _, err = run_cli([command, "-"], monkeypatch, capsys, stdin_text=stdin)
-    assert code == 1
-    assert err.startswith("star-solve: line 1: field 'u1' is not a number")
+    assert (code, err) == (1, "star-solve: line 1: field 'u1' is not finite: "
+                              f"1{'0' * 400}\n")
 
 
 def test_csv_field_over_reader_limit_is_parse_error(monkeypatch, capsys):
@@ -240,8 +240,10 @@ GOOD_JSON_LINE = '{"id": "a", "u1": 400, "u2": 400, "u3": 400}\n'
      "line 2: incomplete solution: u1p, u2p, u3p required"),
     ("solve", "\n" + GOOD_JSON_LINE + "[1, 2]\n", "line 3: each JSON line must be an object"),
     ("solve", "\nid,u1,u2,u3\nm,400,x,400\n", "line 3: field 'u2' is not a number: 'x'"),
+    ("verify", GOOD_JSON_LINE + '{"id": "b", "u1": 400, "u2": 400, "u3": 1' + "0" * 400
+     + "}\n", "line 2: field 'u3' is not finite: 1" + "0" * 400),
 ], ids=["invalid-json", "json-array", "incomplete-solution", "json-after-blank",
-        "csv-after-blank"])
+        "csv-after-blank", "json-integer-beyond-float-range"])
 def test_bad_record_after_a_good_one_is_parse_error(command, stdin, message,
                                                     monkeypatch, capsys):
     code, _, err = run_cli([command, "-"], monkeypatch, capsys, stdin_text=stdin)

@@ -20,9 +20,12 @@ the triangle by comparisons, so it must return what the route rotated by
 tuple slices returns. The oracle's value-type functions wrap the float
 entries of ``oracle_kernel`` that the CLI calls, so each must return, bit
 for bit, what its entry returns, and draw from the generator as it does.
-``oracle_kernel.distance_sum_minimum`` sums f(X) in the pass that gives
-its derivatives, so it must return, bit for bit, what the route that sums
-f in a pass of its own returns.
+``oracle_kernel.distance_sum_minimum`` sums f(X) over the distances of its
+first pass and forms the Hessian only when the certificate fails, so it
+must return, bit for bit, what the route that sums f in a pass of its own
+and forms every derivative in one pass returns. ``read_measurements`` and
+``read_pairs`` convert a row's numbers together, so they must return what
+a field-by-field conversion returns, or raise its error.
 """
 
 from __future__ import annotations
@@ -84,15 +87,21 @@ from starsolve.oracle_kernel import (
     planted_edges,
 )
 from starsolve.records import (
+    MEASUREMENT_FIELDS,
+    SOLUTION_FIELDS,
     STATUS_ANGLE_GE_120,
     STATUS_INCONSISTENT,
     STATUS_INFEASIBLE,
     STATUS_OK,
     MeasurementRecord,
+    ParseError,
     RowWriter,
     SolutionRecord,
     _LineFeedEnded,
+    _rows,
     combined_row,
+    read_measurements,
+    read_pairs,
 )
 
 SETTINGS = settings(max_examples=300, deadline=None,
@@ -395,6 +404,159 @@ def test_json_lines_are_the_json_module_bytes(rows):
         writer.write_solution(m, s)
     assert stream.getvalue() == "".join(json.dumps(combined_row(m, s)) + "\n"
                                         for m, s in rows)
+
+
+def reference_number(value: object, key: str, line_no: int,
+                     required: bool = True) -> float | None:
+    """A field as a finite float, converted on its own; an absent one (None,
+    empty or only whitespace) is an error if ``required``, else None."""
+    if value is not None and value != "":
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            raise ParseError(line_no, f"field {key!r} is not finite: {value!r}") from None
+        except (TypeError, ValueError):
+            if not (isinstance(value, str) and value.isspace()):
+                raise ParseError(line_no, f"field {key!r} is not a number: "
+                                          f"{value!r}") from None
+        else:
+            if not math.isfinite(number):
+                raise ParseError(line_no, f"field {key!r} is not finite: {value!r}")
+            return number
+    if required:
+        raise ParseError(line_no, f"missing required field {key!r}")
+    return None
+
+
+def reference_measurement(line_no, rec_id, u1, u2, u3, psi1, psi2, meta):
+    """A measurement converted field by field, in field order."""
+    rec_id = f"record-{line_no}" if rec_id is None or rec_id == "" else str(rec_id)
+    u1 = reference_number(u1, "u1", line_no)
+    u2 = reference_number(u2, "u2", line_no)
+    u3 = reference_number(u3, "u3", line_no)
+    psi1 = reference_number(psi1, "psi1", line_no, required=False)
+    psi2 = reference_number(psi2, "psi2", line_no, required=False)
+    if (psi1 is None) != (psi2 is None):
+        raise ParseError(line_no, "psi1 and psi2 must both be present or both absent")
+    return MeasurementRecord(rec_id, u1, u2, u3, psi1, psi2, meta)
+
+
+def reference_solution(line_no, rec_id, u1p, u2p, u3p, max_residual, status, diagnostics):
+    """A solution converted field by field, the residual last; None when
+    the row carries no solution fields."""
+    u1p = reference_number(u1p, "u1p", line_no, required=False)
+    u2p = reference_number(u2p, "u2p", line_no, required=False)
+    u3p = reference_number(u3p, "u3p", line_no, required=False)
+    status = str(status or "").strip()
+    if u1p is None and u2p is None and u3p is None and not status:
+        return None
+    if (u1p is None or u2p is None or u3p is None) and status in ("", STATUS_OK):
+        raise ParseError(line_no, "incomplete solution: u1p, u2p, u3p required")
+    return SolutionRecord(rec_id, u1p, u2p, u3p,
+                          reference_number(max_residual, "max_residual", line_no,
+                                           required=False),
+                          status or STATUS_OK, str(diagnostics or ""))
+
+
+def reference_measurements(lines: list, fmt: str) -> list:
+    return [reference_measurement(line_no, *values, meta)
+            for line_no, values, meta in _rows(lines, fmt, MEASUREMENT_FIELDS)]
+
+
+def reference_pairs(lines: list, fmt: str) -> list:
+    pairs = []
+    for line_no, values, meta in _rows(lines, fmt, MEASUREMENT_FIELDS + SOLUTION_FIELDS):
+        m = reference_measurement(line_no, *values[:6], meta)
+        pairs.append((m, reference_solution(line_no, m.id, *values[6:])))
+    return pairs
+
+
+def as_read(records) -> tuple:
+    """The records, a pair's two in turn, each as its class and its fields
+    with every float as its exact hex text."""
+    flat = []
+    for record in records:
+        flat.extend(record if type(record) is tuple else (record,))
+    return tuple((type(r), hexed(tuple(r))) if r is not None else None for r in flat)
+
+
+# A field as (CSV text, JSON text); a JSON text of None leaves the key out.
+ABSENT = st.sampled_from([("", None), ("", "null"), ("", '""'), ("  ", '" "')])
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+INTEGER = st.integers(-10 ** 20, 10 ** 20)
+NUMBER_FIELD = st.one_of(
+    FINITE.map(lambda x: (repr(x), repr(x))),
+    FINITE.map(lambda x: (f" {x!r} ", json.dumps(f" {x!r} "))),
+    INTEGER.map(lambda i: (str(i), str(i))),
+    INTEGER.map(lambda i: (str(i), json.dumps(str(i)))))
+# A number field that is absent, not finite or not a number.
+ODD_FIELD = st.one_of(ABSENT, st.sampled_from([
+    ("nan", "NaN"), ("inf", "Infinity"), ("-inf", '"-inf"'), ("1e400", "1e400"),
+    ("1" + "0" * 400, "1" + "0" * 400), ("x", '"x"'), ("1.5", "[1.5]")]))
+STATUS_FIELD = st.sampled_from([(" ok ", '" ok "'), ("ok", '"ok"'), ("", '""'), ("", None),
+                                ("0", "0"), ("5", "5"), ("infeasible", '"infeasible"')])
+TEXT_FIELDS = {
+    "id": st.sampled_from([("m", '"m"'), ("7", "7"), ("", '""'), ("", None)]),
+    "diagnostics": st.sampled_from([("0", "0"), ("false", "false"), ("", '""'),
+                                    ("", None), ("", "null"), ("note", '"note"')]),
+}
+
+
+@st.composite
+def record_row(draw) -> dict:
+    """A row's fields: numbers, psi present or absent, and a solution that
+    is complete, a failure's or none. Now and then one number field is odd:
+    absent, which leaves a lone psi or an incomplete solution, or not a
+    finite number."""
+    row = {key: draw(NUMBER_FIELD) for key in ("u1", "u2", "u3", "psi1", "psi2")}
+    row.update((key, draw(strategy)) for key, strategy in TEXT_FIELDS.items())
+    if draw(st.booleans()):
+        row["psi1"], row["psi2"] = draw(ABSENT), draw(ABSENT)
+    solution = ("u1p", "u2p", "u3p", "max_residual")
+    shape = draw(st.sampled_from(["solved", "solved", "failure", "none"]))
+    row.update((key, draw(NUMBER_FIELD if shape == "solved" else ABSENT)) for key in solution)
+    if shape == "solved" and draw(st.booleans()):
+        row["max_residual"] = draw(ABSENT)
+    row["status"] = (draw(STATUS_FIELD) if shape != "failure"
+                     else draw(st.sampled_from([("infeasible", '"infeasible"'),
+                                                (" angle_ge_120", '" angle_ge_120"')])))
+    odd = draw(st.one_of(st.none(), st.sampled_from(MEASUREMENT_FIELDS[1:] + solution)))
+    if odd is not None:
+        row[odd] = draw(ODD_FIELD)
+    return row
+
+
+@st.composite
+def record_lines(draw) -> tuple[list, str]:
+    """One to three rows as CSV, now and then a column left out of the
+    header, or as JSON lines, with a metadata field each."""
+    fmt = draw(st.sampled_from(["csv", "jsonl"]))
+    fields = MEASUREMENT_FIELDS + SOLUTION_FIELDS
+    rows = draw(st.lists(record_row(), min_size=1, max_size=3))
+    if fmt == "csv":
+        header = [key for key in fields if draw(st.integers(0, 15))]
+        return [",".join(header + ["site"]) + "\n"] + [
+            ",".join([row[key][0] for key in header] + ["s"]) + "\n" for row in rows], fmt
+    return ["{" + "".join(f'"{key}": {row[key][1]}, ' for key in fields
+                          if row[key][1] is not None) + '"site": "s"}\n' for row in rows], fmt
+
+
+@SETTINGS
+@given(record_lines())
+# A psi of only whitespace is absent, and a lone psi an error; psi inf is
+# not finite; padded text is a number, and a diagnostics of 0 is empty;
+# u3p 1e400 is not finite.
+@example((["id,u1,u2,u3,psi1,psi2\n", "m,1,1,1,  ,\n", "n,1,1,1,120,\n"], "csv"))
+@example((["id,u1,u2,u3,psi1,psi2\n", "m,1,1,1,120,inf\n"], "csv"))
+@example((['{"u1": 1, "u2": 1, "u3": 1, "u1p": " 1 ", "u2p": 1, "u3p": 1, "diagnostics": 0}\n'],
+          "jsonl"))
+@example((['{"u1": 1, "u2": 2, "u3": 2.5, "u1p": 1, "u2p": 1, "u3p": 1e400}\n'], "jsonl"))
+def test_readers_are_the_per_field_route(case):
+    lines, fmt = case
+    for read, reference in ((read_measurements, reference_measurements),
+                            (read_pairs, reference_pairs)):
+        assert (outcome(lambda: as_read(read(lines, fmt)))
+                == outcome(lambda: as_read(reference(lines, fmt))))
 
 
 def reference_kernel(edges: tuple, angles: tuple, tolerance: float) -> tuple:
@@ -781,6 +943,10 @@ def oracle_inputs(draw) -> tuple:
 
 # A 150-deg corner at A, between edges 2 and 3.
 WIDE_AT_A = (math.sqrt(13.0 - 12.0 * math.cos(math.radians(150.0))), 2.0, 3.0)
+# A point at distances (1, 2, 1.5) from A, B, C that sees each edge under
+# 120 deg, and the triangle around it.
+PLANTED_120 = (1.0, 2.0, 1.5)
+EDGES_120 = law_of_cosines(PLANTED_120, (120.0, 120.0, 120.0))
 
 
 @SETTINGS
@@ -788,6 +954,12 @@ WIDE_AT_A = (math.sqrt(13.0 - 12.0 * math.cos(math.radians(150.0))), 2.0, 3.0)
 @example((WIDE_AT_A, None), 0)
 @example((WIDE_AT_A[2:] + WIDE_AT_A[:2], None), 0)
 @example((WIDE_AT_A[1:] + WIDE_AT_A[:1], None), 0)
+# Started on the planted point: certified before any step, so with no
+# Hessian formed.
+@example((EDGES_120, PLANTED_120[1:]), 0)
+@example((EDGES_120, PLANTED_120[1:]), 1)
+# Started on vertex C, at distance a from B: the on-vertex step comes first.
+@example((EDGES_120, (EDGES_120[0], 0.0)), 20)
 def test_distance_sum_minimum_is_the_two_pass_route_bit_for_bit(case, max_iter):
     edges, start = case
     assert (outcome(distance_sum_minimum, *edges, max_iter, start)
