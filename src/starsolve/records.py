@@ -17,9 +17,11 @@ A CSV header is resolved to column positions once per stream, and each
 row is read by position into immutable named tuples, its numbers all
 converted at once and tested finite by their sum; a row that fails is
 converted again, field by field, by ``_number``, which names the field.
-Each output stream writes a row through one line template; the csv module
-and ``json.dumps`` write the rows it cannot carry, and the bytes are theirs
-either way (see :meth:`RowWriter.write_solution`).
+So a record holds a text id, finite numbers and metadata that names no
+record field, and these are the records :class:`RowWriter` takes. Each
+output stream writes a row through one line template in the bytes of
+``json.dumps`` or the csv module, which only quotes (see
+:meth:`RowWriter.write_solution`).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, TextIO
 
 MEASUREMENT_FIELDS = ("id", "u1", "u2", "u3", "psi1", "psi2")
 SOLUTION_FIELDS = ("u1p", "u2p", "u3p", "max_residual", "status", "diagnostics")
-# The columns of combined_row before its metadata; every other field of an
+# The columns of an output row before its metadata; every other field of an
 # input row is metadata.
 _ROW_FIELDS = MEASUREMENT_FIELDS + SOLUTION_FIELDS
 _KNOWN_FIELDS = frozenset(_ROW_FIELDS)
@@ -246,7 +248,7 @@ def _measurement(line_no: int, rec_id: object, u1: object, u2: object, u3: objec
 
 def _solution(line_no: int, rec_id: str, u1p: object, u2p: object, u3p: object,
               residual: object, status: object, diagnostics: object) -> SolutionRecord | None:
-    """Solution fields of a combined row, or None if the row carries none."""
+    """Solution fields of a row, or None if the row carries none."""
     status, diagnostics = str(status or "").strip(), str(diagnostics or "")
     if u1p not in _ABSENT:  # not a failure row, whose conversion would only raise
         try:  # every number at once; if that fails, field by field below
@@ -259,11 +261,11 @@ def _solution(line_no: int, rec_id: str, u1p: object, u2p: object, u3p: object,
             pass
     voltages = [_number(value, key, line_no, required=False)
                 for value, key in zip((u1p, u2p, u3p), SOLUTION_FIELDS)]
+    residual = _number(residual, "max_residual", line_no, required=False)
     if voltages == [None, None, None] and not status:
         return None
     if None in voltages and status in ("", STATUS_OK):
         raise ParseError(line_no, "incomplete solution: u1p, u2p, u3p required")
-    residual = _number(residual, "max_residual", line_no, required=False)
     return _new(SolutionRecord, (rec_id, *voltages, residual, status or STATUS_OK, diagnostics))
 
 
@@ -285,13 +287,6 @@ def read_pairs(lines: Iterable[str], fmt: str) -> Iterator[
 # Writing
 # =========================================================================
 
-def combined_row(m: MeasurementRecord, s: SolutionRecord) -> dict:
-    """Measurement fields, echoed for pipeline chaining, plus the solution."""
-    row = dict(zip(_ROW_FIELDS, (*m[:6], *s[1:])))
-    row.update(m.meta)
-    return row
-
-
 class _LineFeedEnded:
     """Passes the csv writer's CRLF-ended lines on ended by LF alone. The
     writer quotes a field holding a bare CR only when CR is part of its line
@@ -308,42 +303,37 @@ class _LineFeedEnded:
 _JSON_ONLY = frozenset((dict, list, bool))
 
 
-def _json_line(m: MeasurementRecord, s: SolutionRecord) -> str | None:
-    """``json.dumps(combined_row(m, s))`` and a line feed, as one f-string,
-    or None when a number is not finite (json writes ``NaN``, not the
-    ``repr``) or the metadata names a record field or is not text. Text is
-    escaped by the function ``json.dumps`` escapes it with, which raises
-    TypeError on any other type, as the sum of the numbers does on a value
-    that is not one."""
+def _json_line(m: MeasurementRecord, s: SolutionRecord) -> str:
+    """The row as one JSON object and a line feed, in the bytes of
+    ``json.dumps``: the measurement's fields, echoed for pipeline chaining,
+    the solution's, then the metadata. A float is its ``repr``, as json
+    writes a finite one; text is escaped by the function ``json.dumps``
+    escapes it with, and any other metadata value is ``json.dumps``'s."""
     rec_id, u1, u2, u3, psi1, psi2, meta = m
     _, u1p, u2p, u3p, residual, status, diagnostics = s
-    try:
-        # A finite sum has finite terms; a None adds 0.
-        if not isfinite(u1 + u2 + u3 + (psi1 or 0.0) + (psi2 or 0.0) + (u1p or 0.0)
-                        + (u2p or 0.0) + (u3p or 0.0) + (residual or 0.0)):
-            return None
-        if meta and not _KNOWN_FIELDS.isdisjoint(meta):
-            return None
-        tail = "".join([f", {_json_text(k)}: {_json_text(v)}" for k, v in meta.items()])
-        return (f'{{"id": {_json_text(rec_id)}, '
-                f'"u1": {u1!r}, "u2": {u2!r}, "u3": {u3!r}, '
-                f'"psi1": {"null" if psi1 is None else repr(psi1)}, '
-                f'"psi2": {"null" if psi2 is None else repr(psi2)}, '
-                f'"u1p": {"null" if u1p is None else repr(u1p)}, '
-                f'"u2p": {"null" if u2p is None else repr(u2p)}, '
-                f'"u3p": {"null" if u3p is None else repr(u3p)}, '
-                f'"max_residual": {"null" if residual is None else repr(residual)}, '
-                f'"status": {_json_text(status)}, '
-                f'"diagnostics": {_json_text(diagnostics)}{tail}}}\n')
-    except TypeError:  # a value the template cannot carry
-        return None
+    tail = "".join([f", {_json_text(k)}: "
+                    f"{_json_text(v) if type(v) is str else json.dumps(v)}"
+                    for k, v in meta.items()])
+    return (f'{{"id": {_json_text(rec_id)}, '
+            f'"u1": {u1!r}, "u2": {u2!r}, "u3": {u3!r}, '
+            f'"psi1": {"null" if psi1 is None else repr(psi1)}, '
+            f'"psi2": {"null" if psi2 is None else repr(psi2)}, '
+            f'"u1p": {"null" if u1p is None else repr(u1p)}, '
+            f'"u2p": {"null" if u2p is None else repr(u2p)}, '
+            f'"u3p": {"null" if u3p is None else repr(u3p)}, '
+            f'"max_residual": {"null" if residual is None else repr(residual)}, '
+            f'"status": {_json_text(status)}, '
+            f'"diagnostics": {_json_text(diagnostics)}{tail}}}\n')
 
 
 class RowWriter:
-    """Streaming writer of ``combined_row(m, s)``, through one entry,
-    :meth:`write_solution`. None is an empty CSV field or JSON null, and a
-    float keeps every digit. The first row's keys fix the CSV header: a
-    later row's other keys are dropped and its missing ones written empty."""
+    """Streaming writer of solved rows, through one entry,
+    :meth:`write_solution`. It takes the records the readers and
+    ``cli.solve_record`` make: a text id, finite numbers, or None on a
+    failure row, and metadata whose keys name no record field. None is an
+    empty CSV field or JSON null, and a float keeps every digit. The first
+    row's metadata keys fix the CSV header: a later row's other keys are
+    dropped and its missing ones written empty."""
 
     def __init__(self, stream: TextIO, fmt: str):
         if fmt not in ("csv", "jsonl"):
@@ -355,60 +345,44 @@ class RowWriter:
         self._separators = 0
 
     def write_solution(self, m: MeasurementRecord, s: SolutionRecord) -> None:
-        """Write ``combined_row(m, s)`` in the bytes of ``json.dumps`` or
-        the csv module.
+        """Write the row of ``m`` and ``s`` in the bytes of ``json.dumps``
+        or the csv module: the measurement's fields, the solution's, then
+        the metadata.
 
-        The stream's line template takes a float as its ``repr``, None as
-        null or an empty field, and text as it is or JSON-escaped. The
-        reference encoder writes what the template cannot carry: metadata
-        that is not text or names a record field (``combined_row`` lets it
-        override that field), a JSON number that is not finite, and a CSV
-        line that needs quoting. The finished line decides that: it must
-        hold one separator fewer than the header has columns and no quote,
-        CR, LF or NUL (which the csv module writes differently by Python
-        version); no float's ``repr`` holds one.
+        Each stream writes the row through its line template, which takes a
+        float as its ``repr``, None as null or an empty field, and text as
+        it is or JSON-escaped. The csv module only quotes: it is handed the
+        same texts when a field holds a comma, a quote, CR or LF, which the
+        finished line shows (no float's ``repr`` holds one), and when
+        metadata is not text, an object, array or boolean as its JSON text.
         """
         if self._fmt == "jsonl":
-            self._stream.write(_json_line(m, s) or json.dumps(combined_row(m, s)) + "\n")
+            self._stream.write(_json_line(m, s))
             return
         if self._csv_writer is None:
-            fields = tuple(combined_row(m, s))
-            self._meta_fields = fields[len(_ROW_FIELDS):]
-            self._separators = len(fields) - 1
+            self._meta_fields = tuple(m.meta)
+            self._separators = len(_ROW_FIELDS) + len(self._meta_fields) - 1
             self._csv_writer = csv.writer(_LineFeedEnded(self._stream),
                                           lineterminator="\r\n")
-            self._csv_writer.writerow(fields)
-        line = self._csv_line(m, s)
-        if type(line) is str:
-            self._stream.write(line)
-        else:
-            self._csv_writer.writerow(line)
-
-    def _csv_line(self, m: MeasurementRecord, s: SolutionRecord) -> str | list:
-        """The row as one line of the header's columns, or the values the
-        csv module writes instead: the same texts when the line needs
-        quoting, and ``combined_row``'s values when the template cannot
-        carry them."""
+            self._csv_writer.writerow(_ROW_FIELDS + self._meta_fields)
         rec_id, u1, u2, u3, psi1, psi2, meta = m
         _, u1p, u2p, u3p, residual, status, diagnostics = s
-        if not meta or _KNOWN_FIELDS.isdisjoint(meta):
-            texts = [rec_id, repr(u1), repr(u2), repr(u3),
-                     "" if psi1 is None else repr(psi1),
-                     "" if psi2 is None else repr(psi2),
-                     "" if u1p is None else repr(u1p),
-                     "" if u2p is None else repr(u2p),
-                     "" if u3p is None else repr(u3p),
-                     "" if residual is None else repr(residual), status, diagnostics,
-                     *[meta.get(name, "") for name in self._meta_fields]]
-            try:
-                line = ",".join(texts)
-            except TypeError:  # a value that is not text
-                pass
-            else:
-                if (line.count(",") == self._separators and '"' not in line
-                        and "\r" not in line and "\n" not in line and "\0" not in line):
-                    return line + "\n"
-                return texts
-        row = combined_row(m, s)
-        return [json.dumps(value) if type(value) in _JSON_ONLY else value
-                for value in map(row.get, _ROW_FIELDS + self._meta_fields)]
+        texts = [rec_id, repr(u1), repr(u2), repr(u3),
+                 "" if psi1 is None else repr(psi1),
+                 "" if psi2 is None else repr(psi2),
+                 "" if u1p is None else repr(u1p),
+                 "" if u2p is None else repr(u2p),
+                 "" if u3p is None else repr(u3p),
+                 "" if residual is None else repr(residual), status, diagnostics,
+                 *[meta.get(name, "") for name in self._meta_fields]]
+        try:
+            line = ",".join(texts)
+        except TypeError:  # metadata that is not text
+            self._csv_writer.writerow([json.dumps(value) if type(value) in _JSON_ONLY
+                                       else value for value in texts])
+            return
+        if (line.count(",") == self._separators and '"' not in line
+                and "\r" not in line and "\n" not in line):
+            self._stream.write(line + "\n")
+        else:  # a field the csv module quotes
+            self._csv_writer.writerow(texts)

@@ -7,6 +7,12 @@ from random import Random
 
 from starsolve import PhaseAngles, SynthesisSpec, TriangleEdges, synthesize_triangle
 from starsolve.oracle import random_synthesis_spec
+from starsolve.records import (
+    MEASUREMENT_FIELDS,
+    SOLUTION_FIELDS,
+    MeasurementRecord,
+    SolutionRecord,
+)
 
 
 def rel_err(value: float, expected: float, floor: float = 0.0) -> float:
@@ -17,6 +23,16 @@ def shoelace_area(p1, p2, p3) -> float:
     """Signed-area oracle from raw coordinates; independent of every solver."""
     (x1, y1), (x2, y2), (x3, y3) = p1, p2, p3
     return abs(x1 * (y2 - y3) + x2 * (y3 - y1) + x3 * (y1 - y2)) / 2.0
+
+
+def combined_row(m: MeasurementRecord, s: SolutionRecord) -> dict:
+    """The reference output row of a solved record: the measurement's
+    fields, echoed for pipeline chaining, the solution's, then the
+    metadata. ``RowWriter`` must write its bytes through ``json.dumps`` or
+    the csv module."""
+    row = dict(zip(MEASUREMENT_FIELDS + SOLUTION_FIELDS, (*m[:6], *s[1:])))
+    row.update(m.meta)
+    return row
 
 
 def planted_fermat_instance(rng: Random, seed: int = 0):

@@ -30,7 +30,6 @@ from starsolve.records import (
     ParseError,
     SolutionRecord,
     _LineFeedEnded,
-    combined_row,
     detect_format,
     read_measurements,
     read_pairs,
@@ -242,8 +241,16 @@ GOOD_JSON_LINE = '{"id": "a", "u1": 400, "u2": 400, "u3": 400}\n'
     ("solve", "\nid,u1,u2,u3\nm,400,x,400\n", "line 3: field 'u2' is not a number: 'x'"),
     ("verify", GOOD_JSON_LINE + '{"id": "b", "u1": 400, "u2": 400, "u3": 1' + "0" * 400
      + "}\n", "line 2: field 'u3' is not finite: 1" + "0" * 400),
+    # A residual that is not a number is an error with or without a status.
+    ("verify", "id,u1,u2,u3,psi1,psi2,u1p,u2p,u3p,max_residual,status,diagnostics\n"
+               "m,400,400,400,,,,,,oops,,\n",
+     "line 2: field 'max_residual' is not a number: 'oops'"),
+    ("verify", GOOD_JSON_LINE + '{"id": "b", "u1": 400, "u2": 400, "u3": 400, '
+               '"max_residual": "oops"}\n',
+     "line 2: field 'max_residual' is not a number: 'oops'"),
 ], ids=["invalid-json", "json-array", "incomplete-solution", "json-after-blank",
-        "csv-after-blank", "json-integer-beyond-float-range"])
+        "csv-after-blank", "json-integer-beyond-float-range", "csv-residual-no-status",
+        "json-residual-no-status"])
 def test_bad_record_after_a_good_one_is_parse_error(command, stdin, message,
                                                     monkeypatch, capsys):
     code, _, err = run_cli([command, "-"], monkeypatch, capsys, stdin_text=stdin)
@@ -949,10 +956,3 @@ def test_pipeline_synth_solve_verify(seed, extra, monkeypatch, capsys):
                                   stdin_text=solve_out)
     assert code == 0
     assert "0 failed" in verify_out
-
-
-def test_combined_row_echoes_measurement():
-    m = MeasurementRecord("m", 1.0, 1.0, 1.0, None, None, {"site": "x"})
-    s = SolutionRecord("m", 0.5, 0.5, 0.5, 1e-16, STATUS_OK, "")
-    row = combined_row(m, s)
-    assert row["u1"] == 1.0 and row["u1p"] == 0.5 and row["site"] == "x"

@@ -11,7 +11,8 @@ in the messages written out below.
 ``RowWriter.write_solution``
 writes a row through its stream's line template, so it must write the
 bytes that the csv module writes through ``_LineFeedEnded``, or that
-``json.dumps`` writes, for any id, number and metadata.
+``json.dumps`` writes, for any record the readers can make: a text id,
+finite numbers and metadata that names no record field.
 ``kernel.line_voltage_kernel`` evaluates the closed form and its interior
 test in one frame, so it must return, bit for bit, what the kept helpers
 return when called one after another, and the invariant kernels what
@@ -25,7 +26,8 @@ first pass and forms the Hessian only when the certificate fails, so it
 must return, bit for bit, what the route that sums f in a pass of its own
 and forms every derivative in one pass returns. ``read_measurements`` and
 ``read_pairs`` convert a row's numbers together, so they must return what
-a field-by-field conversion returns, or raise its error.
+a field-by-field conversion returns, or raise its error, and only records
+of the kind the writer takes.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from random import Random
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from conftest import combined_row
 from starsolve import (
     AngleAtLeast120,
     AngleOutOfRange,
@@ -99,7 +102,6 @@ from starsolve.records import (
     SolutionRecord,
     _LineFeedEnded,
     _rows,
-    combined_row,
     read_measurements,
     read_pairs,
 )
@@ -316,28 +318,31 @@ def test_verify_record_is_the_library_route(case, scale, tolerance):
     assert verify_record(m, s, tolerance) == library_verdict(m, s, tolerance)
 
 
-# Text, now and then with one of the characters that decide CSV quoting,
-# that the csv module handles by Python version, or that JSON escapes.
+# Text as the readers give it, without a NUL, now and then with one of the
+# characters that decide CSV quoting or that JSON escapes.
 PLAIN_TEXT = st.text(st.characters(exclude_characters=',"\r\n\x00'), max_size=6)
 TEXT = st.one_of(PLAIN_TEXT, PLAIN_TEXT, st.tuples(
-    PLAIN_TEXT, st.sampled_from(',"\r\n\x00\\\x1f\xfc\u2028'), PLAIN_TEXT).map("".join))
+    PLAIN_TEXT, st.sampled_from(',"\r\n\\\x1f\xfc\u2028'), PLAIN_TEXT).map("".join))
+# Any value JSON-lines metadata can hold, NaN included.
 META_VALUE = st.one_of(TEXT, st.none(), st.integers(), st.floats(), st.booleans(),
                        st.lists(st.integers(), max_size=2))
-# A finite float, now and then one that JSON writes as NaN or Infinity.
-NUMBER = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
-                   st.floats(allow_nan=False, allow_infinity=False),
-                   st.sampled_from([math.nan, math.inf, -math.inf]))
+# A metadata key: any text but a record field's name.
+META_KEY = st.one_of(st.sampled_from(["site", "note"]), TEXT).filter(
+    lambda key: key not in MEASUREMENT_FIELDS + SOLUTION_FIELDS)
+NUMBER = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
 def solved_rows(draw) -> list[tuple[MeasurementRecord, SolutionRecord]]:
-    keys = draw(st.lists(st.one_of(st.sampled_from(["site", "note", "status"]), TEXT),
-                         max_size=3, unique=True))
+    """Rows as the readers and ``solve_record`` make them: a text id,
+    finite numbers, or None on a failure row, and metadata keys that name
+    no record field."""
+    keys = draw(st.lists(META_KEY, max_size=3, unique=True))
     # Text alone, or any value now and then.
     values = draw(st.sampled_from([TEXT, META_VALUE]))
     rows = []
     for _ in range(draw(st.integers(1, 4))):
-        rec_id = draw(st.one_of(TEXT, TEXT, TEXT, TEXT, st.integers()))
+        rec_id = draw(TEXT)
         psi = draw(st.one_of(st.none(), st.tuples(NUMBER, NUMBER)))
         # Each row's keys in its own order; the first row's fix the CSV header.
         meta = {key: draw(values) for key in draw(st.permutations(keys))
@@ -354,18 +359,8 @@ def solved_rows(draw) -> list[tuple[MeasurementRecord, SolutionRecord]]:
     return rows
 
 
-def written(write) -> tuple[str, str | None]:
-    """What ``write(stream)`` wrote, and the name of the csv error it raised."""
-    stream = io.StringIO()
-    try:
-        write(stream)
-    except csv.Error as exc:  # a NUL, on Python 3.10
-        return stream.getvalue(), type(exc).__name__
-    return stream.getvalue(), None
-
-
 def text_row(rec_id: str, u1: float, meta: dict) -> tuple:
-    """An ok row with text metadata."""
+    """An ok row with the given metadata."""
     return (MeasurementRecord(rec_id, u1, 4.0, 5.0, meta=meta),
             SolutionRecord(rec_id, 1.5, 2.5, 3.5, 0.0, STATUS_OK))
 
@@ -374,29 +369,28 @@ def text_row(rec_id: str, u1: float, meta: dict) -> tuple:
 @given(solved_rows())
 @example([text_row("a", 3.0, {"site": "x", "note": "y"}),
           text_row("b", 3.0, {"note": "z", "site": "w"})])
+@example([text_row('a,"b"', 3.0, {"site": "two\nlines", "note": [1]}),
+          text_row("c", 3.0, {"note": math.nan, "site": "cr\r"})])
 def test_csv_lines_are_the_csv_module_bytes(rows):
-    def by_csv_module(stream):
-        writer = csv.writer(_LineFeedEnded(stream), lineterminator="\r\n")
-        fields = tuple(combined_row(*rows[0]))
-        writer.writerow(fields)
-        for m, s in rows:
-            row = combined_row(m, s)
-            writer.writerow([json.dumps(v) if type(v) in (dict, list, bool) else v
-                             for v in map(row.get, fields)])
-
-    def by_row_writer(stream):
-        writer = RowWriter(stream, "csv")
-        for m, s in rows:
-            writer.write_solution(m, s)
-
-    assert written(by_row_writer) == written(by_csv_module)
+    expected = io.StringIO()
+    by_csv_module = csv.writer(_LineFeedEnded(expected), lineterminator="\r\n")
+    fields = tuple(combined_row(*rows[0]))
+    by_csv_module.writerow(fields)
+    stream = io.StringIO()
+    writer = RowWriter(stream, "csv")
+    for m, s in rows:
+        row = combined_row(m, s)
+        by_csv_module.writerow([json.dumps(v) if type(v) in (dict, list, bool) else v
+                                for v in map(row.get, fields)])
+        writer.write_solution(m, s)
+    assert stream.getvalue() == expected.getvalue()
 
 
 @SETTINGS
 @given(solved_rows())
 @example([text_row("Z\xfcrich\\", 3.0, {"site": "\x1f\u2028"}),
-          text_row("a", 3.0, {"status": "raw"}),
-          text_row("b", math.nan, {})])
+          text_row("a", 3.0, {"n": 3, "flag": True, "gap": None, "list": [1],
+                              "x": math.nan})])
 def test_json_lines_are_the_json_module_bytes(rows):
     stream = io.StringIO()
     writer = RowWriter(stream, "jsonl")
@@ -442,20 +436,19 @@ def reference_measurement(line_no, rec_id, u1, u2, u3, psi1, psi2, meta):
 
 
 def reference_solution(line_no, rec_id, u1p, u2p, u3p, max_residual, status, diagnostics):
-    """A solution converted field by field, the residual last; None when
-    the row carries no solution fields."""
+    """A solution converted field by field, in field order; None when the
+    row carries no voltages and no status."""
     u1p = reference_number(u1p, "u1p", line_no, required=False)
     u2p = reference_number(u2p, "u2p", line_no, required=False)
     u3p = reference_number(u3p, "u3p", line_no, required=False)
+    max_residual = reference_number(max_residual, "max_residual", line_no, required=False)
     status = str(status or "").strip()
     if u1p is None and u2p is None and u3p is None and not status:
         return None
     if (u1p is None or u2p is None or u3p is None) and status in ("", STATUS_OK):
         raise ParseError(line_no, "incomplete solution: u1p, u2p, u3p required")
-    return SolutionRecord(rec_id, u1p, u2p, u3p,
-                          reference_number(max_residual, "max_residual", line_no,
-                                           required=False),
-                          status or STATUS_OK, str(diagnostics or ""))
+    return SolutionRecord(rec_id, u1p, u2p, u3p, max_residual, status or STATUS_OK,
+                          str(diagnostics or ""))
 
 
 def reference_measurements(lines: list, fmt: str) -> list:
@@ -557,6 +550,28 @@ def test_readers_are_the_per_field_route(case):
                             (read_pairs, reference_pairs)):
         assert (outcome(lambda: as_read(read(lines, fmt)))
                 == outcome(lambda: as_read(reference(lines, fmt))))
+        try:  # every record read before a parse error, too
+            for record in read(lines, fmt):
+                assert_writer_takes(*(record if type(record) is tuple else (record, None)))
+        except ParseError:
+            pass
+
+
+def assert_writer_takes(m: MeasurementRecord, s: SolutionRecord | None) -> None:
+    """``m`` and ``s`` are the kind of record ``RowWriter`` takes: a text
+    id, finite floats (None only where a field is optional), and metadata
+    that names no record field."""
+    def finite(value: object, optional: bool) -> bool:
+        return (value is None and optional
+                or type(value) is float and math.isfinite(value))
+
+    assert type(m.id) is str
+    assert all(finite(x, False) for x in (m.u1, m.u2, m.u3))
+    assert all(finite(x, True) for x in (m.psi1, m.psi2))
+    assert not set(m.meta) & set(MEASUREMENT_FIELDS + SOLUTION_FIELDS)
+    if s is not None:
+        assert type(s.id) is str
+        assert all(finite(x, True) for x in (s.u1p, s.u2p, s.u3p, s.max_residual))
 
 
 def reference_kernel(edges: tuple, angles: tuple, tolerance: float) -> tuple:
