@@ -20,7 +20,7 @@ from .config import RESIDUAL_TOL
 from .fermat import ALL_120
 from .general import general_distances_closed_form, validate_angles
 from .geometry import ORIGIN, PhaseAngles, TriangleEdges, embed_triangle
-from .kernel import closure_residuals, line_voltage_kernel
+from .kernel import closure_defects, line_voltage_kernel
 
 
 @dataclass(frozen=True)
@@ -165,9 +165,16 @@ def verify_solution(u: PhaseToPhaseVoltages, lv: LineVoltages,
     triangle over its two line voltages and phase difference.
 
     u1^2 = u2p^2 + u3p^2 - 2 u2p u3p cos(psi1), cyclically. Passes iff
-    every relative residual is below ``tolerance``.
+    every relative residual is below ``tolerance``. The claim is checked on
+    the unit triangle of ``u``, divided by the same power of two.
     """
-    residuals = closure_residuals((u.u1, u.u2, u.u3), angles.cos, lv.as_tuple())
+    t = u.to_edges()
+    try:
+        claim = tuple(math.ldexp(x, -t.exponent) for x in lv.as_tuple())
+    except OverflowError:  # beyond the float range on the unit triangle
+        residuals = (math.inf, math.inf, math.inf)
+    else:
+        residuals = closure_defects(t.unit_sq, angles.cos, claim)
     worst = max(residuals)
     return ResidualReport(residuals=residuals, max_residual=worst,
                           tolerance=tolerance, passed=worst <= tolerance)

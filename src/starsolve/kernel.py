@@ -2,9 +2,10 @@
 
 Every formula a CLI row passes through lives here once, on plain floats:
 the triangle and angle invariants, the closed form and the circle route
-on the unit triangle, the wide-angle gate and the closure residuals. The
-value types of :mod:`starsolve.geometry`, :mod:`starsolve.general`,
-:mod:`starsolve.fermat` and :mod:`starsolve.circuit` wrap these kernels.
+on the unit triangle, the wide-angle gate and the one residual function,
+:func:`closure_defects`. The value types of :mod:`starsolve.geometry`,
+:mod:`starsolve.general`, :mod:`starsolve.fermat` and
+:mod:`starsolve.circuit` wrap these kernels.
 This module imports nothing but :mod:`math`, :mod:`starsolve.config` and
 :mod:`starsolve.errors`, so a CLI start loads no value type.
 
@@ -166,8 +167,19 @@ def point_position(a: float, a2: float, b_prime: float,
 def closure_defects(squares: tuple[float, float, float],
                     cosines: tuple[float, float, float],
                     distances: tuple[float, float, float]) -> tuple[float, float, float]:
-    """:func:`closure_residuals` from the squared edges and the cosines of
-    the viewing angles; every length on one scale."""
+    """Relative defects of the three law-of-cosines closure equations, from
+    the squared edges, the cosines of the viewing angles and the distances,
+    every length on one scale.
+
+    Edge a must satisfy a^2 = b'^2 + c'^2 - 2 b' c' cos(psi_a), cyclically;
+    ``cosines`` holds cos(psi_a), cos(psi_b), cos(psi_c).
+    In the circuit picture this is the mesh rule: each phase-to-phase
+    voltage closes the triangle over its two line voltages. The defects
+    are dimensionless, so callers pass the unit triangle of
+    :func:`edge_invariants` and the distances divided by the same power of
+    two, which leaves their bits unchanged and keeps the squares in range
+    at any scale.
+    """
     a2, b2, c2 = squares
     cos_a, cos_b, cos_c = cosines
     a_p, b_p, c_p = distances
@@ -175,26 +187,6 @@ def closure_defects(squares: tuple[float, float, float],
     r_b = abs(c_p * c_p + a_p * a_p - 2.0 * c_p * a_p * cos_b - b2) / b2
     r_c = abs(a_p * a_p + b_p * b_p - 2.0 * a_p * b_p * cos_c - c2) / c2
     return (r_a, r_b, r_c)
-
-
-def closure_residuals(edges: tuple[float, float, float],
-                      cosines: tuple[float, float, float],
-                      distances: tuple[float, float, float]) -> tuple[float, float, float]:
-    """Relative defects of the three law-of-cosines closure equations.
-
-    Edge a must satisfy a^2 = b'^2 + c'^2 - 2 b' c' cos(psi_a), cyclically;
-    ``cosines`` holds cos(psi_a), cos(psi_b), cos(psi_c).
-    In the circuit picture this is the mesh rule: each phase-to-phase
-    voltage closes the triangle over its two line voltages. The defects
-    are dimensionless, so the lengths are first divided by one power of
-    two, which leaves their bits unchanged and keeps the squares in range
-    at any scale.
-    """
-    (a, b, c), (a_p, b_p, c_p) = edges, distances
-    k = -math.frexp(max(a, b, c, a_p, b_p, c_p))[1]
-    a, b, c = math.ldexp(a, k), math.ldexp(b, k), math.ldexp(c, k)
-    unit_distances = (math.ldexp(a_p, k), math.ldexp(b_p, k), math.ldexp(c_p, k))
-    return closure_defects((a * a, b * b, c * c), cosines, unit_distances)
 
 
 # =========================================================================
@@ -328,17 +320,6 @@ def _joint_vertex_distance(s1: float, s2: float, s_opp: float,
 # The wide-angle gate of the 120-deg problem
 # =========================================================================
 
-def vertex_clamped_distances(edges: Triple, vertex: str) -> Triple:
-    """Distances when the minimizing point degenerates onto the named vertex:
-    zero there, adjacent edge lengths at the other two corners."""
-    a, b, c = edges
-    return {
-        "A": (0.0, c, b),
-        "B": (c, 0.0, a),
-        "C": (b, a, 0.0),
-    }[vertex]
-
-
 # Cosine of an angle two EPS_ANG_DEG below the limit. A vertex whose
 # cosine is above it lies below the gate by far more than acos and the
 # degree conversion can round, so the angle itself is only evaluated near
@@ -362,11 +343,14 @@ def check_angles_below_120(exponent: int, unit: Triple, unit_sq: Triple) -> None
     for vertex, cos_val in zip("ABC", cosines):
         angle = math.degrees(math.acos(max(-1.0, min(1.0, cos_val))))
         if angle >= ANGLE_LIMIT_DEG - EPS_ANG_DEG:
-            # A unit edge whose square is not zero is a normal float, so
-            # scaling it back by 2**exponent gives the edge exactly.
-            edges = (math.ldexp(a, exponent), math.ldexp(b, exponent),
-                     math.ldexp(c, exponent))
-            raise AngleAtLeast120(vertex, angle, vertex_clamped_distances(edges, vertex))
+            # The minimizing point degenerates onto the vertex: zero there,
+            # the adjacent edges at the other two corners. A unit edge whose
+            # square is not zero is a normal float, so scaling it back by
+            # 2**exponent gives the edge exactly.
+            a, b, c = (math.ldexp(a, exponent), math.ldexp(b, exponent),
+                       math.ldexp(c, exponent))
+            raise AngleAtLeast120(vertex, angle, (0.0, c, b) if vertex == "A"
+                                  else (c, 0.0, a) if vertex == "B" else (b, a, 0.0))
 
 
 # =========================================================================

@@ -8,7 +8,7 @@ calls them directly. It imports nothing but :mod:`math`, :mod:`sys`,
 :mod:`starsolve.errors` and :mod:`starsolve.kernel`, so no CLI path loads
 a value type, and not :mod:`random` either: the draw takes the caller's
 generator. Of :mod:`starsolve.kernel` it reads the invariants, a position
-and the closure residuals, never a solver formula, so it stays an
+and the residual function, never a solver formula, so it stays an
 independent check on the solvers.
 """
 
@@ -19,7 +19,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from .errors import NoConvergence
-from .kernel import Triple, angle_invariants, closure_residuals, edge_invariants, point_position
+from .kernel import Triple, angle_invariants, closure_defects, edge_invariants, point_position
 
 if TYPE_CHECKING:  # pragma: no cover - the draw takes the caller's generator
     from random import Random
@@ -80,8 +80,12 @@ def planted_edges(distances: Triple, psis: Triple) -> tuple[Triple, Triple]:
     edges = (math.sqrt(b_p * b_p + c_p * c_p - 2.0 * b_p * c_p * cos_a),
              math.sqrt(c_p * c_p + a_p * a_p - 2.0 * c_p * a_p * cos_b),
              math.sqrt(a_p * a_p + b_p * b_p - 2.0 * a_p * b_p * cos_c))
-    edge_invariants(*edges)
-    return edges, closure_residuals(edges, cos, distances)
+    exponent, _, unit_sq, _ = edge_invariants(*edges)
+    # An interior point lies nearer each vertex than the longest edge, so no
+    # distance overflows on the unit triangle.
+    unit_distances = (math.ldexp(a_p, -exponent), math.ldexp(b_p, -exponent),
+                      math.ldexp(c_p, -exponent))
+    return edges, closure_defects(unit_sq, cos, unit_distances)
 
 
 # =========================================================================

@@ -20,8 +20,8 @@ converted again, field by field, by ``_number``, which names the field.
 So a record holds a text id, finite numbers and metadata that names no
 record field, and these are the records :class:`RowWriter` takes. Each
 output stream writes a row through one line template in the bytes of
-``json.dumps`` or the csv module, which only quotes (see
-:meth:`RowWriter.write_solution`).
+``json.dumps`` or the csv module; the writer quotes its own CSV fields,
+and the csv module only reads (see :meth:`RowWriter.write_solution`).
 """
 
 from __future__ import annotations
@@ -287,20 +287,22 @@ def read_pairs(lines: Iterable[str], fmt: str) -> Iterator[
 # Writing
 # =========================================================================
 
-class _LineFeedEnded:
-    """Passes the csv writer's CRLF-ended lines on ended by LF alone. The
-    writer quotes a field holding a bare CR only when CR is part of its line
-    terminator; left unquoted, that CR would end the row for every reader."""
-
-    def __init__(self, stream: TextIO):
-        self._stream = stream
-
-    def write(self, line: str) -> None:
-        self._stream.write(line[:-2] + "\n")
-
-
 # JSON values that CSV has no text for; a CSV row carries them as JSON text.
 _JSON_ONLY = frozenset((dict, list, bool))
+
+
+def _csv_field(value: object) -> str:
+    """``value`` as a CSV field, quoted as the csv module quotes by default
+    (RFC 4180): text that holds a comma, a quote, CR or LF is wrapped in
+    quotes, its quotes doubled. None is empty, an object, array or boolean
+    its JSON text and any other value its ``str``."""
+    if type(value) is not str:
+        if value is None:
+            return ""
+        value = json.dumps(value) if type(value) in _JSON_ONLY else str(value)
+    if "," in value or '"' in value or "\r" in value or "\n" in value:
+        return '"' + value.replace('"', '""') + '"'
+    return value
 
 
 def _json_line(m: MeasurementRecord, s: SolutionRecord) -> str:
@@ -333,16 +335,16 @@ class RowWriter:
     failure row, and metadata whose keys name no record field. None is an
     empty CSV field or JSON null, and a float keeps every digit. The first
     row's metadata keys fix the CSV header: a later row's other keys are
-    dropped and its missing ones written empty."""
+    dropped and its missing ones written empty. The writer quotes its own
+    CSV fields (:func:`_csv_field`); the csv module only reads."""
 
     def __init__(self, stream: TextIO, fmt: str):
         if fmt not in ("csv", "jsonl"):
             raise ValueError(f"unknown format {fmt!r}")
-        self._stream, self._fmt, self._csv_writer = stream, fmt, None
-        # The CSV header's metadata columns, after _ROW_FIELDS, and the
-        # separators of a line as wide as the header.
-        self._meta_fields: tuple[str, ...] = ()
-        self._separators = 0
+        self._stream, self._fmt = stream, fmt
+        # The CSV header's metadata columns, after _ROW_FIELDS; None until
+        # the header is written.
+        self._meta_fields: tuple[str, ...] | None = None
 
     def write_solution(self, m: MeasurementRecord, s: SolutionRecord) -> None:
         """Write the row of ``m`` and ``s`` in the bytes of ``json.dumps``
@@ -350,39 +352,27 @@ class RowWriter:
         the metadata.
 
         Each stream writes the row through its line template, which takes a
-        float as its ``repr``, None as null or an empty field, and text as
-        it is or JSON-escaped. The csv module only quotes: it is handed the
-        same texts when a field holds a comma, a quote, CR or LF, which the
-        finished line shows (no float's ``repr`` holds one), and when
-        metadata is not text, an object, array or boolean as its JSON text.
+        float as its ``repr``, None as null or an empty field, and text
+        JSON-escaped or as :func:`_csv_field` quotes it. A CSV header or
+        row is one join of its field texts; no float's ``repr`` and no
+        status needs quoting, so only the id, the diagnostics and the
+        metadata go through :func:`_csv_field`.
         """
         if self._fmt == "jsonl":
             self._stream.write(_json_line(m, s))
             return
-        if self._csv_writer is None:
+        if self._meta_fields is None:
             self._meta_fields = tuple(m.meta)
-            self._separators = len(_ROW_FIELDS) + len(self._meta_fields) - 1
-            self._csv_writer = csv.writer(_LineFeedEnded(self._stream),
-                                          lineterminator="\r\n")
-            self._csv_writer.writerow(_ROW_FIELDS + self._meta_fields)
+            header = [*_ROW_FIELDS, *map(_csv_field, self._meta_fields)]
+            self._stream.write(",".join(header) + "\n")
         rec_id, u1, u2, u3, psi1, psi2, meta = m
         _, u1p, u2p, u3p, residual, status, diagnostics = s
-        texts = [rec_id, repr(u1), repr(u2), repr(u3),
-                 "" if psi1 is None else repr(psi1),
-                 "" if psi2 is None else repr(psi2),
-                 "" if u1p is None else repr(u1p),
-                 "" if u2p is None else repr(u2p),
-                 "" if u3p is None else repr(u3p),
-                 "" if residual is None else repr(residual), status, diagnostics,
-                 *[meta.get(name, "") for name in self._meta_fields]]
-        try:
-            line = ",".join(texts)
-        except TypeError:  # metadata that is not text
-            self._csv_writer.writerow([json.dumps(value) if type(value) in _JSON_ONLY
-                                       else value for value in texts])
-            return
-        if (line.count(",") == self._separators and '"' not in line
-                and "\r" not in line and "\n" not in line):
-            self._stream.write(line + "\n")
-        else:  # a field the csv module quotes
-            self._csv_writer.writerow(texts)
+        self._stream.write(",".join([
+            _csv_field(rec_id), repr(u1), repr(u2), repr(u3),
+            "" if psi1 is None else repr(psi1),
+            "" if psi2 is None else repr(psi2),
+            "" if u1p is None else repr(u1p),
+            "" if u2p is None else repr(u2p),
+            "" if u3p is None else repr(u3p),
+            "" if residual is None else repr(residual), status, _csv_field(diagnostics),
+            *[_csv_field(meta.get(name)) for name in self._meta_fields]]) + "\n")

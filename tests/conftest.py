@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from random import Random
+from typing import TextIO
 
 from starsolve import PhaseAngles, SynthesisSpec, TriangleEdges, synthesize_triangle
 from starsolve.oracle import random_synthesis_spec
@@ -28,11 +29,24 @@ def shoelace_area(p1, p2, p3) -> float:
 def combined_row(m: MeasurementRecord, s: SolutionRecord) -> dict:
     """The reference output row of a solved record: the measurement's
     fields, echoed for pipeline chaining, the solution's, then the
-    metadata. ``RowWriter`` must write its bytes through ``json.dumps`` or
-    the csv module."""
+    metadata. ``RowWriter`` must write the bytes that ``json.dumps``
+    writes, or that the csv module writes through :class:`LineFeedEnded`."""
     row = dict(zip(MEASUREMENT_FIELDS + SOLUTION_FIELDS, (*m[:6], *s[1:])))
     row.update(m.meta)
     return row
+
+
+class LineFeedEnded:
+    """Passes the csv writer's CRLF-ended lines on ended by LF alone, as
+    ``RowWriter`` ends a CSV line. The writer quotes a field holding a bare
+    CR only when CR is part of its line terminator; left unquoted, that CR
+    would end the row for every reader."""
+
+    def __init__(self, stream: TextIO):
+        self._stream = stream
+
+    def write(self, line: str) -> None:
+        self._stream.write(line[:-2] + "\n")
 
 
 def planted_fermat_instance(rng: Random, seed: int = 0):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import E1_DISTANCES, E1_EDGES
+from conftest import E1_DISTANCES, E1_EDGES, LineFeedEnded
 from starsolve import cli, oracle_kernel
 from starsolve.cli import main, solve_record, verify_record
 from starsolve.kernel import ANGLES_120, circle_distances, line_voltage_kernel
@@ -29,7 +29,6 @@ from starsolve.records import (
     MeasurementRecord,
     ParseError,
     SolutionRecord,
-    _LineFeedEnded,
     detect_format,
     read_measurements,
     read_pairs,
@@ -909,7 +908,7 @@ def test_synth_lines_are_the_csv_module_bytes(extra, monkeypatch, capsys):
                            monkeypatch, capsys)
     assert code == 0
     expected = io.StringIO()
-    writer = csv.writer(_LineFeedEnded(expected), lineterminator="\r\n")
+    writer = csv.writer(LineFeedEnded(expected), lineterminator="\r\n")
     writer.writerow(MEASUREMENT_FIELDS + SOLUTION_FIELDS)
     rng = Random(-3)
     for index in range(50):

@@ -8,11 +8,11 @@ another tolerance, plus the status mapping written out below.
 ``cli.verify_record`` checks a row on the same floats, so its verdict
 must be the one the value types, the circle route and the oracle give,
 in the messages written out below.
-``RowWriter.write_solution``
-writes a row through its stream's line template, so it must write the
-bytes that the csv module writes through ``_LineFeedEnded``, or that
-``json.dumps`` writes, for any record the readers can make: a text id,
-finite numbers and metadata that names no record field.
+``RowWriter.write_solution`` writes a row through its stream's line
+template and quotes its own CSV fields, so it must write the bytes that
+the csv module writes through ``LineFeedEnded``, or that ``json.dumps``
+writes, for any record the readers can make: a text id, finite numbers
+and metadata that names no record field.
 ``kernel.line_voltage_kernel`` evaluates the closed form and its interior
 test in one frame, so it must return, bit for bit, what the kept helpers
 return when called one after another, and the invariant kernels what
@@ -40,7 +40,7 @@ from random import Random
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from conftest import combined_row
+from conftest import LineFeedEnded, combined_row
 from starsolve import (
     AngleAtLeast120,
     AngleOutOfRange,
@@ -100,7 +100,6 @@ from starsolve.records import (
     ParseError,
     RowWriter,
     SolutionRecord,
-    _LineFeedEnded,
     _rows,
     read_measurements,
     read_pairs,
@@ -303,6 +302,12 @@ def failure_rows(draw) -> tuple:
 @SETTINGS
 @given(st.one_of(claimed(), failure_rows()), SCALE,
        st.sampled_from([RESIDUAL_TOL, 1e-14, 1e-3]))
+# A claim 2**1000 times the solution: its squares overflow on the unit
+# triangle, and its residuals are inf on both routes.
+@example(((3.0, 4.0, 5.0), None,
+          tuple(math.ldexp(d, 1000) for d in
+                solve_symmetric_star(PhaseToPhaseVoltages(3.0, 4.0, 5.0)).as_tuple())),
+         1.0, RESIDUAL_TOL)
 def test_verify_record_is_the_library_route(case, scale, tolerance):
     (u1, u2, u3), psi, claim = case
     m = MeasurementRecord("m", u1 * scale, u2 * scale, u3 * scale,
@@ -371,9 +376,13 @@ def text_row(rec_id: str, u1: float, meta: dict) -> tuple:
           text_row("b", 3.0, {"note": "z", "site": "w"})])
 @example([text_row('a,"b"', 3.0, {"site": "two\nlines", "note": [1]}),
           text_row("c", 3.0, {"note": math.nan, "site": "cr\r"})])
+@example([text_row("a", 3.0, {'feeder,"bay"': "x", "site": [1, 2]})])
+@example([(MeasurementRecord("cr\rid", 1.0, 1.0, 1.9),
+           SolutionRecord("cr\rid", None, None, None, None, STATUS_ANGLE_GE_120,
+                          "F1\rB2"))])
 def test_csv_lines_are_the_csv_module_bytes(rows):
     expected = io.StringIO()
-    by_csv_module = csv.writer(_LineFeedEnded(expected), lineterminator="\r\n")
+    by_csv_module = csv.writer(LineFeedEnded(expected), lineterminator="\r\n")
     fields = tuple(combined_row(*rows[0]))
     by_csv_module.writerow(fields)
     stream = io.StringIO()
