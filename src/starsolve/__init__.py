@@ -29,7 +29,8 @@ _EXPORTS = {
     "errors": ("AngleAtLeast120", "AngleOutOfRange", "ConcentricCircles",
                "DegenerateTriangle", "InconsistentMeasurement",
                "InfeasibleConfiguration", "NoConvergence", "NoInteriorIntersection",
-               "NotATriangle", "PhaseDiagnostic", "StarSolveError"),
+               "NotATriangle", "PhaseDiagnostic", "StarSolveError",
+               "UnresolvedConfiguration"),
     "fermat": ("fermat_distances_closed_form", "fermat_solve"),
     "general": ("general_distances_closed_form", "general_solve_by_circles",
                 "validate_angles"),

@@ -123,7 +123,7 @@ def solve_general_star(u: PhaseToPhaseVoltages, psi1: float, psi2: float) -> Lin
 
     ``psi1`` and ``psi2`` are the phase differences of the line voltages
     (degrees); the third is 360 - psi1 - psi2. With both at 120 deg this
-    is :func:`solve_symmetric_star`, wide-angle gate included.
+    is :func:`solve_symmetric_star`, its 120-deg feasibility test included.
     """
     return _line_voltages(u, validate_angles(psi1, psi2))
 

@@ -22,8 +22,15 @@ import sys
 from itertools import chain
 from typing import Callable, Iterator, TextIO
 
-from .config import residual_tolerance
-from .errors import AngleAtLeast120, AngleOutOfRange, NotATriangle, StarSolveError
+from .config import EPS_ANG_DEG, residual_tolerance
+from .errors import (
+    AngleAtLeast120,
+    AngleOutOfRange,
+    DegenerateTriangle,
+    NotATriangle,
+    StarSolveError,
+    UnresolvedConfiguration,
+)
 from .kernel import (
     ANGLES_120,
     AngleInvariants,
@@ -42,6 +49,7 @@ from .records import (
     STATUS_INFEASIBLE,
     STATUS_INTERNAL_ERROR,
     STATUS_OK,
+    STATUS_UNRESOLVED,
     MeasurementRecord,
     ParseError,
     RowWriter,
@@ -99,6 +107,8 @@ def solve_record(m: MeasurementRecord, tolerance: float
         solution = _failure(m, STATUS_ANGLE_GE_120, str(exc))
     except (NotATriangle, AngleOutOfRange) as exc:
         solution = _failure(m, STATUS_INCONSISTENT, str(exc))
+    except UnresolvedConfiguration as exc:
+        solution = _failure(m, STATUS_UNRESOLVED, str(exc))
     except StarSolveError as exc:
         solution = _failure(m, STATUS_INFEASIBLE, str(exc))
     except Exception as exc:  # one bad row must not end the batch
@@ -126,6 +136,17 @@ def _describe_internal(exc: Exception) -> str:
             f"{frame.lineno} in {frame.name})")
 
 
+def _interior_margin(edges: EdgeInvariants, angles: AngleInvariants) -> float:
+    """min(psi_i - vertex angle_i), in degrees: positive iff a point inside
+    the triangle sees each edge under its angle (Euclid, Elements I.21 and
+    III.21). Each vertex angle is atan2(Theta^2, b^2 + c^2 - a^2),
+    cyclically, on the unit triangle: Theta^2 is four times the area."""
+    _, _, (a2, b2, c2), theta_sq = edges
+    spans = (b2 + c2 - a2, c2 + a2 - b2, a2 + b2 - c2)
+    return min(psi - math.degrees(math.atan2(theta_sq, span))
+               for psi, span in zip(angles[0], spans))
+
+
 def verify_record(m: MeasurementRecord, s: SolutionRecord | None,
                   tolerance: float) -> tuple[bool, str]:
     """Check one measurement/solution pair against independent machinery.
@@ -133,7 +154,9 @@ def verify_record(m: MeasurementRecord, s: SolutionRecord | None,
     Solved rows must pass the mesh-rule closure, agree with a fresh
     circle-intersection re-solve, and (for 120-deg rows) match the
     distance-sum minimum. Failure rows pass iff a re-solve reproduces the
-    recorded failure status, unless that status is an internal error.
+    recorded failure status, unless that status is an internal error, or
+    says that no star point exists where :func:`_interior_margin` finds
+    one by more than ``EPS_ANG_DEG``.
 
     A solved row is checked in one pass on the unit triangle of
     :func:`_invariants`: the claim is divided once by 2**k, k the edges'
@@ -146,10 +169,18 @@ def verify_record(m: MeasurementRecord, s: SolutionRecord | None,
         _, fresh = solve_record(m, tolerance)
         if fresh.status == STATUS_INTERNAL_ERROR:
             return False, f"cross-check raised {fresh.diagnostics}"
-        if fresh.status == s.status:
-            return True, f"failure status {s.status!r} confirmed by re-solve"
-        return False, (f"recorded status {s.status!r} but re-solve "
-                       f"produced {fresh.status!r}")
+        if fresh.status != s.status:
+            return False, (f"recorded status {s.status!r} but re-solve "
+                           f"produced {fresh.status!r}")
+        if s.status in (STATUS_INFEASIBLE, STATUS_ANGLE_GE_120):
+            try:
+                margin = _interior_margin(*_invariants(m))
+            except DegenerateTriangle:  # a short edge that squares to 0
+                margin = -math.inf
+            if margin > EPS_ANG_DEG:
+                return False, (f"recorded status {s.status!r} but an interior "
+                               f"point exists: angle margin {margin:.3e} deg")
+        return True, f"failure status {s.status!r} confirmed by re-solve"
 
     try:
         (k, unit, unit_sq, theta_sq), (psis, cot, cos) = _invariants(m)

@@ -24,8 +24,9 @@ EPS_TRI_COEFF = 1e-12
 # Default relative closure-residual tolerance for solution acceptance.
 RESIDUAL_TOL = 1e-8
 
-# Interior angles at or above this (minus EPS_ANG_DEG) have no interior
-# three-ray point; the solvers refuse rather than guess.
+# At 120 deg each, interior angles at or above this (minus EPS_ANG_DEG)
+# have no interior three-ray point: the feasibility predicate,
+# kernel.check_interior_point, refuses them rather than guess.
 ANGLE_LIMIT_DEG = 120.0
 
 # Environment variable that overrides RESIDUAL_TOL for the CLI.

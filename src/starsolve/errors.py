@@ -65,6 +65,11 @@ class InfeasibleConfiguration(StarSolveError):
     """No interior point realizes the requested edge lengths and angles."""
 
 
+class UnresolvedConfiguration(StarSolveError):
+    """An interior point realizes the edge lengths and angles, but the closed
+    form does not reach it within the tolerance."""
+
+
 class NoInteriorIntersection(StarSolveError):
     """The two viewing-angle circles do not intersect inside the triangle."""
 

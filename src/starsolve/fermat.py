@@ -5,9 +5,10 @@ recover the distances from that point to the vertices. Two independent
 routes are provided and can be cross-checked against each other:
 
 * the closed form, which is the general viewing-angle kernel of
-  :mod:`starsolve.general` with every angle at 120 deg, behind the gate
-  of :func:`~starsolve.kernel.check_angles_below_120`, which names the
-  wide vertex of a triangle with an angle >= 120 deg, and
+  :mod:`starsolve.general` with every angle at 120 deg, behind the
+  feasibility predicate :func:`~starsolve.kernel.check_interior_point`,
+  which at 120 deg names the wide vertex of a triangle with an angle
+  >= 120 deg, and
 * the constructive route: erect an outward equilateral triangle on edge
   a, intersect the cevian to its apex with the cevian from B, and measure
   the distances from that intersection, on plain floats.
@@ -25,7 +26,7 @@ from typing import Literal
 from .errors import DegenerateTriangle
 from .general import general_distances_closed_form
 from .geometry import PhaseAngles, StarSolution, TriangleEdges, solution_at_scale
-from .kernel import apex_position, check_angles_below_120, closure_defects
+from .kernel import ANGLES_120, apex_position, check_interior_point, closure_defects
 
 SQRT3 = math.sqrt(3.0)
 
@@ -40,8 +41,8 @@ def fermat_distances_closed_form(t: TriangleEdges) -> StarSolution:
     Requires every interior angle strictly below 120 deg; otherwise the
     point degenerates onto the wide vertex and an :class:`AngleAtLeast120`
     carrying the vertex-clamped distances is raised instead of guessing.
-    This is the general kernel at 120 deg, which runs that gate first, and
-    whose distances reduce to (sqrt3*(b^2+c^2-a^2) + Theta^2) /
+    This is the general kernel at 120 deg, which runs that predicate
+    first, and whose distances reduce to (sqrt3*(b^2+c^2-a^2) + Theta^2) /
     sqrt(6*(a^2+b^2+c^2 + sqrt3*Theta^2)), cyclically, with Theta^2 the
     Heron radical.
     """
@@ -60,7 +61,7 @@ def fermat_construction(t: TriangleEdges) -> StarSolution:
     has no spurious singularity even for needle shapes. The construction
     runs on the unit triangle of ``t`` and is scaled back by 2**exponent.
     """
-    check_angles_below_120(t.exponent, t.unit, t.unit_sq)
+    check_interior_point((t.exponent, t.unit, t.unit_sq, t.unit_theta_sq), ANGLES_120)
     (a, b, _), (a2, b2, c2) = t.unit, t.unit_sq
     ax, ay = apex_position(a, b, a2, b2, c2, t.unit_theta_sq)
     b = math.hypot(ax, ay)   # |CA| as embedded

@@ -18,7 +18,8 @@ one closed form, and :func:`~starsolve.kernel.circle_distances`), which
 the CLI calls directly and the value-type functions here wrap.
 
 With every angle at 120 deg the closed form is the 120-deg solver of
-:mod:`starsolve.fermat`: the kernel runs the wide-angle gate first.
+:mod:`starsolve.fermat`: the kernel's feasibility predicate names the
+wide vertex of a triangle with an angle >= 120 deg.
 """
 
 from __future__ import annotations

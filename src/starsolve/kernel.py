@@ -2,7 +2,8 @@
 
 Every formula a CLI row passes through lives here once, on plain floats:
 the triangle and angle invariants, the closed form and the circle route
-on the unit triangle, the wide-angle gate and the one residual function,
+on the unit triangle, the one feasibility predicate,
+:func:`check_interior_point`, and the one residual function,
 :func:`closure_defects`. The value types of :mod:`starsolve.geometry`,
 :mod:`starsolve.general`, :mod:`starsolve.fermat` and
 :mod:`starsolve.circuit` wrap these kernels.
@@ -28,6 +29,7 @@ from .errors import (
     InfeasibleConfiguration,
     NoInteriorIntersection,
     NotATriangle,
+    UnresolvedConfiguration,
 )
 
 Triple = tuple[float, float, float]
@@ -286,7 +288,62 @@ def circle_distances(unit: Triple, unit_sq: Triple, theta_sq: float, psis: Tripl
 
 
 # =========================================================================
-# Closed-form distances
+# The feasibility predicate
+# =========================================================================
+
+# cot(EPS_ANG_DEG), and the cotangent of a wide vertex at 120 deg each.
+_COT_EPS = 1.0 / math.tan(math.radians(EPS_ANG_DEG))
+_COT_WIDE = 1.0 / math.tan(math.radians(ANGLE_LIMIT_DEG - EPS_ANG_DEG))
+
+
+def check_interior_point(edges: EdgeInvariants, angles: AngleInvariants) -> None:
+    """Raise unless a point inside the triangle sees its edges under the
+    angles, as :func:`edge_invariants` and :func:`angle_invariants` give
+    them.
+
+    Such a point sees each edge under a wider angle than the vertex across
+    (Euclid, Elements I.21), and one exists if each angle is the wider
+    (III.21). As cot(angle at A) = (b^2 + c^2 - a^2) / Theta^2 on the unit
+    triangle, psi_a is the wider iff cot(psi_a) Theta^2 < b^2 + c^2 - a^2,
+    cyclically. At 120 deg each, the first vertex of 120 deg - EPS_ANG_DEG
+    or more, in the order A, B, C, raises :class:`AngleAtLeast120`. Other
+    angles may fall EPS_ANG_DEG short, so that a star point on a terminal
+    solves: each is tested as cot(psi + eps) = (cot psi cot eps - 1) /
+    (cot psi + cot eps), and not where psi + eps reaches 180 deg, as the
+    denominator's sign tells. A wider vertex raises
+    :class:`InfeasibleConfiguration`, and so does the NaN of an overflowing
+    cotangent; collinear edges raise :class:`DegenerateTriangle`.
+    """
+    exponent, unit, (a2, b2, c2), theta_sq = edges
+    psis, cot, _ = angles
+    spans = (b2 + c2 - a2, c2 + a2 - b2, a2 + b2 - c2)
+    if psis == ANGLES_120[0]:
+        limit = _COT_WIDE * theta_sq
+        if limit < spans[0] and limit < spans[1] and limit < spans[2]:
+            return
+        for vertex, (x, y), span in zip("ABC", ((1, 2), (2, 0), (0, 1)), spans):
+            if not limit < span:
+                # The minimizing point degenerates onto the vertex: zero there,
+                # the adjacent edges at the other two corners, scaled back
+                # exactly (a unit edge whose square is not zero is normal).
+                cos_val = max(-1.0, min(1.0, span / (2.0 * unit[x] * unit[y])))
+                a, b, c = (math.ldexp(e, exponent) for e in unit)
+                raise AngleAtLeast120(vertex, math.degrees(math.acos(cos_val)),
+                                      (0.0, c, b) if vertex == "A" else
+                                      (c, 0.0, a) if vertex == "B" else (b, a, 0.0))
+    if theta_sq == 0.0:
+        raise DegenerateTriangle("edges are collinear: no interior point")
+    for vertex, psi, cot_psi, span in zip("ABC", psis, cot, spans):
+        denom = cot_psi + _COT_EPS
+        if denom > 0.0 and not (cot_psi * _COT_EPS - 1.0) / denom * theta_sq < span:
+            raise InfeasibleConfiguration(
+                f"no interior point: the angle at vertex {vertex}, "
+                f"{math.degrees(math.atan2(theta_sq, span)):.12g} deg, exceeds the "
+                f"viewing angle {psi:.12g} deg of edge {vertex.lower()}")
+
+
+# =========================================================================
+# The closed form: line voltages
 # =========================================================================
 
 def _joint_vertex_distance(s1: float, s2: float, s_opp: float,
@@ -296,66 +353,25 @@ def _joint_vertex_distance(s1: float, s2: float, s_opp: float,
     from their squares s1, s2 and s_opp.
 
     cot1/cot2 belong to the viewing angles of e1/e2, cot_opp to the edge
-    across. A non-positive radicand in the denominator means no point
-    realizes the configuration, and so does a distance that is not finite,
-    as when a cotangent near 0 deg overflows both terms.
+    across. A non-positive radicand in the denominator, or a distance that
+    is not finite, as when a cotangent near 0 deg overflows both terms, is
+    a star point the closed form cannot resolve.
     """
     core = s1 + s2 - s_opp
     numerator = 0.5 * abs((cot1 + cot2) * (core - theta_sq * cot_opp))
     denom = (s1 * (1.0 + cot1 * cot1) + s2 * (1.0 + cot2 * cot2)
              - (cot1 + cot2) * (core * cot_opp + theta_sq))
     if denom <= 0.0:
-        raise InfeasibleConfiguration(
+        raise UnresolvedConfiguration(
             f"distance denominator {denom:.3e} (unit triangle) is not positive; "
-            "no point sees the edges under these angles")
+            "the closed form cannot resolve the star point")
     distance = numerator / math.sqrt(denom)
     if not distance < math.inf:  # a NaN, as inf / inf gives, fails too
-        raise InfeasibleConfiguration(
+        raise UnresolvedConfiguration(
             f"distance {distance!r} (unit triangle) is not finite; "
-            "no point sees the edges under these angles")
+            "the closed form cannot resolve the star point")
     return distance
 
-
-# =========================================================================
-# The wide-angle gate of the 120-deg problem
-# =========================================================================
-
-# Cosine of an angle two EPS_ANG_DEG below the limit. A vertex whose
-# cosine is above it lies below the gate by far more than acos and the
-# degree conversion can round, so the angle itself is only evaluated near
-# the gate, where it decides, and for the diagnostic of a wide vertex.
-_COS_CLEAR = math.cos(math.radians(ANGLE_LIMIT_DEG - 2.0 * EPS_ANG_DEG))
-
-
-def check_angles_below_120(exponent: int, unit: Triple, unit_sq: Triple) -> None:
-    """Raise :class:`AngleAtLeast120` (with diagnostics) for wide triangles,
-    given as :func:`edge_invariants` gives them.
-
-    Each cosine comes from the squared unit edges by the law of cosines,
-    vertex by vertex in the order A, B, C.
-    """
-    (a, b, c), (a2, b2, c2) = unit, unit_sq
-    cosines = ((b2 + c2 - a2) / (2.0 * b * c),
-               (c2 + a2 - b2) / (2.0 * c * a),
-               (a2 + b2 - c2) / (2.0 * a * b))
-    if min(cosines) > _COS_CLEAR:
-        return
-    for vertex, cos_val in zip("ABC", cosines):
-        angle = math.degrees(math.acos(max(-1.0, min(1.0, cos_val))))
-        if angle >= ANGLE_LIMIT_DEG - EPS_ANG_DEG:
-            # The minimizing point degenerates onto the vertex: zero there,
-            # the adjacent edges at the other two corners. A unit edge whose
-            # square is not zero is a normal float, so scaling it back by
-            # 2**exponent gives the edge exactly.
-            a, b, c = (math.ldexp(a, exponent), math.ldexp(b, exponent),
-                       math.ldexp(c, exponent))
-            raise AngleAtLeast120(vertex, angle, (0.0, c, b) if vertex == "A"
-                                  else (c, 0.0, a) if vertex == "B" else (b, a, 0.0))
-
-
-# =========================================================================
-# The closed form: line voltages
-# =========================================================================
 
 def line_voltage_kernel(edges: EdgeInvariants, angles: AngleInvariants,
                         tolerance: float) -> tuple[Triple, Triple, tuple[str, ...]]:
@@ -363,49 +379,27 @@ def line_voltage_kernel(edges: EdgeInvariants, angles: AngleInvariants,
     floats.
 
     ``edges`` is what :func:`edge_invariants` returns and ``angles`` what
-    :func:`angle_invariants` returns. At 120 deg each the wide-angle gate
-    runs first. Each distance on the unit triangle comes from
-    :func:`_joint_vertex_distance` under the cyclic relabeling
-    (a,b,c; psi_a,psi_b,psi_c) -> (b,c,a; psi_b,psi_c,psi_a). They are
-    accepted only if the law-of-cosines closure holds to the ``tolerance``
-    given (the one acceptance test of a solve) and the point, rebuilt from
-    them in the canonical frame, lands inside the triangle; then they are
-    scaled back. Collinear edges have no interior, and raise
-    :class:`DegenerateTriangle`. A note names each voltage that is zero
-    within tolerance.
+    :func:`angle_invariants` returns. :func:`check_interior_point` decides
+    first whether a star point exists. Each distance on the unit triangle
+    then comes from :func:`_joint_vertex_distance` under the cyclic
+    relabeling (a,b,c; psi_a,psi_b,psi_c) -> (b,c,a; psi_b,psi_c,psi_a).
+    They are scaled back if the law-of-cosines closure holds to the
+    ``tolerance`` given (the one acceptance test of a solve), and else
+    raise :class:`UnresolvedConfiguration`. A note names each voltage that
+    is zero within tolerance.
     """
+    check_interior_point(edges, angles)
     exponent, unit, unit_sq, theta_sq = edges
-    psis, (cot_a, cot_b, cot_c), cos = angles
-    if psis == ANGLES_120[0]:
-        check_angles_below_120(exponent, unit, unit_sq)
-    (a, b, _), (a2, b2, c2) = unit, unit_sq
-
+    _, (cot_a, cot_b, cot_c), cos = angles
+    a2, b2, c2 = unit_sq
     a_p = _joint_vertex_distance(b2, c2, a2, cot_b, cot_c, cot_a, theta_sq)
     b_p = _joint_vertex_distance(c2, a2, b2, cot_c, cot_a, cot_b, theta_sq)
     c_p = _joint_vertex_distance(a2, b2, c2, cot_a, cot_b, cot_c, theta_sq)
     residuals = closure_defects(unit_sq, cos, (a_p, b_p, c_p))
     if max(residuals) > tolerance:
-        raise InfeasibleConfiguration(
+        raise UnresolvedConfiguration(
             f"closure residuals {residuals} exceed {tolerance:g}; "
-            "no interior point realizes these edges and angles")
-
-    # The interior test, written out in one frame: the point at distances
-    # b_p, c_p from B and C (point_position), vertex A (apex_position) and
-    # the point's barycentric coordinates, as circle_distances takes them.
-    c_p2 = c_p * c_p
-    px = (c_p2 - b_p * b_p + a2) / (2.0 * a)
-    py = math.sqrt(max(c_p2 - px * px, 0.0))
-    ax = b * max(-1.0, min(1.0, (a2 + b2 - c2) / (2.0 * a * b)))
-    ay = theta_sq / (2.0 * a)
-    area = a * ay
-    if area == 0.0:
-        raise DegenerateTriangle("edges are collinear: no interior point")
-    v = (px * ay - py * ax) / area
-    w = a * py / area
-    u = 1.0 - v - w
-    if min(u, v, w) < -BARY_TOL:
-        raise InfeasibleConfiguration(
-            f"recovered point lies outside the triangle: barycentric {(u, v, w)}")
+            "the closed form does not reach the star point within tolerance")
 
     distances = (math.ldexp(a_p, exponent), math.ldexp(b_p, exponent),
                  math.ldexp(c_p, exponent))

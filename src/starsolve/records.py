@@ -52,6 +52,9 @@ STATUS_OK = "ok"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_INCONSISTENT = "inconsistent"
 STATUS_ANGLE_GE_120 = "angle_ge_120"
+# A star point exists, but the closed form does not reach it within the
+# tolerance.
+STATUS_UNRESOLVED = "unresolved"
 # An unexpected exception inside the solver; the diagnostics name it.
 STATUS_INTERNAL_ERROR = "internal_error"
 

@@ -17,12 +17,18 @@ import re
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from starsolve import PhaseAngles, SynthesisSpec, synthesize_triangle
-from starsolve.cli import main, verify_record
-from starsolve.config import RESIDUAL_TOL
-from starsolve.records import read_pairs
+from starsolve.cli import main, solve_record, verify_record
+from starsolve.config import EPS_ANG_DEG, RESIDUAL_TOL
+from starsolve.records import (
+    STATUS_ANGLE_GE_120,
+    STATUS_INFEASIBLE,
+    MeasurementRecord,
+    SolutionRecord,
+    read_pairs,
+)
 
 FIELDS = ("id", "u1", "u2", "u3", "psi1", "psi2")
 COLUMNS = st.sampled_from(FIELDS + ("site", "u1p", "status", ""))
@@ -186,6 +192,52 @@ def test_ok_near_180_deg_rows_verify_from_solve_output(rows):
     for (measurement, solution), line in zip(pairs, verified.splitlines()):
         if solution.solved:
             assert line.startswith(f"{measurement.id}: PASS ("), line
+
+
+@st.composite
+def symmetric_row(draw) -> tuple[float, float, float, None, None]:
+    """u1, u2, u3 of planted line voltages 10**U(-3, 3) at 120 deg, and no
+    psi."""
+    distances = tuple(10.0 ** draw(st.floats(-3.0, 3.0)) for _ in range(3))
+    spec = SynthesisSpec(distances, PhaseAngles(120.0, 120.0, 120.0))
+    return (*synthesize_triangle(spec)[0].as_tuple(), None, None)
+
+
+def angle_margin(edges: tuple[float, float, float], psis: tuple[float, float, float]
+                 ) -> float:
+    """min(psi_i - vertex angle_i) in degrees, the vertex across edge i: a
+    star point exists iff it is positive (Euclid, Elements I.21 and III.21).
+    Each vertex angle is atan2(4 * area, twice the dot product of its
+    edges), the area by Kahan's ordering of Heron's formula."""
+    a, b, c = edges
+    x, y, z = sorted(edges, reverse=True)
+    four_area = math.sqrt(max((x + (y + z)) * (z - (x - y)) * (z + (x - y))
+                              * (x + (y - z)), 0.0))
+    dots = (b * b + c * c - a * a, c * c + a * a - b * b, a * a + b * b - c * c)
+    return min(psi - math.degrees(math.atan2(four_area, dot))
+               for psi, dot in zip(psis, dots))
+
+
+@settings(SETTINGS, max_examples=300)
+@given(st.one_of(near_180_deg_row(), symmetric_row()))
+# Near 180 deg, a closure miss and a barycentric test once wrote these
+# infeasible, and verify confirmed them by re-solve.
+@example((117.45917376670758, 0.4169475734378701, 117.52180669988361,
+          81.26441457577114, 179.9940549532222))
+@example((201.5186176131462, 187.6304337638246, 13.956097007978222,
+          174.54597026760288, 5.45582565892657))
+def test_a_row_with_a_star_point_never_reads_that_none_exists(row):
+    """A planted row whose margin exceeds EPS_ANG_DEG solves neither
+    infeasible nor angle_ge_120, and verify FAILs a row that says so."""
+    *edges, psi1, psi2 = row
+    psis = (120.0,) * 3 if psi1 is None else (psi1, psi2, 360.0 - psi1 - psi2)
+    assume(angle_margin(edges, psis) > EPS_ANG_DEG)
+    m = MeasurementRecord("r", *edges, psi1, psi2)
+    _, solution = solve_record(m, RESIDUAL_TOL)
+    assert solution.status not in (STATUS_INFEASIBLE, STATUS_ANGLE_GE_120), solution
+    for status in (STATUS_INFEASIBLE, STATUS_ANGLE_GE_120):
+        claim = SolutionRecord("r", None, None, None, None, status)
+        assert not verify_record(m, claim, RESIDUAL_TOL)[0]
 
 
 def test_needle_rows_verify_by_the_sign_of_the_area():

@@ -17,6 +17,7 @@ import pytest
 from conftest import E1_DISTANCES, E1_EDGES, LineFeedEnded
 from starsolve import cli, oracle_kernel
 from starsolve.cli import main, solve_record, verify_record
+from starsolve.errors import AngleAtLeast120, InfeasibleConfiguration
 from starsolve.kernel import ANGLES_120, circle_distances, line_voltage_kernel
 from starsolve.records import (
     MEASUREMENT_FIELDS,
@@ -26,6 +27,7 @@ from starsolve.records import (
     STATUS_INFEASIBLE,
     STATUS_INTERNAL_ERROR,
     STATUS_OK,
+    STATUS_UNRESOLVED,
     MeasurementRecord,
     ParseError,
     SolutionRecord,
@@ -557,8 +559,9 @@ def test_full_precision_near_180_deg_row_verifies(fmt, monkeypatch, capsys):
 
 
 def test_collinear_row_is_infeasible_and_verify_confirms_it(monkeypatch, capsys):
-    # The closure holds on these collinear edges, and the interior test
-    # once divided by their zero area.
+    # The closure holds on these collinear edges, and an interior test once
+    # divided by their zero area; the feasibility predicate now refuses
+    # them before the closed form runs.
     stdin = "id,u1,u2,u3,psi1,psi2\nc,3,4,1,106.6919676342695,179.999999999\n"
     code, out, _ = run_cli(["solve", "-"], monkeypatch, capsys, stdin_text=stdin)
     assert code == 2
@@ -630,19 +633,20 @@ def test_tolerance_flag_rejects_non_positive(tmp_path, monkeypatch, capsys, bad)
     assert "finite and positive" in err
 
 
-def test_solved_row_over_the_tolerance_is_infeasible(monkeypatch, capsys):
+def test_solved_row_over_the_tolerance_is_unresolved(monkeypatch, capsys):
+    # The star point exists; the closed form only misses the tolerance.
     stdin = "id,u1,u2,u3,psi1,psi2\nm,400,400,400,,\n"
     code, out, _ = run_cli(["solve", "--tolerance", "1e-20", "-"], monkeypatch, capsys,
                            stdin_text=stdin)
     assert code == 2
     (_, solution), = read_pairs(out.splitlines(keepends=True), "csv")
-    assert solution.status == STATUS_INFEASIBLE
+    assert solution.status == STATUS_UNRESOLVED
     assert (solution.u1p, solution.u2p, solution.u3p, solution.max_residual) == (
         None, None, None, None)
     residual = 1.0913936421275138e-15
     assert solution.diagnostics == (
         f"closure residuals {(residual,) * 3} exceed 1e-20; "
-        "no interior point realizes these edges and angles")
+        "the closed form does not reach the star point within tolerance")
 
 
 # At 120 deg the closed form closes this needle's short edge to 1.73e-8
@@ -671,11 +675,17 @@ def test_one_tolerance_decides_solve_and_verify(monkeypatch, capsys):
     code, strict, _ = run_cli(["solve", "-"], monkeypatch, capsys, stdin_text=NEEDLE_1E8)
     assert code == 2
     (_, solution), = read_pairs(strict.splitlines(keepends=True), "csv")
-    assert solution.status == STATUS_INFEASIBLE
+    assert solution.status == STATUS_UNRESOLVED
     assert solution.diagnostics == (
         "closure residuals (1.2212453270876722e-15, 1.2212453270876722e-15, "
         f"{NEEDLE_1E8_RESIDUAL!r}) exceed 1e-08; "
-        "no interior point realizes these edges and angles")
+        "the closed form does not reach the star point within tolerance")
+    # Every angle of the needle is below 120 deg, so its star point exists:
+    # solve says the closed form missed it, and verify confirms that.
+    code, verdict, _ = run_cli(["verify", "-"], monkeypatch, capsys, stdin_text=strict)
+    assert (code, verdict) == (
+        0, "n: PASS (failure status 'unresolved' confirmed by re-solve)\n"
+           "1 records, 0 failed\n")
 
     # The failure solve wrote at the default is refuted under the looser
     # value, since verify's re-solve accepts on it too.
@@ -683,7 +693,48 @@ def test_one_tolerance_decides_solve_and_verify(monkeypatch, capsys):
     code, verdict, _ = run_cli(["verify", "-"], monkeypatch, capsys, stdin_text=strict)
     assert code == 2
     assert verdict.startswith(
-        "n: FAIL (recorded status 'infeasible' but re-solve produced 'ok')\n")
+        "n: FAIL (recorded status 'unresolved' but re-solve produced 'ok')\n")
+
+
+# A planted near-180-deg row whose star point lies 4e-3 from vertex B: the
+# point rebuilt from the closed form once failed a barycentric interior
+# test by rounding, and solve wrote the row infeasible.
+NEAR_180_PLANT = (13.951912784112213, 0.004184223868063911, 201.5144523317955)
+NEAR_180_ROW = ("id,u1,u2,u3,psi1,psi2\nr,201.5186176131462,187.6304337638246,"
+                "13.956097007978222,174.54597026760288,5.45582565892657\n")
+
+
+def test_near_180_deg_row_near_a_vertex_solves_ok(monkeypatch, capsys):
+    code, out, _ = run_cli(["solve", "-"], monkeypatch, capsys, stdin_text=NEAR_180_ROW)
+    assert code == 0
+    (_, solution), = read_pairs(out.splitlines(keepends=True), "csv")
+    assert solution.status == STATUS_OK
+    floor = 1e-9 * sum(NEAR_180_PLANT)
+    for got, planted in zip((solution.u1p, solution.u2p, solution.u3p), NEAR_180_PLANT):
+        assert abs(got - planted) < floor
+    code, verdict, _ = run_cli(["verify", "-"], monkeypatch, capsys, stdin_text=out)
+    assert (code, verdict.splitlines()[-1]) == (0, "1 records, 0 failed")
+
+
+@pytest.mark.parametrize("status, psis, error, margin", [
+    (STATUS_INFEASIBLE, (100.0, 130.0), InfeasibleConfiguration("no interior point"),
+     "4.000e+01"),
+    (STATUS_ANGLE_GE_120, (None, None), AngleAtLeast120("C", 120.0, (4.0, 3.0, 0.0)),
+     "3.000e+01"),
+], ids=["infeasible", "angle_ge_120"])
+def test_verify_refutes_no_star_point_where_the_angles_show_one(
+        monkeypatch, status, psis, error, margin):
+    # A solve that wrongly finds no star point, and a re-solve that repeats
+    # it: the 3-4-5 triangle's angles, 36.9, 53.1 and 90 deg, are each below
+    # the viewing angle across, so verify FAILs the row by its own test.
+    def no_star_point(edges, angles, tolerance):
+        raise error
+    monkeypatch.setattr(cli, "line_voltage_kernel", no_star_point)
+    m = MeasurementRecord("m", 3.0, 4.0, 5.0, *psis)
+    s = SolutionRecord("m", None, None, None, None, status)
+    assert verify_record(m, s, 1e-8) == (
+        False, f"recorded status {status!r} but an interior point exists: "
+               f"angle margin {margin} deg")
 
 
 def _faulty_kernel(original, bad_unit_edge, fault):

@@ -6,7 +6,8 @@ imports only the leaves ``errors`` and ``config``; ``oracle_kernel`` holds
 the oracle's float entries and imports only ``errors`` and ``kernel``. The
 oracle and the solvers it checks (``general``, ``fermat``) import nothing
 from each other, and neither oracle module reads a solver formula in
-``kernel``, so each stays an independent check on the other. ``errors``,
+``kernel``, so each stays an independent check on the other; nor does
+``verify_record`` read the feasibility predicate that ``solve`` decides by. ``errors``,
 ``config`` and ``records`` are leaves: any module may import them and they
 import no sibling. The package ``__init__`` sits on top and re-exports. No
 module imports a name it never uses, and no module defines a name that
@@ -84,23 +85,40 @@ def test_kernel_imports_only_errors_and_config():
 
 # The solver formulas in ``kernel``, which share a module with the
 # primitives the oracle reads.
-SOLVER_KERNELS = {"circle_distances", "check_angles_below_120",
+SOLVER_KERNELS = {"circle_distances", "check_interior_point",
                   "line_voltage_kernel", "_joint_vertex_distance", "_chord_circles"}
+
+
+def mentioned(tree: ast.AST) -> set[str]:
+    """Every name, attribute and imported name in ``tree``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found
 
 
 def test_oracle_imports_no_solver():
     assert not package_imports(PACKAGE / "oracle.py") & {"general", "fermat"}
     assert package_imports(PACKAGE / "oracle_kernel.py") <= {"errors", "kernel"}
     for module in ("oracle", "oracle_kernel"):
-        mentioned = set()
-        for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
-            if isinstance(node, ast.Name):
-                mentioned.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                mentioned.add(node.attr)
-            elif isinstance(node, ast.alias):
-                mentioned.add(node.name)
-        assert not mentioned & SOLVER_KERNELS, module
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        assert not mentioned(tree) & SOLVER_KERNELS, module
+
+
+def test_verify_tests_a_failure_status_by_its_own_angles():
+    # A row that says no star point exists is checked by verify's own
+    # angle margin, not by the predicate that decided it in solve.
+    functions = {node.name: node
+                 for node in ast.parse((PACKAGE / "cli.py").read_text()).body
+                 if isinstance(node, ast.FunctionDef)}
+    assert "_interior_margin" in mentioned(functions["verify_record"])
+    for name in ("verify_record", "_interior_margin"):
+        assert "check_interior_point" not in mentioned(functions[name]), name
 
 
 def test_solvers_import_no_oracle():

@@ -13,10 +13,11 @@ template and quotes its own CSV fields, so it must write the bytes that
 the csv module writes through ``LineFeedEnded``, or that ``json.dumps``
 writes, for any record the readers can make: a text id, finite numbers
 and metadata that names no record field.
-``kernel.line_voltage_kernel`` evaluates the closed form and its interior
-test in one frame, so it must return, bit for bit, what the kept helpers
-return when called one after another, and the invariant kernels what
-their written-out references return. ``kernel.circle_distances`` relabels
+``kernel.line_voltage_kernel`` decides by ``kernel.check_interior_point``
+whether a star point exists before it evaluates the closed form, so it
+must return, bit for bit, what that predicate written out vertex by vertex
+and the kept helpers return when called one after another, and the
+invariant kernels what their written-out references return. ``kernel.circle_distances`` relabels
 the triangle by comparisons, so it must return what the route rotated by
 tuple slices returns. The oracle's value-type functions wrap the float
 entries of ``oracle_kernel`` that the CLI calls, so each must return, bit
@@ -56,6 +57,7 @@ from starsolve import (
     StarSolveError,
     SynthesisSpec,
     TriangleEdges,
+    UnresolvedConfiguration,
     general_solve_by_circles,
     minimize_distance_sum,
     random_synthesis_spec,
@@ -66,15 +68,13 @@ from starsolve import (
     verify_solution,
 )
 from starsolve.cli import solve_record, verify_record
-from starsolve.config import EPS_TRI_COEFF, RESIDUAL_TOL
+from starsolve.config import EPS_ANG_DEG, EPS_TRI_COEFF, RESIDUAL_TOL
 from starsolve.kernel import (
-    ANGLES_120,
     BARY_TOL,
     _chord_circles,
     _joint_vertex_distance,
     angle_invariants,
     apex_position,
-    check_angles_below_120,
     circle_distances,
     closure_defects,
     edge_invariants,
@@ -96,6 +96,7 @@ from starsolve.records import (
     STATUS_INCONSISTENT,
     STATUS_INFEASIBLE,
     STATUS_OK,
+    STATUS_UNRESOLVED,
     MeasurementRecord,
     ParseError,
     RowWriter,
@@ -135,6 +136,8 @@ def library_record(m: MeasurementRecord, tolerance: float) -> SolutionRecord:
         return SolutionRecord(m.id, None, None, None, None, STATUS_ANGLE_GE_120, str(exc))
     except (NotATriangle, AngleOutOfRange) as exc:
         return SolutionRecord(m.id, None, None, None, None, STATUS_INCONSISTENT, str(exc))
+    except UnresolvedConfiguration as exc:
+        return SolutionRecord(m.id, None, None, None, None, STATUS_UNRESOLVED, str(exc))
     except StarSolveError as exc:
         return SolutionRecord(m.id, None, None, None, None, STATUS_INFEASIBLE, str(exc))
     return SolutionRecord(m.id, lv.u1p, lv.u2p, lv.u3p, max(lv.residuals), STATUS_OK,
@@ -221,18 +224,35 @@ def test_solve_record_is_the_library_route_bit_for_bit(case, scale, tolerance):
 
 def library_verdict(m: MeasurementRecord, s: SolutionRecord,
                     tolerance: float) -> tuple[bool, str]:
-    """The library route of a verify row: the re-solve above for a failure
-    row, else the closure report, the circle route and, at 120 deg, the
-    distance-sum oracle, on the value types."""
+    """The library route of a verify row: for a failure row the re-solve
+    above and, where the status says that no star point exists, the margin
+    by which the viewing angles exceed the vertex angles across, each
+    vertex angle from twice the area and twice the dot product of its
+    edges; else the closure report, the circle route and, at 120 deg, the
+    distance-sum oracle; all on the value types."""
+    psi = (m.psi1, m.psi2) if m.psi1 is not None else (120.0, 120.0)
     if not s.solved:
         fresh = library_record(m, tolerance)
-        if fresh.status == s.status:
-            return True, f"failure status {s.status!r} confirmed by re-solve"
-        return False, (f"recorded status {s.status!r} but re-solve "
-                       f"produced {fresh.status!r}")
+        if fresh.status != s.status:
+            return False, (f"recorded status {s.status!r} but re-solve "
+                           f"produced {fresh.status!r}")
+        if s.status in (STATUS_INFEASIBLE, STATUS_ANGLE_GE_120):
+            try:
+                t = PhaseToPhaseVoltages(m.u1, m.u2, m.u3).to_edges()
+                angles = validate_angles(*psi)
+            except DegenerateTriangle:
+                return True, f"failure status {s.status!r} confirmed by re-solve"
+            a2, b2, c2 = t.unit_sq
+            dots = (b2 + c2 - a2, c2 + a2 - b2, a2 + b2 - c2)
+            margin = min(viewing - math.degrees(math.atan2(t.unit_theta_sq, dot))
+                         for viewing, dot in zip(angles.as_tuple(), dots))
+            if margin > EPS_ANG_DEG:
+                return False, (f"recorded status {s.status!r} but an interior "
+                               f"point exists: angle margin {margin:.3e} deg")
+        return True, f"failure status {s.status!r} confirmed by re-solve"
     try:
         u = PhaseToPhaseVoltages(m.u1, m.u2, m.u3)
-        angles = validate_angles(*((m.psi1, m.psi2) if m.psi1 is not None else (120.0, 120.0)))
+        angles = validate_angles(*psi)
         lv = LineVoltages(s.u1p, s.u2p, s.u3p)
         report = verify_solution(u, lv, angles, tolerance)
         if not report.passed:
@@ -295,7 +315,7 @@ def failure_rows(draw) -> tuple:
     a re-solve gives, or with another."""
     edges, psi = draw(MEASUREMENTS)
     status = draw(st.sampled_from([None, STATUS_INFEASIBLE, STATUS_INCONSISTENT,
-                                   STATUS_ANGLE_GE_120]))
+                                   STATUS_ANGLE_GE_120, STATUS_UNRESOLVED]))
     return edges, psi, status
 
 
@@ -583,37 +603,60 @@ def assert_writer_takes(m: MeasurementRecord, s: SolutionRecord | None) -> None:
         assert all(finite(x, True) for x in (s.u1p, s.u2p, s.u3p, s.max_residual))
 
 
-def reference_kernel(edges: tuple, angles: tuple, tolerance: float) -> tuple:
-    """The closed form as helper calls: the three vertex distances, the
-    closure residual, the point rebuilt by ``point_position``, vertex A by
-    ``apex_position``, the interior test by the barycentric formula after
-    the collinear guard, and the scale back with the notes.
-    ``line_voltage_kernel`` writes the interior test out in its own frame
-    and must return the same bits."""
+# cot(EPS_ANG_DEG) and cot(120 deg - EPS_ANG_DEG), as the predicate takes them.
+COT_EPS = 1.0 / math.tan(math.radians(EPS_ANG_DEG))
+COT_WIDE = 1.0 / math.tan(math.radians(120.0 - EPS_ANG_DEG))
+
+
+def reference_predicate(edges: tuple, angles: tuple) -> None:
+    """``check_interior_point`` written out vertex by vertex, the edges
+    next to vertex i taken by index arithmetic: at 120 deg each, the first
+    vertex not below 120 deg - eps is wide; otherwise a collinear triangle
+    has no interior, and a vertex whose angle is not below psi + eps is
+    too wide."""
     exponent, unit, unit_sq, theta_sq = edges
-    psis, (cot_a, cot_b, cot_c), cos = angles
-    if psis == ANGLES_120[0]:
-        check_angles_below_120(exponent, unit, unit_sq)
-    (a, b, _), (a2, b2, c2) = unit, unit_sq
+    psis, cot, _ = angles
+    for i, vertex in enumerate("ABC"):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        span = unit_sq[j] + unit_sq[k] - unit_sq[i]
+        if psis == (120.0, 120.0, 120.0) and not COT_WIDE * theta_sq < span:
+            cos_val = span / (2.0 * unit[j] * unit[k])
+            angle = math.degrees(math.acos(max(-1.0, min(1.0, cos_val))))
+            clamped = [0.0, 0.0, 0.0]
+            clamped[j] = math.ldexp(unit[k], exponent)
+            clamped[k] = math.ldexp(unit[j], exponent)
+            raise AngleAtLeast120(vertex, angle, tuple(clamped))
+    if psis == (120.0, 120.0, 120.0):
+        return
+    if theta_sq == 0.0:
+        raise DegenerateTriangle("edges are collinear: no interior point")
+    for i, vertex in enumerate("ABC"):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        span = unit_sq[j] + unit_sq[k] - unit_sq[i]
+        if (cot[i] + COT_EPS > 0.0
+                and not (cot[i] * COT_EPS - 1.0) / (cot[i] + COT_EPS) * theta_sq < span):
+            raise InfeasibleConfiguration(
+                f"no interior point: the angle at vertex {vertex}, "
+                f"{math.degrees(math.atan2(theta_sq, span)):.12g} deg, exceeds the "
+                f"viewing angle {psis[i]:.12g} deg of edge {vertex.lower()}")
+
+
+def reference_kernel(edges: tuple, angles: tuple, tolerance: float) -> tuple:
+    """The closed form as helper calls, behind the predicate written out:
+    the three vertex distances, the closure residual, and the scale back
+    with the notes. ``line_voltage_kernel`` must return the same bits."""
+    exponent, unit, unit_sq, theta_sq = edges
+    _, (cot_a, cot_b, cot_c), cos = angles
+    reference_predicate(edges, angles)
+    a2, b2, c2 = unit_sq
     a_p = _joint_vertex_distance(b2, c2, a2, cot_b, cot_c, cot_a, theta_sq)
     b_p = _joint_vertex_distance(c2, a2, b2, cot_c, cot_a, cot_b, theta_sq)
     c_p = _joint_vertex_distance(a2, b2, c2, cot_a, cot_b, cot_c, theta_sq)
     residuals = closure_defects(unit_sq, cos, (a_p, b_p, c_p))
     if max(residuals) > tolerance:
-        raise InfeasibleConfiguration(
+        raise UnresolvedConfiguration(
             f"closure residuals {residuals} exceed {tolerance:g}; "
-            "no interior point realizes these edges and angles")
-    px, py = point_position(a, a2, b_p, c_p)
-    ax, ay = apex_position(a, b, a2, b2, c2, theta_sq)
-    area = a * ay
-    if area == 0.0:
-        raise DegenerateTriangle("edges are collinear: no interior point")
-    v = (px * ay - py * ax) / area
-    w = a * py / area
-    bary = (1.0 - v - w, v, w)
-    if min(bary) < -BARY_TOL:
-        raise InfeasibleConfiguration(
-            f"recovered point lies outside the triangle: barycentric {bary}")
+            "the closed form does not reach the star point within tolerance")
     distances = tuple(math.ldexp(d, exponent) for d in (a_p, b_p, c_p))
     floor = math.ldexp(1e-9 * sum(unit), exponent)
     notes = tuple(f"{name} is zero within tolerance: "
@@ -728,9 +771,10 @@ def kernel_rows(draw, angles=kernel_angles()) -> tuple:
 
 @SETTINGS
 @given(kernel_rows())
-# Each outcome once for sure: outside the triangle at a terminal and at a
-# needle's tip; NaN from an overflowing cotangent; a collinear triangle; a
-# note; the wide-angle gate; a right angle; the scales 2**1000 and 2**-1000.
+# Each outcome once for sure: a star point at a terminal and at a needle's
+# tip, within the slack of the predicate; an overflowing cotangent; a
+# collinear triangle; a note; a wide vertex at 120 deg; a right angle; the
+# scales 2**1000 and 2**-1000; a closure miss near 180 deg.
 @example(((437.0972887677329, 437.0958891456522, 0.0019103551629673823),
           (137.1089465049667, 126.50358722231269, 96.38746627272062)))
 @example(((482.32591353379297, 482.3286370640637, 0.020215816990328945),
@@ -747,6 +791,9 @@ def kernel_rows(draw, angles=kernel_angles()) -> tuple:
           (120.0, 120.0, 120.0)))
 @example(((3.0, 4.0, 1.0), (106.6919676342695, 179.999999999,
                             360.0 - 106.6919676342695 - 179.999999999)))
+@example(((117.45917376670758, 0.4169475734378701, 117.52180669988361),
+          (81.26441457577114, 179.9940549532222,
+           360.0 - 81.26441457577114 - 179.9940549532222)))
 def test_line_voltage_kernel_is_the_helper_route_bit_for_bit(row):
     u, psis = row
     if min(u) > 0.0:
