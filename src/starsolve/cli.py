@@ -151,17 +151,16 @@ def verify_record(m: MeasurementRecord, s: SolutionRecord | None,
                   tolerance: float) -> tuple[bool, str]:
     """Check one measurement/solution pair against independent machinery.
 
-    Solved rows must pass the mesh-rule closure, agree with a fresh
-    circle-intersection re-solve, and (for 120-deg rows) match the
-    distance-sum minimum. Failure rows pass iff a re-solve reproduces the
-    recorded failure status, unless that status is an internal error, or
-    says that no star point exists where :func:`_interior_margin` finds
-    one by more than ``EPS_ANG_DEG``.
+    Solved rows, at any angle, must pass the mesh-rule closure and agree
+    with a fresh circle-intersection re-solve. Failure rows pass iff a
+    re-solve reproduces the recorded failure status, unless that status is
+    an internal error, or says that no star point exists where
+    :func:`_interior_margin` finds one by more than ``EPS_ANG_DEG``.
 
     A solved row is checked in one pass on the unit triangle of
     :func:`_invariants`: the claim is divided once by 2**k, k the edges'
-    exponent, and all three checks read it there, so no square or sum
-    leaves the float range. A value is scaled back only to be printed.
+    exponent, and both checks read it there, so no square leaves the float
+    range. A value is scaled back only to be printed.
     """
     if s is None:
         return False, "row carries no solution fields"
@@ -204,21 +203,6 @@ def verify_record(m: MeasurementRecord, s: SolutionRecord | None,
                                                   else recomputed):
                 return False, (f"{name}={getattr(s, name)!r} disagrees with "
                                f"circle-path value {math.ldexp(recomputed, k)!r}")
-
-        if psis == ANGLES_120[0]:
-            # Only 120-deg rows need the oracle. Its entry is read from the
-            # module on each call; a from-import would also look up the
-            # module's missing __path__ on each call, three times the cost.
-            import starsolve.oracle_kernel as oracle_kernel
-            # Started at the claimed star point: a right claim needs no step.
-            a_p, b_p, c_p = claim
-            _, _, minimized, _ = oracle_kernel.distance_sum_minimum(*unit,
-                                                                    start=(b_p, c_p))
-            total = a_p + b_p + c_p
-            if abs(minimized - total) > 1e-6 * total:
-                return False, (f"line-voltage sum {total:.9g} disagrees with "
-                               f"minimized distance sum {minimized:.9g} "
-                               f"(both over 2**{k})")
     except StarSolveError as exc:
         return False, f"cross-check raised: {exc}"
     except Exception as exc:  # one bad row must not end the batch
@@ -371,9 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser(
         "verify", help="verify measurement/solution pairs",
-        description="Re-check each row's solution: mesh-rule closure, an "
-                    "independent circle-intersection re-solve, and (for "
-                    "120-degree rows) the distance-sum minimality oracle. "
+        description="Re-check each row's solution, at any angle: mesh-rule "
+                    "closure and an independent circle-intersection re-solve. "
                     "The relative tolerance is STAR_SOLVE_TOLERANCE "
                     "(default 1e-8), as for solve without --tolerance.")
     p_verify.add_argument("path", nargs="?", default="-",

@@ -7,8 +7,9 @@ on the unit triangle, the one feasibility predicate,
 :func:`closure_defects`. The value types of :mod:`starsolve.geometry`,
 :mod:`starsolve.general`, :mod:`starsolve.fermat` and
 :mod:`starsolve.circuit` wrap these kernels.
-This module imports nothing but :mod:`math`, :mod:`starsolve.config` and
-:mod:`starsolve.errors`, so a CLI start loads no value type.
+This module imports nothing but :mod:`math`, :mod:`sys`,
+:mod:`starsolve.config` and :mod:`starsolve.errors`, so a CLI start loads
+no value type.
 
 Everything here is a pure function of its inputs; no state, safe to call
 from any number of threads. Angles cross the API in degrees, lengths in
@@ -19,6 +20,7 @@ in length, so volts work as well as metres).
 from __future__ import annotations
 
 import math
+import sys
 
 from .config import ANGLE_LIMIT_DEG, EPS_ANG_DEG, EPS_TRI_COEFF
 from .errors import (
@@ -51,6 +53,10 @@ def _edge_length(name: str, value: object) -> float:
     if value <= 0.0:
         raise NotATriangle(f"edge {name} must be positive, got {value}")
     return float(value)
+
+
+# The smallest normal float; below it a product keeps fewer digits.
+_NORMAL_MIN = sys.float_info.min
 
 
 def edge_invariants(a: float, b: float, c: float) -> EdgeInvariants:
@@ -99,8 +105,13 @@ def edge_invariants(a: float, b: float, c: float) -> EdgeInvariants:
     if a2 == 0.0 or b2 == 0.0 or c2 == 0.0:
         raise DegenerateTriangle(f"edges ({a}, {b}, {c}): the shortest squares "
                                  "to 0 beside the longest")
-    # A negative p_small inside the clamp window is a collinear triple.
-    return exponent, (ua, ub, uc), (a2, b2, c2), math.sqrt(p_big * max(p_small, 0.0))
+    if 0.0 < p_small < _NORMAL_MIN:
+        # A subnormal p_small keeps only a few digits; its factors do not.
+        theta_sq = math.sqrt(p_big) * math.sqrt(z + (x - y)) * math.sqrt(z - (x - y))
+    else:
+        # A negative p_small inside the clamp window is a collinear triple.
+        theta_sq = math.sqrt(p_big * max(p_small, 0.0))
+    return exponent, (ua, ub, uc), (a2, b2, c2), theta_sq
 
 
 def _viewing_angle(name: str, value: float) -> float:

@@ -2,9 +2,10 @@
 
 Nothing here reuses solver formulas: the minimizer works on the
 distance-sum objective and its derivatives alone, and waveform sampling
-works in the time domain. The minimizer backs ``verify`` and the
-synthesis ``synth``. Both run on the plain-float entries of
-:mod:`starsolve.oracle_kernel`, which the CLI calls directly; the
+works in the time domain. The minimizer checks the 120-deg solvers for
+library callers and the acceptance tests, and the synthesis backs
+``synth``. Both run on the plain-float entries of
+:mod:`starsolve.oracle_kernel`, which ``synth`` calls directly; the
 functions here wrap them in value types for library callers.
 """
 

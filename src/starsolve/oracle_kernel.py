@@ -1,15 +1,17 @@
-"""The oracle's plain-float entries: the distance-sum minimum that
-``verify`` checks a 120-deg claim against, and the planted draw and
-forward map that ``synth`` writes.
+"""The oracle's plain-float entries: the distance-sum minimum, an
+independent check of the 120-deg solvers for the library and the
+acceptance tests, and the planted draw and forward map that ``synth``
+writes.
 
 This module is to :mod:`starsolve.oracle` what :mod:`starsolve.kernel` is
-to the solvers: the oracle's value types wrap these functions, and the CLI
-calls them directly. It imports nothing but :mod:`math`, :mod:`sys`,
-:mod:`starsolve.errors` and :mod:`starsolve.kernel`, so no CLI path loads
-a value type, and not :mod:`random` either: the draw takes the caller's
-generator. Of :mod:`starsolve.kernel` it reads the invariants, a position
-and the residual function, never a solver formula, so it stays an
-independent check on the solvers.
+to the solvers: the oracle's value types wrap these functions, and
+``synth`` calls its two directly; ``verify`` calls none of them. It
+imports nothing but :mod:`math`, :mod:`sys`, :mod:`starsolve.errors` and
+:mod:`starsolve.kernel`, so no CLI path loads a value type, and not
+:mod:`random` either: the draw takes the caller's generator. Of
+:mod:`starsolve.kernel` it reads the invariants, a position and the
+residual function, never a solver formula, so it stays an independent
+check on the solvers.
 """
 
 from __future__ import annotations

@@ -15,10 +15,12 @@ import json
 import math
 import re
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal, localcontext
 from unittest import mock
 
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
+from reference import fermat_distances
 from starsolve import PhaseAngles, SynthesisSpec, synthesize_triangle
 from starsolve.cli import main, solve_record, verify_record
 from starsolve.config import EPS_ANG_DEG, RESIDUAL_TOL
@@ -240,15 +242,55 @@ def test_a_row_with_a_star_point_never_reads_that_none_exists(row):
         assert not verify_record(m, claim, RESIDUAL_TOL)[0]
 
 
+def test_reference_recovers_integer_fermat_points():
+    """The reference on triangles whose Fermat point is known exactly: at
+    distances (195, 264, 325) from the vertices of (511, 455, 399), as
+    264^2 + 264 * 325 + 325^2 = 511^2, cyclically; and at 1/sqrt(3) of
+    each vertex of the unit equilateral triangle."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        third = 1 / Decimal(3).sqrt()
+    for edges, distances in (((511.0, 455.0, 399.0), (195, 264, 325)),
+                             ((1.0, 1.0, 1.0), (third, third, third))):
+        for computed, exact in zip(fermat_distances(*edges), distances):
+            assert abs(computed - exact) <= Decimal("1e-55") * exact
+
+
+# A first-order bound on the relative error of a 120-deg distance on a
+# needle (1, 1, z), z <= 1e-17, one rounding at most U each (Higham,
+# Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1):
+# - cot(120 deg): math.radians rounds twice (pi / 180, then the product),
+#   each weighed by the cotangent's condition number
+#   2 psi / |sin 2 psi| = 4.84; cos and sin are within an ulp, 2 U each,
+#   and their quotient rounds once. All three cotangents carry that one
+#   error, and a distance weighs it by at most 1.75, the derivative of its
+#   log in the cotangent's log (1.75 at the two near vertices, 1.5 at the
+#   far one).
+# - Theta^2: at most 10 U in either branch, a square root halving what
+#   rounds under it, weighed by 1 at the near vertices and by about z at
+#   the far one.
+# - the closed form: 21 roundings per distance, under at most one
+#   subtraction that cancels, by a factor of at most 3 (the far vertex's
+#   denominator, 8/3 - 4/3).
+# The short edge's square is below 1e-34 beside the long ones, so what it
+# drops from the sums weighs below 0.1 U.
+U = 2.0 ** -53
+NEEDLE_BOUND = (1.75 * (2 * 4.84 + 2 + 2 + 1) + 10 + 3 * 21) * U
+
+
 def test_needle_rows_verify_by_the_sign_of_the_area():
-    """Needles (1, 1, 10**-e), e = 3, 6, ... 150, in all three rotations:
-    the circle route raises "collinear" only on a zero area, so no verdict
-    cites it, and at the general angle sets every ok row passes. At 120 deg
-    the oracle's needles are a separate matter."""
+    """Needles (1, 1, 10**-e), e = 1 ... 323, in all three rotations, at
+    120 deg, (100, 150) and (170, 170) deg: the circle route raises
+    "collinear" only on a zero area, so no verdict cites it, and every ok
+    row passes verify. Every 120-deg ok row is within the tolerance of the
+    60-digit reference, and from e = 17 on, where the short edge's square
+    drops out beside the long ones, within NEEDLE_BOUND. Below that the
+    closed form cancels on the needle (ROADMAP item 5), so the tolerance
+    bounds those rows."""
     angle_sets = {"wide": (170.0, 170.0), "general": (100.0, 150.0), "fermat": None}
     text = "id,u1,u2,u3,psi1,psi2\n"
     for name, angles in angle_sets.items():
-        for e in range(3, 151, 3):
+        for e in range(1, 324):
             n = 10.0 ** -e
             for r, edges in enumerate(((1.0, 1.0, n), (n, 1.0, 1.0), (1.0, n, 1.0))):
                 psis = ",".join(map(repr, angles)) if angles else ","
@@ -259,8 +301,18 @@ def test_needle_rows_verify_by_the_sign_of_the_area():
     code, verified, err = run(["verify", "-"], solved)
     assert err == ""
     lines = verified.splitlines()[:-1]
-    assert len(lines) == len(pairs) == 3 * 3 * 50
+    assert len(lines) == len(pairs) == 3 * 3 * 323
     assert [line for line in lines if "collinear" in line] == []
+    checked = 0
     for (measurement, solution), line in zip(pairs, lines):
-        if solution.solved and not measurement.id.startswith("fermat"):
-            assert line.startswith(f"{measurement.id}: PASS ("), line
+        if not solution.solved:
+            continue
+        assert line.startswith(f"{measurement.id}: PASS ("), line
+        if measurement.psi1 is None:
+            bound = RESIDUAL_TOL if int(measurement.id.split("-")[1]) < 17 else NEEDLE_BOUND
+            reference = fermat_distances(measurement.u1, measurement.u2, measurement.u3)
+            for claimed, exact in zip((solution.u1p, solution.u2p, solution.u3p), reference):
+                assert abs(Decimal(claimed) - exact) <= Decimal(bound) * exact, \
+                    (measurement, solution)
+            checked += 1
+    assert checked > 300

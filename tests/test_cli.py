@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from conftest import E1_DISTANCES, E1_EDGES, LineFeedEnded
-from starsolve import cli, oracle_kernel
+from starsolve import cli
 from starsolve.cli import main, solve_record, verify_record
 from starsolve.errors import AngleAtLeast120, InfeasibleConfiguration
 from starsolve.kernel import ANGLES_120, circle_distances, line_voltage_kernel
@@ -474,37 +474,6 @@ def test_explicit_120_deg_row_decides_like_empty_psi(monkeypatch, capsys):
     (_, explicit), (_, empty) = read_pairs(out.splitlines(keepends=True), "csv")
     assert explicit.status == empty.status == STATUS_ANGLE_GE_120
     assert explicit.diagnostics == empty.diagnostics
-
-
-def test_verify_runs_distance_sum_oracle_on_explicit_120_deg(monkeypatch):
-    m = MeasurementRecord("e1", *E1_EDGES.as_tuple(), 120.0, 120.0)
-    s = SolutionRecord("e1", *E1_DISTANCES, 0.0, STATUS_OK)
-    # cli reads the oracle's float entry from its module on each call.
-    calls = []
-    minimize = oracle_kernel.distance_sum_minimum
-    monkeypatch.setattr(oracle_kernel, "distance_sum_minimum", lambda *edges, **kw:
-                        calls.append(edges) or minimize(*edges, **kw))
-    assert verify_record(m, s, 1e-8)[0]
-    assert len(calls) == 1
-
-
-@pytest.mark.parametrize("claim", [(3.03, 4.04, 5.05), (3.03, 4.0, 5.0)])
-def test_verify_fails_a_sum_off_the_minimum_from_any_start(claim, monkeypatch):
-    # Closure and the circle re-solve are made to agree with the claim, so
-    # only the distance-sum oracle, started at the claimed point, can fail it.
-    monkeypatch.setattr(cli, "closure_defects",
-                        lambda squares, cosines, distances: (0.0, 0.0, 0.0))
-    # The circle kernel answers on the unit triangle, the edges over 2**k.
-    k = E1_EDGES.exponent
-    monkeypatch.setattr(cli, "circle_distances",
-                        lambda unit, unit_sq, theta_sq, psis, cot:
-                        tuple(math.ldexp(x, -k) for x in claim))
-    m = MeasurementRecord("e1", *E1_EDGES.as_tuple())
-    s = SolutionRecord("e1", *claim, 0.0, STATUS_OK)
-    passed, detail = verify_record(m, s, 1e-8)
-    assert not passed
-    assert detail == (f"line-voltage sum {sum(claim) / 8:.9g} disagrees with "
-                      "minimized distance sum 1.5 (both over 2**3)")
 
 
 def test_circle_mismatch_message_shows_both_values(monkeypatch):
