@@ -54,6 +54,7 @@ from .records import (
     ParseError,
     RowWriter,
     SolutionRecord,
+    _new,
     detect_format,
     format_for_path,
     read_measurements,
@@ -70,9 +71,10 @@ EXIT_RECORD_FAILED = 2
 # =========================================================================
 
 def _invariants(m: MeasurementRecord) -> tuple[EdgeInvariants, AngleInvariants]:
-    """The measurement validated, as the floats that solve and verify read:
-    the ``edge_invariants`` of its voltages and the ``angle_invariants`` of
-    its phase differences, or ``ANGLES_120`` when it has none."""
+    """The measurement validated, as the floats that verify reads: the
+    ``edge_invariants`` of its voltages and the ``angle_invariants`` of its
+    phase differences, or ``ANGLES_120`` when it has none; :func:`solve_record`
+    makes the same two calls written out."""
     edges = edge_invariants(m.u1, m.u2, m.u3)
     if m.psi1 is None:
         return edges, ANGLES_120
@@ -83,26 +85,32 @@ def solve_record(m: MeasurementRecord, tolerance: float
                  ) -> tuple[MeasurementRecord, SolutionRecord]:
     """Solve one measurement; failures become a status, never an exception.
 
-    The row runs on plain floats through
-    :func:`~starsolve.kernel.line_voltage_kernel`, which
+    The record is unpacked once and validated by the two calls of
+    :func:`_invariants`, written out. The row then runs on plain floats
+    through :func:`~starsolve.kernel.line_voltage_kernel`, which
     :func:`~starsolve.circuit.solve_general_star` and
     :func:`~starsolve.circuit.solve_symmetric_star` wrap, so both give the
     same voltages, residuals and notes. The kernel accepts the closure on
-    ``tolerance``, so a row it returns is ``ok``. A distance or residual
-    that is not finite becomes an ``internal_error`` row with empty
-    voltages, so no output row carries a number verify cannot read.
+    ``tolerance``, so a row it returns is ``ok``; it is built as the
+    readers build theirs, and its notes are joined only if there are any.
+    A distance or residual that is not finite becomes an ``internal_error``
+    row with empty voltages, so no output row carries a number verify
+    cannot read.
     """
+    rec_id, u1, u2, u3, psi1, psi2, _ = m
     try:
-        edges, angles = _invariants(m)
-        (u1p, u2p, u3p), residuals, notes = line_voltage_kernel(edges, angles, tolerance)
-        r1, r2, r3 = residuals
+        edges = edge_invariants(u1, u2, u3)
+        angles = (ANGLES_120 if psi1 is None
+                  else angle_invariants(psi1, psi2, 360.0 - psi1 - psi2))
+        (u1p, u2p, u3p), (r1, r2, r3), notes = line_voltage_kernel(edges, angles,
+                                                                   tolerance)
         # A finite sum clears all six; an infinite one may be an overflow.
         if not math.isfinite(u1p + u2p + u3p + r1 + r2 + r3):
             values = (u1p, u2p, u3p, r1, r2, r3)
             if not all(map(math.isfinite, values)):
                 return m, _failure(m, STATUS_INTERNAL_ERROR, _describe_non_finite(values))
-        solution = SolutionRecord(m.id, u1p, u2p, u3p, max(residuals), STATUS_OK,
-                                  "; ".join(notes))
+        solution = _new(SolutionRecord, (rec_id, u1p, u2p, u3p, max(r1, r2, r3), STATUS_OK,
+                                         "; ".join(notes) if notes else ""))
     except AngleAtLeast120 as exc:
         solution = _failure(m, STATUS_ANGLE_GE_120, str(exc))
     except (NotATriangle, AngleOutOfRange) as exc:
@@ -196,7 +204,9 @@ def verify_record(m: MeasurementRecord, s: SolutionRecord | None,
         circle = circle_distances(unit, unit_sq, theta_sq, psis, cot)
         # A value fails if it is off by more than 1e-12 of the perimeter and
         # by more than the tolerance of the larger; the cheaper test first.
-        floor = 1e-12 * sum(unit)
+        # The perimeter is added left to right, as in line_voltage_kernel.
+        ua, ub, uc = unit
+        floor = 1e-12 * (ua + ub + uc)
         for name, given, recomputed in zip(("u1p", "u2p", "u3p"), claim, circle):
             gap = abs(given - recomputed)
             if gap > floor and gap > tolerance * (given if given > recomputed

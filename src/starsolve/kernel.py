@@ -110,7 +110,7 @@ def edge_invariants(a: float, b: float, c: float) -> EdgeInvariants:
         theta_sq = math.sqrt(p_big) * math.sqrt(z + (x - y)) * math.sqrt(z - (x - y))
     else:
         # A negative p_small inside the clamp window is a collinear triple.
-        theta_sq = math.sqrt(p_big * max(p_small, 0.0))
+        theta_sq = math.sqrt(p_big * (0.0 if 0.0 > p_small else p_small))
     return exponent, (ua, ub, uc), (a2, b2, c2), theta_sq
 
 
@@ -122,6 +122,10 @@ def _viewing_angle(name: str, value: float) -> float:
     if not 0.0 < value < 180.0:
         raise AngleOutOfRange(name, value)
     return float(value)
+
+
+# What math.radians multiplies by, to the bit.
+_RADIANS = math.pi / 180.0
 
 
 def angle_invariants(psi_a: float, psi_b: float, psi_c: float) -> AngleInvariants:
@@ -138,7 +142,7 @@ def angle_invariants(psi_a: float, psi_b: float, psi_c: float) -> AngleInvariant
     total = a + b + c
     if abs(total - 360.0) > EPS_ANG_DEG:
         raise AngleOutOfRange("psi_c", c, f"angles sum to {total!r} deg, expected 360")
-    rad_a, rad_b, rad_c = math.radians(a), math.radians(b), math.radians(c)
+    rad_a, rad_b, rad_c = a * _RADIANS, b * _RADIANS, c * _RADIANS
     cos_a, cos_b, cos_c = math.cos(rad_a), math.cos(rad_b), math.cos(rad_c)
     # A right angle's cotangent is exactly zero; cos(radians(90)) is 6e-17.
     cot = (0.0 if a == 90.0 else cos_a / math.sin(rad_a),
@@ -196,9 +200,10 @@ def closure_defects(squares: tuple[float, float, float],
     a2, b2, c2 = squares
     cos_a, cos_b, cos_c = cosines
     a_p, b_p, c_p = distances
-    r_a = abs(b_p * b_p + c_p * c_p - 2.0 * b_p * c_p * cos_a - a2) / a2
-    r_b = abs(c_p * c_p + a_p * a_p - 2.0 * c_p * a_p * cos_b - b2) / b2
-    r_c = abs(a_p * a_p + b_p * b_p - 2.0 * a_p * b_p * cos_c - c2) / c2
+    aa, bb, cc = a_p * a_p, b_p * b_p, c_p * c_p
+    r_a = abs(bb + cc - 2.0 * b_p * c_p * cos_a - a2) / a2
+    r_b = abs(cc + aa - 2.0 * c_p * a_p * cos_b - b2) / b2
+    r_c = abs(aa + bb - 2.0 * a_p * b_p * cos_c - c2) / c2
     return (r_a, r_b, r_c)
 
 
@@ -307,6 +312,15 @@ _COT_EPS = 1.0 / math.tan(math.radians(EPS_ANG_DEG))
 _COT_WIDE = 1.0 / math.tan(math.radians(ANGLE_LIMIT_DEG - EPS_ANG_DEG))
 
 
+def _no_interior_point(vertex: str, psi: float, theta_sq: float,
+                       span: float) -> InfeasibleConfiguration:
+    """A vertex wider than ``psi``, with b^2 + c^2 - a^2 there as ``span``."""
+    return InfeasibleConfiguration(
+        f"no interior point: the angle at vertex {vertex}, "
+        f"{math.degrees(math.atan2(theta_sq, span)):.12g} deg, exceeds the "
+        f"viewing angle {psi:.12g} deg of edge {vertex.lower()}")
+
+
 def check_interior_point(edges: EdgeInvariants, angles: AngleInvariants) -> None:
     """Raise unless a point inside the triangle sees its edges under the
     angles, as :func:`edge_invariants` and :func:`angle_invariants` give
@@ -321,18 +335,19 @@ def check_interior_point(edges: EdgeInvariants, angles: AngleInvariants) -> None
     angles may fall EPS_ANG_DEG short, so that a star point on a terminal
     solves: each is tested as cot(psi + eps) = (cot psi cot eps - 1) /
     (cot psi + cot eps), and not where psi + eps reaches 180 deg, as the
-    denominator's sign tells. A wider vertex raises
-    :class:`InfeasibleConfiguration`, and so does the NaN of an overflowing
-    cotangent; collinear edges raise :class:`DegenerateTriangle`.
+    denominator's sign tells. The first wider vertex, in the order A, B, C,
+    raises :class:`InfeasibleConfiguration`, and so does the NaN of an
+    overflowing cotangent; collinear edges raise :class:`DegenerateTriangle`.
     """
     exponent, unit, (a2, b2, c2), theta_sq = edges
-    psis, cot, _ = angles
-    spans = (b2 + c2 - a2, c2 + a2 - b2, a2 + b2 - c2)
+    psis, (cot_a, cot_b, cot_c), _ = angles
+    span_a, span_b, span_c = b2 + c2 - a2, c2 + a2 - b2, a2 + b2 - c2
     if psis == ANGLES_120[0]:
         limit = _COT_WIDE * theta_sq
-        if limit < spans[0] and limit < spans[1] and limit < spans[2]:
+        if limit < span_a and limit < span_b and limit < span_c:
             return
-        for vertex, (x, y), span in zip("ABC", ((1, 2), (2, 0), (0, 1)), spans):
+        for vertex, (x, y), span in zip("ABC", ((1, 2), (2, 0), (0, 1)),
+                                        (span_a, span_b, span_c)):
             if not limit < span:
                 # The minimizing point degenerates onto the vertex: zero there,
                 # the adjacent edges at the other two corners, scaled back
@@ -344,13 +359,15 @@ def check_interior_point(edges: EdgeInvariants, angles: AngleInvariants) -> None
                                       (c, 0.0, a) if vertex == "B" else (b, a, 0.0))
     if theta_sq == 0.0:
         raise DegenerateTriangle("edges are collinear: no interior point")
-    for vertex, psi, cot_psi, span in zip("ABC", psis, cot, spans):
-        denom = cot_psi + _COT_EPS
-        if denom > 0.0 and not (cot_psi * _COT_EPS - 1.0) / denom * theta_sq < span:
-            raise InfeasibleConfiguration(
-                f"no interior point: the angle at vertex {vertex}, "
-                f"{math.degrees(math.atan2(theta_sq, span)):.12g} deg, exceeds the "
-                f"viewing angle {psi:.12g} deg of edge {vertex.lower()}")
+    denom = cot_a + _COT_EPS
+    if denom > 0.0 and not (cot_a * _COT_EPS - 1.0) / denom * theta_sq < span_a:
+        raise _no_interior_point("A", psis[0], theta_sq, span_a)
+    denom = cot_b + _COT_EPS
+    if denom > 0.0 and not (cot_b * _COT_EPS - 1.0) / denom * theta_sq < span_b:
+        raise _no_interior_point("B", psis[1], theta_sq, span_b)
+    denom = cot_c + _COT_EPS
+    if denom > 0.0 and not (cot_c * _COT_EPS - 1.0) / denom * theta_sq < span_c:
+        raise _no_interior_point("C", psis[2], theta_sq, span_c)
 
 
 # =========================================================================
@@ -414,8 +431,10 @@ def line_voltage_kernel(edges: EdgeInvariants, angles: AngleInvariants,
 
     distances = (math.ldexp(a_p, exponent), math.ldexp(b_p, exponent),
                  math.ldexp(c_p, exponent))
-    # 1e-9 of the perimeter, which itself may exceed the float range.
-    floor = math.ldexp(1e-9 * sum(unit), exponent)
+    # 1e-9 of the perimeter, which itself may exceed the float range, added
+    # left to right: sum() rounds differently from Python 3.12 on.
+    ua, ub, uc = unit
+    floor = math.ldexp(1e-9 * (ua + ub + uc), exponent)
     notes = ()
     if min(distances) < floor:
         notes = tuple(f"{name} is zero within tolerance: "

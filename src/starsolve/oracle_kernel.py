@@ -20,7 +20,7 @@ import math
 import sys
 from typing import TYPE_CHECKING
 
-from .errors import NoConvergence
+from .errors import DegenerateTriangle, NoConvergence
 from .kernel import Triple, angle_invariants, closure_defects, edge_invariants, point_position
 
 if TYPE_CHECKING:  # pragma: no cover - the draw takes the caller's generator
@@ -115,6 +115,11 @@ def _embed_for_oracle(a: float, b: float, c: float
     return ((0.0, 0.0), (a, 0.0), (ax, math.sqrt(max(radicand, 0.0)) / (2.0 * a)))
 
 
+def _coincident(a: float, b: float, c: float) -> DegenerateTriangle:
+    return DegenerateTriangle(f"edges ({a}, {b}, {c}): two vertices coincide "
+                              "on the unit triangle")
+
+
 def distance_sum_minimum(a: float, b: float, c: float, max_iter: int = 10_000,
                          start: tuple[float, float] | None = None
                          ) -> tuple[float, float, float, int]:
@@ -156,7 +161,8 @@ def distance_sum_minimum(a: float, b: float, c: float, max_iter: int = 10_000,
     By convexity f(X) - f(X*) <= grad f(X) . (X - X*), and X* lies in the
     triangle, so this bounds the relative gap of ``value`` to the minimum.
     :class:`NoConvergence` is raised if ``max_iter`` steps do not reach
-    the certificate.
+    the certificate, and :class:`DegenerateTriangle` if two vertices
+    coincide in floats, as on a needle whose short edge squares to 0.
 
     The sum is homogeneous in the edges, so the search runs on the edges
     divided by 2**e, e the binary exponent of the longest edge (taken here,
@@ -168,10 +174,14 @@ def distance_sum_minimum(a: float, b: float, c: float, max_iter: int = 10_000,
     exponent = math.frexp(max(a, b, c))[1]
     edges = (math.ldexp(a, -exponent), math.ldexp(b, -exponent),
              math.ldexp(c, -exponent))
+    if 0.0 in edges:
+        raise _coincident(a, b, c)
     vc, vb, va = _embed_for_oracle(*edges)
     for (cx, cy), (ux, uy), (vx, vy) in ((va, vb, vc), (vb, va, vc), (vc, va, vb)):
         du = math.hypot(cx - ux, cy - uy)
         dv = math.hypot(cx - vx, cy - vy)
+        if du == 0.0 or dv == 0.0:
+            raise _coincident(a, b, c)
         inv_u, inv_v = 1.0 / du, 1.0 / dv
         if math.hypot((ux - cx) * inv_u + (vx - cx) * inv_v,
                       (uy - cy) * inv_u + (vy - cy) * inv_v) <= 1.0:

@@ -649,7 +649,8 @@ def reference_kernel(edges: tuple, angles: tuple, tolerance: float) -> tuple:
             f"closure residuals {residuals} exceed {tolerance:g}; "
             "the closed form does not reach the star point within tolerance")
     distances = tuple(math.ldexp(d, exponent) for d in (a_p, b_p, c_p))
-    floor = math.ldexp(1e-9 * sum(unit), exponent)
+    ua, ub, uc = unit  # added left to right: sum() is compensated from Python 3.12 on
+    floor = math.ldexp(1e-9 * (ua + ub + uc), exponent)
     notes = tuple(f"{name} is zero within tolerance: "
                   "the load star point sits on a phase terminal"
                   for name, value in zip(("u1p", "u2p", "u3p"), distances)
@@ -791,6 +792,15 @@ def kernel_rows(draw, angles=kernel_angles()) -> tuple:
 @example(((117.45917376670758, 0.4169475734378701, 117.52180669988361),
           (81.26441457577114, 179.9940549532222,
            360.0 - 81.26441457577114 - 179.9940549532222)))
+# The predicate names the vertex that is too wide: B, then C (A above).
+# No two vertices can both be: on the unit triangle the spans of any two
+# sum to at least 0 in floats, so their vertex angles to at most 180 deg.
+@example(((3.0, 4.0, 5.0), (150.0, 50.0, 160.0)))
+@example(((3.0, 4.0, 5.0), (100.0, 175.0, 85.0)))
+# psi_a within EPS_ANG_DEG of 180 deg: cot(psi_a + eps)'s denominator is
+# negative, so vertex A is skipped, and the planted point solves ok.
+@example(((2.0, 1.0017848888625436, 0.9983120937095941),
+          (180.0 - 5e-10, 100.0, 80.0 + 5e-10)))
 def test_line_voltage_kernel_is_the_helper_route_bit_for_bit(row):
     u, psis = row
     if min(u) > 0.0:
@@ -910,20 +920,27 @@ def reference_distance_sum_minimum(a: float, b: float, c: float, max_iter: int,
                                    start: tuple | None) -> tuple:
     """The distance-sum minimum with f(X) summed in a pass of its own over
     the vertices, after the pass that gives its derivatives, and the corner
-    tests run over slices of the corners. ``distance_sum_minimum`` sums f
-    in its derivative pass and must return the same bits."""
+    tests run over slices of the corners, each first testing that its two
+    vertices are apart. ``distance_sum_minimum`` sums f in its derivative
+    pass and must return the same bits."""
     def distance_sum(x, y, vertices):
         return sum(math.hypot(x - vx, y - vy) for vx, vy in vertices)
 
     exponent = math.frexp(max(a, b, c))[1]
     edges = (math.ldexp(a, -exponent), math.ldexp(b, -exponent),
              math.ldexp(c, -exponent))
+    coincide = DegenerateTriangle(f"edges ({a}, {b}, {c}): two vertices coincide "
+                                  "on the unit triangle")
+    if min(edges) == 0.0:
+        raise coincide
     vc, vb, va = _embed_for_oracle(*edges)
     corners = (va, vb, vc)
     for k, (cx, cy) in enumerate(corners):
         (ux, uy), (vx, vy) = corners[:k] + corners[k + 1:]
         du = math.hypot(cx - ux, cy - uy)
         dv = math.hypot(cx - vx, cy - vy)
+        if min(du, dv) == 0.0:
+            raise coincide
         inv_u, inv_v = 1.0 / du, 1.0 / dv
         if math.hypot((ux - cx) * inv_u + (vx - cx) * inv_v,
                       (uy - cy) * inv_u + (vy - cy) * inv_v) <= 1.0:
@@ -1030,6 +1047,9 @@ EDGES_120 = law_of_cosines(PLANTED_120, (120.0, 120.0, 120.0))
 @example((EDGES_120, PLANTED_120[1:]), 1)
 # Started on vertex C, at distance a from B: the on-vertex step comes first.
 @example((EDGES_120, (EDGES_120[0], 0.0)), 20)
+# A needle whose short edge squares to 0: two vertices coincide in floats.
+@example(((1.0, 1.0, 1e-166), None), 0)
+@example(((1e-166, 1.0, 1.0), None), 20)
 def test_distance_sum_minimum_is_the_two_pass_route_bit_for_bit(case, max_iter):
     edges, start = case
     assert (outcome(distance_sum_minimum, *edges, max_iter, start)

@@ -19,6 +19,7 @@ from conftest import (
 )
 from starsolve import (
     ConcentricCircles,
+    DegenerateTriangle,
     NoConvergence,
     PhaseAngles,
     Phasor,
@@ -35,6 +36,7 @@ from starsolve import (
 )
 from starsolve.kernel import _chord_circles
 from starsolve.oracle import random_synthesis_spec
+from starsolve.oracle_kernel import distance_sum_minimum
 
 ALL_120 = PhaseAngles(120.0, 120.0, 120.0)
 
@@ -164,6 +166,17 @@ def test_minimize_wide_vertex_returned_without_iterating(angle):
             result = minimize_distance_sum(t, max_iter=0, start=start)
             assert result.iterations == 0 and result.converged
             assert rel_err(result.value, b + c) < 1e-12
+
+
+@pytest.mark.parametrize("edges", rotations((1.0, 1.0, 1e-166)) + rotations((1.0, 1.0, 1e-200))
+                         + rotations((1.0, 1.0, 5e-324)))
+def test_distance_sum_minimum_rejects_vertices_that_coincide_in_floats(edges):
+    # The short edge squares to 0 on the unit triangle, so two vertices of
+    # the embedding coincide; TriangleEdges rejects the same edges.
+    with pytest.raises(DegenerateTriangle):
+        TriangleEdges(*edges)
+    with pytest.raises(DegenerateTriangle, match="two vertices coincide"):
+        distance_sum_minimum(*edges)
 
 
 def test_minimize_iteration_cap_raises():
