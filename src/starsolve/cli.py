@@ -71,10 +71,10 @@ EXIT_RECORD_FAILED = 2
 # =========================================================================
 
 def _invariants(m: MeasurementRecord) -> tuple[EdgeInvariants, AngleInvariants]:
-    """The measurement validated, as the floats that verify reads: the
-    ``edge_invariants`` of its voltages and the ``angle_invariants`` of its
-    phase differences, or ``ANGLES_120`` when it has none; :func:`solve_record`
-    makes the same two calls written out."""
+    """The measurement validated, as the floats that a failure row's margin
+    reads: the ``edge_invariants`` of its voltages and the ``angle_invariants``
+    of its phase differences, or ``ANGLES_120`` when it has none; the solved
+    paths of :func:`solve_record` and :func:`verify_record` inline the calls."""
     edges = edge_invariants(m.u1, m.u2, m.u3)
     if m.psi1 is None:
         return edges, ANGLES_120
@@ -165,35 +165,40 @@ def verify_record(m: MeasurementRecord, s: SolutionRecord | None,
     an internal error, or says that no star point exists where
     :func:`_interior_margin` finds one by more than ``EPS_ANG_DEG``.
 
-    A solved row is checked in one pass on the unit triangle of
-    :func:`_invariants`: the claim is divided once by 2**k, k the edges'
-    exponent, and both checks read it there, so no square leaves the float
-    range. A value is scaled back only to be printed.
+    A solved row is unpacked once and checked in one pass on the unit
+    triangle, validated as :func:`solve_record` validates it: the claim is
+    divided once by 2**k, k the edges' exponent, and both checks read it
+    there, so no square leaves the float range. A value is scaled back only
+    to be printed.
     """
     if s is None:
         return False, "row carries no solution fields"
-    if not s.solved or s.u1p is None:
+    _, u1p, u2p, u3p, _, status, _ = s
+    if status != STATUS_OK or u1p is None:
         _, fresh = solve_record(m, tolerance)
         if fresh.status == STATUS_INTERNAL_ERROR:
             return False, f"cross-check raised {fresh.diagnostics}"
-        if fresh.status != s.status:
-            return False, (f"recorded status {s.status!r} but re-solve "
+        if fresh.status != status:
+            return False, (f"recorded status {status!r} but re-solve "
                            f"produced {fresh.status!r}")
-        if s.status in (STATUS_INFEASIBLE, STATUS_ANGLE_GE_120):
+        if status in (STATUS_INFEASIBLE, STATUS_ANGLE_GE_120):
             try:
                 margin = _interior_margin(*_invariants(m))
             except DegenerateTriangle:  # a short edge that squares to 0
                 margin = -math.inf
             if margin > EPS_ANG_DEG:
-                return False, (f"recorded status {s.status!r} but an interior "
+                return False, (f"recorded status {status!r} but an interior "
                                f"point exists: angle margin {margin:.3e} deg")
-        return True, f"failure status {s.status!r} confirmed by re-solve"
+        return True, f"failure status {status!r} confirmed by re-solve"
 
+    _, u1, u2, u3, psi1, psi2, _ = m
     try:
-        (k, unit, unit_sq, theta_sq), (psis, cot, cos) = _invariants(m)
+        k, unit, unit_sq, theta_sq = edge_invariants(u1, u2, u3)
+        psis, cot, cos = (ANGLES_120 if psi1 is None
+                          else angle_invariants(psi1, psi2, 360.0 - psi1 - psi2))
         try:
-            claim = (math.ldexp(s.u1p, -k), math.ldexp(s.u2p, -k),
-                     math.ldexp(s.u3p, -k))
+            c1, c2, c3 = claim = (math.ldexp(u1p, -k), math.ldexp(u2p, -k),
+                                  math.ldexp(u3p, -k))
         except OverflowError:  # beyond the float range on the unit triangle
             return False, f"closure residual inf exceeds tolerance {tolerance:g}"
         worst = max(closure_defects(unit_sq, cos, claim))
@@ -201,17 +206,18 @@ def verify_record(m: MeasurementRecord, s: SolutionRecord | None,
             return False, (f"closure residual {worst:.3e} "
                            f"exceeds tolerance {tolerance:g}")
 
-        circle = circle_distances(unit, unit_sq, theta_sq, psis, cot)
+        r1, r2, r3 = circle_distances(unit, unit_sq, theta_sq, psis, cot)
         # A value fails if it is off by more than 1e-12 of the perimeter and
         # by more than the tolerance of the larger; the cheaper test first.
         # The perimeter is added left to right, as in line_voltage_kernel.
         ua, ub, uc = unit
         floor = 1e-12 * (ua + ub + uc)
-        for name, given, recomputed in zip(("u1p", "u2p", "u3p"), claim, circle):
+        for name, value, given, recomputed in (("u1p", u1p, c1, r1), ("u2p", u2p, c2, r2),
+                                               ("u3p", u3p, c3, r3)):
             gap = abs(given - recomputed)
             if gap > floor and gap > tolerance * (given if given > recomputed
                                                   else recomputed):
-                return False, (f"{name}={getattr(s, name)!r} disagrees with "
+                return False, (f"{name}={value!r} disagrees with "
                                f"circle-path value {math.ldexp(recomputed, k)!r}")
     except StarSolveError as exc:
         return False, f"cross-check raised: {exc}"

@@ -215,26 +215,6 @@ def closure_defects(squares: tuple[float, float, float],
 BARY_TOL = 1e-9
 
 
-def _chord_circles(a: float, vx: float, vy: float, cot_a: float,
-                   cot_b: float) -> tuple[float, float, float, float, float, float]:
-    """Centers and radii (center_r x, y, center_s x, y, rho_a, rho_b) of the
-    circles through {C, B} and {C, A} from which the chords are seen under
-    psi_a resp. psi_b, given the frame with C at the origin, B at (a, 0)
-    and A at (vx, vy), and the cotangents of those two viewing angles.
-
-    The center of the chord-CB circle sits at half the chord plus a
-    cotangent-scaled perpendicular; an obtuse viewing angle puts it on the
-    far side of the chord from X, a right angle on the chord itself. Only
-    a zero area (vy <= 0) is degenerate, so a needle of any ratio passes.
-    """
-    if vy <= 0.0:
-        raise DegenerateTriangle("spanning vectors are collinear")
-    return (a * 0.5, a * cot_a * 0.5,
-            (vx + vy * cot_b) * 0.5, (vy - vx * cot_b) * 0.5,
-            0.5 * a * math.sqrt(1.0 + cot_a * cot_a),
-            0.5 * math.hypot(vx, vy) * math.sqrt(1.0 + cot_b * cot_b))
-
-
 def circle_distances(unit: Triple, unit_sq: Triple, theta_sq: float, psis: Triple,
                      cot: Triple) -> Triple:
     """Constructive route on plain floats: the distances from X, the second
@@ -245,14 +225,16 @@ def circle_distances(unit: Triple, unit_sq: Triple, theta_sq: float, psis: Tripl
     The triangle is relabeled cyclically so that the smallest viewing
     angle (the first of equal ones) comes last, and the two largest, both
     >= 90 deg, drive the construction; the distances are labeled back
-    before they are returned. Both circles pass through vertex C at the
-    origin, so X is C reflected in the line of centres: with
-    d = c_s - c_r, X = 2 (c_r x d) / |d|^2 * (d_y, -d_x). It must land
-    inside the triangle (within barycentric slack); a line of centres
-    through C is tangency at C, the legitimate boundary case of a
-    vanishing vertex distance. The relabeling and the interior test are
-    written out in this one frame; vertex A and the circles come from
-    :func:`apex_position` and :func:`_chord_circles`.
+    before they are returned. All is written out in one frame: C at the
+    origin, B at (a, 0), A where :func:`apex_position` puts it. Each circle's
+    centre is half its chord (CB, seen under psi_a; CA, under psi_b) plus a
+    cotangent-scaled perpendicular; an obtuse angle puts it on the far side
+    of the chord from X, a right angle on the chord. Only a zero area is
+    degenerate, so a needle of any ratio passes. Both circles pass through
+    C, so X is C reflected in the line of centres, d = c_s - c_r:
+    X = 2 (c_r x d) / |d|^2 (d_y, -d_x). It must land inside the triangle
+    (within barycentric slack); a line of centres through C is tangency at
+    C, the legitimate boundary case of a vanishing vertex distance.
     """
     psi_a, psi_b, psi_c = psis
     # Theta^2 is symmetric and needs no relabeling.
@@ -271,8 +253,16 @@ def circle_distances(unit: Triple, unit_sq: Triple, theta_sq: float, psis: Tripl
         a, b, _ = unit
         a2, b2, c2 = unit_sq
         cot_a, cot_b, _ = cot
-    ax, ay = apex_position(a, b, a2, b2, c2, theta_sq)
-    crx, cry, csx, csy, rho_a, rho_b = _chord_circles(a, ax, ay, cot_a, cot_b)
+    # Vertex A as apex_position places it, its clamp written out.
+    cos_phi = (a2 + b2 - c2) / (2.0 * a * b)
+    ax = b * (cos_phi if -1.0 < cos_phi < 1.0 else -1.0 if cos_phi <= -1.0 else 1.0)
+    ay = theta_sq / (2.0 * a)
+    if ay <= 0.0:
+        raise DegenerateTriangle("spanning vectors are collinear")
+    crx, cry = a * 0.5, a * cot_a * 0.5
+    csx, csy = (ax + ay * cot_b) * 0.5, (ay - ax * cot_b) * 0.5
+    rho_a = 0.5 * a * math.sqrt(1.0 + cot_a * cot_a)
+    rho_b = 0.5 * math.hypot(ax, ay) * math.sqrt(1.0 + cot_b * cot_b)
 
     dx, dy = csx - crx, csy - cry
     d = math.hypot(dx, dy)
@@ -282,13 +272,13 @@ def circle_distances(unit: Triple, unit_sq: Triple, theta_sq: float, psis: Tripl
             f"centers coincide within {eps:g}; intersection undefined")
     scale = 2.0 * (crx * dy - cry * dx) / (d * d)
     px, py = scale * dy, -scale * dx
-    # Barycentric (u, v, w) of X = v*B + w*A, with C at the origin, B at
-    # (a, 0) and A at (ax, ay); _chord_circles has ruled out a zero area.
+    # Barycentric (u, v, w) of X = v*B + w*A, tested as min(u, v, w) would be:
+    # a NaN u (v or w a NaN, or both infinite) passes.
     area = a * ay
     v = (px * ay - py * ax) / area
     w = a * py / area
     u = 1.0 - v - w
-    if min(u, v, w) < -BARY_TOL:
+    if u < -BARY_TOL or (v < -BARY_TOL or w < -BARY_TOL) and u == u:
         raise NoInteriorIntersection(
             f"circle intersection lies outside the triangle: barycentric {(u, v, w)}")
 

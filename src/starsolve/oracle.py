@@ -126,7 +126,9 @@ def sample_waveform_amplitude(phasors: Sequence["Phasor"],
     step = 2.0 * math.pi / n_samples
     for k in range(n_samples):
         theta = k * step
-        value = sum(amp * math.cos(theta + shift) for amp, shift in terms)
+        value = 0.0  # added left to right, as sum() does before Python 3.12
+        for amp, shift in terms:
+            value += amp * math.cos(theta + shift)
         hi = max(hi, value)
         lo = min(lo, value)
     return (hi - lo) / 2.0

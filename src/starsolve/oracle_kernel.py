@@ -190,6 +190,7 @@ def distance_sum_minimum(a: float, b: float, c: float, max_iter: int = 10_000,
 
     ox, oy = (va, vb, vc)[edges.index(max(edges))]
     vertices = [(vx - ox, vy - oy) for vx, vy in (va, vb, vc)]
+    (x1, y1), (x2, y2), (x3, y3) = vertices
     x = y = 0.0
     if start is not None:
         try:
@@ -202,7 +203,8 @@ def distance_sum_minimum(a: float, b: float, c: float, max_iter: int = 10_000,
             x, y = sx - ox, sy - oy
     for iterations in range(max_iter + 1):
         distances = [math.hypot(vx - x, vy - y) for vx, vy in vertices]
-        fx = sum(distances)
+        # Added left to right, here and below: sum() rounds otherwise on 3.12+.
+        fx = distances[0] + distances[1] + distances[2]
         on_vertex = 0.0 in distances
         # Minus the gradient: the sum of the unit vectors toward the
         # vertices X is not on.
@@ -233,8 +235,8 @@ def distance_sum_minimum(a: float, b: float, c: float, max_iter: int = 10_000,
         if not on_vertex and det > 0.0:
             nx = x + (hyy * px - hxy * py) / det
             ny = y + (hxx * py - hxy * px) / det
-            if (sum([math.hypot(vx - nx, vy - ny) for vx, vy in vertices])
-                    <= fx * (1.0 + _ROUNDING_SLACK)):
+            if (math.hypot(x1 - nx, y1 - ny) + math.hypot(x2 - nx, y2 - ny)
+                    + math.hypot(x3 - nx, y3 - ny) <= fx * (1.0 + _ROUNDING_SLACK)):
                 x, y = nx, ny
                 continue
         keep = 1.0 / max(pull, 1.0) if on_vertex else 0.0

@@ -32,8 +32,8 @@ from starsolve import (
 )
 from starsolve.cli import solve_record, verify_record
 from starsolve.config import RESIDUAL_TOL
-from starsolve.kernel import _chord_circles
 from starsolve.records import MeasurementRecord
+from test_one_path import reference_chord_circles
 
 ALL_120 = PhaseAngles(120.0, 120.0, 120.0)
 
@@ -42,8 +42,8 @@ def chord_circles(t: TriangleEdges, cot_a: float, cot_b: float):
     """Centers and radii of the inscribed-angle circles over edges a and b
     of ``t``, embedded at its own scale."""
     a_vec, b_vec = embed_triangle(t)
-    crx, cry, csx, csy, rho_a, rho_b = _chord_circles(a_vec.x, b_vec.x, b_vec.y,
-                                                      cot_a, cot_b)
+    crx, cry, csx, csy, rho_a, rho_b = reference_chord_circles(
+        a_vec.x, b_vec.x, b_vec.y, cot_a, cot_b)
     return PlaneVector(crx, cry), PlaneVector(csx, csy), rho_a, rho_b
 
 

@@ -86,7 +86,7 @@ def test_kernel_imports_only_errors_and_config():
 # The solver formulas in ``kernel``, which share a module with the
 # primitives the oracle reads.
 SOLVER_KERNELS = {"circle_distances", "check_interior_point",
-                  "line_voltage_kernel", "_joint_vertex_distance", "_chord_circles"}
+                  "line_voltage_kernel", "_joint_vertex_distance"}
 
 
 def mentioned(tree: ast.AST) -> set[str]:

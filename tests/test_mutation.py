@@ -109,7 +109,8 @@ def verdicts(m: MeasurementRecord, claim: tuple, tolerance: float) -> dict:
     unit_claim = tuple(math.ldexp(d, -k) for d in claim)
     closure = max(closure_defects(unit_sq, cos, unit_claim)) <= tolerance
     try:
-        floor = 1e-12 * sum(unit)
+        ua, ub, uc = unit
+        floor = 1e-12 * (ua + ub + uc)
         circle = all(abs(given - recomputed) <= max(floor, tolerance * max(given, recomputed))
                      for given, recomputed in zip(unit_claim, circle_distances(
                          unit, unit_sq, theta_sq, psis, cot)))

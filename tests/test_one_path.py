@@ -18,8 +18,9 @@ whether a star point exists before it evaluates the closed form, so it
 must return, bit for bit, what that predicate written out vertex by vertex
 and the kept helpers return when called one after another, and the
 invariant kernels what their written-out references return. ``kernel.circle_distances`` relabels
-the triangle by comparisons, so it must return what the route rotated by
-tuple slices returns. The oracle's value-type functions wrap the float
+the triangle by comparisons and writes vertex A and the circles out in its
+frame, so it must return what the route rotated by tuple slices, through
+``apex_position`` and ``reference_chord_circles``, returns. The oracle's value-type functions wrap the float
 entries of ``oracle_kernel``, so each must return, bit for bit, what its
 entry returns, and draw from the generator as it does.
 ``oracle_kernel.distance_sum_minimum`` sums f(X) over the distances of its
@@ -71,7 +72,6 @@ from starsolve.cli import solve_record, verify_record
 from starsolve.config import EPS_ANG_DEG, EPS_TRI_COEFF, RESIDUAL_TOL
 from starsolve.kernel import (
     BARY_TOL,
-    _chord_circles,
     _joint_vertex_distance,
     angle_invariants,
     apex_position,
@@ -259,7 +259,8 @@ def library_verdict(m: MeasurementRecord, s: SolutionRecord,
             return False, (f"closure residual {report.max_residual:.3e} "
                            f"exceeds tolerance {tolerance:g}")
         t = u.to_edges()
-        floor = math.ldexp(1e-12 * sum(t.unit), t.exponent)
+        ua, ub, uc = t.unit
+        floor = math.ldexp(1e-12 * (ua + ub + uc), t.exponent)
         circle = general_solve_by_circles(t, angles)
         for name, given, recomputed in zip(("u1p", "u2p", "u3p"), lv.as_tuple(),
                                            circle.distances()):
@@ -814,21 +815,41 @@ def test_line_voltage_kernel_is_the_helper_route_bit_for_bit(row):
             == outcome(reference_kernel, edges, angles, RESIDUAL_TOL))
 
 
+def reference_chord_circles(a: float, vx: float, vy: float, cot_a: float,
+                            cot_b: float) -> tuple[float, float, float, float, float, float]:
+    """Centers and radii (center_r x, y, center_s x, y, rho_a, rho_b) of the
+    circles through {C, B} and {C, A} from which the chords are seen under
+    psi_a resp. psi_b, given the frame with C at the origin, B at (a, 0)
+    and A at (vx, vy), and the cotangents of those two viewing angles.
+
+    The center of the chord-CB circle sits at half the chord plus a
+    cotangent-scaled perpendicular; an obtuse viewing angle puts it on the
+    far side of the chord from X, a right angle on the chord itself. Only
+    a zero area (vy <= 0) is degenerate, so a needle of any ratio passes.
+    """
+    if vy <= 0.0:
+        raise DegenerateTriangle("spanning vectors are collinear")
+    return (a * 0.5, a * cot_a * 0.5,
+            (vx + vy * cot_b) * 0.5, (vy - vx * cot_b) * 0.5,
+            0.5 * a * math.sqrt(1.0 + cot_a * cot_a),
+            0.5 * math.hypot(vx, vy) * math.sqrt(1.0 + cot_b * cot_b))
+
+
 def reference_circle_distances(unit: tuple, unit_sq: tuple, theta_sq: float,
                                psis: tuple, cot: tuple) -> tuple:
     """The circle route as helper calls: the smallest angle (the first of
     equal ones) rotated last by tuple slices, vertex A by
-    ``apex_position``, the circles by ``_chord_circles``, the interior test
-    by the barycentric formula, and the distances rotated back.
-    ``circle_distances`` relabels by comparisons and must return the same
-    bits."""
+    ``apex_position``, the circles by :func:`reference_chord_circles`, the
+    interior test by the barycentric formula and ``min``, and the distances
+    rotated back. ``circle_distances`` relabels by comparisons and writes
+    the helpers out in one frame, and must return the same bits."""
     def rotated(triple, r):
         return triple[r:] + triple[:r]
     rot = (1, 2, 0)[psis.index(min(psis))]
     (a, b, _), (a2, b2, c2) = rotated(unit, rot), rotated(unit_sq, rot)
     cot_a, cot_b, _ = rotated(cot, rot)
     ax, ay = apex_position(a, b, a2, b2, c2, theta_sq)
-    crx, cry, csx, csy, rho_a, rho_b = _chord_circles(a, ax, ay, cot_a, cot_b)
+    crx, cry, csx, csy, rho_a, rho_b = reference_chord_circles(a, ax, ay, cot_a, cot_b)
     dx, dy = csx - crx, csy - cry
     d = math.hypot(dx, dy)
     eps = 1e-12 * (rho_a + rho_b)
@@ -924,7 +945,9 @@ def reference_distance_sum_minimum(a: float, b: float, c: float, max_iter: int,
     vertices are apart. ``distance_sum_minimum`` sums f in its derivative
     pass and must return the same bits."""
     def distance_sum(x, y, vertices):
-        return sum(math.hypot(x - vx, y - vy) for vx, vy in vertices)
+        (x1, y1), (x2, y2), (x3, y3) = vertices
+        return (math.hypot(x - x1, y - y1) + math.hypot(x - x2, y - y2)
+                + math.hypot(x - x3, y - y3))
 
     exponent = math.frexp(max(a, b, c))[1]
     edges = (math.ldexp(a, -exponent), math.ldexp(b, -exponent),

@@ -34,9 +34,9 @@ from starsolve import (
     synthesize_triangle,
     theta_squared,
 )
-from starsolve.kernel import _chord_circles
 from starsolve.oracle import random_synthesis_spec
 from starsolve.oracle_kernel import distance_sum_minimum
+from test_one_path import reference_chord_circles
 
 ALL_120 = PhaseAngles(120.0, 120.0, 120.0)
 
@@ -179,6 +179,14 @@ def test_distance_sum_minimum_rejects_vertices_that_coincide_in_floats(edges):
         distance_sum_minimum(*edges)
 
 
+def test_distance_sum_minimum_is_the_same_bits_on_every_python():
+    # f(X) is added left to right; sum(), compensated from Python 3.12 on,
+    # gave 0x1.b75a2934b4ec4p-1 there.
+    value = distance_sum_minimum(0.3903717016735131, 0.49596413323846344,
+                                 0.6353833802367614)[2]
+    assert value.hex() == "0x1.b75a2934b4ec5p-1"
+
+
 def test_minimize_iteration_cap_raises():
     with pytest.raises(NoConvergence):
         minimize_distance_sum(TriangleEdges(1.0, 1.0, 1.7320508), max_iter=1)
@@ -312,8 +320,8 @@ def _inscribed_angle_circles(t: TriangleEdges, angles: PhaseAngles):
     """The solver's two circles over edges a and b of ``t``, at its scale,
     in the original labels, as (center x, y, radius) twice."""
     a_vec, b_vec = embed_triangle(t)
-    crx, cry, csx, csy, rho_a, rho_b = _chord_circles(a_vec.x, b_vec.x, b_vec.y,
-                                                      *angles.cot[:2])
+    crx, cry, csx, csy, rho_a, rho_b = reference_chord_circles(
+        a_vec.x, b_vec.x, b_vec.y, *angles.cot[:2])
     return crx, cry, rho_a, csx, csy, rho_b
 
 
@@ -351,6 +359,17 @@ def test_waveform_agrees_with_phasor_arithmetic():
             continue
         sampled = sample_waveform_amplitude([p1, p2], [1, -1])
         assert rel_err(sampled, analytic) < 1e-6
+
+
+def test_waveform_amplitude_is_the_same_bits_on_every_python():
+    # The cosines are added left to right; sum() gave 0x1.143e5fd1c3c40p+4
+    # on Python 3.12 and later.
+    phasors = [Phasor(8.627593579432016, 133.02235263126914),
+               Phasor(6.832432811688521, 207.99226362725858),
+               Phasor(6.215523464940565, 141.87012284913067),
+               Phasor(2.9907537933493593, 270.0170545085405)]
+    value = sample_waveform_amplitude(phasors, n_samples=1024)
+    assert value.hex() == "0x1.143e5fd1c3c42p+4"
 
 
 def test_waveform_input_validation():
