@@ -13,8 +13,8 @@ Library entry points:
 Every operation is a pure function; the package is thread-safe throughout.
 Each public name, and the module that defines it, is imported on first
 use (PEP 562). ``star-solve`` runs on the float kernels of
-:mod:`starsolve.kernel`, and ``synth`` on the oracle's float entries in
-:mod:`starsolve.oracle_kernel` too, so no CLI path loads a value type.
+:mod:`starsolve.kernel`, and ``synth`` on its planted draw and forward map
+in :mod:`starsolve.oracle_kernel` too, so no CLI path loads a value type.
 """
 
 from importlib import import_module

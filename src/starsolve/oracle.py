@@ -3,15 +3,15 @@
 Nothing here reuses solver formulas: the minimizer works on the
 distance-sum objective and its derivatives alone, and waveform sampling
 works in the time domain. The minimizer checks the 120-deg solvers for
-library callers and the acceptance tests, and the synthesis backs
-``synth``. Both run on the plain-float entries of
-:mod:`starsolve.oracle_kernel`, which ``synth`` calls directly; the
-functions here wrap them in value types for library callers.
+library callers and the acceptance tests; no CLI path runs it. The
+synthesis backs ``synth``: it wraps in value types the plain-float entries
+of :mod:`starsolve.oracle_kernel`, which ``synth`` calls directly.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -22,7 +22,8 @@ from .geometry import (
     TriangleEdges,
     point_from_distances,
 )
-from .oracle_kernel import distance_sum_minimum, planted_draw, planted_edges
+from .errors import NoConvergence
+from .oracle_kernel import planted_draw, planted_edges
 
 if TYPE_CHECKING:  # pragma: no cover - type-only, avoids a runtime cycle
     from random import Random
@@ -74,8 +75,15 @@ def random_synthesis_spec(rng: Random, seed: int = 0,
 
 
 # =========================================================================
-# Minimization of the vertex-distance sum
+# Weiszfeld-Newton minimization of the vertex-distance sum
 # =========================================================================
+
+# Stop once the convexity bound on the relative gap to the minimum is this small.
+GAP_CERTIFICATE = 1e-12
+
+# A Newton step may raise the sum by this much relative rounding and still count.
+_ROUNDING_SLACK = 4.0 * sys.float_info.epsilon
+
 
 @dataclass(frozen=True)
 class MinimizationResult:
@@ -85,16 +93,124 @@ class MinimizationResult:
     converged: bool
 
 
-def minimize_distance_sum(t: TriangleEdges, max_iter: int = 10_000,
-                          start: tuple[float, float] | None = None
-                          ) -> MinimizationResult:
-    """Minimize f(X) = |XA| + |XB| + |XC| (Fermat-Weber) to a certified gap:
-    :func:`~starsolve.oracle_kernel.distance_sum_minimum` on the edges of
-    ``t``, with its point as a :class:`~starsolve.geometry.PlaneVector`.
-    ``converged`` is true on every return; :class:`NoConvergence` is
-    raised if ``max_iter`` steps do not reach the certificate."""
-    x, y, value, iterations = distance_sum_minimum(t.a, t.b, t.c, max_iter, start)
-    return MinimizationResult(PlaneVector(x, y), value, iterations, True)
+def _embed_for_oracle(a: float, b: float, c: float
+                      ) -> tuple[tuple[float, float], ...]:
+    """Vertices (C, B, A), as (x, y) pairs, placed independently of the
+    solver embedding.
+
+    A's height is twice the area over a, from Kahan's sorted-edge product
+    (x >= y >= z): b^2 - ax^2 would cancel on a needle whose short edge is c.
+    """
+    ax = (a * a + b * b - c * c) / (2.0 * a)
+    x, y, z = sorted((a, b, c), reverse=True)
+    radicand = (x + (y + z)) * (z - (x - y)) * (z + (x - y)) * (x + (y - z))
+    return ((0.0, 0.0), (a, 0.0), (ax, math.sqrt(max(radicand, 0.0)) / (2.0 * a)))
+
+
+def minimize_distance_sum(t: TriangleEdges, max_iter: int = 10_000) -> MinimizationResult:
+    """Minimize f(X) = |XA| + |XB| + |XC| (Fermat-Weber) over ``t`` to a
+    certified gap. The result holds the minimizing point, in the frame
+    with C at the origin and B on +x, f there, and the steps taken;
+    ``converged`` is true on every return.
+
+    A vertex is the minimum exactly when the unit vectors from it toward
+    the other two sum to a length <= 1 (Kuhn's subgradient condition: an
+    interior angle >= 120 deg); it is returned with 0 iterations. All three
+    corners are tested: only the one across the longest edge can be that
+    wide, but an isosceles needle ties its two longest edges in floats, and
+    rounding in the embedding can make the other corner of the tie the one
+    that passes.
+
+    Otherwise the iteration begins on the vertex opposite the longest edge,
+    the one nearest the minimum, moved to the origin where floats are
+    densest: near 120 deg the minimum sits within a hair of it. Each step
+    is the Newton step of the 2x2 gradient and Hessian of f if it does not
+    raise f beyond rounding, else Weiszfeld's step to the inverse-distance-
+    weighted mean of the vertices (Tohoku Math. J. 43, 1937). On a vertex
+    the Vardi-Zhang step (PNAS 97(4), 2000) moves (1 - 1/r) of the way to
+    the weighted mean of the other two, r > 1 being the length of the sum
+    of unit vectors toward them. ``iterations`` counts these steps. At each
+    X a first pass over the vertices gives the distances from X, f(X) and
+    the gradient, and so the certificate below; only if that fails does a
+    second pass form the Hessian and Weiszfeld's weights for the step.
+
+    It stops when |grad f(X)| * max_k |X - V_k| <= GAP_CERTIFICATE * f(X).
+    By convexity f(X) - f(X*) <= grad f(X) . (X - X*), and X* lies in the
+    triangle, so this bounds the relative gap of ``value`` to the minimum.
+    :class:`NoConvergence` is raised if ``max_iter`` steps do not reach
+    the certificate.
+
+    The sum is homogeneous in the edges, so the search runs on the edges
+    divided by 2**e, e the binary exponent of the longest edge (taken here,
+    not from the solver's invariants), and the point and value are scaled
+    back: no bit changes, and no square under- or overflows at any scale.
+    ``TriangleEdges`` rejects every triangle whose short edge squares to 0
+    at that scale, so no two vertices of the embedding coincide.
+    """
+    a, b, c = t.a, t.b, t.c
+    exponent = math.frexp(max(a, b, c))[1]
+    edges = (math.ldexp(a, -exponent), math.ldexp(b, -exponent),
+             math.ldexp(c, -exponent))
+    vc, vb, va = _embed_for_oracle(*edges)
+    for (cx, cy), (ux, uy), (vx, vy) in ((va, vb, vc), (vb, va, vc), (vc, va, vb)):
+        du = math.hypot(cx - ux, cy - uy)
+        dv = math.hypot(cx - vx, cy - vy)
+        inv_u, inv_v = 1.0 / du, 1.0 / dv
+        if math.hypot((ux - cx) * inv_u + (vx - cx) * inv_v,
+                      (uy - cy) * inv_u + (vy - cy) * inv_v) <= 1.0:
+            return MinimizationResult(
+                PlaneVector(math.ldexp(cx, exponent), math.ldexp(cy, exponent)),
+                math.ldexp(du + dv, exponent), 0, True)
+
+    ox, oy = (va, vb, vc)[edges.index(max(edges))]
+    vertices = [(vx - ox, vy - oy) for vx, vy in (va, vb, vc)]
+    (x1, y1), (x2, y2), (x3, y3) = vertices
+    x = y = 0.0
+    for iterations in range(max_iter + 1):
+        distances = [math.hypot(vx - x, vy - y) for vx, vy in vertices]
+        # Added left to right, here and below: sum() rounds otherwise on 3.12+.
+        fx = distances[0] + distances[1] + distances[2]
+        on_vertex = 0.0 in distances
+        # Minus the gradient: the sum of the unit vectors toward the
+        # vertices X is not on.
+        px = py = 0.0
+        for (vx, vy), d in zip(vertices, distances):
+            if d != 0.0:
+                px += (vx - x) / d
+                py += (vy - y) / d
+        pull = math.hypot(px, py)
+        if not on_vertex and pull * max(distances) <= GAP_CERTIFICATE * fx:
+            return MinimizationResult(
+                PlaneVector(math.ldexp(x + ox, exponent), math.ldexp(y + oy, exponent)),
+                math.ldexp(fx, exponent), iterations, True)
+        if iterations == max_iter:
+            break
+
+        # The Hessian and Weiszfeld's weights, over the same vertices.
+        hxx = hxy = hyy = wsum = wx = wy = 0.0
+        for (vx, vy), d in zip(vertices, distances):
+            if d != 0.0:
+                ux, uy = (vx - x) / d, (vy - y) / d
+                hxx += (1.0 - ux * ux) / d
+                hxy -= ux * uy / d
+                hyy += (1.0 - uy * uy) / d
+                wsum += 1.0 / d
+                wx += vx / d
+                wy += vy / d
+        det = hxx * hyy - hxy * hxy
+        if not on_vertex and det > 0.0:
+            nx = x + (hyy * px - hxy * py) / det
+            ny = y + (hxx * py - hxy * px) / det
+            if (math.hypot(x1 - nx, y1 - ny) + math.hypot(x2 - nx, y2 - ny)
+                    + math.hypot(x3 - nx, y3 - ny) <= fx * (1.0 + _ROUNDING_SLACK)):
+                x, y = nx, ny
+                continue
+        keep = 1.0 / max(pull, 1.0) if on_vertex else 0.0
+        x = (1.0 - keep) * wx / wsum + keep * x
+        y = (1.0 - keep) * wy / wsum + keep * y
+
+    raise NoConvergence(
+        f"distance-sum gap not certified within {max_iter} iterations")
 
 
 # =========================================================================

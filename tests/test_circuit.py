@@ -22,6 +22,8 @@ from starsolve import (
     solve_symmetric_star,
     verify_solution,
 )
+from starsolve.cli import verify_record
+from starsolve.records import STATUS_OK, MeasurementRecord, SolutionRecord
 
 SQRT3 = math.sqrt(3.0)
 
@@ -187,6 +189,19 @@ def test_verify_e4_solution():
     lv = solve_general_star(u, 110.0, 130.0)
     report = verify_solution(u, lv, PhaseAngles(110.0, 130.0, 120.0))
     assert report.passed
+
+
+def test_verify_claim_beyond_the_float_range_of_the_unit_triangle():
+    # The unit triangle is these edges times about 2**996, and so is the
+    # claim, which then overflows: every residual reads inf, as in verify.
+    report = verify_solution(PhaseToPhaseVoltages(1e-300, 1e-300, 1e-300),
+                             LineVoltages(1e300, 1e300, 1e300))
+    assert report.residuals == (math.inf, math.inf, math.inf)
+    assert not report.passed
+    m = MeasurementRecord("o", 1e-300, 1e-300, 1e-300)
+    s = SolutionRecord("o", 1e300, 1e300, 1e300, 0.0, STATUS_OK)
+    assert verify_record(m, s, report.tolerance) == (
+        False, "closure residual inf exceeds tolerance 1e-08")
 
 
 # -- supplementary phasor output ----------------------------------------------

@@ -32,6 +32,7 @@ from starsolve.records import (
     ParseError,
     SolutionRecord,
     detect_format,
+    format_for_path,
     read_measurements,
     read_pairs,
 )
@@ -89,6 +90,25 @@ def test_parse_missing_voltage():
 def test_detect_format():
     assert detect_format('{"id": "a"}') == "jsonl"
     assert detect_format("id,u1,u2\n") == "csv"
+
+
+@pytest.mark.parametrize("path, fmt", [
+    ("rows.jsonl", "jsonl"), ("rows.NDJSON", "jsonl"), ("rows.json", "jsonl"),
+    ("rows.csv", "csv"), ("-", None), ("rows.txt", None)])
+def test_format_for_path(path, fmt):
+    assert format_for_path(path) == fmt
+
+
+def test_json_lines_extension_decides_the_format(tmp_path, monkeypatch, capsys):
+    # A .jsonl path is read as JSON lines whatever its first line holds; the
+    # same bytes under a name that decides nothing are sniffed, here as a CSV
+    # header with no rows.
+    for name, expected in (
+            ("x.jsonl", (1, "", "star-solve: line 1: each JSON line must be an object\n")),
+            ("x.txt", (0, "", ""))):
+        path = tmp_path / name
+        path.write_text("[1]\n")
+        assert run_cli(["solve", str(path)], monkeypatch, capsys) == expected
 
 
 def test_read_pairs_solution_fields():
@@ -446,6 +466,13 @@ def test_input_that_is_not_text_is_parse_error(data, message, command, source,
     assert (code, out, err) == (1, "", f"star-solve: {message}\n")
 
 
+def subprocess_env() -> dict:
+    """The environment, with this checkout's ``src`` first on the path."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+
 @pytest.mark.parametrize("utf8_mode", ["0", "1"])
 @pytest.mark.parametrize("data", [NOT_UTF8, LONE_SURROGATE],
                          ids=["not-utf8", "lone-surrogate"])
@@ -454,10 +481,7 @@ def test_input_that_is_not_text_fails_alike_in_any_utf8_mode(utf8_mode, data, so
                                                             tmp_path):
     path = tmp_path / "in.txt"
     path.write_bytes(data)
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONUTF8": utf8_mode,
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(src),
-                                                       os.environ.get("PYTHONPATH")]))}
+    env = {**subprocess_env(), "PYTHONUTF8": utf8_mode}
     done = subprocess.run(
         [sys.executable, "-m", "starsolve.cli", "solve",
          str(path) if source == "file" else "-"],
@@ -465,6 +489,22 @@ def test_input_that_is_not_text_fails_alike_in_any_utf8_mode(utf8_mode, data, so
         timeout=60)
     assert (done.returncode, done.stdout) == (1, b"")
     assert ONE_PARSE_MESSAGE.fullmatch(done.stderr.decode()), done.stderr
+
+
+def test_downstream_pipe_closed_early_exits_1_quietly():
+    # As under `| head -n 1`: synth stops at its next write after the reader
+    # is gone, exits 1, and writes nothing to stderr, not even at exit.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "starsolve.cli", "synth", "--count", "200000", "--seed", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=subprocess_env())
+    try:
+        assert proc.stdout.readline().startswith(b"id,")
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.stderr.close()
 
 
 def test_explicit_120_deg_row_decides_like_empty_psi(monkeypatch, capsys):
@@ -541,6 +581,24 @@ def test_collinear_row_is_infeasible_and_verify_confirms_it(monkeypatch, capsys)
     assert code == 0
     assert out.splitlines() == [
         "c: PASS (failure status 'infeasible' confirmed by re-solve)",
+        "1 records, 0 failed"]
+
+
+def test_row_past_the_closed_form_denominator_is_unresolved_and_verify_confirms_it(
+        monkeypatch, capsys):
+    # psi2 a rounding below 180 deg: the star point exists, but the closed
+    # form's distance denominator comes out negative.
+    stdin = ("id,u1,u2,u3,psi1,psi2\nd,0.6946369378478342,0.2613806362828738,"
+             "0.5339632973299462,121.81054300537848,179.99999999999997\n")
+    code, out, _ = run_cli(["solve", "-"], monkeypatch, capsys, stdin_text=stdin)
+    assert code == 2
+    [(_, solution)] = read_pairs(out.splitlines(keepends=True), "csv")
+    assert solution.status == STATUS_UNRESOLVED
+    assert solution.diagnostics.startswith("distance denominator -3.074e-01 ")
+    code, out, _ = run_cli(["verify", "-"], monkeypatch, capsys, stdin_text=out)
+    assert code == 0
+    assert out.splitlines() == [
+        "d: PASS (failure status 'unresolved' confirmed by re-solve)",
         "1 records, 0 failed"]
 
 

@@ -1,9 +1,9 @@
 """A fresh interpreter that imports ``starsolve.cli``, or solves, verifies
 or synthesizes rows through it, loads only the float kernels: no value
 type, no oracle module, and none of the standard-library modules that only
-they or a failing row need. The oracle's float entries load only for
-synth, which alone calls them; verify checks a 120-deg row as it checks
-any other.
+they or a failing row need. ``oracle_kernel``, synth's planted draw and
+forward map, loads only for synth, which alone calls it; verify checks a
+120-deg row as it checks any other.
 
 Each case runs in its own interpreter and compares ``sys.modules`` after
 the case with a snapshot taken before it, so what the environment itself

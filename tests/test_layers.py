@@ -3,12 +3,12 @@
 Order, lowest first: kernel <- oracle_kernel <- geometry <- oracle <-
 general <- fermat <- circuit <- cli. ``kernel`` holds the float kernels and
 imports only the leaves ``errors`` and ``config``; ``oracle_kernel`` holds
-the oracle's float entries and imports only ``errors`` and ``kernel``. The
-oracle and the solvers it checks (``general``, ``fermat``) import nothing
-from each other, and neither oracle module reads a solver formula in
-``kernel``, so each stays an independent check on the other; nor does
-``verify_record`` read the feasibility predicate that ``solve`` decides by. ``errors``,
-``config`` and ``records`` are leaves: any module may import them and they
+only what ``synth`` runs, the planted draw and forward map, and imports
+only ``kernel``. The oracle and the solvers it checks (``general``,
+``fermat``) import nothing from each other, and neither oracle module
+reads a solver formula in ``kernel``, so each stays an independent check
+on the other; nor does ``verify_record`` read the feasibility predicate
+that ``solve`` decides by. ``errors``, ``config`` and ``records`` are leaves: any module may import them and they
 import no sibling. The package ``__init__`` sits on top and re-exports. No
 module imports a name it never uses, and no module defines a name that
 nothing in the package reads and the package does not export, nor a
@@ -104,10 +104,19 @@ def mentioned(tree: ast.AST) -> set[str]:
 
 def test_oracle_imports_no_solver():
     assert not package_imports(PACKAGE / "oracle.py") & {"general", "fermat"}
-    assert package_imports(PACKAGE / "oracle_kernel.py") <= {"errors", "kernel"}
+    assert package_imports(PACKAGE / "oracle_kernel.py") <= {"kernel"}
     for module in ("oracle", "oracle_kernel"):
         tree = ast.parse((PACKAGE / f"{module}.py").read_text())
         assert not mentioned(tree) & SOLVER_KERNELS, module
+
+
+def test_oracle_kernel_holds_only_what_synth_runs():
+    # Each function it defines is called by the CLI or by another of its own;
+    # the library's oracle entries live in ``oracle``.
+    tree = ast.parse((PACKAGE / "oracle_kernel.py").read_text())
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    read = names_read(PACKAGE / "cli.py") | names_read(PACKAGE / "oracle_kernel.py")
+    assert defined and defined <= read, sorted(defined - read)
 
 
 def test_verify_tests_a_failure_status_by_its_own_angles():

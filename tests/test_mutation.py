@@ -2,7 +2,7 @@
 
 ``verify`` checks a solved row by the law-of-cosines closure and by the
 circle route, at any angle. At 120 deg it once ran a third check, the
-distance-sum minimum of :func:`~starsolve.oracle_kernel.distance_sum_minimum`
+distance-sum minimum of :func:`~starsolve.oracle.minimize_distance_sum`
 compared with the claimed sum to 1e-6. A claim that closes all three
 closure equations at 120 deg is already the Fermat point, and the sum is
 stationary there, so the oracle can only see what the closure and the
@@ -27,7 +27,7 @@ Mutants of an ``ok`` row:
   1 + s through ``cli.edge_invariants`` and ``cli.ANGLES_120``, so that
   solve and the circle route share the defect, and the row solved again.
 
-The oracle's verdict is the old one: started at the claim, at most
+The oracle's verdict is the old one, from a cold start: at most
 ``MAX_ITER`` steps, and a refutation when the minimum and the claimed sum
 differ by more than 1e-6 of the sum; ``NoConvergence`` is no verdict. Every
 mutant the oracle refutes must FAIL ``verify_record``, and verify's verdict
@@ -45,7 +45,9 @@ from random import Random
 from starsolve import cli, oracle_kernel
 from starsolve.config import RESIDUAL_TOL
 from starsolve.errors import NoConvergence, StarSolveError
+from starsolve.geometry import TriangleEdges
 from starsolve.kernel import ANGLES_120, circle_distances, closure_defects
+from starsolve.oracle import minimize_distance_sum
 from starsolve.records import STATUS_OK, MeasurementRecord, SolutionRecord
 
 SEED = 27
@@ -119,8 +121,7 @@ def verdicts(m: MeasurementRecord, claim: tuple, tolerance: float) -> dict:
     oracle = None
     if m.psi1 is None:
         try:
-            _, _, minimized, _ = oracle_kernel.distance_sum_minimum(
-                *unit, max_iter=MAX_ITER, start=unit_claim[1:])
+            minimized = minimize_distance_sum(TriangleEdges(*unit), MAX_ITER).value
             total = sum(unit_claim)
             oracle = abs(minimized - total) <= 1e-6 * total
         except NoConvergence:

@@ -20,10 +20,10 @@ and the kept helpers return when called one after another, and the
 invariant kernels what their written-out references return. ``kernel.circle_distances`` relabels
 the triangle by comparisons and writes vertex A and the circles out in its
 frame, so it must return what the route rotated by tuple slices, through
-``apex_position`` and ``reference_chord_circles``, returns. The oracle's value-type functions wrap the float
-entries of ``oracle_kernel``, so each must return, bit for bit, what its
-entry returns, and draw from the generator as it does.
-``oracle_kernel.distance_sum_minimum`` sums f(X) over the distances of its
+``apex_position`` and ``reference_chord_circles``, returns. The oracle's synthesis wraps the float
+entries of ``oracle_kernel``, so each function must return, bit for bit,
+what its entry returns, and draw from the generator as it does.
+``oracle.minimize_distance_sum`` sums f(X) over the distances of its
 first pass and forms the Hessian only when the certificate fails, so it
 must return, bit for bit, what the route that sums f in a pass of its own
 and forms every derivative in one pass returns. ``read_measurements`` and
@@ -79,16 +79,9 @@ from starsolve.kernel import (
     closure_defects,
     edge_invariants,
     line_voltage_kernel,
-    point_position,
 )
-from starsolve.oracle_kernel import (
-    _ROUNDING_SLACK,
-    GAP_CERTIFICATE,
-    _embed_for_oracle,
-    distance_sum_minimum,
-    planted_draw,
-    planted_edges,
-)
+from starsolve.oracle import _ROUNDING_SLACK, GAP_CERTIFICATE, _embed_for_oracle
+from starsolve.oracle_kernel import planted_draw, planted_edges
 from starsolve.records import (
     MEASUREMENT_FIELDS,
     SOLUTION_FIELDS,
@@ -903,10 +896,8 @@ def test_circle_distances_is_the_slice_route_bit_for_bit(row):
 
 @SETTINGS
 @given(st.integers(-2 ** 63, 2 ** 63), st.booleans(),
-       st.tuples(DISTANCE, DISTANCE, DISTANCE), kernel_angles(), kernel_rows(),
-       st.one_of(st.none(), st.tuples(DISTANCE, DISTANCE)), st.sampled_from([0, 1, 100]))
-def test_oracle_wrappers_are_their_float_entries_bit_for_bit(
-        seed, symmetric, distances, psis, row, start, max_iter):
+       st.tuples(DISTANCE, DISTANCE, DISTANCE), kernel_angles())
+def test_oracle_wrappers_are_their_float_entries_bit_for_bit(seed, symmetric, distances, psis):
     # The draw: the same values, and the generator left in the same state.
     wrapped_rng, float_rng = Random(seed), Random(seed)
     spec = random_synthesis_spec(wrapped_rng, seed, symmetric)
@@ -922,28 +913,12 @@ def test_oracle_wrappers_are_their_float_entries_bit_for_bit(
             return edges.as_tuple(), expected.residuals
         assert outcome(wrapped) == outcome(planted_edges, plant, angles)
 
-    # The minimizer, started anywhere on the scale of the edges, or not.
-    u, _ = row
-    try:
-        t = TriangleEdges(*u)
-    except StarSolveError:
-        return  # no triangle: the wrapper cannot be called
-    if start is not None:
-        start = (start[0] * t.a, start[1] * t.a)
 
-    def minimized():
-        result = minimize_distance_sum(t, max_iter, start)
-        return result.point.x, result.point.y, result.value, result.iterations
-    assert outcome(minimized) == outcome(distance_sum_minimum, *u, max_iter, start)
-
-
-def reference_distance_sum_minimum(a: float, b: float, c: float, max_iter: int,
-                                   start: tuple | None) -> tuple:
+def reference_distance_sum_minimum(a: float, b: float, c: float, max_iter: int) -> tuple:
     """The distance-sum minimum with f(X) summed in a pass of its own over
     the vertices, after the pass that gives its derivatives, and the corner
-    tests run over slices of the corners, each first testing that its two
-    vertices are apart. ``distance_sum_minimum`` sums f in its derivative
-    pass and must return the same bits."""
+    tests run over slices of the corners. ``minimize_distance_sum`` sums f
+    in its derivative pass and must return the same bits."""
     def distance_sum(x, y, vertices):
         (x1, y1), (x2, y2), (x3, y3) = vertices
         return (math.hypot(x - x1, y - y1) + math.hypot(x - x2, y - y2)
@@ -952,18 +927,12 @@ def reference_distance_sum_minimum(a: float, b: float, c: float, max_iter: int,
     exponent = math.frexp(max(a, b, c))[1]
     edges = (math.ldexp(a, -exponent), math.ldexp(b, -exponent),
              math.ldexp(c, -exponent))
-    coincide = DegenerateTriangle(f"edges ({a}, {b}, {c}): two vertices coincide "
-                                  "on the unit triangle")
-    if min(edges) == 0.0:
-        raise coincide
     vc, vb, va = _embed_for_oracle(*edges)
     corners = (va, vb, vc)
     for k, (cx, cy) in enumerate(corners):
         (ux, uy), (vx, vy) = corners[:k] + corners[k + 1:]
         du = math.hypot(cx - ux, cy - uy)
         dv = math.hypot(cx - vx, cy - vy)
-        if min(du, dv) == 0.0:
-            raise coincide
         inv_u, inv_v = 1.0 / du, 1.0 / dv
         if math.hypot((ux - cx) * inv_u + (vx - cx) * inv_v,
                       (uy - cy) * inv_u + (vy - cy) * inv_v) <= 1.0:
@@ -973,15 +942,6 @@ def reference_distance_sum_minimum(a: float, b: float, c: float, max_iter: int,
     ox, oy = corners[edges.index(max(edges))]
     vertices = [(vx - ox, vy - oy) for vx, vy in corners]
     x = y = 0.0
-    if start is not None:
-        try:
-            sx, sy = point_position(edges[0], edges[0] * edges[0],
-                                    math.ldexp(start[0], -exponent),
-                                    math.ldexp(start[1], -exponent))
-        except OverflowError:
-            sx = sy = math.nan
-        if math.isfinite(sx) and math.isfinite(sy):
-            x, y = sx - ox, sy - oy
     fx = distance_sum(x, y, vertices)
     for iterations in range(max_iter + 1):
         px = py = hxx = hxy = hyy = wsum = wx = wy = farthest = 0.0
@@ -1024,18 +984,14 @@ def reference_distance_sum_minimum(a: float, b: float, c: float, max_iter: int,
 
 @st.composite
 def oracle_inputs(draw) -> tuple:
-    """Edges and a start for the distance-sum minimum: a planted 120-deg
-    point, started on it or not; a corner of 120 to 180 deg; or a wide or
-    isosceles needle with a short edge down to 1e-170, its edges in any
-    order. Any of them at a scale of 2**+-900, and a start may lie
-    anywhere."""
+    """Edges for the distance-sum minimum: around a planted 120-deg point;
+    with a corner of 120 to 180 deg; or a wide or isosceles needle with a
+    short edge down to 1e-170, its edges in any order. Any of them at a
+    scale of 2**+-900."""
     kind = draw(st.sampled_from(("planted", "wide", "wide needle", "isosceles needle")))
-    start = None
     if kind == "planted":
-        distances = draw(st.tuples(DISTANCE, DISTANCE, DISTANCE))
-        edges = law_of_cosines(distances, (120.0, 120.0, 120.0))
-        if draw(st.booleans()):
-            start = distances[1], distances[2]
+        edges = law_of_cosines(draw(st.tuples(DISTANCE, DISTANCE, DISTANCE)),
+                               (120.0, 120.0, 120.0))
     elif kind == "isosceles needle":
         edges = draw(st.permutations((1.0, 1.0, 10.0 ** -draw(st.floats(0.0, 170.0)))))
     else:
@@ -1045,10 +1001,7 @@ def oracle_inputs(draw) -> tuple:
         edges = draw(st.permutations(
             (math.sqrt(1.0 + c * c - 2.0 * c * math.cos(math.radians(psi))), 1.0, c)))
     scale = 2.0 ** draw(st.sampled_from([0, draw(st.integers(-900, 900))]))
-    if start is None and draw(st.booleans()):
-        start = draw(DISTANCE) * max(edges), draw(DISTANCE) * max(edges)
-    start = None if start is None else (start[0] * scale, start[1] * scale)
-    return tuple(edge * scale for edge in edges), start
+    return tuple(edge * scale for edge in edges)
 
 
 # A 150-deg corner at A, between edges 2 and 3.
@@ -1061,19 +1014,18 @@ EDGES_120 = law_of_cosines(PLANTED_120, (120.0, 120.0, 120.0))
 
 @SETTINGS
 @given(oracle_inputs(), st.sampled_from([0, 1, 20, 10_000]))
-@example((WIDE_AT_A, None), 0)
-@example((WIDE_AT_A[2:] + WIDE_AT_A[:2], None), 0)
-@example((WIDE_AT_A[1:] + WIDE_AT_A[:1], None), 0)
-# Started on the planted point: certified before any step, so with no
-# Hessian formed.
-@example((EDGES_120, PLANTED_120[1:]), 0)
-@example((EDGES_120, PLANTED_120[1:]), 1)
-# Started on vertex C, at distance a from B: the on-vertex step comes first.
-@example((EDGES_120, (EDGES_120[0], 0.0)), 20)
-# A needle whose short edge squares to 0: two vertices coincide in floats.
-@example(((1.0, 1.0, 1e-166), None), 0)
-@example(((1e-166, 1.0, 1.0), None), 20)
-def test_distance_sum_minimum_is_the_two_pass_route_bit_for_bit(case, max_iter):
-    edges, start = case
-    assert (outcome(distance_sum_minimum, *edges, max_iter, start)
-            == outcome(reference_distance_sum_minimum, *edges, max_iter, start))
+@example(WIDE_AT_A, 0)
+@example(WIDE_AT_A[2:] + WIDE_AT_A[:2], 0)
+@example(WIDE_AT_A[1:] + WIDE_AT_A[:1], 0)
+@example(EDGES_120, 1)
+def test_distance_sum_minimum_is_the_two_pass_route_bit_for_bit(edges, max_iter):
+    try:
+        t = TriangleEdges(*edges)
+    except StarSolveError:
+        return  # a needle whose short edge squares to 0: no triangle to minimize over
+
+    def minimized():
+        result = minimize_distance_sum(t, max_iter)
+        assert result.converged
+        return result.point.x, result.point.y, result.value, result.iterations
+    assert outcome(minimized) == outcome(reference_distance_sum_minimum, *edges, max_iter)

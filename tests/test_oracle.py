@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (
-    E1_EDGES,
     E4_ANGLES,
     E4_EDGES,
     distances_at_120,
@@ -35,7 +34,6 @@ from starsolve import (
     theta_squared,
 )
 from starsolve.oracle import random_synthesis_spec
-from starsolve.oracle_kernel import distance_sum_minimum
 from test_one_path import reference_chord_circles
 
 ALL_120 = PhaseAngles(120.0, 120.0, 120.0)
@@ -157,33 +155,54 @@ def test_minimize_wide_vertex_returned_without_iterating(angle):
     b, c = 2.0, 3.0
     a = math.sqrt(b * b + c * c - 2 * b * c * math.cos(math.radians(angle)))
     for edges in rotations((a, b, c)):
-        t = TriangleEdges(*edges)
-        # The corner tests run before the start is placed: no start, the
-        # centroid (two thirds of the medians from B and C) and a far point.
-        centroid = (math.sqrt(2 * t.a ** 2 + 2 * t.c ** 2 - t.b ** 2) / 3,
-                    math.sqrt(2 * t.a ** 2 + 2 * t.b ** 2 - t.c ** 2) / 3)
-        for start in (None, centroid, (1e3, 1e3)):
-            result = minimize_distance_sum(t, max_iter=0, start=start)
-            assert result.iterations == 0 and result.converged
-            assert rel_err(result.value, b + c) < 1e-12
+        result = minimize_distance_sum(TriangleEdges(*edges), max_iter=0)
+        assert result.iterations == 0 and result.converged
+        assert rel_err(result.value, b + c) < 1e-12
 
 
 @pytest.mark.parametrize("edges", rotations((1.0, 1.0, 1e-166)) + rotations((1.0, 1.0, 1e-200))
                          + rotations((1.0, 1.0, 5e-324)))
 def test_distance_sum_minimum_rejects_vertices_that_coincide_in_floats(edges):
     # The short edge squares to 0 on the unit triangle, so two vertices of
-    # the embedding coincide; TriangleEdges rejects the same edges.
+    # the embedding would coincide: TriangleEdges, the minimizer's only
+    # input, rejects the edges.
     with pytest.raises(DegenerateTriangle):
         TriangleEdges(*edges)
-    with pytest.raises(DegenerateTriangle, match="two vertices coincide"):
-        distance_sum_minimum(*edges)
+
+
+# Unit needles at the smallest short edge TriangleEdges accepts, about
+# 3.1e-162 and 1.6e-162 as the long edges sit above or below 1: on the unit
+# triangle its square is the smallest subnormal, 2**-1074.
+THINNEST_NEEDLES = ((1.0, 1.0, float.fromhex("0x1.6a09e667f3bcdp-537")),
+                    (0.75, 0.75, float.fromhex("0x1.6a09e667f3bcdp-538")))
+
+
+@pytest.mark.parametrize("edges", [rotated for needle in THINNEST_NEEDLES
+                                   for rotated in rotations(needle)]
+                         + rotations((2.0, 1.0, 1.0)))
+def test_minimize_on_the_thinnest_accepted_triangles_raises_only_no_convergence(edges):
+    # No two vertices of the embedding coincide on a triangle TriangleEdges
+    # accepts, down to these needles and an exactly collinear triple, so no
+    # step divides by a zero distance.
+    t = TriangleEdges(*edges)
+    if min(edges) < 1e-100:
+        short = edges.index(min(edges))
+        thinner = list(edges)
+        thinner[short] = math.nextafter(edges[short], 0.0)
+        with pytest.raises(DegenerateTriangle):
+            TriangleEdges(*thinner)
+    try:
+        result = minimize_distance_sum(t)
+    except NoConvergence:
+        return
+    assert result.converged and result.value >= max(edges)
 
 
 def test_distance_sum_minimum_is_the_same_bits_on_every_python():
     # f(X) is added left to right; sum(), compensated from Python 3.12 on,
     # gave 0x1.b75a2934b4ec4p-1 there.
-    value = distance_sum_minimum(0.3903717016735131, 0.49596413323846344,
-                                 0.6353833802367614)[2]
+    value = minimize_distance_sum(TriangleEdges(0.3903717016735131, 0.49596413323846344,
+                                                0.6353833802367614)).value
     assert value.hex() == "0x1.b75a2934b4ec5p-1"
 
 
@@ -199,32 +218,6 @@ def test_minimize_symmetric_planted_property(a_p, b_p, c_p):
     assert result.converged
     assert rel_err(result.value, total) < 1e-9
     assert result.value >= total * (1.0 - 1e-12)
-
-
-def test_minimize_started_at_the_planted_point_takes_no_step():
-    rng = Random(4)
-    for _ in range(300):
-        t, expected = planted_fermat_instance(rng)
-        cold = minimize_distance_sum(t)
-        warm = minimize_distance_sum(t, start=(expected.b_prime, expected.c_prime))
-        assert warm.iterations == 0 and warm.converged
-        assert rel_err(warm.value, cold.value) < 1e-15
-
-
-@pytest.mark.parametrize("start", [(0.0, 0.0), (4.04, 5.05), (1.0, 50.0), (1e15, 1e15),
-                                   (math.sqrt(37.0), 7.0)])
-def test_minimize_any_start_reaches_the_certified_minimum(start):
-    # E1's 120-deg point is at distances (3, 4, 5); the last start is vertex A.
-    result = minimize_distance_sum(E1_EDGES, max_iter=20, start=start)
-    assert result.converged and result.iterations > 0
-    assert rel_err(result.value, 12.0) < 1e-12
-
-
-@pytest.mark.parametrize("scale, start", [(1.0, (math.nan, 4.0)), (1.0, (4.0, math.inf)),
-                                          (1.0, (1e300, 1e300)), (1e-300, (1e10, 1e10))])
-def test_minimize_start_not_finite_on_the_scaled_edges_is_the_cold_start(scale, start):
-    t = TriangleEdges(*(x * scale for x in E1_EDGES.as_tuple()))
-    assert minimize_distance_sum(t, start=start) == minimize_distance_sum(t)
 
 
 # -- circle_intersections -----------------------------------------------------
