@@ -22,7 +22,7 @@ from .geometry import (
     TriangleEdges,
     point_from_distances,
 )
-from .errors import NoConvergence
+from .errors import DegenerateTriangle, NoConvergence
 from .oracle_kernel import planted_draw, planted_edges
 
 if TYPE_CHECKING:  # pragma: no cover - type-only, avoids a runtime cycle
@@ -145,7 +145,9 @@ def minimize_distance_sum(t: TriangleEdges, max_iter: int = 10_000) -> Minimizat
     not from the solver's invariants), and the point and value are scaled
     back: no bit changes, and no square under- or overflows at any scale.
     ``TriangleEdges`` rejects every triangle whose short edge squares to 0
-    at that scale, so no two vertices of the embedding coincide.
+    at that scale, but rounding in the embedding can still put two vertices
+    of a near-collinear needle on one point, as for (0.75, 0.75 - 2**-53,
+    2**-53): :class:`DegenerateTriangle` is raised then.
     """
     a, b, c = t.a, t.b, t.c
     exponent = math.frexp(max(a, b, c))[1]
@@ -155,6 +157,9 @@ def minimize_distance_sum(t: TriangleEdges, max_iter: int = 10_000) -> Minimizat
     for (cx, cy), (ux, uy), (vx, vy) in ((va, vb, vc), (vb, va, vc), (vc, va, vb)):
         du = math.hypot(cx - ux, cy - uy)
         dv = math.hypot(cx - vx, cy - vy)
+        if du == 0.0 or dv == 0.0:
+            raise DegenerateTriangle(f"edges ({a}, {b}, {c}): two vertices coincide "
+                                     "on the unit triangle")
         inv_u, inv_v = 1.0 / du, 1.0 / dv
         if math.hypot((ux - cx) * inv_u + (vx - cx) * inv_v,
                       (uy - cy) * inv_u + (vy - cy) * inv_v) <= 1.0:

@@ -933,6 +933,9 @@ def reference_distance_sum_minimum(a: float, b: float, c: float, max_iter: int) 
         (ux, uy), (vx, vy) = corners[:k] + corners[k + 1:]
         du = math.hypot(cx - ux, cy - uy)
         dv = math.hypot(cx - vx, cy - vy)
+        if du == 0.0 or dv == 0.0:
+            raise DegenerateTriangle(f"edges ({a}, {b}, {c}): two vertices coincide "
+                                     "on the unit triangle")
         inv_u, inv_v = 1.0 / du, 1.0 / dv
         if math.hypot((ux - cx) * inv_u + (vx - cx) * inv_v,
                       (uy - cy) * inv_u + (vy - cy) * inv_v) <= 1.0:
@@ -1018,6 +1021,8 @@ EDGES_120 = law_of_cosines(PLANTED_120, (120.0, 120.0, 120.0))
 @example(WIDE_AT_A[2:] + WIDE_AT_A[:2], 0)
 @example(WIDE_AT_A[1:] + WIDE_AT_A[:1], 0)
 @example(EDGES_120, 1)
+@example((0.75, math.nextafter(0.75, 0.0), 1e-20), 0)
+@example((0.75, 0.75 - 2.0 ** -53, 2.0 ** -53), 10_000)
 def test_distance_sum_minimum_is_the_two_pass_route_bit_for_bit(edges, max_iter):
     try:
         t = TriangleEdges(*edges)

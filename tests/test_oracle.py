@@ -181,9 +181,8 @@ THINNEST_NEEDLES = ((1.0, 1.0, float.fromhex("0x1.6a09e667f3bcdp-537")),
                                    for rotated in rotations(needle)]
                          + rotations((2.0, 1.0, 1.0)))
 def test_minimize_on_the_thinnest_accepted_triangles_raises_only_no_convergence(edges):
-    # No two vertices of the embedding coincide on a triangle TriangleEdges
-    # accepts, down to these needles and an exactly collinear triple, so no
-    # step divides by a zero distance.
+    # No two vertices of the embedding coincide on these needles or on the
+    # exactly collinear triple, so no step divides by a zero distance.
     t = TriangleEdges(*edges)
     if min(edges) < 1e-100:
         short = edges.index(min(edges))
@@ -196,6 +195,24 @@ def test_minimize_on_the_thinnest_accepted_triangles_raises_only_no_convergence(
     except NoConvergence:
         return
     assert result.converged and result.value >= max(edges)
+
+
+# Near-collinear needles that TriangleEdges accepts, on which the embedding
+# puts A on B: 0.75**2 + fl(b**2) is a tie that rounds to even, 1.125, so A's
+# abscissa comes out as 0.75 and its height clamps to 0.
+ROUNDED_ONTO_ONE_POINT = ((0.75, math.nextafter(0.75, 0.0), 1e-20),
+                          (0.75, 0.75 - 2.0 ** -53, 2.0 ** -53))
+
+
+@pytest.mark.parametrize("edges", [rotated for needle in ROUNDED_ONTO_ONE_POINT
+                                   for rotated in rotations(needle)])
+def test_minimize_rejects_vertices_that_the_embedding_rounds_together(edges):
+    t = TriangleEdges(*edges)
+    if edges in ROUNDED_ONTO_ONE_POINT:
+        with pytest.raises(DegenerateTriangle, match="two vertices coincide"):
+            minimize_distance_sum(t)
+    else:
+        assert minimize_distance_sum(t).converged
 
 
 def test_distance_sum_minimum_is_the_same_bits_on_every_python():
