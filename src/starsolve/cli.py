@@ -7,9 +7,10 @@ Subcommands::
     star-solve synth  --count N --seed S [--symmetric]
 
 ``-`` means standard input; results go to standard output. Records are
-processed independently and in order: a bad record marks its output row
-and the batch continues. Exit codes: 0 all records ok, 1 usage / I/O /
-parse error, 2 at least one record failed.
+processed independently and in order, a block of at most ``BLOCK_ROWS``
+at a time: a bad record marks its output row and the batch continues.
+Exit codes: 0 all records ok, 1 usage / I/O / parse error, 2 at least one
+record failed.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import io
 import math
 import os
 import sys
-from itertools import chain
+from itertools import chain, islice
 from typing import Callable, Iterator, TextIO
 
 from .config import EPS_ANG_DEG, residual_tolerance
@@ -64,6 +65,11 @@ from .records import (
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RECORD_FAILED = 2
+
+# Records a command reads before it answers them and writes the answers:
+# each stage then runs over the block, which costs less per row than the
+# three alternating row by row. The input of a terminal goes row by row.
+BLOCK_ROWS = 64
 
 
 # =========================================================================
@@ -259,9 +265,10 @@ def _sniff(path: str, lines: Iterator[str]) -> tuple[Iterator[str], str]:
 
 
 def _run(path: str, tolerance: float | None,
-         body: Callable[[Iterator[str], str, float], int]) -> int:
-    """``body(lines, fmt, tolerance)`` over the input at ``path``; a bad
-    tolerance, an unopenable input or a parse error is a usage error."""
+         body: Callable[[Iterator[str], str, float, int], int]) -> int:
+    """``body(lines, fmt, tolerance, block_rows)`` over the input at
+    ``path``; a bad tolerance, an unopenable input or a parse error is a
+    usage error."""
     try:
         tolerance = residual_tolerance(tolerance)
         stream, release = _open_input(path)
@@ -269,7 +276,8 @@ def _run(path: str, tolerance: float | None,
         print(f"star-solve: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return body(*_sniff(path, iter(stream)), tolerance)
+        return body(*_sniff(path, iter(stream)), tolerance,
+                    1 if stream.isatty() else BLOCK_ROWS)
     except ParseError as exc:
         print(f"star-solve: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -277,36 +285,56 @@ def _run(path: str, tolerance: float | None,
         release()
 
 
+def _blocks(records: Iterator, size: int) -> Iterator[list]:
+    """The records in lists of at most ``size``. A parse error is raised
+    after the list of the records read before it, so each is answered."""
+    while True:
+        block = []
+        try:
+            for record in islice(records, size):
+                block.append(record)
+        except ParseError:
+            if block:
+                yield block
+            raise
+        if not block:
+            return
+        yield block
+
+
 # =========================================================================
 # Subcommands
 # =========================================================================
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    def solve(lines: Iterator[str], in_fmt: str, tolerance: float) -> int:
-        writer = RowWriter(sys.stdout, args.format or in_fmt)
+    def solve(lines: Iterator[str], in_fmt: str, tolerance: float,
+              block_rows: int) -> int:
+        write_solution = RowWriter(sys.stdout, args.format or in_fmt).write_solution
         failed = 0
-        for measurement in read_measurements(lines, in_fmt):
-            _, solution = solve_record(measurement, tolerance)
-            writer.write_solution(measurement, solution)
-            if not solution.solved:
-                failed += 1
+        for block in _blocks(read_measurements(lines, in_fmt), block_rows):
+            for measurement, solution in [solve_record(m, tolerance) for m in block]:
+                write_solution(measurement, solution)
+                if not solution.solved:
+                    failed += 1
         return EXIT_RECORD_FAILED if failed else EXIT_OK
     return _run(args.path, args.tolerance, solve)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    def verify(lines: Iterator[str], in_fmt: str, tolerance: float) -> int:
+    def verify(lines: Iterator[str], in_fmt: str, tolerance: float,
+               block_rows: int) -> int:
         write = sys.stdout.write
         total = failed = 0
-        for measurement, solution in read_pairs(lines, in_fmt):
-            total += 1
-            passed, detail = verify_record(measurement, solution, tolerance)
-            if not passed:
-                failed += 1
-            rec_id = measurement.id
-            if not rec_id.isprintable():  # a line break would forge a verdict line
-                rec_id = repr(rec_id)
-            write(f"{rec_id}: {'PASS' if passed else 'FAIL'} ({detail})\n")
+        for block in _blocks(read_pairs(lines, in_fmt), block_rows):
+            verdicts = [verify_record(m, s, tolerance) for m, s in block]
+            for (measurement, _), (passed, detail) in zip(block, verdicts):
+                total += 1
+                if not passed:
+                    failed += 1
+                rec_id = measurement.id
+                if not rec_id.isprintable():  # a line break would forge a verdict line
+                    rec_id = repr(rec_id)
+                write(f"{rec_id}: {'PASS' if passed else 'FAIL'} ({detail})\n")
         write(f"{total} records, {failed} failed\n")
         return EXIT_RECORD_FAILED if failed else EXIT_OK
     return _run(args.path, None, verify)
@@ -411,7 +439,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except BrokenPipeError:
         # Downstream consumer (head, etc.) closed the pipe; die quietly.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_USAGE
 
 

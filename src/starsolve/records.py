@@ -13,12 +13,16 @@ as ``repr`` writes it, so every value read back is the value written.
 In CSV a JSON object, array or boolean in the metadata is written as its
 JSON text, since the CSV has no other way to carry it.
 
-A CSV header is resolved to column positions once per stream, and each
-row is read by position into immutable named tuples, its numbers all
-converted at once and tested finite by their sum; a row that fails is
-converted again, field by field, by ``_number``, which names the field.
-So a record holds a text id, finite numbers and metadata that names no
-record field, and these are the records :class:`RowWriter` takes. Each
+A JSON line that is one object from its first character to its line feed
+is read by the scanner that ``json.loads`` wraps; any other line goes
+through ``json.loads``, so both read the same object and name the same
+error. A record's fields are popped from the object, and what is left is
+its metadata. A CSV header is resolved to column positions once per
+stream, and each row is read by position into immutable named tuples, its
+numbers all converted at once and tested finite by their sum; a row that
+fails is converted again, field by field, by ``_number``, which names the
+field. So a record holds a text id, finite numbers and metadata that names
+no record field, and these are the records :class:`RowWriter` takes. Each
 output stream writes a row through one line template in the bytes of
 ``json.dumps`` or the csv module; the writer quotes its own CSV fields,
 and the csv module only reads (see :meth:`RowWriter.write_solution`).
@@ -28,7 +32,9 @@ from __future__ import annotations
 
 import csv
 import json
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _json_text
+from json.scanner import make_scanner
 from math import inf, isfinite
 from operator import itemgetter
 from types import MappingProxyType
@@ -47,6 +53,8 @@ _JSON_SCALARS = frozenset((str, int, float, type(None)))
 _NO_META: Mapping[str, object] = MappingProxyType({})
 _ABSENT = (None, "")  # how an absent field mostly reads: null, or an empty CSV field
 _new = tuple.__new__  # a record from a tuple of its fields, skipping the generated __new__
+# What ``json.loads`` runs on a line, without its wrappers: (value, end index).
+_scan_json = make_scanner(json.JSONDecoder())
 
 STATUS_OK = "ok"
 STATUS_INFEASIBLE = "infeasible"
@@ -185,18 +193,28 @@ def _csv_rows(lines: Iterator[str], fields: tuple[str, ...]
 
 def _json_rows(lines: Iterator[str], fields: tuple[str, ...]
                ) -> Iterator[tuple[int, tuple, dict]]:
-    """The JSON-lines records: one object per line, blank lines skipped."""
+    """The JSON-lines records: one object per line, blank lines skipped.
+    A line that is not one object up to its line feed, or that the scanner
+    rejects, goes through ``json.loads``, which names the error."""
+    nones = repeat(None)
     for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(line_no, f"invalid JSON: {exc.msg}") from exc
-        except (ValueError, RecursionError) as exc:  # too many digits or too deep
-            raise ParseError(line_no, f"invalid JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise ParseError(line_no, "each JSON line must be an object")
+        end = None  # where the scanner stopped, if it ran and returned
+        if line[:1] == "{" and line[-1:] == "\n":
+            try:
+                obj, end = _scan_json(line, 0)
+            except (StopIteration, ValueError, RecursionError):
+                pass  # StopIteration: a value is missing; json.loads names it
+        if end != len(line) - 1:
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(line_no, f"invalid JSON: {exc.msg}") from exc
+            except (ValueError, RecursionError) as exc:  # too many digits or too deep
+                raise ParseError(line_no, f"invalid JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise ParseError(line_no, "each JSON line must be an object")
         if "\\u" in line:  # only an escape can make a lone surrogate or a NUL
             for text in (*obj, *obj.values()):
                 if isinstance(text, str) and (reason := _not_text(text)):
@@ -206,8 +224,10 @@ def _json_rows(lines: Iterator[str], fields: tuple[str, ...]
                 if isinstance(obj.get(key), (bool, dict, list)):
                     raise ParseError(line_no, f"field {key!r} is not a number "
                                               f"or a string: {obj[key]!r}")
-        yield (line_no, tuple(map(obj.get, fields)),
-               {k: v for k, v in obj.items() if k not in _KNOWN_FIELDS})
+        values = tuple(map(obj.pop, fields, nones))
+        if not _KNOWN_FIELDS.isdisjoint(obj):  # a record field not asked for
+            obj = {k: v for k, v in obj.items() if k not in _KNOWN_FIELDS}
+        yield line_no, values, obj
 
 
 def _number(value: object, key: str, line_no: int,

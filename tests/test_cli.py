@@ -278,6 +278,77 @@ def test_bad_record_after_a_good_one_is_parse_error(command, stdin, message,
     assert (code, err) == (1, f"star-solve: {message}\n")
 
 
+SOLVED_CSV_HEADER = "id,u1,u2,u3,psi1,psi2,u1p,u2p,u3p,max_residual,status,diagnostics\n"
+SOLVED_400 = "400,400,400,,," + "230.94010767585033," * 3 + "0,ok,"
+# Per input stream: the command, the header, the row of record i, a bad line
+# and what the error says of it.
+STREAMS = {
+    "solve-csv": ("solve", "id,u1,u2,u3,psi1,psi2\n", lambda i: f"r{i:03d},{300 + i},400,400,,\n",
+                  "bad,400,x,400,,\n", "field 'u2' is not a number: 'x'"),
+    "solve-jsonl": ("solve", "", lambda i: f'{{"id": "r{i:03d}", "u1": {300 + i}, "u2": 400, '
+                                           f'"u3": 400}}\n',
+                    '{"id": \n', "invalid JSON: Expecting value"),
+    "verify": ("verify", SOLVED_CSV_HEADER, lambda i: f"r{i:03d},{SOLVED_400}\n",
+               "bad,400,400,400,,,230.9,,230.9,0,ok,\n",
+               "incomplete solution: u1p, u2p, u3p required"),
+}
+
+
+# Records are read 64 at a time. Line 2 holds the first record. After the
+# CSV header, line 65 ends the first block and lines 66 and 130 start the
+# next two; in JSON lines, line 65 starts the second block and lines 66 and
+# 130 are second in theirs.
+@pytest.mark.parametrize("bad_line", [2, 65, 66, 130])
+@pytest.mark.parametrize("stream", STREAMS)
+def test_rows_before_a_bad_line_are_answered_and_none_after(stream, bad_line,
+                                                            monkeypatch, capsys):
+    command, header, row, bad, message = STREAMS[stream]
+    rows = [row(i) for i in range(140)]
+    before = bad_line - 1 - bool(header)
+    code, out, err = run_cli([command, "-"], monkeypatch, capsys,
+                             stdin_text=header + "".join(rows[:before]) + bad
+                             + "".join(rows[before:]))
+    assert (code, err) == (1, f"star-solve: line {bad_line}: {message}\n")
+    assert re.findall(r"\br\d{3}\b", out) == [f"r{i:03d}" for i in range(before)]
+    # The rows before the bad line come out as they do with nothing after them.
+    _, alone, _ = run_cli([command, "-"], monkeypatch, capsys,
+                          stdin_text=header + "".join(rows[:before]))
+    assert out == (alone.removesuffix(f"{before} records, 0 failed\n")
+                   if command == "verify" else alone)
+
+
+class TerminalInput(io.StringIO):
+    """Standard input from a terminal; notes, as each line is asked for,
+    how many lines ``out`` holds."""
+
+    def __init__(self, text: str, out: io.StringIO):
+        super().__init__(text)
+        self.out, self.lines_out = out, []
+
+    def isatty(self) -> bool:
+        return True
+
+    def __next__(self) -> str:
+        self.lines_out.append(self.out.getvalue().count("\n"))
+        return super().__next__()
+
+
+@pytest.mark.parametrize("command, row", [
+    ("solve", '{"id": "m", "u1": 400, "u2": 400, "u3": 400}\n'),
+    ("verify", '{"id": "m", "u1": 400, "u2": 400, "u3": 400, "u1p": 230.94010767585033, '
+               '"u2p": 230.94010767585033, "u3p": 230.94010767585033, "max_residual": 0, '
+               '"status": "ok"}\n'),
+])
+def test_terminal_input_is_answered_line_by_line(command, row, monkeypatch):
+    out = io.StringIO()
+    stdin = TerminalInput(row * 3, out)
+    monkeypatch.setattr("sys.stdin", stdin)
+    monkeypatch.setattr("sys.stdout", out)
+    assert main([command, "-"]) == 0
+    # Each line is asked for only after the line before it is answered.
+    assert stdin.lines_out == [0, 1, 2, 3]
+
+
 @pytest.mark.parametrize("text", [
     "id,u1,u2,u3,psi1,psi2\nm,400,400,400,,\n",
     '{"id": "m", "u1": 400, "u2": 400, "u3": 400}\n',
@@ -491,20 +562,43 @@ def test_input_that_is_not_text_fails_alike_in_any_utf8_mode(utf8_mode, data, so
     assert ONE_PARSE_MESSAGE.fullmatch(done.stderr.decode()), done.stderr
 
 
-def test_downstream_pipe_closed_early_exits_1_quietly():
-    # As under `| head -n 1`: synth stops at its next write after the reader
-    # is gone, exits 1, and writes nothing to stderr, not even at exit.
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "starsolve.cli", "synth", "--count", "200000", "--seed", "1"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=subprocess_env())
+def first_line_then_closed(argv: list[str]) -> tuple[bytes, int, bytes]:
+    """Run star-solve as under `| head -n 1`: read the first line of its
+    output, close the pipe, and return that line, the exit code and stderr."""
+    proc = subprocess.Popen([sys.executable, "-m", "starsolve.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=subprocess_env())
     try:
-        assert proc.stdout.readline().startswith(b"id,")
+        first = proc.stdout.readline()
         proc.stdout.close()
-        assert proc.wait(timeout=60) == 1
-        assert proc.stderr.read() == b""
+        return first, proc.wait(timeout=60), proc.stderr.read()
     finally:
         proc.kill()
         proc.stderr.close()
+
+
+def test_downstream_pipe_closed_early_exits_1_quietly():
+    # synth stops at its next write after the reader is gone, exits 1, and
+    # writes nothing to stderr, not even at exit.
+    first, code, err = first_line_then_closed(
+        ["synth", "--count", "200000", "--seed", "1"])
+    assert first.startswith(b"id,")
+    assert (code, err) == (1, b"")
+
+
+@pytest.mark.parametrize("command, header, row, first", [
+    ("solve", "", '{"id": "m", "u1": 400, "u2": 400, "u3": 400}\n', b'{"id": "m", '),
+    ("verify", SOLVED_CSV_HEADER, f"m,{SOLVED_400}\n", b"m: PASS ("),
+])
+def test_downstream_pipe_closed_early_ends_solve_and_verify_quietly(command, header, row,
+                                                                   first, tmp_path):
+    # Far more output than a pipe holds, so the command writes after the
+    # reader is gone.
+    path = tmp_path / "in.txt"
+    path.write_text(header + row * 20_000)
+    line, code, err = first_line_then_closed([command, str(path)])
+    assert line.startswith(first)
+    assert (code, err) == (1, b"")
 
 
 def test_explicit_120_deg_row_decides_like_empty_psi(monkeypatch, capsys):

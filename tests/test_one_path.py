@@ -94,6 +94,8 @@ from starsolve.records import (
     ParseError,
     RowWriter,
     SolutionRecord,
+    _json_rows,
+    _not_text,
     _rows,
     read_measurements,
     read_pairs,
@@ -569,6 +571,106 @@ def test_readers_are_the_per_field_route(case):
                 assert_writer_takes(*(record if type(record) is tuple else (record, None)))
         except ParseError:
             pass
+
+
+def reference_json_rows(lines, fields: tuple[str, ...]):
+    """The JSON-lines records as ``json.loads`` reads each line, blank lines
+    skipped; a record's metadata is every field of its object that names no
+    record field."""
+    known = set(MEASUREMENT_FIELDS + SOLUTION_FIELDS)
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(line_no, f"invalid JSON: {exc.msg}") from exc
+        except (ValueError, RecursionError) as exc:  # too many digits or too deep
+            raise ParseError(line_no, f"invalid JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise ParseError(line_no, "each JSON line must be an object")
+        if "\\u" in line:  # only an escape can make a lone surrogate or a NUL
+            for text in (*obj, *obj.values()):
+                if isinstance(text, str) and (reason := _not_text(text)):
+                    raise ParseError(line_no, f"string {text!r}: {reason}")
+        for key in MEASUREMENT_FIELDS + SOLUTION_FIELDS:
+            if isinstance(obj.get(key), (bool, dict, list)):
+                raise ParseError(line_no, f"field {key!r} is not a number "
+                                          f"or a string: {obj[key]!r}")
+        yield (line_no, tuple(map(obj.get, fields)),
+               {k: v for k, v in obj.items() if k not in known})
+
+
+JSON_KEY = st.sampled_from(["id", "u1", "u2", "u3", "psi1", "psi2", "u1p", "status",
+                            "diagnostics", "site", "note"])
+JSON_VALUE = st.sampled_from([
+    "400", "-0.0", "1.5e3", "1e400", "NaN", "Infinity", "-Infinity", "1" + "0" * 400,
+    '"m"', '""', '" 7 "', '"Z\u00fcrich"', '"Z\\u00fcrich"', '"\\ud83d\\ude00"', "null"])
+# Keys and values that some or every record refuses: escapes that make a NUL
+# or a lone surrogate, values that only metadata takes, more digits than
+# int() takes, nesting deeper than the recursion limit, text that is not JSON
+# and no value at all.
+ODD_JSON_KEY = st.sampled_from(["n\\u0000", "\\ud800", "u1\\u0000"])
+ODD_JSON_VALUE = st.sampled_from([
+    "true", "false", "[]", "[1, 2]", '{"a": {"b": [1, null]}}', "[" * 50 + "]" * 50,
+    "1" + "0" * 5000, '"a\\u0000b"', '"\\ud800"', '"\\udc80x"',
+    "[" * 100_000 + "]" * 100_000, '"tab\there"', "01", "1.", "+1", "", '"open'])
+# What a line holds that is not an object, or only whitespace.
+NOT_AN_OBJECT = st.sampled_from(["[1, 2]", '"text"', "7", "null", "", " ", "\f", "\t",
+                                 "{", "}", "{}{}", "\ufeff{}", "[" * 100_000])
+BEFORE_JSON = st.sampled_from([" ", "\t", "\r", "\ufeff"])
+AFTER_JSON = st.sampled_from([" ", "\t", " 1", "}", "{}", "x"])
+LINE_END = st.sampled_from(["\r\n", "\r", ""])
+ODD_PARTS = ("key", "value", "body", "before", "after", "end")
+
+
+@st.composite
+def json_line(draw) -> str:
+    """A JSON line of a kind the reader takes or rejects: an object of
+    known and unknown fields, any of them repeated, ended by a line feed,
+    with at most two parts odd: a key or a value that some record refuses,
+    a line that is not an object, whitespace or a byte-order mark before
+    it, whitespace or data after it, a CR before its line feed or no line
+    feed at all."""
+    odd = draw(st.sets(st.sampled_from(ODD_PARTS), max_size=2))
+    if "body" in odd:
+        body = draw(NOT_AN_OBJECT)
+    else:
+        keys = draw(st.lists(JSON_KEY, max_size=6))
+        values = [draw(JSON_VALUE) for _ in keys]
+        if keys and "key" in odd:
+            keys[draw(st.integers(0, len(keys) - 1))] = draw(ODD_JSON_KEY)
+        if keys and "value" in odd:
+            values[draw(st.integers(0, len(keys) - 1))] = draw(ODD_JSON_VALUE)
+        comma, colon = draw(st.sampled_from([(", ", ": "), (",", ":"), (" ,", " : ")]))
+        body = "{" + comma.join(f'"{k}"{colon}{v}' for k, v in zip(keys, values)) + "}"
+    return (draw(BEFORE_JSON) if "before" in odd else "") + body + (
+        draw(AFTER_JSON) if "after" in odd else "") + (
+        draw(LINE_END) if "end" in odd else "\n")
+
+
+@SETTINGS
+@given(st.lists(json_line(), min_size=1, max_size=4),
+       st.sampled_from([MEASUREMENT_FIELDS, MEASUREMENT_FIELDS + SOLUTION_FIELDS]))
+# Lines the scanner reads, and lines that go through json.loads: whitespace
+# around the object, a CR, no line feed, data after it, and a blank line.
+@example([' {"id": "a", "u1": 400}\n', '{"u1": 1}\r\n', "\n", "\f\n", '{"u1": 1}'],
+         MEASUREMENT_FIELDS)
+@example(['{"u1": 1} \n', '{"u1": 1}{}\n'], MEASUREMENT_FIELDS)
+@example(['{"u1": 1}x'], MEASUREMENT_FIELDS)
+# Solution fields in a solve input, a repeated key and metadata of every kind.
+@example(['{"u1": 1, "u1p": 2, "site": {"a": [1]}, "u1": 3, "status": "x", "n": NaN}\n'],
+         MEASUREMENT_FIELDS)
+# A boolean in a known field, escapes that make a NUL or a lone surrogate,
+# and an integer of more digits than int() takes.
+@example(['{"u1": true}\n'], MEASUREMENT_FIELDS)
+@example(['{"u1": 1, "n": "a\\u0000b"}\n', '{"\\ud800": 1}\n'], MEASUREMENT_FIELDS)
+@example(['{"u1": 1' + "0" * 5000 + "}\n"], MEASUREMENT_FIELDS)
+def test_json_reader_is_the_json_loads_route(lines, fields):
+    # repr tells 1 from 1.0 and -0.0 from 0.0, keeps the metadata's order
+    # and reads the same for a NaN on both sides.
+    assert (outcome(lambda: repr(list(_json_rows(iter(lines), fields))))
+            == outcome(lambda: repr(list(reference_json_rows(iter(lines), fields)))))
 
 
 def assert_writer_takes(m: MeasurementRecord, s: SolutionRecord | None) -> None:
