@@ -15,7 +15,8 @@ routes are provided and can be cross-checked against each other:
 
 Coordinate frame for all reported point positions: vertex C at the origin,
 vertex B on the positive x-axis (so the spanning vector of edge a lies
-along +x), vertex A in the upper half-plane.
+along +x), vertex A in the upper half-plane. Vertex A and the point are
+placed by :func:`~starsolve.kernel.place`, which holds on needles too.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from typing import Literal
 
 from .errors import DegenerateTriangle
 from .general import general_distances_closed_form
-from .geometry import PhaseAngles, StarSolution, TriangleEdges, solution_at_scale
-from .kernel import ANGLES_120, apex_position, check_interior_point, closure_defects
+from .geometry import PhaseAngles, StarSolution, TriangleEdges, star_solution
+from .kernel import ANGLES_120, check_interior_point, closure_defects, place
 
 SQRT3 = math.sqrt(3.0)
 
@@ -52,25 +53,26 @@ def fermat_distances_closed_form(t: TriangleEdges) -> StarSolution:
 def fermat_construction(t: TriangleEdges) -> StarSolution:
     """Constructive route: distances measured from the cevian intersection.
 
-    With C at the origin, B at (a, 0) and A at (ax, ay), the apex of the
-    outward equilateral triangle on edge a is P = (a/2, -(sqrt3/2) a). The
-    star point is where the cevian A->P meets the cevian from B to the
-    apex over edge b; its parameter along A->P solves a symmetric 2x2
-    system, evaluated from the explicit solution whose common denominator
-    is strictly positive for every non-degenerate triangle, so the route
-    has no spurious singularity even for needle shapes. The construction
-    runs on the unit triangle of ``t`` and is scaled back by 2**exponent.
+    With C at the origin, B at (a, 0) and A at (ax, ay), placed by
+    :func:`~starsolve.kernel.place`, the apex of the outward equilateral
+    triangle on edge a is P = (a/2, -(sqrt3/2) a). The star point is where
+    the cevian A->P meets the cevian from B to the apex over edge b; its
+    parameter along A->P solves a symmetric 2x2 system, evaluated from the
+    explicit solution whose common denominator is strictly positive for
+    every triangle of nonzero area, so the route has no spurious
+    singularity even for needle shapes. The construction runs on the unit
+    triangle of ``t``, and :func:`~starsolve.geometry.star_solution` places
+    the point from its distances and scales all back by 2**exponent.
     """
     check_interior_point((t.exponent, t.unit, t.unit_sq, t.unit_theta_sq), ANGLES_120)
-    (a, b, _), (a2, b2, c2) = t.unit, t.unit_sq
-    ax, ay = apex_position(a, b, a2, b2, c2, t.unit_theta_sq)
-    b = math.hypot(ax, ay)   # |CA| as embedded
-    cross = a * ay
-    if cross <= 1e-15 * a * b:
+    a, b, c = t.unit
+    ax, ay = place(a, c, b)
+    if ay <= 0.0:
         raise DegenerateTriangle("spanning vectors are collinear")
+    b = math.hypot(ax, ay)   # |CA| as embedded
 
-    sin_phi = cross / (a * b)
-    cos_phi = a * ax / (a * b)
+    sin_phi = ay / b
+    cos_phi = ax / b
     cos_p60 = cos_phi * 0.5 - sin_phi * (SQRT3 / 2.0)   # cos(phi + 60)
     sin_m60 = sin_phi * 0.5 - cos_phi * (SQRT3 / 2.0)   # sin(phi - 60)
     # sin(phi) > 0 makes cos(phi + 60) < 1/2, so denom > (sqrt3/2)(a^2 + b^2).
@@ -83,7 +85,7 @@ def fermat_construction(t: TriangleEdges) -> StarSolution:
                  math.hypot(mx - a, my),         # B
                  math.hypot(mx, my))             # C, the origin
     residuals = closure_defects(t.unit_sq, ALL_120.cos, distances)
-    return solution_at_scale(t.exponent, distances, mx, my, residuals)
+    return star_solution(t, distances, residuals)
 
 
 def fermat_solve(t: TriangleEdges, method: SolveMethod = "closed_form") -> StarSolution:

@@ -15,7 +15,10 @@ from X to the vertices. Two independent routes:
 Each route is a float kernel of :mod:`starsolve.kernel` on the unit
 triangle of the edges (:func:`~starsolve.kernel.line_voltage_kernel`, the
 one closed form, and :func:`~starsolve.kernel.circle_distances`), which
-the CLI calls directly and the value-type functions here wrap.
+the CLI calls directly and the value-type functions here wrap. Either
+route's point is placed from its distances by
+:func:`~starsolve.geometry.star_solution`, in the frame with C at the
+origin and B on +x.
 
 With every angle at 120 deg the closed form is the 120-deg solver of
 :mod:`starsolve.fermat`: the kernel's feasibility predicate names the
@@ -24,15 +27,11 @@ wide vertex of a triangle with an angle >= 120 deg.
 
 from __future__ import annotations
 
+import math
+
 from .config import RESIDUAL_TOL
-from .geometry import (
-    PhaseAngles,
-    StarSolution,
-    TriangleEdges,
-    point_from_distances,
-    solution_at_scale,
-)
-from .kernel import circle_distances, closure_defects, line_voltage_kernel, point_position
+from .geometry import PhaseAngles, StarSolution, TriangleEdges, star_solution
+from .kernel import circle_distances, closure_defects, line_voltage_kernel
 
 
 def validate_angles(psi_a: float, psi_b: float) -> PhaseAngles:
@@ -47,23 +46,24 @@ def general_distances_closed_form(t: TriangleEdges,
     ``t`` and ``angles``, so at 120 deg each a wide triangle raises
     :class:`~starsolve.errors.AngleAtLeast120`.
 
-    The point is rebuilt from the scaled distances by
-    :func:`~starsolve.geometry.point_from_distances`. It has the kernel's
-    bits wherever those distances are normal floats; where one is
-    subnormal, its scaling back to the unit triangle is no longer exact,
-    and the point may differ in its last bits.
+    The kernel's distances go back to the unit triangle for
+    :func:`~starsolve.geometry.star_solution`, which places the point from
+    them and scales all back; the distances keep the kernel's bits. Where
+    one is subnormal, its unit value is not the kernel's, and the point may
+    differ in its last bits.
     """
     distances, residuals, _ = line_voltage_kernel(
         (t.exponent, t.unit, t.unit_sq, t.unit_theta_sq),
         (angles.as_tuple(), angles.cot, angles.cos), RESIDUAL_TOL)
-    return StarSolution(*distances, point_from_distances(t, *distances), residuals)
+    k = t.exponent
+    return star_solution(t, tuple(math.ldexp(d, -k) for d in distances), residuals)
 
 
 def general_solve_by_circles(t: TriangleEdges, angles: PhaseAngles) -> StarSolution:
     """Constructive route: :func:`~starsolve.kernel.circle_distances` on
-    the unit triangle of ``t``, scaled back."""
+    the unit triangle of ``t``, and the point placed from them by
+    :func:`~starsolve.geometry.star_solution`."""
     distances = circle_distances(t.unit, t.unit_sq, t.unit_theta_sq,
                                  angles.as_tuple(), angles.cot)
     residuals = closure_defects(t.unit_sq, angles.cos, distances)
-    px, py = point_position(t.unit[0], t.unit_sq[0], distances[1], distances[2])
-    return solution_at_scale(t.exponent, distances, px, py, residuals)
+    return star_solution(t, distances, residuals)

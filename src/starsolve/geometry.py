@@ -1,11 +1,14 @@
 """Plane-vector and triangle value types shared by every solver.
 
 Each type validates and computes through the float kernels of
-:mod:`starsolve.kernel` and keeps what they return. Everything here is a
-pure function of its inputs; no state, safe to call from any number of
-threads. Angles cross the API in degrees, lengths in whatever unit the
-caller uses (the solvers are homogeneous of degree one in length, so
-volts work as well as metres).
+:mod:`starsolve.kernel` and keeps what they return. Every position the
+library reports lies in one frame, C at the origin and B on +x, placed by
+:func:`~starsolve.kernel.place` on the unit triangle: vertex A by
+:func:`embed_triangle`, and each solver's point by :func:`star_solution`.
+Everything here is a pure function of its inputs; no state, safe to call
+from any number of threads. Angles cross the API in degrees, lengths in
+whatever unit the caller uses (the solvers are homogeneous of degree one
+in length, so volts work as well as metres).
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .kernel import angle_invariants, apex_position, edge_invariants, point_position
+from .kernel import angle_invariants, edge_invariants, place
 
 
 @dataclass(frozen=True)
@@ -127,35 +130,28 @@ class StarSolution:
         return max(self.residuals)
 
 
-def solution_at_scale(k: int, distances: tuple[float, float, float], px: float,
-                      py: float, residuals: tuple[float, float, float]) -> StarSolution:
-    """A unit-triangle solution scaled back by 2**k; a power of two, so no
-    bit changes."""
-    a_p, b_p, c_p = distances
+def star_solution(t: TriangleEdges, unit_distances: tuple[float, float, float],
+                  residuals: tuple[float, float, float]) -> StarSolution:
+    """The solution at ``unit_distances`` from the vertices of the unit
+    triangle of ``t``: the point placed by :func:`~starsolve.kernel.place`
+    from its distances to B and C, and all of it scaled back by
+    2**exponent, a power of two, so no bit changes."""
+    k = t.exponent
+    a_p, b_p, c_p = unit_distances
+    x, y = place(t.unit[0], b_p, c_p)
     return StarSolution(math.ldexp(a_p, k), math.ldexp(b_p, k), math.ldexp(c_p, k),
-                        PlaneVector(math.ldexp(px, k), math.ldexp(py, k)), residuals)
+                        PlaneVector(math.ldexp(x, k), math.ldexp(y, k)), residuals)
 
 
 def embed_triangle(t: TriangleEdges) -> tuple[PlaneVector, PlaneVector]:
     """Place the triangle in the canonical frame; return the spanning vectors.
 
     The first vector has length ``a`` and runs from C along +x to B; the
-    second has length ``b`` and runs from C to A in the upper half-plane.
+    second has length ``b`` and runs from C to A in the upper half-plane,
+    A placed by :func:`~starsolve.kernel.place` on the unit triangle and
+    scaled back, so that it holds on needles too.
     """
-    (a, b, _), (a2, b2, c2) = t.unit, t.unit_sq
-    x, y = apex_position(a, b, a2, b2, c2, t.unit_theta_sq)
+    a, b, c = t.unit
+    x, y = place(a, c, b)
     k = t.exponent
     return PlaneVector(t.a, 0.0), PlaneVector(math.ldexp(x, k), math.ldexp(y, k))
-
-
-def point_from_distances(t: TriangleEdges, a_prime: float, b_prime: float,
-                         c_prime: float) -> PlaneVector:
-    """Position (canonical frame) of the upper-half-plane point at the given
-    distances from C and B; the distance to A is implied by consistency.
-    Evaluated on the unit triangle of ``t`` and scaled back by 2**exponent."""
-    k = t.exponent
-    x, y = point_position(t.unit[0], t.unit_sq[0], math.ldexp(b_prime, -k),
-                          math.ldexp(c_prime, -k))
-    return PlaneVector(math.ldexp(x, k), math.ldexp(y, k))
-
-

@@ -4,9 +4,10 @@ Every formula a CLI row passes through lives here once, on plain floats:
 the triangle and angle invariants, the closed form and the circle route
 on the unit triangle, the one feasibility predicate,
 :func:`check_interior_point`, and the one residual function,
-:func:`closure_defects`. The value types of :mod:`starsolve.geometry`,
-:mod:`starsolve.general`, :mod:`starsolve.fermat` and
-:mod:`starsolve.circuit` wrap these kernels.
+:func:`closure_defects`; and, on no CLI path, :func:`place`, for every
+position the library reports. The value types of
+:mod:`starsolve.geometry`, :mod:`starsolve.general`, :mod:`starsolve.fermat`
+and :mod:`starsolve.circuit` wrap these kernels.
 This module imports nothing but :mod:`math`, :mod:`sys`,
 :mod:`starsolve.config` and :mod:`starsolve.errors`, so a CLI start loads
 no value type.
@@ -159,26 +160,23 @@ ANGLES_120 = angle_invariants(120.0, 120.0, 120.0)
 # Positions and closure
 # =========================================================================
 
-def apex_position(a: float, b: float, a2: float, b2: float, c2: float,
-                  theta_sq: float) -> tuple[float, float]:
-    """Coordinates of vertex A in the canonical frame (C at the origin, B at
-    (a, 0)), from the edges a, b, the squared edges and Theta^2. The
-    height is taken from the stable area evaluation, so the embedding
-    agrees with :func:`~starsolve.geometry.theta_squared` to the last bit
-    even for needles."""
-    cos_phi = (a2 + b2 - c2) / (2.0 * a * b)
-    cos_phi = max(-1.0, min(1.0, cos_phi))
-    return b * cos_phi, theta_sq / (2.0 * a)
+def place(a: float, to_b: float, to_c: float) -> tuple[float, float]:
+    """The point above edge a at ``to_b`` from B and ``to_c`` from C, with C
+    at the origin and B at (a, 0).
 
-
-def point_position(a: float, a2: float, b_prime: float,
-                   c_prime: float) -> tuple[float, float]:
-    """Coordinates (canonical frame, edge a of length ``a`` with square
-    ``a2``) of the upper-half-plane point at the given distances from B and
-    C; the distance to A is implied by consistency."""
-    px = (c_prime * c_prime - b_prime * b_prime + a2) / (2.0 * a)
-    py_sq = c_prime * c_prime - px * px
-    return px, math.sqrt(max(py_sq, 0.0))
+    Its abscissa, a/2 + (to_c - to_b)(to_c + to_b) / (2a), does not cancel
+    on a needle whose short edge is a (Sterbenz), and is clamped to
+    [-to_c, to_c] for triples that miss the triangle inequality by rounding.
+    Its height is Theta^2 / (2a), with Theta^2 from Kahan's sorted product,
+    each factor under its own root and the one that carries the sign
+    clamped at 0 (Kahan, Miscalculating Area and Angles of a Needle-like
+    Triangle, 2014).
+    """
+    px = max(-to_c, min(to_c, a * 0.5 + (to_c - to_b) * (to_c + to_b) / (2.0 * a)))
+    x, y, z = sorted((a, to_b, to_c), reverse=True)
+    theta_sq = (math.sqrt(x + (y + z)) * math.sqrt(x + (y - z))
+                * math.sqrt(z + (x - y)) * math.sqrt(max(z - (x - y), 0.0)))
+    return px, theta_sq / (2.0 * a)
 
 
 def closure_defects(squares: tuple[float, float, float],
@@ -226,7 +224,7 @@ def circle_distances(unit: Triple, unit_sq: Triple, theta_sq: float, psis: Tripl
     angle (the first of equal ones) comes last, and the two largest, both
     >= 90 deg, drive the construction; the distances are labeled back
     before they are returned. All is written out in one frame: C at the
-    origin, B at (a, 0), A where :func:`apex_position` puts it. Each circle's
+    origin, B at (a, 0), A by the law of cosines. Each circle's
     centre is half its chord (CB, seen under psi_a; CA, under psi_b) plus a
     cotangent-scaled perpendicular; an obtuse angle puts it on the far side
     of the chord from X, a right angle on the chord. Only a zero area is
@@ -253,7 +251,7 @@ def circle_distances(unit: Triple, unit_sq: Triple, theta_sq: float, psis: Tripl
         a, b, _ = unit
         a2, b2, c2 = unit_sq
         cot_a, cot_b, _ = cot
-    # Vertex A as apex_position places it, its clamp written out.
+    # Vertex A by the law of cosines, its clamp written out.
     cos_phi = (a2 + b2 - c2) / (2.0 * a * b)
     ax = b * (cos_phi if -1.0 < cos_phi < 1.0 else -1.0 if cos_phi <= -1.0 else 1.0)
     ay = theta_sq / (2.0 * a)

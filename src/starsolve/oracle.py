@@ -15,13 +15,7 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .geometry import (
-    PhaseAngles,
-    PlaneVector,
-    StarSolution,
-    TriangleEdges,
-    point_from_distances,
-)
+from .geometry import PhaseAngles, PlaneVector, StarSolution, TriangleEdges, star_solution
 from .errors import DegenerateTriangle, NoConvergence
 from .oracle_kernel import planted_draw, planted_edges
 
@@ -56,12 +50,13 @@ def synthesize_triangle(spec: SynthesisSpec) -> tuple[TriangleEdges, StarSolutio
     """Edges of the triangle whose interior point realizes the planted spec:
     :func:`~starsolve.oracle_kernel.planted_edges` of its distances and
     angles. The returned expected solution carries the planted distances,
-    the corresponding canonical-frame point and the closure residuals."""
+    the canonical-frame point that :func:`~starsolve.geometry.star_solution`
+    places from them, and the closure residuals."""
     edges, residuals = planted_edges(spec.distances, spec.angles.as_tuple())
     t = TriangleEdges(*edges)
-    a_p, b_p, c_p = spec.distances
-    return t, StarSolution(a_p, b_p, c_p, point_from_distances(t, a_p, b_p, c_p),
-                           residuals)
+    k = t.exponent
+    return t, star_solution(t, tuple(math.ldexp(d, -k) for d in spec.distances),
+                            residuals)
 
 
 def random_synthesis_spec(rng: Random, seed: int = 0,
@@ -98,10 +93,13 @@ def _embed_for_oracle(a: float, b: float, c: float
     """Vertices (C, B, A), as (x, y) pairs, placed independently of the
     solver embedding.
 
-    A's height is twice the area over a, from Kahan's sorted-edge product
+    A's abscissa is a/2 + (b - c)(b + c) / (2a), clamped to [-b, b]:
+    (a^2 + b^2 - c^2) / (2a) would cancel on a needle whose short edge is
+    a, and b - c is exact when b and c lie within a factor of 2 (Sterbenz).
+    Its height is twice the area over a, from Kahan's sorted-edge product
     (x >= y >= z): b^2 - ax^2 would cancel on a needle whose short edge is c.
     """
-    ax = (a * a + b * b - c * c) / (2.0 * a)
+    ax = max(-b, min(b, a * 0.5 + (b - c) * (b + c) / (2.0 * a)))
     x, y, z = sorted((a, b, c), reverse=True)
     radicand = (x + (y + z)) * (z - (x - y)) * (z + (x - y)) * (x + (y - z))
     return ((0.0, 0.0), (a, 0.0), (ax, math.sqrt(max(radicand, 0.0)) / (2.0 * a)))
@@ -145,9 +143,10 @@ def minimize_distance_sum(t: TriangleEdges, max_iter: int = 10_000) -> Minimizat
     not from the solver's invariants), and the point and value are scaled
     back: no bit changes, and no square under- or overflows at any scale.
     ``TriangleEdges`` rejects every triangle whose short edge squares to 0
-    at that scale, but rounding in the embedding can still put two vertices
-    of a near-collinear needle on one point, as for (0.75, 0.75 - 2**-53,
-    2**-53): :class:`DegenerateTriangle` is raised then.
+    at that scale. Should the embedding still put two vertices on one
+    point, where every step would divide by their distance,
+    :class:`DegenerateTriangle` is raised; no accepted triangle is known to
+    do so.
     """
     a, b, c = t.a, t.b, t.c
     exponent = math.frexp(max(a, b, c))[1]

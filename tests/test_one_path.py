@@ -17,12 +17,13 @@ and metadata that names no record field.
 whether a star point exists before it evaluates the closed form, so it
 must return, bit for bit, what that predicate written out vertex by vertex
 and the kept helpers return when called one after another, and the
-invariant kernels what their written-out references return. ``kernel.circle_distances`` relabels
-the triangle by comparisons and writes vertex A and the circles out in its
-frame, so it must return what the route rotated by tuple slices, through
-``apex_position`` and ``reference_chord_circles``, returns. The oracle's synthesis wraps the float
-entries of ``oracle_kernel``, so each function must return, bit for bit,
-what its entry returns, and draw from the generator as it does.
+invariant kernels what their written-out references return.
+``kernel.circle_distances`` relabels the triangle by comparisons and
+writes vertex A and the circles out in its frame, so it must return what
+the route rotated by tuple slices, through the law of cosines and
+``reference_chord_circles``, returns. The oracle's synthesis wraps the
+float entries of ``oracle_kernel``, so each function must return, bit for
+bit, what its entry returns, and draw from the generator as it does.
 ``oracle.minimize_distance_sum`` sums f(X) over the distances of its
 first pass and forms the Hessian only when the certificate fails, so it
 must return, bit for bit, what the route that sums f in a pass of its own
@@ -74,7 +75,6 @@ from starsolve.kernel import (
     BARY_TOL,
     _joint_vertex_distance,
     angle_invariants,
-    apex_position,
     circle_distances,
     closure_defects,
     edge_invariants,
@@ -933,17 +933,19 @@ def reference_chord_circles(a: float, vx: float, vy: float, cot_a: float,
 def reference_circle_distances(unit: tuple, unit_sq: tuple, theta_sq: float,
                                psis: tuple, cot: tuple) -> tuple:
     """The circle route as helper calls: the smallest angle (the first of
-    equal ones) rotated last by tuple slices, vertex A by
-    ``apex_position``, the circles by :func:`reference_chord_circles`, the
-    interior test by the barycentric formula and ``min``, and the distances
-    rotated back. ``circle_distances`` relabels by comparisons and writes
-    the helpers out in one frame, and must return the same bits."""
+    equal ones) rotated last by tuple slices, vertex A by the law of
+    cosines with its cosine clamped by ``max`` and ``min``, the circles by
+    :func:`reference_chord_circles`, the interior test by the barycentric
+    formula and ``min``, and the distances rotated back.
+    ``circle_distances`` relabels by comparisons and writes the helpers out
+    in one frame, and must return the same bits."""
     def rotated(triple, r):
         return triple[r:] + triple[:r]
     rot = (1, 2, 0)[psis.index(min(psis))]
     (a, b, _), (a2, b2, c2) = rotated(unit, rot), rotated(unit_sq, rot)
     cot_a, cot_b, _ = rotated(cot, rot)
-    ax, ay = apex_position(a, b, a2, b2, c2, theta_sq)
+    ax = b * max(-1.0, min(1.0, (a2 + b2 - c2) / (2.0 * a * b)))
+    ay = theta_sq / (2.0 * a)
     crx, cry, csx, csy, rho_a, rho_b = reference_chord_circles(a, ax, ay, cot_a, cot_b)
     dx, dy = csx - crx, csy - cry
     d = math.hypot(dx, dy)

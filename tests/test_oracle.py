@@ -33,7 +33,8 @@ from starsolve import (
     synthesize_triangle,
     theta_squared,
 )
-from starsolve.oracle import random_synthesis_spec
+from starsolve import oracle
+from starsolve.oracle import GAP_CERTIFICATE, random_synthesis_spec
 from test_one_path import reference_chord_circles
 
 ALL_120 = PhaseAngles(120.0, 120.0, 120.0)
@@ -198,8 +199,10 @@ def test_minimize_on_the_thinnest_accepted_triangles_raises_only_no_convergence(
 
 
 # Near-collinear needles that TriangleEdges accepts, on which the embedding
-# puts A on B: 0.75**2 + fl(b**2) is a tie that rounds to even, 1.125, so A's
-# abscissa comes out as 0.75 and its height clamps to 0.
+# once put A on B: with A's abscissa taken as (a^2 + b^2 - c^2) / (2a),
+# 0.75**2 + fl(b**2) is a tie that rounds to even, 1.125, so it came out as
+# 0.75 and the height clamped to 0. Taken as a/2 + (b - c)(b + c) / (2a),
+# it is b, 2**-53 short of B, and the minimum, 0.75, is found at A.
 ROUNDED_ONTO_ONE_POINT = ((0.75, math.nextafter(0.75, 0.0), 1e-20),
                           (0.75, 0.75 - 2.0 ** -53, 2.0 ** -53))
 
@@ -207,12 +210,25 @@ ROUNDED_ONTO_ONE_POINT = ((0.75, math.nextafter(0.75, 0.0), 1e-20),
 @pytest.mark.parametrize("edges", [rotated for needle in ROUNDED_ONTO_ONE_POINT
                                    for rotated in rotations(needle)])
 def test_minimize_rejects_vertices_that_the_embedding_rounds_together(edges):
-    t = TriangleEdges(*edges)
+    # The minimum of f lies between the longest edge and the sum of the
+    # other two, f at the wide vertex; the first needle misses the triangle
+    # inequality by 2**-53 - 1e-20, so there the bounds swap.
+    result = minimize_distance_sum(TriangleEdges(*edges))
+    longest = max(edges)
+    others = sum(edges) - longest
+    slack = GAP_CERTIFICATE * result.value
+    assert min(longest, others) - slack <= result.value <= max(longest, others) + slack
     if edges in ROUNDED_ONTO_ONE_POINT:
-        with pytest.raises(DegenerateTriangle, match="two vertices coincide"):
-            minimize_distance_sum(t)
-    else:
-        assert minimize_distance_sum(t).converged
+        assert abs(result.value - 0.75) <= slack
+
+
+def test_minimize_rejects_vertices_that_coincide_in_its_embedding(monkeypatch):
+    # No accepted triangle is known to put two vertices on one point; an
+    # embedding that does must raise, and not divide by their distance.
+    monkeypatch.setattr(oracle, "_embed_for_oracle",
+                        lambda a, b, c: ((0.0, 0.0), (a, 0.0), (a, 0.0)))
+    with pytest.raises(DegenerateTriangle, match="two vertices coincide"):
+        minimize_distance_sum(TriangleEdges(1.0, 1.0, 1.0))
 
 
 def test_distance_sum_minimum_is_the_same_bits_on_every_python():

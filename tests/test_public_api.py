@@ -31,12 +31,15 @@ MODULES = tuple(module.name for module in pkgutil.iter_modules(starsolve.__path_
 # route reflected vertex C in the line of centres, and once the oracle
 # started from geometry.point_position; nothing called them. The circle
 # kernel lives on in tests/test_oracle.py as the circle route's reference.
+# The four placements went when kernel.place and geometry.star_solution
+# took over every position the library reports.
 REMOVED = ("AmbiguousIntersection", "CircleData", "EPS_DEN_COEFF", "EPS_LEN",
            "FermatIntermediate", "GeneralIntermediate", "SingularConfiguration", "ZeroVector",
-           "_EDGE_LABELS", "_trilaterate", "angle_between", "circle_intersections",
-           "circumcircle_data", "fermat_apexes", "fermat_line_solution",
-           "intersect_circles", "law_of_cosines_angle", "parse_measurement", "perp",
-           "star_point_coefficients")
+           "_EDGE_LABELS", "_trilaterate", "angle_between", "apex_position",
+           "circle_intersections", "circumcircle_data", "fermat_apexes",
+           "fermat_line_solution", "intersect_circles", "law_of_cosines_angle",
+           "parse_measurement", "perp", "point_from_distances", "point_position",
+           "solution_at_scale", "star_point_coefficients")
 
 
 def test_every_exported_name_resolves():
