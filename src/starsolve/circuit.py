@@ -20,7 +20,7 @@ from .config import RESIDUAL_TOL
 from .fermat import ALL_120
 from .general import general_distances_closed_form, validate_angles
 from .geometry import ORIGIN, PhaseAngles, TriangleEdges, embed_triangle
-from .kernel import closure_defects, line_voltage_kernel
+from .kernel import closure_defects, line_voltage_kernel, worst_defect
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,8 @@ def verify_solution(u: PhaseToPhaseVoltages, lv: LineVoltages,
     triangle over its two line voltages and phase difference.
 
     u1^2 = u2p^2 + u3p^2 - 2 u2p u3p cos(psi1), cyclically. Passes iff
-    every relative residual is below ``tolerance``. The claim is checked on
+    every relative residual is at most ``tolerance``, so a NaN in any
+    position fails; ``max_residual`` is then a NaN. The claim is checked on
     the unit triangle of ``u``, divided by the same power of two.
     """
     t = u.to_edges()
@@ -175,6 +176,7 @@ def verify_solution(u: PhaseToPhaseVoltages, lv: LineVoltages,
         residuals = (math.inf, math.inf, math.inf)
     else:
         residuals = closure_defects(t.unit_sq, angles.cos, claim)
-    worst = max(residuals)
-    return ResidualReport(residuals=residuals, max_residual=worst,
-                          tolerance=tolerance, passed=worst <= tolerance)
+    r1, r2, r3 = residuals
+    return ResidualReport(residuals=residuals, max_residual=worst_defect(residuals),
+                          tolerance=tolerance,
+                          passed=r1 <= tolerance and r2 <= tolerance and r3 <= tolerance)

@@ -23,7 +23,7 @@ import sys
 from itertools import chain, islice
 from typing import Callable, Iterator, TextIO
 
-from .config import EPS_ANG_DEG, residual_tolerance
+from .config import EPS_ANG_DEG, PERIMETER_FLOOR, residual_tolerance
 from .errors import (
     AngleAtLeast120,
     AngleOutOfRange,
@@ -41,6 +41,7 @@ from .kernel import (
     closure_defects,
     edge_invariants,
     line_voltage_kernel,
+    worst_defect,
 )
 from .records import (
     MEASUREMENT_FIELDS,
@@ -207,29 +208,31 @@ def verify_record(m: MeasurementRecord, s: SolutionRecord | None,
                                   math.ldexp(u3p, -k))
         except OverflowError:  # beyond the float range on the unit triangle
             return False, f"closure residual inf exceeds tolerance {tolerance:g}"
-        worst = max(closure_defects(unit_sq, cos, claim))
-        if not worst <= tolerance:  # a NaN fails too
-            return False, (f"closure residual {worst:.3e} "
+        d1, d2, d3 = closure_defects(unit_sq, cos, claim)
+        if not (d1 <= tolerance and d2 <= tolerance and d3 <= tolerance):  # a NaN fails too
+            return False, (f"closure residual {worst_defect((d1, d2, d3)):.3e} "
                            f"exceeds tolerance {tolerance:g}")
 
         r1, r2, r3 = circle_distances(unit, unit_sq, theta_sq, psis, cot)
-        # A value fails if it is off by more than 1e-12 of the perimeter and
-        # by more than the tolerance of the larger; the cheaper test first.
-        # The perimeter is added left to right, as in line_voltage_kernel.
+        # A value fails if it is off by more than PERIMETER_FLOOR of the
+        # perimeter and by more than the tolerance of the larger; the cheaper
+        # test first, on all three at once. The perimeter is added left to
+        # right, as in line_voltage_kernel.
         ua, ub, uc = unit
-        floor = 1e-12 * (ua + ub + uc)
-        for name, value, given, recomputed in (("u1p", u1p, c1, r1), ("u2p", u2p, c2, r2),
-                                               ("u3p", u3p, c3, r3)):
-            gap = abs(given - recomputed)
-            if gap > floor and gap > tolerance * (given if given > recomputed
-                                                  else recomputed):
-                return False, (f"{name}={value!r} disagrees with "
-                               f"circle-path value {math.ldexp(recomputed, k)!r}")
+        floor = PERIMETER_FLOOR * (ua + ub + uc)
+        if not (abs(c1 - r1) <= floor and abs(c2 - r2) <= floor and abs(c3 - r3) <= floor):
+            for name, value, given, recomputed in (("u1p", u1p, c1, r1), ("u2p", u2p, c2, r2),
+                                                   ("u3p", u3p, c3, r3)):
+                gap = abs(given - recomputed)
+                if gap > floor and gap > tolerance * (given if given > recomputed
+                                                      else recomputed):
+                    return False, (f"{name}={value!r} disagrees with "
+                                   f"circle-path value {math.ldexp(recomputed, k)!r}")
     except StarSolveError as exc:
         return False, f"cross-check raised: {exc}"
     except Exception as exc:  # one bad row must not end the batch
         return False, f"cross-check raised {_describe_internal(exc)}"
-    return True, f"max residual {worst:.3e}"
+    return True, f"max residual {max(d1, d2, d3):.3e}"
 
 
 # =========================================================================

@@ -1,9 +1,10 @@
 """Tolerance constants.
 
 All tolerances are relative to a problem scale unless the name says
-absolute. The library solvers use these values as they are; only the CLI
-residual tolerance can be set, by flag or environment variable, and it is
-the one closure test of ``solve`` and of ``verify`` alike. Voltages are
+absolute; ``verify`` tests lengths on the scale of the perimeter. The
+library solvers use these values as they are; only the CLI residual
+tolerance can be set, by flag or environment variable, and it is the one
+closure test of ``solve`` and of ``verify`` alike. Voltages are
 carried in IEEE-754 binary64, which holds far more precision than any
 voltage measurement, so the defaults are chosen well below measurement
 noise but above accumulated rounding of the short formula pipelines.
@@ -14,7 +15,9 @@ from __future__ import annotations
 import math
 import os
 
-# Angle-sum and angle-comparison slack, in degrees.
+# Angle-sum and angle-comparison slack, in degrees. In radians, times the
+# perimeter, it is also how far beyond an edge line the circle route's star
+# point may lie (kernel.circle_distances).
 EPS_ANG_DEG = 1e-9
 
 # Clamp window for the sign-carrying product in the stable Heron evaluation:
@@ -23,6 +26,11 @@ EPS_TRI_COEFF = 1e-12
 
 # Default relative closure-residual tolerance for solution acceptance.
 RESIDUAL_TOL = 1e-8
+
+# Verify's distance floor, as a fraction of the perimeter: a distance the
+# circle route re-derives agrees with the claim within it, or within the
+# residual tolerance of the larger (cli.verify_record).
+PERIMETER_FLOOR = 1e-12
 
 # At 120 deg each, interior angles at or above this (minus EPS_ANG_DEG)
 # have no interior three-ray point: the feasibility predicate,

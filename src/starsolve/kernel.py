@@ -205,12 +205,24 @@ def closure_defects(squares: tuple[float, float, float],
     return (r_a, r_b, r_c)
 
 
+def worst_defect(defects: Triple) -> float:
+    """The largest of three defects, or a NaN if any is one: ``max`` keeps
+    a NaN only in the first position, as every comparison with it is
+    false."""
+    r_a, r_b, r_c = defects
+    return max(r_a, r_b, r_c) if r_a == r_a and r_b == r_b and r_c == r_c else math.nan
+
+
 # =========================================================================
 # Inscribed-angle circles
 # =========================================================================
 
-# Interiority slack for barycentric coordinates (dimensionless).
-BARY_TOL = 1e-9
+# How far beyond an edge line the circle route's X may lie, as a fraction
+# of the perimeter. Angles that miss an interior point by at most the slack
+# of check_interior_point put X at most half of it, in radians, beyond an
+# edge line (0.497 at most, measured on 60 000 triangles of edge ratios up
+# to 1e8).
+_OUTSIDE_SLACK = math.radians(EPS_ANG_DEG)
 
 
 def circle_distances(unit: Triple, unit_sq: Triple, theta_sq: float, psis: Triple,
@@ -230,25 +242,36 @@ def circle_distances(unit: Triple, unit_sq: Triple, theta_sq: float, psis: Tripl
     of the chord from X, a right angle on the chord. Only a zero area is
     degenerate, so a needle of any ratio passes. Both circles pass through
     C, so X is C reflected in the line of centres, d = c_s - c_r:
-    X = 2 (c_r x d) / |d|^2 (d_y, -d_x). It must land inside the triangle
-    (within barycentric slack); a line of centres through C is tangency at
-    C, the legitimate boundary case of a vanishing vertex distance.
+    X = 2 (c_r x d) / |d|^2 (d_y, -d_x). A line of centres through C is
+    tangency at C, the legitimate boundary case of a vanishing vertex
+    distance.
+
+    X must land inside the triangle, tested on the triangle's own scale:
+    its signed distance from each edge line (from CB its ordinate; from CA
+    and AB a cross product, the distance times the edge, with no division)
+    may fall below zero by at most ``_OUTSIDE_SLACK`` of the perimeter,
+    where the angle slack that :func:`check_interior_point` grants a star
+    point on a terminal puts X. X is found to about u of the perimeter, so
+    a point near a vertex passes however small the area (the orientation
+    test with an error bound: Shewchuk, Adaptive Precision Floating-Point
+    Arithmetic and Fast Robust Geometric Predicates, 1997). A comparison
+    with a NaN is false, so an X with NaN coordinates passes.
     """
     psi_a, psi_b, psi_c = psis
     # Theta^2 is symmetric and needs no relabeling.
     if psi_a <= psi_b and psi_a <= psi_c:
         rot = 1
-        _, a, b = unit
+        c, a, b = unit
         c2, a2, b2 = unit_sq
         _, cot_a, cot_b = cot
     elif psi_b <= psi_c:
         rot = 2
-        b, _, a = unit
+        b, c, a = unit
         b2, c2, a2 = unit_sq
         cot_b, _, cot_a = cot
     else:
         rot = 0
-        a, b, _ = unit
+        a, b, c = unit
         a2, b2, c2 = unit_sq
         cot_a, cot_b, _ = cot
     # Vertex A by the law of cosines, its clamp written out.
@@ -270,15 +293,19 @@ def circle_distances(unit: Triple, unit_sq: Triple, theta_sq: float, psis: Tripl
             f"centers coincide within {eps:g}; intersection undefined")
     scale = 2.0 * (crx * dy - cry * dx) / (d * d)
     px, py = scale * dy, -scale * dx
-    # Barycentric (u, v, w) of X = v*B + w*A, tested as min(u, v, w) would be:
-    # a NaN u (v or w a NaN, or both infinite) passes.
-    area = a * ay
-    v = (px * ay - py * ax) / area
-    w = a * py / area
-    u = 1.0 - v - w
-    if u < -BARY_TOL or (v < -BARY_TOL or w < -BARY_TOL) and u == u:
+    # X's distance from CB is py; CX x CA and BA x BX are X's distances from
+    # CA and AB times the edge, each positive inside. With CB x CX = a py,
+    # the three sum to CB x CA = a ay, twice the area.
+    floor = -_OUTSIDE_SLACK * (a + b + c)
+    cross_b = px * ay - py * ax
+    cross_c = a * (ay - py) - cross_b
+    if py < floor or cross_b < floor * b or cross_c < floor * c:
+        perimeter = a + b + c
+        depths = (py / perimeter, cross_b / b / perimeter, cross_c / c / perimeter)
         raise NoInteriorIntersection(
-            f"circle intersection lies outside the triangle: barycentric {(u, v, w)}")
+            "circle intersection lies outside the triangle: its signed distances "
+            f"from edges a, b, c are {depths[-rot:] + depths[:-rot]} of the "
+            f"perimeter, one below -{_OUTSIDE_SLACK:.3g}, the angle slack in radians")
 
     # Distances to A = (ax, ay), B = (a, 0) and C at the origin, labeled back.
     to_a = math.hypot(px - ax, py - ay)
@@ -399,9 +426,10 @@ def line_voltage_kernel(edges: EdgeInvariants, angles: AngleInvariants,
     first whether a star point exists. Each distance on the unit triangle
     then comes from :func:`_joint_vertex_distance` under the cyclic
     relabeling (a,b,c; psi_a,psi_b,psi_c) -> (b,c,a; psi_b,psi_c,psi_a).
-    They are scaled back if the law-of-cosines closure holds to the
-    ``tolerance`` given (the one acceptance test of a solve), and else
-    raise :class:`UnresolvedConfiguration`. A note names each voltage that
+    They are scaled back if every law-of-cosines closure residual is at
+    most the ``tolerance`` given (the one acceptance test of a solve; a
+    NaN is not, in any position), and else raise
+    :class:`UnresolvedConfiguration`. A note names each voltage that
     is zero within tolerance.
     """
     check_interior_point(edges, angles)
@@ -411,8 +439,8 @@ def line_voltage_kernel(edges: EdgeInvariants, angles: AngleInvariants,
     a_p = _joint_vertex_distance(b2, c2, a2, cot_b, cot_c, cot_a, theta_sq)
     b_p = _joint_vertex_distance(c2, a2, b2, cot_c, cot_a, cot_b, theta_sq)
     c_p = _joint_vertex_distance(a2, b2, c2, cot_a, cot_b, cot_c, theta_sq)
-    residuals = closure_defects(unit_sq, cos, (a_p, b_p, c_p))
-    if max(residuals) > tolerance:
+    r_a, r_b, r_c = residuals = closure_defects(unit_sq, cos, (a_p, b_p, c_p))
+    if not (r_a <= tolerance and r_b <= tolerance and r_c <= tolerance):  # a NaN fails too
         raise UnresolvedConfiguration(
             f"closure residuals {residuals} exceed {tolerance:g}; "
             "the closed form does not reach the star point within tolerance")

@@ -137,7 +137,8 @@ def _not_text(text: str) -> str | None:
 
 
 def _text_lines(lines: Iterable[str]) -> Iterator[str]:
-    """The lines; one that holds a NUL or is not UTF-8 text is a parse error."""
+    """The lines, for the csv reader; one that holds a NUL or is not UTF-8
+    text is a parse error. The JSON-lines reader tests each line itself."""
     for line_no, line in enumerate(lines, start=1):
         if ("\0" in line or not line.isascii()) and (reason := _not_text(line)):
             raise ParseError(line_no, reason)
@@ -151,7 +152,7 @@ def _rows(lines: Iterable[str], fmt: str, fields: tuple[str, ...]
     if fmt == "csv":
         return _csv_rows(_text_lines(lines), fields)
     if fmt == "jsonl":
-        return _json_rows(_text_lines(lines), fields)
+        return _json_rows(lines, fields)
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -194,10 +195,14 @@ def _csv_rows(lines: Iterator[str], fields: tuple[str, ...]
 def _json_rows(lines: Iterator[str], fields: tuple[str, ...]
                ) -> Iterator[tuple[int, tuple, dict]]:
     """The JSON-lines records: one object per line, blank lines skipped.
-    A line that is not one object up to its line feed, or that the scanner
-    rejects, goes through ``json.loads``, which names the error."""
+    A line that holds a NUL or is not UTF-8 text is a parse error, as in
+    :func:`_text_lines`. A line that is not one object up to its line
+    feed, or that the scanner rejects, goes through ``json.loads``, which
+    names the error."""
     nones = repeat(None)
     for line_no, line in enumerate(lines, start=1):
+        if ("\0" in line or not line.isascii()) and (reason := _not_text(line)):
+            raise ParseError(line_no, reason)
         end = None  # where the scanner stopped, if it ran and returned
         if line[:1] == "{" and line[-1:] == "\n":
             try:

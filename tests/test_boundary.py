@@ -16,6 +16,7 @@ import math
 import re
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal, localcontext
+from random import Random
 from unittest import mock
 
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
@@ -23,7 +24,7 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 from reference import fermat_distances
 from starsolve import PhaseAngles, SynthesisSpec, synthesize_triangle
 from starsolve.cli import main, solve_record, verify_record
-from starsolve.config import EPS_ANG_DEG, RESIDUAL_TOL
+from starsolve.config import EPS_ANG_DEG, PERIMETER_FLOOR, RESIDUAL_TOL
 from starsolve.records import (
     STATUS_ANGLE_GE_120,
     STATUS_INFEASIBLE,
@@ -316,3 +317,35 @@ def test_needle_rows_verify_by_the_sign_of_the_area():
                     (measurement, solution)
             checked += 1
     assert checked > 300
+
+
+def test_ok_rows_near_a_vertex_verify():
+    """The needle family (1, 1 - t z, z), z = 10**-U(1, 16), t = U(0.3,
+    0.7), from Random(3), in all three rotations, at 120 deg: the angle
+    across the long edge is near 120 deg, so the star point lies near that
+    vertex, in a triangle whose area is about z. Every ok row is right to
+    PERIMETER_FLOOR of the perimeter of the 60-digit reference, and verify
+    PASSes every one. A barycentric gate that divided an error of about u
+    by the area refuted 6 of them."""
+    rng = Random(3)
+    text = "id,u1,u2,u3,psi1,psi2\n"
+    for i in range(2000):
+        z = 10.0 ** -rng.uniform(1, 16)
+        edges = (1.0, 1.0 - rng.uniform(0.3, 0.7) * z, z)
+        for r in range(3):
+            text += f"n{i}-{r}," + ",".join(map(repr, edges[r:] + edges[:r])) + ",,\n"
+    code, solved, err = run(["solve", "-"], text)
+    assert code == 2 and err == ""  # the rows wider than 120 deg fail
+    pairs = list(read_pairs(io.StringIO(solved), "csv"))
+    code, verified, err = run(["verify", "-"], solved)
+    assert code == 0 and err == ""
+    checked = 0
+    for (m, s), line in zip(pairs, verified.splitlines()):
+        if not s.solved:
+            continue
+        floor = Decimal(PERIMETER_FLOOR) * (Decimal(m.u1) + Decimal(m.u2) + Decimal(m.u3))
+        for claimed, exact in zip((s.u1p, s.u2p, s.u3p), fermat_distances(m.u1, m.u2, m.u3)):
+            assert abs(Decimal(claimed) - exact) <= floor, (m, s)
+        assert line.startswith(f"{m.id}: PASS ("), line
+        checked += 1
+    assert checked > 2500

@@ -15,6 +15,8 @@ from starsolve import (
     PhaseDiagnostic,
     PhaseToPhaseVoltages,
     Phasor,
+    UnresolvedConfiguration,
+    kernel,
     line_voltage_phasors,
     phasor_difference,
     sample_waveform_amplitude,
@@ -202,6 +204,30 @@ def test_verify_claim_beyond_the_float_range_of_the_unit_triangle():
     s = SolutionRecord("o", 1e300, 1e300, 1e300, 0.0, STATUS_OK)
     assert verify_record(m, s, report.tolerance) == (
         False, "closure residual inf exceeds tolerance 1e-08")
+
+
+def test_a_nan_residual_fails_in_any_position():
+    # A NaN claim for u1p leaves the residual of edge 1 a number and makes
+    # those of edges 2 and 3 NaN: max() keeps a NaN only in first position.
+    d = 400.0 / SQRT3
+    report = verify_solution(PhaseToPhaseVoltages(400.0, 400.0, 400.0),
+                             LineVoltages(math.nan, d, d))
+    assert report.residuals[0] < 1e-15 and math.isnan(report.residuals[1])
+    assert not report.passed
+    assert math.isnan(report.max_residual)
+    m = MeasurementRecord("n", 400.0, 400.0, 400.0)
+    s = SolutionRecord("n", math.nan, d, d, 0.0, STATUS_OK)
+    assert verify_record(m, s, report.tolerance) == (
+        False, "closure residual nan exceeds tolerance 1e-08")
+
+
+@pytest.mark.parametrize("position", range(3))
+def test_the_kernel_refuses_a_nan_residual_in_any_position(monkeypatch, position):
+    residuals = tuple(math.nan if i == position else 0.0 for i in range(3))
+    monkeypatch.setattr(kernel, "closure_defects", lambda *args: residuals)
+    with pytest.raises(UnresolvedConfiguration) as info:
+        solve_symmetric_star(PhaseToPhaseVoltages(400.0, 400.0, 400.0))
+    assert str(info.value).startswith(f"closure residuals {residuals} exceed")
 
 
 # -- supplementary phasor output ----------------------------------------------

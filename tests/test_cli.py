@@ -1028,6 +1028,19 @@ def test_verify_fails_a_forged_ok_row_that_is_no_triangle(monkeypatch, capsys):
                    "triangle inequality)\n1 records, 1 failed\n")
 
 
+def test_verify_passes_a_right_answer_near_a_vertex(monkeypatch, capsys):
+    # A 120-deg needle of area about 1e-14, whose star point lies within
+    # about 1e-14 of a vertex. Its ok row is right to the 60-digit
+    # reference; a barycentric gate once divided an error of about u by
+    # that area and refuted it.
+    stdin = "id,u1,u2,u3,psi1,psi2\nr,1.0,0.999999999999995,1e-14,,\n"
+    code, solved, _ = run_cli(["solve", "-"], monkeypatch, capsys, stdin_text=stdin)
+    assert code == 0
+    code, out, _ = run_cli(["verify", "-"], monkeypatch, capsys, stdin_text=solved)
+    assert code == 0
+    assert out.startswith("r: PASS (") and out.endswith("\n1 records, 0 failed\n")
+
+
 def test_verify_empty_file(tmp_path, monkeypatch, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("")

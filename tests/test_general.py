@@ -31,8 +31,9 @@ from starsolve import (
     validate_angles,
 )
 from starsolve.cli import solve_record, verify_record
-from starsolve.config import RESIDUAL_TOL
-from starsolve.records import MeasurementRecord
+from starsolve.config import EPS_ANG_DEG, RESIDUAL_TOL
+from starsolve.errors import NoInteriorIntersection
+from starsolve.records import STATUS_INFEASIBLE, STATUS_OK, MeasurementRecord
 from test_one_path import reference_chord_circles
 
 ALL_120 = PhaseAngles(120.0, 120.0, 120.0)
@@ -228,12 +229,71 @@ def test_circles_limiting_case():
 
 
 def test_circles_infeasible_raises():
-    from starsolve.errors import NoInteriorIntersection
     with pytest.raises(NoInteriorIntersection) as info:
         general_solve_by_circles(
             TriangleEdges(1.0, 1.0, 1.999), PhaseAngles(119.0, 120.0, 121.0))
     assert info.type is NoInteriorIntersection
     assert str(info.value).startswith("circle intersection lies outside the triangle")
+
+
+# Vertex angles (140, 20, 20) deg. With psi_a short of the vertex angle at
+# A by delta deg, no interior point exists, and the circle route's X lies
+# beyond vertex A by about 0.13 delta (in radians) of the perimeter.
+WIDE_AT_A = tuple(math.sin(math.radians(angle)) for angle in (140.0, 20.0, 20.0))
+
+
+@pytest.mark.parametrize("delta", [0.9 * EPS_ANG_DEG, 10 * EPS_ANG_DEG, 1e-6])
+def test_circles_refute_a_point_outside_by_more_than_the_angle_slack(delta):
+    """Within the angle slack, solve writes the star point on terminal A,
+    and verify PASSes the row: X lies outside by less than the slack, in
+    radians, of the perimeter. Beyond it, solve finds no star point, and
+    the circle route raises, at 10 times the slack by 1.3 times its floor."""
+    m = MeasurementRecord("w", *WIDE_AT_A, 140.0 - delta, 110.0)
+    _, solved = solve_record(m, RESIDUAL_TOL)
+    angles = PhaseAngles(m.psi1, m.psi2, 360.0 - m.psi1 - m.psi2)
+    if delta < EPS_ANG_DEG:
+        assert solved.status == STATUS_OK
+        assert solved.diagnostics.startswith("u1p is zero within tolerance")
+        assert verify_record(m, solved, RESIDUAL_TOL)[0]
+        assert general_solve_by_circles(TriangleEdges(*WIDE_AT_A), angles).a_prime < 1e-9
+    else:
+        assert solved.status == STATUS_INFEASIBLE
+        with pytest.raises(NoInteriorIntersection) as info:
+            general_solve_by_circles(TriangleEdges(*WIDE_AT_A), angles)
+        assert str(info.value).startswith("circle intersection lies outside the triangle")
+
+
+def test_rows_solved_within_the_angle_slack_verify():
+    """Triangles with edges U(0.2, 1), from Random(5), whose viewing angle
+    at one vertex falls short of the vertex angle by U(0, EPS_ANG_DEG) deg:
+    solve writes each ok, its star point on that terminal, and verify
+    PASSes each. The circle route's X lies beyond an edge line there by up
+    to half the slack, in radians, of the perimeter: 1 426 of these rows
+    FAIL if X may lie no farther out than the distance floor, 1e-12 of
+    it."""
+    rng = Random(5)
+    rows = 0
+    while rows < 2000:
+        a, b, c = edges = tuple(rng.uniform(0.2, 1.0) for _ in range(3))
+        if not (a < b + c and b < c + a and c < a + b):
+            continue
+        vertex = [math.degrees(math.acos((y * y + z * z - x * x) / (2.0 * y * z)))
+                  for x, y, z in ((a, b, c), (b, c, a), (c, a, b))]
+        i = rng.randrange(3)
+        j, k = (i + 1) % 3, (i + 2) % 3
+        psi = [0.0, 0.0, 0.0]
+        psi[i] = vertex[i] - rng.uniform(0.0, EPS_ANG_DEG)
+        rest = 360.0 - psi[i]
+        low, high = max(vertex[j], rest - 180.0) + 1e-3, min(180.0, rest - vertex[k]) - 1e-3
+        if low >= high:
+            continue
+        psi[j] = rng.uniform(low, high)
+        psi[k] = rest - psi[j]
+        m = MeasurementRecord(f"s{rows}", *edges, psi[0], psi[1])
+        _, solved = solve_record(m, RESIDUAL_TOL)
+        assert solved.status == STATUS_OK, (m, solved)
+        assert verify_record(m, solved, RESIDUAL_TOL)[0], (m, solved)
+        rows += 1
 
 
 @pytest.mark.parametrize("edges", [(1.0, 1.0, 2.0), (1.0, 2.0, 1.0), (2.0, 1.0, 1.0)])

@@ -43,7 +43,7 @@ from collections import Counter
 from random import Random
 
 from starsolve import cli, oracle_kernel
-from starsolve.config import RESIDUAL_TOL
+from starsolve.config import PERIMETER_FLOOR, RESIDUAL_TOL
 from starsolve.errors import NoConvergence, StarSolveError
 from starsolve.geometry import TriangleEdges
 from starsolve.kernel import ANGLES_120, circle_distances, closure_defects
@@ -112,7 +112,7 @@ def verdicts(m: MeasurementRecord, claim: tuple, tolerance: float) -> dict:
     closure = max(closure_defects(unit_sq, cos, unit_claim)) <= tolerance
     try:
         ua, ub, uc = unit
-        floor = 1e-12 * (ua + ub + uc)
+        floor = PERIMETER_FLOOR * (ua + ub + uc)
         circle = all(abs(given - recomputed) <= max(floor, tolerance * max(given, recomputed))
                      for given, recomputed in zip(unit_claim, circle_distances(
                          unit, unit_sq, theta_sq, psis, cot)))

@@ -70,9 +70,8 @@ from starsolve import (
     verify_solution,
 )
 from starsolve.cli import solve_record, verify_record
-from starsolve.config import EPS_ANG_DEG, EPS_TRI_COEFF, RESIDUAL_TOL
+from starsolve.config import EPS_ANG_DEG, EPS_TRI_COEFF, PERIMETER_FLOOR, RESIDUAL_TOL
 from starsolve.kernel import (
-    BARY_TOL,
     _joint_vertex_distance,
     angle_invariants,
     circle_distances,
@@ -255,7 +254,7 @@ def library_verdict(m: MeasurementRecord, s: SolutionRecord,
                            f"exceeds tolerance {tolerance:g}")
         t = u.to_edges()
         ua, ub, uc = t.unit
-        floor = math.ldexp(1e-12 * (ua + ub + uc), t.exponent)
+        floor = math.ldexp(PERIMETER_FLOOR * (ua + ub + uc), t.exponent)
         circle = general_solve_by_circles(t, angles)
         for name, given, recomputed in zip(("u1p", "u2p", "u3p"), lv.as_tuple(),
                                            circle.distances()):
@@ -575,10 +574,13 @@ def test_readers_are_the_per_field_route(case):
 
 def reference_json_rows(lines, fields: tuple[str, ...]):
     """The JSON-lines records as ``json.loads`` reads each line, blank lines
-    skipped; a record's metadata is every field of its object that names no
-    record field."""
+    skipped, after a line that holds a NUL or is not UTF-8 text has raised;
+    a record's metadata is every field of its object that names no record
+    field."""
     known = set(MEASUREMENT_FIELDS + SOLUTION_FIELDS)
     for line_no, line in enumerate(lines, start=1):
+        if reason := _not_text(line):
+            raise ParseError(line_no, reason)
         if not line.strip():
             continue
         try:
@@ -666,6 +668,11 @@ def json_line(draw) -> str:
 @example(['{"u1": true}\n'], MEASUREMENT_FIELDS)
 @example(['{"u1": 1, "n": "a\\u0000b"}\n', '{"\\ud800": 1}\n'], MEASUREMENT_FIELDS)
 @example(['{"u1": 1' + "0" * 5000 + "}\n"], MEASUREMENT_FIELDS)
+# A raw NUL, a byte that is not UTF-8 and a lone surrogate, each after a
+# good line and in a line that is no object, so the line check comes first.
+@example(['{"u1": 1}\n', '{"u1": 1, "n": "a\0b"}\n'], MEASUREMENT_FIELDS)
+@example(['{"u1": 1}\n', '{"u1": 1, "n": "\udcff"}\n'], MEASUREMENT_FIELDS)
+@example(['\ud800 [\n'], MEASUREMENT_FIELDS)
 def test_json_reader_is_the_json_loads_route(lines, fields):
     # repr tells 1 from 1.0 and -0.0 from 0.0, keeps the metadata's order
     # and reads the same for a NaN on both sides.
@@ -935,14 +942,16 @@ def reference_circle_distances(unit: tuple, unit_sq: tuple, theta_sq: float,
     """The circle route as helper calls: the smallest angle (the first of
     equal ones) rotated last by tuple slices, vertex A by the law of
     cosines with its cosine clamped by ``max`` and ``min``, the circles by
-    :func:`reference_chord_circles`, the interior test by the barycentric
-    formula and ``min``, and the distances rotated back.
+    :func:`reference_chord_circles`, the interior test by ``any`` over the
+    edges, each cross product with X against the angle slack in radians
+    times the perimeter and the edge, and the distances and the message's
+    signed distances rotated back.
     ``circle_distances`` relabels by comparisons and writes the helpers out
     in one frame, and must return the same bits."""
     def rotated(triple, r):
         return triple[r:] + triple[:r]
     rot = (1, 2, 0)[psis.index(min(psis))]
-    (a, b, _), (a2, b2, c2) = rotated(unit, rot), rotated(unit_sq, rot)
+    (a, b, c), (a2, b2, c2) = rotated(unit, rot), rotated(unit_sq, rot)
     cot_a, cot_b, _ = rotated(cot, rot)
     ax = b * max(-1.0, min(1.0, (a2 + b2 - c2) / (2.0 * a * b)))
     ay = theta_sq / (2.0 * a)
@@ -955,13 +964,17 @@ def reference_circle_distances(unit: tuple, unit_sq: tuple, theta_sq: float,
             f"centers coincide within {eps:g}; intersection undefined")
     scale = 2.0 * (crx * dy - cry * dx) / (d * d)
     px, py = scale * dy, -scale * dx
-    area = a * ay
-    v = (px * ay - py * ax) / area
-    w = a * py / area
-    bary = (1.0 - v - w, v, w)
-    if min(bary) < -BARY_TOL:
+    perimeter, slack = a + b + c, math.radians(EPS_ANG_DEG)
+    # X's distances from CB, CA and AB, the last two times their edges; the
+    # last is twice the area less the other two.
+    cross_b = px * ay - py * ax
+    crosses, edges = (py, cross_b, a * (ay - py) - cross_b), (1.0, b, c)
+    if any(cross < -slack * perimeter * edge for cross, edge in zip(crosses, edges)):
+        depths = tuple(cross / edge / perimeter for cross, edge in zip(crosses, edges))
         raise NoInteriorIntersection(
-            f"circle intersection lies outside the triangle: barycentric {bary}")
+            "circle intersection lies outside the triangle: its signed distances "
+            f"from edges a, b, c are {rotated(depths, (3 - rot) % 3)} of the "
+            f"perimeter, one below -{slack:.3g}, the angle slack in radians")
     distances = (math.hypot(px - ax, py - ay), math.hypot(px - a, py),
                  math.hypot(px, py))
     return rotated(distances, (3 - rot) % 3)
