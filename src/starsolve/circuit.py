@@ -35,8 +35,9 @@ class Phasor:
     phase: float = 0.0
 
     def __post_init__(self):
-        if self.amplitude < 0.0:
-            raise ValueError(f"amplitude must be nonnegative, got {self.amplitude}")
+        if not (0.0 <= self.amplitude < math.inf and math.isfinite(self.phase)):
+            raise ValueError("amplitude must be finite and nonnegative and phase finite, "
+                             f"got {self.amplitude} and {self.phase}")
         object.__setattr__(self, "phase", self.phase % 360.0)
 
     def to_complex(self) -> complex:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .kernel import angle_invariants, edge_invariants, place
+from .kernel import angle_invariants, edge_invariants, place, worst_defect
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,7 @@ class StarSolution:
 
     @property
     def max_residual(self) -> float:
-        return max(self.residuals)
+        return worst_defect(self.residuals)
 
 
 def star_solution(t: TriangleEdges, unit_distances: tuple[float, float, float],

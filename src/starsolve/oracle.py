@@ -42,8 +42,8 @@ class SynthesisSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if any(d <= 0.0 for d in self.distances):
-            raise ValueError(f"planted distances must be positive: {self.distances}")
+        if not all(0.0 < d < math.inf for d in self.distances):
+            raise ValueError(f"planted distances must be finite and positive: {self.distances}")
 
 
 def synthesize_triangle(spec: SynthesisSpec) -> tuple[TriangleEdges, StarSolution]:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import os
+from pathlib import Path
 from random import Random
 from typing import TextIO
 
@@ -14,6 +16,15 @@ from starsolve.records import (
     MeasurementRecord,
     SolutionRecord,
 )
+
+
+def cli_env() -> dict:
+    """The environment for a child interpreter that runs this checkout's
+    ``src``, with every warning an error: a deprecation on the CLI path
+    fails the Python version that introduces it."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, "PYTHONWARNINGS": "error",
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def rel_err(value: float, expected: float, floor: float = 0.0) -> float:

@@ -67,6 +67,14 @@ def test_phasor_normalizes_phase():
         Phasor(-1.0, 0.0)
 
 
+@pytest.mark.parametrize("amplitude, phase", [
+    (math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan), (1.0, math.inf)])
+def test_phasor_rejects_values_that_are_not_finite(amplitude, phase):
+    # Every comparison with a NaN is false, and inf % 360 is a NaN phase.
+    with pytest.raises(ValueError, match="finite"):
+        Phasor(amplitude, phase)
+
+
 # -- symmetric solve ----------------------------------------------------------
 
 def test_symmetric_star_balanced_400v():

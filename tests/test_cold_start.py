@@ -5,21 +5,20 @@ they or a failing row need. ``oracle_kernel``, synth's planted draw and
 forward map, loads only for synth, which alone calls it; verify checks a
 120-deg row as it checks any other.
 
-Each case runs in its own interpreter and compares ``sys.modules`` after
-the case with a snapshot taken before it, so what the environment itself
-preloads does not count.
+Each case runs in its own interpreter, with every warning an error, and
+compares ``sys.modules`` after the case with a snapshot taken before it,
+so what the environment itself preloads does not count.
 """
 
 from __future__ import annotations
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from conftest import cli_env
 
 # Modules a solve never needs: the value types, the oracle and its float
 # entries, and the standard-library modules that they or a failing row's
@@ -44,10 +43,8 @@ sys.stderr.write(" ".join(sorted(set(sys.modules) - before)))
 
 def loaded_by(body: str) -> set[str]:
     """Modules a fresh interpreter loads while it runs ``body``."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-c", SCRIPT.format(body=body)],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=cli_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stderr.split())
 

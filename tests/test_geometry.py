@@ -16,6 +16,7 @@ from starsolve import (
     TriangleEdges,
     theta_squared,
 )
+from starsolve.geometry import PlaneVector, StarSolution
 
 # -- theta_squared ------------------------------------------------------------
 
@@ -114,3 +115,12 @@ def test_phase_angles_range_enforced():
     with pytest.raises(AngleOutOfRange) as info:
         PhaseAngles(190, 100, 70)
     assert info.value.name == "psi_a"
+
+
+@pytest.mark.parametrize("position", range(3))
+def test_star_solution_max_residual_keeps_a_nan_in_any_position(position):
+    # max() keeps a NaN only in the first position.
+    residuals = [0.0, 0.0, 0.0]
+    residuals[position] = math.nan
+    solution = StarSolution(1.0, 1.0, 1.0, PlaneVector(0.0, 0.0), tuple(residuals))
+    assert math.isnan(solution.max_residual)

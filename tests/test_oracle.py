@@ -71,6 +71,13 @@ def test_synthesize_rejects_bad_distances():
         SynthesisSpec((1.0, -1.0, 1.0), ALL_120)
 
 
+@pytest.mark.parametrize("distance", [math.nan, math.inf])
+def test_synthesis_spec_rejects_distances_that_are_not_finite(distance):
+    # The spec names the planted distance, not an edge synthesis derives from it.
+    with pytest.raises(ValueError, match="planted distances must be finite and positive"):
+        SynthesisSpec((1.0, distance, 1.0), ALL_120)
+
+
 def test_random_spec_distribution_bounds():
     rng = Random(90)
     for seed in range(200):
