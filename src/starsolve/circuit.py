@@ -20,7 +20,7 @@ from .config import RESIDUAL_TOL
 from .fermat import ALL_120
 from .general import general_distances_closed_form, validate_angles
 from .geometry import ORIGIN, PhaseAngles, TriangleEdges, embed_triangle
-from .kernel import closure_defects, line_voltage_kernel, worst_defect
+from .kernel import check_claim, line_voltage_kernel, worst_defect
 
 
 @dataclass(frozen=True)
@@ -83,15 +83,22 @@ class PhaseToPhaseVoltages:
 @dataclass(frozen=True)
 class LineVoltages:
     """The recovered (unmeasurable) line voltages between each phase terminal
-    and the load star point, plus free-form diagnostics notes and the
-    solver's relative closure residuals, one per measured voltage (empty
-    when the voltages did not come from a solver)."""
+    and the load star point, each a finite nonnegative amplitude, plus
+    free-form diagnostics notes and the solver's relative closure
+    residuals, one per measured voltage (empty when the voltages did not
+    come from a solver)."""
 
     u1p: float
     u2p: float
     u3p: float
     diagnostics: tuple[str, ...] = field(default=(), compare=False)
     residuals: tuple[float, ...] = field(default=(), compare=False)
+
+    def __post_init__(self):
+        if not (0.0 <= self.u1p < math.inf and 0.0 <= self.u2p < math.inf
+                and 0.0 <= self.u3p < math.inf):
+            raise ValueError("line voltages must be finite and nonnegative, "
+                             f"got {self.as_tuple()}")
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.u1p, self.u2p, self.u3p)
@@ -151,33 +158,23 @@ def line_voltage_phasors(u: PhaseToPhaseVoltages, psi1: float = 120.0,
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Closure check of a proposed solution against the measurement."""
+    """Verify's check of a proposed solution, its text in ``detail``."""
 
     residuals: tuple[float, float, float]
     max_residual: float
     tolerance: float
     passed: bool
+    detail: str = ""
 
 
 def verify_solution(u: PhaseToPhaseVoltages, lv: LineVoltages,
                     angles: PhaseAngles = ALL_120,
                     tolerance: float = RESIDUAL_TOL) -> ResidualReport:
-    """Check the mesh-rule closure: each measured voltage must close the
-    triangle over its two line voltages and phase difference.
-
-    u1^2 = u2p^2 + u3p^2 - 2 u2p u3p cos(psi1), cyclically. Passes iff
-    every relative residual is at most ``tolerance``, so a NaN in any
-    position fails; ``max_residual`` is then a NaN. The claim is checked on
-    the unit triangle of ``u``, divided by the same power of two.
-    """
+    """``star-solve verify``'s check, :func:`~starsolve.kernel.check_claim`:
+    the mesh-rule closure, u1^2 = u2p^2 + u3p^2 - 2 u2p u3p cos(psi1)
+    cyclically, and the circle route; ``max_residual`` is a NaN if one is."""
     t = u.to_edges()
-    try:
-        claim = tuple(math.ldexp(x, -t.exponent) for x in lv.as_tuple())
-    except OverflowError:  # beyond the float range on the unit triangle
-        residuals = (math.inf, math.inf, math.inf)
-    else:
-        residuals = closure_defects(t.unit_sq, angles.cos, claim)
-    r1, r2, r3 = residuals
-    return ResidualReport(residuals=residuals, max_residual=worst_defect(residuals),
-                          tolerance=tolerance,
-                          passed=r1 <= tolerance and r2 <= tolerance and r3 <= tolerance)
+    passed, detail, residuals = check_claim(
+        (t.exponent, t.unit, t.unit_sq, t.unit_theta_sq),
+        (angles.as_tuple(), angles.cot, angles.cos), lv.as_tuple(), tolerance)
+    return ResidualReport(residuals, worst_defect(residuals), tolerance, passed, detail)

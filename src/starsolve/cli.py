@@ -23,7 +23,7 @@ import sys
 from itertools import chain, islice
 from typing import Callable, Iterator, TextIO
 
-from .config import EPS_ANG_DEG, PERIMETER_FLOOR, residual_tolerance
+from .config import EPS_ANG_DEG, residual_tolerance
 from .errors import (
     AngleAtLeast120,
     AngleOutOfRange,
@@ -37,11 +37,9 @@ from .kernel import (
     AngleInvariants,
     EdgeInvariants,
     angle_invariants,
-    circle_distances,
-    closure_defects,
+    check_claim,
     edge_invariants,
     line_voltage_kernel,
-    worst_defect,
 )
 from .records import (
     MEASUREMENT_FIELDS,
@@ -166,17 +164,13 @@ def verify_record(m: MeasurementRecord, s: SolutionRecord | None,
                   tolerance: float) -> tuple[bool, str]:
     """Check one measurement/solution pair against independent machinery.
 
-    Solved rows, at any angle, must pass the mesh-rule closure and agree
-    with a fresh circle-intersection re-solve. Failure rows pass iff a
-    re-solve reproduces the recorded failure status, unless that status is
-    an internal error, or says that no star point exists where
+    A solved row, at any angle, is validated as :func:`solve_record`
+    validates it and passes :func:`~starsolve.kernel.check_claim`, the
+    check of :func:`~starsolve.circuit.verify_solution`: the mesh-rule
+    closure and a fresh circle-intersection re-solve. Failure rows pass iff
+    a re-solve reproduces the recorded failure status, unless that status
+    is an internal error, or says that no star point exists where
     :func:`_interior_margin` finds one by more than ``EPS_ANG_DEG``.
-
-    A solved row is unpacked once and checked in one pass on the unit
-    triangle, validated as :func:`solve_record` validates it: the claim is
-    divided once by 2**k, k the edges' exponent, and both checks read it
-    there, so no square leaves the float range. A value is scaled back only
-    to be printed.
     """
     if s is None:
         return False, "row carries no solution fields"
@@ -200,39 +194,14 @@ def verify_record(m: MeasurementRecord, s: SolutionRecord | None,
 
     _, u1, u2, u3, psi1, psi2, _ = m
     try:
-        k, unit, unit_sq, theta_sq = edge_invariants(u1, u2, u3)
-        psis, cot, cos = (ANGLES_120 if psi1 is None
-                          else angle_invariants(psi1, psi2, 360.0 - psi1 - psi2))
-        try:
-            c1, c2, c3 = claim = (math.ldexp(u1p, -k), math.ldexp(u2p, -k),
-                                  math.ldexp(u3p, -k))
-        except OverflowError:  # beyond the float range on the unit triangle
-            return False, f"closure residual inf exceeds tolerance {tolerance:g}"
-        d1, d2, d3 = closure_defects(unit_sq, cos, claim)
-        if not (d1 <= tolerance and d2 <= tolerance and d3 <= tolerance):  # a NaN fails too
-            return False, (f"closure residual {worst_defect((d1, d2, d3)):.3e} "
-                           f"exceeds tolerance {tolerance:g}")
-
-        r1, r2, r3 = circle_distances(unit, unit_sq, theta_sq, psis, cot)
-        # A value fails if it is off by more than PERIMETER_FLOOR of the
-        # perimeter and by more than the tolerance of the larger; the cheaper
-        # test first, on all three at once. The perimeter is added left to
-        # right, as in line_voltage_kernel.
-        ua, ub, uc = unit
-        floor = PERIMETER_FLOOR * (ua + ub + uc)
-        if not (abs(c1 - r1) <= floor and abs(c2 - r2) <= floor and abs(c3 - r3) <= floor):
-            for name, value, given, recomputed in (("u1p", u1p, c1, r1), ("u2p", u2p, c2, r2),
-                                                   ("u3p", u3p, c3, r3)):
-                gap = abs(given - recomputed)
-                if gap > floor and gap > tolerance * (given if given > recomputed
-                                                      else recomputed):
-                    return False, (f"{name}={value!r} disagrees with "
-                                   f"circle-path value {math.ldexp(recomputed, k)!r}")
+        edges = edge_invariants(u1, u2, u3)
+        angles = (ANGLES_120 if psi1 is None
+                  else angle_invariants(psi1, psi2, 360.0 - psi1 - psi2))
+        return check_claim(edges, angles, (u1p, u2p, u3p), tolerance)[:2]
     except StarSolveError as exc:
         return False, f"cross-check raised: {exc}"
     except Exception as exc:  # one bad row must not end the batch
         return False, f"cross-check raised {_describe_internal(exc)}"
-    return True, f"max residual {max(d1, d2, d3):.3e}"
 
 
 # =========================================================================

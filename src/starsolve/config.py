@@ -29,7 +29,7 @@ RESIDUAL_TOL = 1e-8
 
 # Verify's distance floor, as a fraction of the perimeter: a distance the
 # circle route re-derives agrees with the claim within it, or within the
-# residual tolerance of the larger (cli.verify_record).
+# residual tolerance of the larger (kernel.check_claim).
 PERIMETER_FLOOR = 1e-12
 
 # At 120 deg each, interior angles at or above this (minus EPS_ANG_DEG)

@@ -3,8 +3,9 @@
 Every formula a CLI row passes through lives here once, on plain floats:
 the triangle and angle invariants, the closed form and the circle route
 on the unit triangle, the one feasibility predicate,
-:func:`check_interior_point`, and the one residual function,
-:func:`closure_defects`; and, on no CLI path, :func:`place`, for every
+:func:`check_interior_point`, the one residual function,
+:func:`closure_defects`, and verify's one check of a claim,
+:func:`check_claim`; and, on no CLI path, :func:`place`, for every
 position the library reports. The value types of
 :mod:`starsolve.geometry`, :mod:`starsolve.general`, :mod:`starsolve.fermat`
 and :mod:`starsolve.circuit` wrap these kernels.
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .config import ANGLE_LIMIT_DEG, EPS_ANG_DEG, EPS_TRI_COEFF
+from .config import ANGLE_LIMIT_DEG, EPS_ANG_DEG, EPS_TRI_COEFF, PERIMETER_FLOOR
 from .errors import (
     AngleAtLeast120,
     AngleOutOfRange,
@@ -32,6 +33,7 @@ from .errors import (
     InfeasibleConfiguration,
     NoInteriorIntersection,
     NotATriangle,
+    StarSolveError,
     UnresolvedConfiguration,
 )
 
@@ -316,6 +318,43 @@ def circle_distances(unit: Triple, unit_sq: Triple, theta_sq: float, psis: Tripl
     if rot == 2:
         return to_b, to_c, to_a
     return to_a, to_b, to_c
+
+
+def check_claim(edges: EdgeInvariants, angles: AngleInvariants, claim: Triple,
+                tolerance: float) -> tuple[bool, str, Triple]:
+    """Verify's check of a claim, on what :func:`edge_invariants` and
+    :func:`angle_invariants` return: ``(passed, detail, closure defects)``.
+    Divided once by 2**k, k the edges' exponent (every defect inf beyond the
+    float range), the claim must close within ``tolerance`` (a NaN fails)
+    and agree with :func:`circle_distances`, which must not raise, within
+    ``PERIMETER_FLOOR`` of the perimeter or the tolerance of the larger."""
+    k, unit, unit_sq, theta_sq = edges
+    psis, cot, cos = angles
+    u1p, u2p, u3p = claim
+    try:
+        c1, c2, c3 = unit_claim = (math.ldexp(u1p, -k), math.ldexp(u2p, -k),
+                                   math.ldexp(u3p, -k))
+        d1, d2, d3 = defects = closure_defects(unit_sq, cos, unit_claim)
+    except OverflowError:  # beyond the float range on the unit triangle
+        d1, d2, d3 = defects = (math.inf, math.inf, math.inf)
+    if not (d1 <= tolerance and d2 <= tolerance and d3 <= tolerance):  # a NaN fails too
+        return False, (f"closure residual {worst_defect(defects):.3e} "
+                       f"exceeds tolerance {tolerance:g}"), defects
+    try:
+        r1, r2, r3 = circle_distances(unit, unit_sq, theta_sq, psis, cot)
+    except StarSolveError as exc:
+        return False, f"cross-check raised: {exc}", defects
+    # The cheaper test first; the perimeter added left to right, as in solve.
+    ua, ub, uc = unit
+    floor = PERIMETER_FLOOR * (ua + ub + uc)
+    if not (abs(c1 - r1) <= floor and abs(c2 - r2) <= floor and abs(c3 - r3) <= floor):
+        for name, value, given, recomputed in (("u1p", u1p, c1, r1), ("u2p", u2p, c2, r2),
+                                               ("u3p", u3p, c3, r3)):
+            gap = abs(given - recomputed)
+            if gap > floor and gap > tolerance * max(given, recomputed):
+                return False, (f"{name}={value!r} disagrees with "
+                               f"circle-path value {math.ldexp(recomputed, k)!r}"), defects
+    return True, f"max residual {max(d1, d2, d3):.3e}", defects
 
 
 # =========================================================================

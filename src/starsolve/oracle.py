@@ -85,7 +85,6 @@ class MinimizationResult:
     point: PlaneVector
     value: float
     iterations: int
-    converged: bool
 
 
 def _embed_for_oracle(a: float, b: float, c: float
@@ -108,8 +107,7 @@ def _embed_for_oracle(a: float, b: float, c: float
 def minimize_distance_sum(t: TriangleEdges, max_iter: int = 10_000) -> MinimizationResult:
     """Minimize f(X) = |XA| + |XB| + |XC| (Fermat-Weber) over ``t`` to a
     certified gap. The result holds the minimizing point, in the frame
-    with C at the origin and B on +x, f there, and the steps taken;
-    ``converged`` is true on every return.
+    with C at the origin and B on +x, f there, and the steps taken.
 
     A vertex is the minimum exactly when the unit vectors from it toward
     the other two sum to a length <= 1 (Kuhn's subgradient condition: an
@@ -164,7 +162,7 @@ def minimize_distance_sum(t: TriangleEdges, max_iter: int = 10_000) -> Minimizat
                       (uy - cy) * inv_u + (vy - cy) * inv_v) <= 1.0:
             return MinimizationResult(
                 PlaneVector(math.ldexp(cx, exponent), math.ldexp(cy, exponent)),
-                math.ldexp(du + dv, exponent), 0, True)
+                math.ldexp(du + dv, exponent), 0)
 
     ox, oy = (va, vb, vc)[edges.index(max(edges))]
     vertices = [(vx - ox, vy - oy) for vx, vy in (va, vb, vc)]
@@ -186,7 +184,7 @@ def minimize_distance_sum(t: TriangleEdges, max_iter: int = 10_000) -> Minimizat
         if not on_vertex and pull * max(distances) <= GAP_CERTIFICATE * fx:
             return MinimizationResult(
                 PlaneVector(math.ldexp(x + ox, exponent), math.ldexp(y + oy, exponent)),
-                math.ldexp(fx, exponent), iterations, True)
+                math.ldexp(fx, exponent), iterations)
         if iterations == max_iter:
             break
 
@@ -236,6 +234,8 @@ def sample_waveform_amplitude(phasors: Sequence["Phasor"],
         signs = [1] * len(phasors)
     if len(signs) != len(phasors):
         raise ValueError("sign pattern length must match the phasor count")
+    if not all(map(math.isfinite, signs)):
+        raise ValueError(f"signs must be finite, got {list(signs)}")
     if n_samples < 1024:
         raise ValueError("need at least 1024 samples for the stated accuracy")
 

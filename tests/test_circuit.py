@@ -183,6 +183,7 @@ def test_verify_exact_solution():
     report = verify_solution(u, solve_symmetric_star(u))
     assert report.passed
     assert report.max_residual < 1e-12
+    assert report.detail == f"max residual {report.max_residual:.3e}"
 
 
 def test_verify_flags_percent_error():
@@ -215,18 +216,46 @@ def test_verify_claim_beyond_the_float_range_of_the_unit_triangle():
 
 
 def test_a_nan_residual_fails_in_any_position():
-    # A NaN claim for u1p leaves the residual of edge 1 a number and makes
-    # those of edges 2 and 3 NaN: max() keeps a NaN only in first position.
+    # A NaN claim leaves the residual of its own edge a number and makes the
+    # other two NaN: max() keeps a NaN only in first position. LineVoltages
+    # refuses a NaN, so the claim goes to the kernel check and to verify.
     d = 400.0 / SQRT3
-    report = verify_solution(PhaseToPhaseVoltages(400.0, 400.0, 400.0),
-                             LineVoltages(math.nan, d, d))
-    assert report.residuals[0] < 1e-15 and math.isnan(report.residuals[1])
-    assert not report.passed
-    assert math.isnan(report.max_residual)
-    m = MeasurementRecord("n", 400.0, 400.0, 400.0)
-    s = SolutionRecord("n", math.nan, d, d, 0.0, STATUS_OK)
-    assert verify_record(m, s, report.tolerance) == (
-        False, "closure residual nan exceeds tolerance 1e-08")
+    edges = kernel.edge_invariants(400.0, 400.0, 400.0)
+    for position in range(3):
+        claim = tuple(math.nan if i == position else d for i in range(3))
+        passed, detail, defects = kernel.check_claim(edges, kernel.ANGLES_120, claim, 1e-8)
+        assert defects[position] < 1e-15
+        assert all(math.isnan(r) for i, r in enumerate(defects) if i != position)
+        assert (passed, detail) == (False, "closure residual nan exceeds tolerance 1e-08")
+        m = MeasurementRecord("n", 400.0, 400.0, 400.0)
+        s = SolutionRecord("n", *claim, 0.0, STATUS_OK)
+        assert verify_record(m, s, 1e-8) == (passed, detail)
+
+
+def test_the_library_fails_a_claim_that_only_the_circle_route_refutes():
+    # Near a terminal, the short distance a thousandth off still closes
+    # within 1e-8; the circle route refutes it, in the library as in verify.
+    edges = (2.0000005000001875, 1.000000500000375, 2.6457513110645903)
+    u = PhaseToPhaseVoltages(*edges)
+    lv = solve_symmetric_star(u)
+    claim = (lv.u1p, lv.u2p, lv.u3p * 1.001)
+    report = verify_solution(u, LineVoltages(*claim))
+    assert report.max_residual < report.tolerance and not report.passed
+    assert report.detail.startswith(f"u3p={claim[2]!r} disagrees with circle-path value")
+    m = MeasurementRecord("v", *edges)
+    assert verify_record(m, SolutionRecord("v", *claim, 0.0, STATUS_OK), 1e-8) == (
+        False, report.detail)
+
+
+@pytest.mark.parametrize("bad", [-1.0, -0.5e-300, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("position", range(3))
+def test_line_voltages_refuse_a_negative_or_non_finite_amplitude(bad, position):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        LineVoltages(*(bad if i == position else 1.0 for i in range(3)))
+
+
+def test_line_voltages_take_a_zero_amplitude():
+    assert LineVoltages(0.0, -0.0, 1).as_tuple() == (0.0, 0.0, 1)
 
 
 @pytest.mark.parametrize("position", range(3))

@@ -13,7 +13,7 @@ import sys
 import pytest
 
 from conftest import E1_DISTANCES, E1_EDGES, LineFeedEnded, cli_env
-from starsolve import cli
+from starsolve import cli, kernel
 from starsolve.cli import main, solve_record, verify_record
 from starsolve.errors import AngleAtLeast120, InfeasibleConfiguration
 from starsolve.kernel import ANGLES_120, circle_distances, line_voltage_kernel
@@ -597,7 +597,7 @@ def test_circle_mismatch_message_shows_both_values(monkeypatch):
         a_p, b_p, c_p = circle_distances(unit, unit_sq, theta_sq, psis, cot)
         return a_p * (1.0 + 1e-7), b_p, c_p
 
-    monkeypatch.setattr(cli, "circle_distances", nudged)
+    monkeypatch.setattr(kernel, "circle_distances", nudged)
     m = MeasurementRecord("e1", *E1_EDGES.as_tuple())
     s = SolutionRecord("e1", *E1_DISTANCES, 0.0, STATUS_OK)
     passed, detail = verify_record(m, s, 1e-8)
@@ -816,7 +816,7 @@ def test_solve_batch_survives_internal_error(tmp_path, monkeypatch, capsys, rais
 
 
 def test_verify_record_reports_internal_error(monkeypatch):
-    monkeypatch.setattr(cli, "circle_distances",
+    monkeypatch.setattr(kernel, "circle_distances",
                         _faulty_kernel(circle_distances, E1_EDGES.unit[0],
                                        ZeroDivisionError))
     monkeypatch.setattr(cli, "line_voltage_kernel",

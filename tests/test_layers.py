@@ -85,7 +85,7 @@ def test_kernel_imports_only_errors_and_config():
 
 # The solver formulas in ``kernel``, which share a module with the
 # primitives the oracle reads.
-SOLVER_KERNELS = {"circle_distances", "check_interior_point",
+SOLVER_KERNELS = {"circle_distances", "check_interior_point", "check_claim",
                   "line_voltage_kernel", "_joint_vertex_distance"}
 
 
@@ -128,6 +128,17 @@ def test_verify_tests_a_failure_status_by_its_own_angles():
     assert "_interior_margin" in mentioned(functions["verify_record"])
     for name in ("verify_record", "_interior_margin"):
         assert "check_interior_point" not in mentioned(functions[name]), name
+
+
+def test_one_check_of_a_claim():
+    # verify and the library check a claimed solution by one kernel, and
+    # neither keeps a closure or circle-route check of its own.
+    for module, name in (("cli", "verify_record"), ("circuit", "verify_solution")):
+        function = next(node for node in ast.parse((PACKAGE / f"{module}.py").read_text()).body
+                        if isinstance(node, ast.FunctionDef) and node.name == name)
+        names = mentioned(function)
+        assert "check_claim" in names, name
+        assert not names & {"closure_defects", "circle_distances"}, name
 
 
 def test_solvers_import_no_oracle():

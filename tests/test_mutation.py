@@ -31,9 +31,14 @@ The oracle's verdict is the old one, from a cold start: at most
 ``MAX_ITER`` steps, and a refutation when the minimum and the claimed sum
 differ by more than 1e-6 of the sum; ``NoConvergence`` is no verdict. Every
 mutant the oracle refutes must FAIL ``verify_record``, and verify's verdict
-must be the closure's and the circle route's together. Run with ``-s`` to
-see the table of catches. About 1 s on a shared 2-vCPU VM with Python
-3.11.
+must be the closure's and the circle route's together. The library's
+verdict, ``verify_solution`` on the value types, must be verify's on every
+claim mutant; a claim that ``LineVoltages`` refuses, as it refuses a
+negative distance, is a library FAIL. The value types do not read the
+CLI's invariants, so on a common-mode mutant the library judges the
+mutated claim on the true measurement, and its column only counts. Run
+with ``-s`` to see the table of catches. About 1 s on a shared 2-vCPU VM
+with Python 3.11.
 """
 
 from __future__ import annotations
@@ -42,9 +47,17 @@ import math
 from collections import Counter
 from random import Random
 
-from starsolve import cli, oracle_kernel
+from starsolve import (
+    LineVoltages,
+    PhaseToPhaseVoltages,
+    cli,
+    oracle_kernel,
+    validate_angles,
+    verify_solution,
+)
 from starsolve.config import PERIMETER_FLOOR, RESIDUAL_TOL
 from starsolve.errors import NoConvergence, StarSolveError
+from starsolve.fermat import ALL_120
 from starsolve.geometry import TriangleEdges
 from starsolve.kernel import ANGLES_120, circle_distances, closure_defects
 from starsolve.oracle import minimize_distance_sum
@@ -54,6 +67,7 @@ SEED = 27
 ROWS_PER_FAMILY = 1000
 MAX_ITER = 50
 CHECKS = ("closure", "circle", "oracle")
+CLAIM_KINDS = ("one", "all", "shift")
 
 
 def planted_rows(rng: Random):
@@ -87,7 +101,7 @@ def step(rng: Random) -> float:
 
 
 def claim_mutant(rng: Random, claim: tuple) -> tuple[str, tuple]:
-    kind = rng.choice(("one", "all", "shift"))
+    kind = rng.choice(CLAIM_KINDS)
     s, i = step(rng), rng.randrange(3)
     if kind == "all":
         return kind, tuple(d * (1.0 + s) for d in claim)
@@ -129,6 +143,18 @@ def verdicts(m: MeasurementRecord, claim: tuple, tolerance: float) -> dict:
     return {"closure": closure, "circle": circle, "oracle": oracle}
 
 
+def library_passes(m: MeasurementRecord, claim: tuple, tolerance: float) -> bool:
+    """``verify_solution``'s verdict on the value types; a claim that
+    ``LineVoltages`` refuses fails."""
+    try:
+        lv = LineVoltages(*claim)
+    except ValueError:
+        return False
+    angles = ALL_120 if m.psi1 is None else validate_angles(m.psi1, m.psi2)
+    return verify_solution(PhaseToPhaseVoltages(m.u1, m.u2, m.u3), lv, angles,
+                           tolerance).passed
+
+
 def test_verify_fails_every_mutant_the_oracle_refutes(monkeypatch):
     rng = Random(SEED)
     table = Counter()
@@ -140,8 +166,13 @@ def test_verify_fails_every_mutant_the_oracle_refutes(monkeypatch):
         assert passed == (verdict["closure"] and verdict["circle"]), (m, claim, detail)
         if verdict["oracle"] is False:
             assert not passed, (m, claim, detail)
+        library = library_passes(m, claim, RESIDUAL_TOL)
+        if kind in CLAIM_KINDS:
+            assert library == passed, (m, claim, detail)
         row = "120" if m.psi1 is None else "other", kind
         table[row, "mutants"] += 1
+        if not library:
+            table[row, "library"] += 1
         failed = [name for name in CHECKS if verdict[name] is False]
         for name in failed:
             table[row, name] += 1
@@ -171,7 +202,8 @@ def test_verify_fails_every_mutant_the_oracle_refutes(monkeypatch):
             if mutant.status == STATUS_OK:
                 judge(m, kind, (mutant.u1p, mutant.u2p, mutant.u3p))
 
-    columns = ("mutants", *CHECKS, *(f"only {name}" for name in CHECKS), "oracle silent")
+    columns = ("mutants", *CHECKS, *(f"only {name}" for name in CHECKS), "oracle silent",
+               "library")
     print(f"\nCatches by check (seed {SEED}, the oracle at most {MAX_ITER} steps):")
     print(f"{'rows':6}{'kind':6}" + "".join(f"{column:>14}" for column in columns))
     for row in sorted({key[0] for key in table}):

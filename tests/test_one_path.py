@@ -5,9 +5,10 @@ library's value types wrap, so it must return, bit for bit, what the
 library route returns: ``solve_general_star`` or ``solve_symmetric_star``
 at their ``RESIDUAL_TOL``, the kernel on the value types' invariants at
 another tolerance, plus the status mapping written out below.
-``cli.verify_record`` checks a row on the same floats, so its verdict
-must be the one the value types and the circle route give, in the
-messages written out below.
+``cli.verify_record`` checks a row on the same floats, and
+``circuit.verify_solution`` a claim on the value types, by one kernel, so
+each verdict must be the one the value types' closure defects and circle
+route give, in the messages written out below.
 ``RowWriter.write_solution`` writes a row through its stream's line
 template and quotes its own CSV fields, so it must write the bytes that
 the csv module writes through ``LineFeedEnded``, or that ``json.dumps``
@@ -222,8 +223,9 @@ def library_verdict(m: MeasurementRecord, s: SolutionRecord,
     above and, where the status says that no star point exists, the margin
     by which the viewing angles exceed the vertex angles across, each
     vertex angle from twice the area and twice the dot product of its
-    edges; else the closure report and the circle route, at any angle; all
-    on the value types."""
+    edges; else the closure defects and the circle route, at any angle; all
+    on the value types' invariants, and none through ``verify_solution``,
+    which is checked against it."""
     psi = (m.psi1, m.psi2) if m.psi1 is not None else (120.0, 120.0)
     if not s.solved:
         fresh = library_record(m, tolerance)
@@ -245,25 +247,28 @@ def library_verdict(m: MeasurementRecord, s: SolutionRecord,
                                f"point exists: angle margin {margin:.3e} deg")
         return True, f"failure status {s.status!r} confirmed by re-solve"
     try:
-        u = PhaseToPhaseVoltages(m.u1, m.u2, m.u3)
+        t = PhaseToPhaseVoltages(m.u1, m.u2, m.u3).to_edges()
         angles = validate_angles(*psi)
-        lv = LineVoltages(s.u1p, s.u2p, s.u3p)
-        report = verify_solution(u, lv, angles, tolerance)
-        if not report.passed:
-            return False, (f"closure residual {report.max_residual:.3e} "
-                           f"exceeds tolerance {tolerance:g}")
-        t = u.to_edges()
+        claim = (s.u1p, s.u2p, s.u3p)
+        try:
+            defects = closure_defects(t.unit_sq, angles.cos,
+                                      tuple(math.ldexp(d, -t.exponent) for d in claim))
+        except OverflowError:  # beyond the float range on the unit triangle
+            defects = (math.inf, math.inf, math.inf)
+        if not all(defect <= tolerance for defect in defects):
+            worst = math.nan if any(map(math.isnan, defects)) else max(defects)
+            return False, f"closure residual {worst:.3e} exceeds tolerance {tolerance:g}"
         ua, ub, uc = t.unit
         floor = math.ldexp(PERIMETER_FLOOR * (ua + ub + uc), t.exponent)
         circle = general_solve_by_circles(t, angles)
-        for name, given, recomputed in zip(("u1p", "u2p", "u3p"), lv.as_tuple(),
+        for name, given, recomputed in zip(("u1p", "u2p", "u3p"), claim,
                                            circle.distances()):
             if abs(given - recomputed) > max(tolerance * max(given, recomputed), floor):
                 return False, (f"{name}={given!r} disagrees with circle-path "
                                f"value {recomputed!r}")
     except StarSolveError as exc:
         return False, f"cross-check raised: {exc}"
-    return True, f"max residual {report.max_residual:.3e}"
+    return True, f"max residual {max(defects):.3e}"
 
 
 @st.composite
@@ -326,7 +331,14 @@ def test_verify_record_is_the_library_route(case, scale, tolerance):
                             status=claim or solved.status)
         if s.solved:
             s = s._replace(status=STATUS_INFEASIBLE)
-    assert verify_record(m, s, tolerance) == library_verdict(m, s, tolerance)
+    expected = library_verdict(m, s, tolerance)
+    assert verify_record(m, s, tolerance) == expected
+    if s.solved:
+        report = verify_solution(PhaseToPhaseVoltages(m.u1, m.u2, m.u3),
+                                 LineVoltages(s.u1p, s.u2p, s.u3p),
+                                 validate_angles(*((m.psi1, m.psi2) if m.psi1 is not None
+                                                   else (120.0, 120.0))), tolerance)
+        assert (report.passed, report.detail) == expected
 
 
 # Text as the readers give it, without a NUL, now and then with one of the
@@ -1148,6 +1160,5 @@ def test_distance_sum_minimum_is_the_two_pass_route_bit_for_bit(edges, max_iter)
 
     def minimized():
         result = minimize_distance_sum(t, max_iter)
-        assert result.converged
         return result.point.x, result.point.y, result.value, result.iterations
     assert outcome(minimized) == outcome(reference_distance_sum_minimum, *edges, max_iter)

@@ -91,7 +91,6 @@ def test_random_spec_distribution_bounds():
 
 def test_minimize_equilateral():
     result = minimize_distance_sum(TriangleEdges(1, 1, 1))
-    assert result.converged
     assert rel_err(result.value, math.sqrt(3.0)) < 1e-9
     centroid = PlaneVector(0.5, math.sqrt(3.0) / 6.0)
     assert result.point.distance_to(centroid) < 1e-6 * 3.0
@@ -144,7 +143,6 @@ def rotations(edges):
 def test_minimize_near_120_ladder_within_iteration_cap(edges):
     t = TriangleEdges(*edges)
     result = minimize_distance_sum(t, max_iter=20)
-    assert result.converged
     assert 0 < result.iterations <= 20
     assert rel_err(result.value, fermat_sum(t)) < 1e-12
 
@@ -154,7 +152,6 @@ def test_minimize_near_120_ladder_within_iteration_cap(edges):
 def test_minimize_needle_within_iteration_cap(edges):
     t = TriangleEdges(*edges)
     result = minimize_distance_sum(t, max_iter=20)
-    assert result.converged
     assert rel_err(result.value, fermat_sum(t)) < 1e-12
 
 
@@ -164,7 +161,7 @@ def test_minimize_wide_vertex_returned_without_iterating(angle):
     a = math.sqrt(b * b + c * c - 2 * b * c * math.cos(math.radians(angle)))
     for edges in rotations((a, b, c)):
         result = minimize_distance_sum(TriangleEdges(*edges), max_iter=0)
-        assert result.iterations == 0 and result.converged
+        assert result.iterations == 0
         assert rel_err(result.value, b + c) < 1e-12
 
 
@@ -202,7 +199,7 @@ def test_minimize_on_the_thinnest_accepted_triangles_raises_only_no_convergence(
         result = minimize_distance_sum(t)
     except NoConvergence:
         return
-    assert result.converged and result.value >= max(edges)
+    assert result.value >= max(edges)
 
 
 # Near-collinear needles that TriangleEdges accepts, on which the embedding
@@ -255,7 +252,6 @@ def test_minimize_iteration_cap_raises():
 def test_minimize_symmetric_planted_property(a_p, b_p, c_p):
     total = a_p + b_p + c_p
     result = minimize_distance_sum(distances_at_120(a_p, b_p, c_p), max_iter=50)
-    assert result.converged
     assert rel_err(result.value, total) < 1e-9
     assert result.value >= total * (1.0 - 1e-12)
 
@@ -412,6 +408,15 @@ def test_waveform_input_validation():
         sample_waveform_amplitude([Phasor(1.0, 0.0)], [1, -1])
     with pytest.raises(ValueError):
         sample_waveform_amplitude([Phasor(1.0, 0.0)], [1], n_samples=100)
+
+
+@pytest.mark.parametrize("sign", [math.nan, math.inf, -math.inf])
+def test_waveform_refuses_a_sign_that_is_not_finite(sign):
+    # A NaN sign once made every sample NaN, and the amplitude -inf.
+    with pytest.raises(ValueError, match="signs must be finite"):
+        sample_waveform_amplitude([Phasor(1.0, 0.0)], [sign])
+    with pytest.raises(ValueError, match="signs must be finite"):
+        sample_waveform_amplitude([Phasor(1.0, 0.0), Phasor(1.0, 90.0)], [1, sign])
 
 
 # -- route independence, spot check -------------------------------------------

@@ -176,7 +176,8 @@ ROWS = {
         "179.99999999999997", "unresolved", "distance denominator -3.074e-01 (unit "
         "triangle) is not positive; the closed form cannot resolve the star point",
         CONFIRMED.format("d", "unresolved"),
-        "PR 30: psi2 a rounding below 180 deg, and the closed form's denominator < 0"),
+        "KNOWN DEFECT, ROADMAP item 5 (found in PR 30): psi2 a rounding below 180 deg, "
+        "and the closed form's denominator < 0, though the circle route closes the row"),
     "near-a-vertex": Row(
         "r,1.0,0.999999999999995,1e-14,,", "ok", AT_TERMINAL.format(1, 2),
         "r: PASS (max residual 1.547e-14)",
