@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .config import RESIDUAL_TOL
+from .config import RESIDUAL_TOL, residual_tolerance
 from .fermat import ALL_120
 from .general import general_distances_closed_form, validate_angles
 from .geometry import ORIGIN, PhaseAngles, TriangleEdges, embed_triangle
@@ -107,10 +107,8 @@ class LineVoltages:
 def _line_voltages(u: PhaseToPhaseVoltages, angles: PhaseAngles) -> LineVoltages:
     """:func:`~starsolve.kernel.line_voltage_kernel` on the invariants of
     ``u`` and ``angles``."""
-    t = u.to_edges()
     distances, residuals, notes = line_voltage_kernel(
-        (t.exponent, t.unit, t.unit_sq, t.unit_theta_sq),
-        (angles.as_tuple(), angles.cot, angles.cos), RESIDUAL_TOL)
+        u.to_edges().invariants, angles.invariants, RESIDUAL_TOL)
     return LineVoltages(*distances, notes, residuals)
 
 
@@ -172,9 +170,11 @@ def verify_solution(u: PhaseToPhaseVoltages, lv: LineVoltages,
                     tolerance: float = RESIDUAL_TOL) -> ResidualReport:
     """``star-solve verify``'s check, :func:`~starsolve.kernel.check_claim`:
     the mesh-rule closure, u1^2 = u2p^2 + u3p^2 - 2 u2p u3p cos(psi1)
-    cyclically, and the circle route; ``max_residual`` is a NaN if one is."""
-    t = u.to_edges()
+    cyclically, and the circle route; ``max_residual`` is a NaN if one is.
+    The ``tolerance`` is checked as the CLI checks its own, by
+    :func:`~starsolve.config.residual_tolerance`: one that is not finite
+    and positive, under which no claim could fail, raises ValueError."""
+    tolerance = residual_tolerance(tolerance)
     passed, detail, residuals = check_claim(
-        (t.exponent, t.unit, t.unit_sq, t.unit_theta_sq),
-        (angles.as_tuple(), angles.cot, angles.cos), lv.as_tuple(), tolerance)
+        u.to_edges().invariants, angles.invariants, lv.as_tuple(), tolerance)
     return ResidualReport(residuals, worst_defect(residuals), tolerance, passed, detail)

@@ -64,8 +64,8 @@ def fermat_construction(t: TriangleEdges) -> StarSolution:
     triangle of ``t``, and :func:`~starsolve.geometry.star_solution` places
     the point from its distances and scales all back by 2**exponent.
     """
-    check_interior_point((t.exponent, t.unit, t.unit_sq, t.unit_theta_sq), ANGLES_120)
-    a, b, c = t.unit
+    check_interior_point(t.invariants, ANGLES_120)
+    _, (a, b, c), unit_sq, _ = t.invariants
     ax, ay = place(a, c, b)
     if ay <= 0.0:
         raise DegenerateTriangle("spanning vectors are collinear")
@@ -84,7 +84,7 @@ def fermat_construction(t: TriangleEdges) -> StarSolution:
     distances = (math.hypot(mx - ax, my - ay),   # A
                  math.hypot(mx - a, my),         # B
                  math.hypot(mx, my))             # C, the origin
-    residuals = closure_defects(t.unit_sq, ALL_120.cos, distances)
+    residuals = closure_defects(unit_sq, ANGLES_120[2], distances)
     return star_solution(t, distances, residuals)
 
 

@@ -15,7 +15,9 @@ from X to the vertices. Two independent routes:
 Each route is a float kernel of :mod:`starsolve.kernel` on the unit
 triangle of the edges (:func:`~starsolve.kernel.line_voltage_kernel`, the
 one closed form, and :func:`~starsolve.kernel.circle_distances`), which
-the CLI calls directly and the value-type functions here wrap. Either
+the CLI calls directly and the value-type functions here wrap: each takes
+``(edges, angles)``, the ``invariants`` that :class:`TriangleEdges` and
+:class:`PhaseAngles` keep, passed through as they are. Either
 route's point is placed from its distances by
 :func:`~starsolve.geometry.star_solution`, in the frame with C at the
 origin and B on +x.
@@ -52,10 +54,9 @@ def general_distances_closed_form(t: TriangleEdges,
     one is subnormal, its unit value is not the kernel's, and the point may
     differ in its last bits.
     """
-    distances, residuals, _ = line_voltage_kernel(
-        (t.exponent, t.unit, t.unit_sq, t.unit_theta_sq),
-        (angles.as_tuple(), angles.cot, angles.cos), RESIDUAL_TOL)
-    k = t.exponent
+    distances, residuals, _ = line_voltage_kernel(t.invariants, angles.invariants,
+                                                  RESIDUAL_TOL)
+    k = t.invariants[0]
     return star_solution(t, tuple(math.ldexp(d, -k) for d in distances), residuals)
 
 
@@ -63,7 +64,7 @@ def general_solve_by_circles(t: TriangleEdges, angles: PhaseAngles) -> StarSolut
     """Constructive route: :func:`~starsolve.kernel.circle_distances` on
     the unit triangle of ``t``, and the point placed from them by
     :func:`~starsolve.geometry.star_solution`."""
-    distances = circle_distances(t.unit, t.unit_sq, t.unit_theta_sq,
-                                 angles.as_tuple(), angles.cot)
-    residuals = closure_defects(t.unit_sq, angles.cos, distances)
-    return star_solution(t, distances, residuals)
+    _, _, unit_sq, _ = t.invariants
+    _, _, cos = angles.invariants
+    distances = circle_distances(t.invariants, angles.invariants)
+    return star_solution(t, distances, closure_defects(unit_sq, cos, distances))

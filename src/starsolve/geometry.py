@@ -1,7 +1,9 @@
 """Plane-vector and triangle value types shared by every solver.
 
 Each type validates and computes through the float kernels of
-:mod:`starsolve.kernel` and keeps what they return. Every position the
+:mod:`starsolve.kernel` and keeps what they return: :class:`TriangleEdges`
+and :class:`PhaseAngles` keep it whole, as ``invariants``, the ``(edges,
+angles)`` that every solver kernel takes. Every position the
 library reports lies in one frame, C at the origin and B on +x, placed by
 :func:`~starsolve.kernel.place` on the unit triangle: vertex A by
 :func:`embed_triangle`, and each solver's point by :func:`star_solution`.
@@ -16,7 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .kernel import angle_invariants, edge_invariants, place, worst_defect
+from .kernel import (AngleInvariants, EdgeInvariants, angle_invariants, edge_invariants,
+                     place, worst_defect)
 
 
 @dataclass(frozen=True)
@@ -42,24 +45,19 @@ class TriangleEdges:
 
     Edge ``a`` is opposite vertex A, ``b`` opposite B, ``c`` opposite C.
     Construction validates the edges by
-    :func:`~starsolve.kernel.edge_invariants` and keeps what it computes:
-    ``exponent``, ``unit``, ``unit_sq`` and, as ``unit_theta_sq``, the unit
-    triangle's Theta^2.
+    :func:`~starsolve.kernel.edge_invariants` and keeps what it returns,
+    whole, as ``invariants``: the ``edges`` argument of every solver kernel.
     """
 
     a: float
     b: float
     c: float
-    exponent: int = field(init=False, repr=False, compare=False)
-    unit: tuple[float, float, float] = field(init=False, repr=False, compare=False)
-    unit_sq: tuple[float, float, float] = field(init=False, repr=False, compare=False)
-    unit_theta_sq: float = field(init=False, repr=False, compare=False)
+    invariants: EdgeInvariants = field(init=False, repr=False, compare=False)
 
     def __init__(self, a: float, b: float, c: float):
-        exponent, unit, unit_sq, theta_sq = edge_invariants(a, b, c)
         # Frozen, so every field is set here, in one step.
-        self.__dict__.update(a=float(a), b=float(b), c=float(c), exponent=exponent,
-                             unit=unit, unit_sq=unit_sq, unit_theta_sq=theta_sq)
+        self.__dict__.update(a=float(a), b=float(b), c=float(c),
+                             invariants=edge_invariants(a, b, c))
 
     def perimeter(self) -> float:
         return self.a + self.b + self.c
@@ -77,7 +75,8 @@ def theta_squared(t: TriangleEdges) -> float:
     is the cached unit-triangle value scaled back, which raises
     OverflowError when the area itself exceeds the float range.
     """
-    return math.ldexp(t.unit_theta_sq, 2 * t.exponent)
+    k, _, _, theta_sq = t.invariants
+    return math.ldexp(theta_sq, 2 * k)
 
 
 @dataclass(frozen=True, init=False)
@@ -87,21 +86,21 @@ class PhaseAngles:
     ``psi_a`` subtends edge a, and so on; the three sum to a full turn. They
     equal the load's phase differences in the circuit picture. Each must lie
     strictly inside (0, 180); at least two are then automatically >= 90.
-    Construction also keeps what :func:`~starsolve.kernel.angle_invariants`
-    computes: their cotangents ``cot`` and cosines ``cos``, in the same
-    order.
+    Construction validates them by
+    :func:`~starsolve.kernel.angle_invariants` and keeps what it returns,
+    whole, as ``invariants``: the ``angles`` argument of every solver kernel.
     """
 
     psi_a: float
     psi_b: float
     psi_c: float
-    cot: tuple[float, float, float] = field(init=False, repr=False, compare=False)
-    cos: tuple[float, float, float] = field(init=False, repr=False, compare=False)
+    invariants: AngleInvariants = field(init=False, repr=False, compare=False)
 
     def __init__(self, psi_a: float, psi_b: float, psi_c: float):
-        (a, b, c), cot, cos = angle_invariants(psi_a, psi_b, psi_c)
+        invariants = angle_invariants(psi_a, psi_b, psi_c)
+        a, b, c = invariants[0]
         # Frozen, so every field is set here, in one step.
-        self.__dict__.update(psi_a=a, psi_b=b, psi_c=c, cot=cot, cos=cos)
+        self.__dict__.update(psi_a=a, psi_b=b, psi_c=c, invariants=invariants)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.psi_a, self.psi_b, self.psi_c)
@@ -136,9 +135,9 @@ def star_solution(t: TriangleEdges, unit_distances: tuple[float, float, float],
     triangle of ``t``: the point placed by :func:`~starsolve.kernel.place`
     from its distances to B and C, and all of it scaled back by
     2**exponent, a power of two, so no bit changes."""
-    k = t.exponent
+    k, unit, _, _ = t.invariants
     a_p, b_p, c_p = unit_distances
-    x, y = place(t.unit[0], b_p, c_p)
+    x, y = place(unit[0], b_p, c_p)
     return StarSolution(math.ldexp(a_p, k), math.ldexp(b_p, k), math.ldexp(c_p, k),
                         PlaneVector(math.ldexp(x, k), math.ldexp(y, k)), residuals)
 
@@ -151,7 +150,6 @@ def embed_triangle(t: TriangleEdges) -> tuple[PlaneVector, PlaneVector]:
     A placed by :func:`~starsolve.kernel.place` on the unit triangle and
     scaled back, so that it holds on needles too.
     """
-    a, b, c = t.unit
+    k, (a, b, c), _, _ = t.invariants
     x, y = place(a, c, b)
-    k = t.exponent
     return PlaneVector(t.a, 0.0), PlaneVector(math.ldexp(x, k), math.ldexp(y, k))

@@ -227,12 +227,11 @@ def worst_defect(defects: Triple) -> float:
 _OUTSIDE_SLACK = math.radians(EPS_ANG_DEG)
 
 
-def circle_distances(unit: Triple, unit_sq: Triple, theta_sq: float, psis: Triple,
-                     cot: Triple) -> Triple:
+def circle_distances(edges: EdgeInvariants, angles: AngleInvariants) -> Triple:
     """Constructive route on plain floats: the distances from X, the second
     common point of the two inscribed-angle circles, to the vertices of the
-    unit triangle of :func:`edge_invariants`, from the angles and
-    cotangents of :func:`angle_invariants`.
+    unit triangle, from what :func:`edge_invariants` and
+    :func:`angle_invariants` return, as every solver kernel takes them.
 
     The triangle is relabeled cyclically so that the smallest viewing
     angle (the first of equal ones) comes last, and the two largest, both
@@ -259,7 +258,8 @@ def circle_distances(unit: Triple, unit_sq: Triple, theta_sq: float, psis: Tripl
     Arithmetic and Fast Robust Geometric Predicates, 1997). A comparison
     with a NaN is false, so an X with NaN coordinates passes.
     """
-    psi_a, psi_b, psi_c = psis
+    _, unit, unit_sq, theta_sq = edges
+    (psi_a, psi_b, psi_c), cot, _ = angles
     # Theta^2 is symmetric and needs no relabeling.
     if psi_a <= psi_b and psi_a <= psi_c:
         rot = 1
@@ -328,8 +328,8 @@ def check_claim(edges: EdgeInvariants, angles: AngleInvariants, claim: Triple,
     float range), the claim must close within ``tolerance`` (a NaN fails)
     and agree with :func:`circle_distances`, which must not raise, within
     ``PERIMETER_FLOOR`` of the perimeter or the tolerance of the larger."""
-    k, unit, unit_sq, theta_sq = edges
-    psis, cot, cos = angles
+    k, unit, unit_sq, _ = edges
+    _, _, cos = angles
     u1p, u2p, u3p = claim
     try:
         c1, c2, c3 = unit_claim = (math.ldexp(u1p, -k), math.ldexp(u2p, -k),
@@ -341,7 +341,7 @@ def check_claim(edges: EdgeInvariants, angles: AngleInvariants, claim: Triple,
         return False, (f"closure residual {worst_defect(defects):.3e} "
                        f"exceeds tolerance {tolerance:g}"), defects
     try:
-        r1, r2, r3 = circle_distances(unit, unit_sq, theta_sq, psis, cot)
+        r1, r2, r3 = circle_distances(edges, angles)
     except StarSolveError as exc:
         return False, f"cross-check raised: {exc}", defects
     # The cheaper test first; the perimeter added left to right, as in solve.

@@ -54,7 +54,7 @@ def synthesize_triangle(spec: SynthesisSpec) -> tuple[TriangleEdges, StarSolutio
     places from them, and the closure residuals."""
     edges, residuals = planted_edges(spec.distances, spec.angles.as_tuple())
     t = TriangleEdges(*edges)
-    k = t.exponent
+    k = t.invariants[0]
     return t, star_solution(t, tuple(math.ldexp(d, -k) for d in spec.distances),
                             residuals)
 

@@ -25,6 +25,8 @@ from starsolve import (
     verify_solution,
 )
 from starsolve.cli import verify_record
+from starsolve.config import residual_tolerance
+from starsolve.fermat import ALL_120
 from starsolve.records import STATUS_OK, MeasurementRecord, SolutionRecord
 
 SQRT3 = math.sqrt(3.0)
@@ -245,6 +247,19 @@ def test_the_library_fails_a_claim_that_only_the_circle_route_refutes():
     m = MeasurementRecord("v", *edges)
     assert verify_record(m, SolutionRecord("v", *claim, 0.0, STATUS_OK), 1e-8) == (
         False, report.detail)
+
+
+@pytest.mark.parametrize("tolerance", [math.inf, math.nan, 0.0, -1.0])
+def test_verify_solution_refuses_a_tolerance_the_cli_refuses(tolerance):
+    # Under an infinite tolerance neither the closure nor the circle route
+    # could fail a claim: the library refuses what the CLI refuses, in the
+    # same words.
+    with pytest.raises(ValueError) as cli_error:
+        residual_tolerance(tolerance)
+    with pytest.raises(ValueError) as library_error:
+        verify_solution(PhaseToPhaseVoltages(3, 4, 5), LineVoltages(1e9, 1e9, 1e9),
+                        ALL_120, tolerance)
+    assert str(library_error.value) == str(cli_error.value)
 
 
 @pytest.mark.parametrize("bad", [-1.0, -0.5e-300, math.nan, math.inf, -math.inf])

@@ -593,17 +593,16 @@ def test_downstream_pipe_closed_early_ends_solve_and_verify_quietly(command, hea
 
 
 def test_circle_mismatch_message_shows_both_values(monkeypatch):
-    def nudged(unit, unit_sq, theta_sq, psis, cot):
-        a_p, b_p, c_p = circle_distances(unit, unit_sq, theta_sq, psis, cot)
+    def nudged(edges, angles):
+        a_p, b_p, c_p = circle_distances(edges, angles)
         return a_p * (1.0 + 1e-7), b_p, c_p
 
     monkeypatch.setattr(kernel, "circle_distances", nudged)
     m = MeasurementRecord("e1", *E1_EDGES.as_tuple())
     s = SolutionRecord("e1", *E1_DISTANCES, 0.0, STATUS_OK)
     passed, detail = verify_record(m, s, 1e-8)
-    psis, cot, _ = ANGLES_120
-    recomputed = math.ldexp(nudged(E1_EDGES.unit, E1_EDGES.unit_sq, E1_EDGES.unit_theta_sq,
-                                   psis, cot)[0], E1_EDGES.exponent)
+    recomputed = math.ldexp(nudged(E1_EDGES.invariants, ANGLES_120)[0],
+                            E1_EDGES.invariants[0])
     assert not passed
     assert detail == (f"u1p={E1_DISTANCES[0]!r} disagrees with circle-path "
                       f"value {recomputed!r}")
@@ -772,11 +771,11 @@ def test_verify_refutes_no_star_point_where_the_angles_show_one(
 
 
 def _faulty_kernel(original, bad_unit_edge, fault):
-    """``original``, a kernel on the unit triangle, with ``fault`` (an
+    """``original``, a kernel on ``(edges, angles)``, with ``fault`` (an
     exception type) injected for unit edges whose first is ``bad_unit_edge``."""
-    def kernel(unit, *args):
-        if unit[0] != bad_unit_edge:
-            return original(unit, *args)
+    def kernel(edges, angles):
+        if edges[1][0] != bad_unit_edge:
+            return original(edges, angles)
         raise fault("injected fault")
     return kernel
 
@@ -817,7 +816,7 @@ def test_solve_batch_survives_internal_error(tmp_path, monkeypatch, capsys, rais
 
 def test_verify_record_reports_internal_error(monkeypatch):
     monkeypatch.setattr(kernel, "circle_distances",
-                        _faulty_kernel(circle_distances, E1_EDGES.unit[0],
+                        _faulty_kernel(circle_distances, E1_EDGES.invariants[1][0],
                                        ZeroDivisionError))
     monkeypatch.setattr(cli, "line_voltage_kernel",
                         _faulty_line_voltage_kernel(E1_EDGES.a, ZeroDivisionError))

@@ -267,7 +267,7 @@ def test_residuals_reported_small():
 
 def test_point_from_distances_roundtrip():
     t = E1_EDGES
-    k = t.exponent
+    k = t.invariants[0]
     unit = tuple(math.ldexp(d, -k) for d in E1_DISTANCES)
     pt = star_solution(t, unit, (0.0, 0.0, 0.0)).point
     assert math.hypot(pt.x, pt.y) == pytest.approx(5.0, rel=1e-14)

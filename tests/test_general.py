@@ -39,9 +39,11 @@ from test_one_path import reference_chord_circles
 ALL_120 = PhaseAngles(120.0, 120.0, 120.0)
 
 
-def chord_circles(t: TriangleEdges, cot_a: float, cot_b: float):
+def chord_circles(t: TriangleEdges, angles: PhaseAngles):
     """Centers and radii of the inscribed-angle circles over edges a and b
-    of ``t``, embedded at its own scale."""
+    of ``t``, seen under the first two ``angles``, embedded at its own
+    scale."""
+    _, (cot_a, cot_b, _), _ = angles.invariants
     a_vec, b_vec = embed_triangle(t)
     crx, cry, csx, csy, rho_a, rho_b = reference_chord_circles(
         a_vec.x, b_vec.x, b_vec.y, cot_a, cot_b)
@@ -77,14 +79,14 @@ def test_validate_angles_rejects_out_of_range():
 
 def test_right_angle_gives_thales_circle():
     t = TriangleEdges(1, 1, 1)
-    center_r, _, rho_a, _ = chord_circles(t, *PhaseAngles(90, 150, 120).cot[:2])
+    center_r, _, rho_a, _ = chord_circles(t, PhaseAngles(90, 150, 120))
     a_vec = embed_triangle(t)[0]
     assert center_r.distance_to(PlaneVector(0.5 * a_vec.x, 0.5 * a_vec.y)) < 1e-15
     assert rho_a == pytest.approx(0.5, rel=1e-15)
 
 
 def test_120_deg_circle_radius():
-    _, _, rho_a, rho_b = chord_circles(TriangleEdges(1, 1, 1), *ALL_120.cot[:2])
+    _, _, rho_a, rho_b = chord_circles(TriangleEdges(1, 1, 1), ALL_120)
     assert rho_a == pytest.approx(1 / math.sqrt(3), rel=1e-14)
     assert rho_b == pytest.approx(1 / math.sqrt(3), rel=1e-14)
 
@@ -94,7 +96,7 @@ def test_circle_centers_equidistant_from_chord_ends():
     for _ in range(100):
         spec, t, _ = planted_general_instance(rng)
         a_vec, b_vec = embed_triangle(t)
-        center_r, center_s, rho_a, rho_b = chord_circles(t, *spec.angles.cot[:2])
+        center_r, center_s, rho_a, rho_b = chord_circles(t, spec.angles)
         origin = PlaneVector(0.0, 0.0)
         assert rel_err(center_r.distance_to(origin), rho_a) < 1e-12
         assert rel_err(center_r.distance_to(a_vec), rho_a) < 1e-12
@@ -105,7 +107,7 @@ def test_circle_centers_equidistant_from_chord_ends():
 def test_circles_pass_through_solution_point():
     equilateral = TriangleEdges(1, 1, 1)
     for t in (equilateral, planted_fermat_instance(Random(61))[0]):
-        center_r, center_s, rho_a, rho_b = chord_circles(t, *ALL_120.cot[:2])
+        center_r, center_s, rho_a, rho_b = chord_circles(t, ALL_120)
         x = fermat_distances_closed_form(t).point
         eps = 1e-9 * t.perimeter()
         assert abs(x.distance_to(center_r) - rho_a) < eps
@@ -324,7 +326,7 @@ def test_recovered_point_on_both_circles():
     for _ in range(100):
         spec, t, _ = planted_general_instance(rng)
         s = general_solve_by_circles(t, spec.angles)
-        center_r, center_s, rho_a, rho_b = chord_circles(t, *spec.angles.cot[:2])
+        center_r, center_s, rho_a, rho_b = chord_circles(t, spec.angles)
         eps = 1e-9 * t.perimeter()
         assert abs(s.point.distance_to(center_r) - rho_a) < eps
         assert abs(s.point.distance_to(center_s) - rho_b) < eps

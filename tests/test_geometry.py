@@ -17,6 +17,8 @@ from starsolve import (
     theta_squared,
 )
 from starsolve.geometry import PlaneVector, StarSolution
+from starsolve.kernel import angle_invariants, edge_invariants
+from test_one_path import hexed
 
 # -- theta_squared ------------------------------------------------------------
 
@@ -124,3 +126,17 @@ def test_star_solution_max_residual_keeps_a_nan_in_any_position(position):
     residuals[position] = math.nan
     solution = StarSolution(1.0, 1.0, 1.0, PlaneVector(0.0, 0.0), tuple(residuals))
     assert math.isnan(solution.max_residual)
+
+
+# -- the invariants the value types keep ---------------------------------------
+
+@pytest.mark.parametrize("edges", [(3, 4, 5), (3.0, 4.0, 5.0), (2, 1, 1), (1.0, 1e-160, 1.0),
+                                   (1e300, 1e300, 1e300), (5e-324, 5e-324, 5e-324)])
+def test_triangle_edges_keep_the_kernel_invariants_bit_for_bit(edges):
+    assert hexed(TriangleEdges(*edges).invariants) == hexed(edge_invariants(*edges))
+
+
+@pytest.mark.parametrize("psis", [(120, 120, 120), (110.0, 130.0, 120.0), (90.0, 150.0, 120.0),
+                                  (179.5, 90.25, 90.25), (0.5, 179.75, 179.75)])
+def test_phase_angles_keep_the_kernel_invariants_bit_for_bit(psis):
+    assert hexed(PhaseAngles(*psis).invariants) == hexed(angle_invariants(*psis))

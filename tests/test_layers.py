@@ -89,6 +89,16 @@ SOLVER_KERNELS = {"circle_distances", "check_interior_point", "check_claim",
                   "line_voltage_kernel", "_joint_vertex_distance"}
 
 
+def test_solver_kernels_take_edges_then_angles():
+    # One calling convention: what edge_invariants and angle_invariants
+    # return, in that order, which the value types keep as ``invariants``.
+    functions = {node.name: node
+                 for node in ast.parse((PACKAGE / "kernel.py").read_text()).body
+                 if isinstance(node, ast.FunctionDef)}
+    for name in sorted(SOLVER_KERNELS - {"_joint_vertex_distance"}):
+        assert [arg.arg for arg in functions[name].args.args[:2]] == ["edges", "angles"], name
+
+
 def mentioned(tree: ast.AST) -> set[str]:
     """Every name, attribute and imported name in ``tree``."""
     found = set()

@@ -121,15 +121,16 @@ def theta_scaled(edge_invariants, s: float):
 def verdicts(m: MeasurementRecord, claim: tuple, tolerance: float) -> dict:
     """Each check's verdict on the claim, True for a PASS, on the invariants
     that verify reads; None where the oracle gives none."""
-    (k, unit, unit_sq, theta_sq), (psis, cot, cos) = cli._invariants(m)
+    edges, angles = cli._invariants(m)
+    (k, unit, unit_sq, _), (_, _, cos) = edges, angles
     unit_claim = tuple(math.ldexp(d, -k) for d in claim)
     closure = max(closure_defects(unit_sq, cos, unit_claim)) <= tolerance
     try:
         ua, ub, uc = unit
         floor = PERIMETER_FLOOR * (ua + ub + uc)
         circle = all(abs(given - recomputed) <= max(floor, tolerance * max(given, recomputed))
-                     for given, recomputed in zip(unit_claim, circle_distances(
-                         unit, unit_sq, theta_sq, psis, cot)))
+                     for given, recomputed in zip(unit_claim,
+                                                  circle_distances(edges, angles)))
     except StarSolveError:
         circle = False
     oracle = None

@@ -122,10 +122,8 @@ def library_record(m: MeasurementRecord, tolerance: float) -> SolutionRecord:
         else:
             angles = validate_angles(*((m.psi1, m.psi2) if m.psi1 is not None
                                        else (120.0, 120.0)))
-            t = u.to_edges()
             distances, residuals, notes = line_voltage_kernel(
-                (t.exponent, t.unit, t.unit_sq, t.unit_theta_sq),
-                (angles.as_tuple(), angles.cot, angles.cos), tolerance)
+                u.to_edges().invariants, angles.invariants, tolerance)
             lv = LineVoltages(*distances, notes, residuals)
     except AngleAtLeast120 as exc:
         return SolutionRecord(m.id, None, None, None, None, STATUS_ANGLE_GE_120, str(exc))
@@ -238,9 +236,9 @@ def library_verdict(m: MeasurementRecord, s: SolutionRecord,
                 angles = validate_angles(*psi)
             except DegenerateTriangle:
                 return True, f"failure status {s.status!r} confirmed by re-solve"
-            a2, b2, c2 = t.unit_sq
+            _, _, (a2, b2, c2), theta_sq = t.invariants
             dots = (b2 + c2 - a2, c2 + a2 - b2, a2 + b2 - c2)
-            margin = min(viewing - math.degrees(math.atan2(t.unit_theta_sq, dot))
+            margin = min(viewing - math.degrees(math.atan2(theta_sq, dot))
                          for viewing, dot in zip(angles.as_tuple(), dots))
             if margin > EPS_ANG_DEG:
                 return False, (f"recorded status {s.status!r} but an interior "
@@ -250,16 +248,15 @@ def library_verdict(m: MeasurementRecord, s: SolutionRecord,
         t = PhaseToPhaseVoltages(m.u1, m.u2, m.u3).to_edges()
         angles = validate_angles(*psi)
         claim = (s.u1p, s.u2p, s.u3p)
+        (k, (ua, ub, uc), unit_sq, _), (_, _, cos) = t.invariants, angles.invariants
         try:
-            defects = closure_defects(t.unit_sq, angles.cos,
-                                      tuple(math.ldexp(d, -t.exponent) for d in claim))
+            defects = closure_defects(unit_sq, cos, tuple(math.ldexp(d, -k) for d in claim))
         except OverflowError:  # beyond the float range on the unit triangle
             defects = (math.inf, math.inf, math.inf)
         if not all(defect <= tolerance for defect in defects):
             worst = math.nan if any(map(math.isnan, defects)) else max(defects)
             return False, f"closure residual {worst:.3e} exceeds tolerance {tolerance:g}"
-        ua, ub, uc = t.unit
-        floor = math.ldexp(PERIMETER_FLOOR * (ua + ub + uc), t.exponent)
+        floor = math.ldexp(PERIMETER_FLOOR * (ua + ub + uc), k)
         circle = general_solve_by_circles(t, angles)
         for name, given, recomputed in zip(("u1p", "u2p", "u3p"), claim,
                                            circle.distances()):
@@ -949,8 +946,7 @@ def reference_chord_circles(a: float, vx: float, vy: float, cot_a: float,
             0.5 * math.hypot(vx, vy) * math.sqrt(1.0 + cot_b * cot_b))
 
 
-def reference_circle_distances(unit: tuple, unit_sq: tuple, theta_sq: float,
-                               psis: tuple, cot: tuple) -> tuple:
+def reference_circle_distances(edges: tuple, angles: tuple) -> tuple:
     """The circle route as helper calls: the smallest angle (the first of
     equal ones) rotated last by tuple slices, vertex A by the law of
     cosines with its cosine clamped by ``max`` and ``min``, the circles by
@@ -962,6 +958,7 @@ def reference_circle_distances(unit: tuple, unit_sq: tuple, theta_sq: float,
     in one frame, and must return the same bits."""
     def rotated(triple, r):
         return triple[r:] + triple[:r]
+    (_, unit, unit_sq, theta_sq), (psis, cot, _) = edges, angles
     rot = (1, 2, 0)[psis.index(min(psis))]
     (a, b, c), (a2, b2, c2) = rotated(unit, rot), rotated(unit_sq, rot)
     cot_a, cot_b, _ = rotated(cot, rot)
@@ -1015,11 +1012,9 @@ def tied_angles(draw) -> tuple:
 def test_circle_distances_is_the_slice_route_bit_for_bit(row):
     u, psis = row
     try:
-        (_, unit, unit_sq, theta_sq), (psis, cot, _) = (edge_invariants(*u),
-                                                        angle_invariants(*psis))
+        args = (edge_invariants(*u), angle_invariants(*psis))
     except StarSolveError:
         return  # no triangle, or an angle out of range: the route is not reached
-    args = (unit, unit_sq, theta_sq, psis, cot)
     assert outcome(circle_distances, *args) == outcome(reference_circle_distances, *args)
 
 

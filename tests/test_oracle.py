@@ -348,9 +348,10 @@ def test_points_satisfy_both_circle_equations():
 def _inscribed_angle_circles(t: TriangleEdges, angles: PhaseAngles):
     """The solver's two circles over edges a and b of ``t``, at its scale,
     in the original labels, as (center x, y, radius) twice."""
+    _, (cot_a, cot_b, _), _ = angles.invariants
     a_vec, b_vec = embed_triangle(t)
     crx, cry, csx, csy, rho_a, rho_b = reference_chord_circles(
-        a_vec.x, b_vec.x, b_vec.y, *angles.cot[:2])
+        a_vec.x, b_vec.x, b_vec.y, cot_a, cot_b)
     return crx, cry, rho_a, csx, csy, rho_b
 
 

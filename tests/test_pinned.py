@@ -153,6 +153,9 @@ R15 = (95.3280037301223, 98.66903628441688, 3.3448837046922284, 2.70466653683941
        178.37393027680892)
 R15_FOUND = "PR 8: echoed at 12 digits this row was another triangle, and verify FAILed it"
 EXPLICIT_120 = "PR 7: explicit 120-deg angles decide as empty psi does"
+NEAR_180 = ("test_boundary's near-180-deg property, which also checks that verify FAILs "
+            "an infeasible or angle_ge_120 claim on the row: a closure miss and a "
+            "barycentric test once wrote it infeasible, and verify confirmed that")
 
 ROWS = {
     "explicit-120": Row("w,1,1,1.9,120,120", "angle_ge_120", WIDE_C,
@@ -209,6 +212,18 @@ ROWS = {
         CONFIRMED.format("s", "infeasible"),
         "KNOWN DEFECT, ROADMAP item 4 (re-anchor at PR 30): infeasible claims no star "
         "point exists, which is false, and verify passes it"),
+    "near-180-unresolved": Row(
+        "a,117.45917376670758,0.4169475734378701,117.52180669988361,81.26441457577114,"
+        "179.9940549532222", "unresolved",
+        UNRESOLVED.format("2.0396824099344786e-08, 2.373138219996449e-12, "
+                          "2.0386072337348164e-08"),
+        CONFIRMED.format("a", "unresolved"),
+        "KNOWN DEFECT, ROADMAP items 5 and 13 (found by " + NEAR_180 + "): a star point "
+        "exists, but the closed form closes two edges to 2e-8 only, and verify passes it"),
+    "near-180-ok": Row(
+        "b,201.5186176131462,187.6304337638246,13.956097007978222,174.54597026760288,"
+        "5.45582565892657", "ok", "", "b: PASS (max residual 5.586e-10)",
+        "found by " + NEAR_180),
 }
 
 

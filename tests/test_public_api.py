@@ -24,6 +24,7 @@ from starsolve.circuit import ResidualReport
 from starsolve.fermat import ALL_120
 from starsolve.kernel import ANGLES_120
 from starsolve.records import MeasurementRecord, SolutionRecord
+from test_one_path import hexed
 
 MODULES = tuple(module.name for module in pkgutil.iter_modules(starsolve.__path__))
 
@@ -70,9 +71,8 @@ def test_unknown_name_raises_attribute_error():
 
 
 def test_angles_120_are_all_120_as_floats():
-    expected = (ALL_120.as_tuple(), ALL_120.cot, ALL_120.cos)
-    assert [[x.hex() for x in triple] for triple in ANGLES_120] == \
-        [[x.hex() for x in triple] for triple in expected]
+    assert hexed(ALL_120.as_tuple()) == hexed(ANGLES_120[0]) == ((120.0).hex(),) * 3
+    assert hexed(ALL_120.invariants) == hexed(ANGLES_120)
 
 
 @pytest.mark.parametrize("module", ("",) + MODULES)
@@ -86,9 +86,9 @@ def test_removed_names_stay_removed(module):
     (MeasurementRecord("m", 3.0, 4.0, 5.0), "meta"),
     (SolutionRecord("m", 1.0, 2.0, 3.0, 0.0, "ok"), "status"),
     (TriangleEdges(3.0, 4.0, 5.0), "a"),
-    (TriangleEdges(3.0, 4.0, 5.0), "unit_sq"),
+    (TriangleEdges(3.0, 4.0, 5.0), "invariants"),
     (PhaseAngles(110.0, 130.0, 120.0), "psi_a"),
-    (PhaseAngles(110.0, 130.0, 120.0), "cos"),
+    (PhaseAngles(110.0, 130.0, 120.0), "invariants"),
     (LineVoltages(1.0, 2.0, 3.0), "u1p"),
     (LineVoltages(1.0, 2.0, 3.0), "residuals"),
     (PhaseToPhaseVoltages(3.0, 4.0, 5.0), "u1"),
@@ -99,7 +99,9 @@ def test_removed_names_stay_removed(module):
                     passed=True), "residuals"),
 ], ids=lambda item: type(item).__name__ if not isinstance(item, str) else item)
 def test_fields_cannot_be_assigned(value, name):
+    # Read first, outside the raises block: a missing name must fail here.
+    current = getattr(value, name)
     with pytest.raises(AttributeError):
-        setattr(value, name, getattr(value, name))
+        setattr(value, name, current)
     with pytest.raises(AttributeError):
         setattr(value, "added", 0)
